@@ -1,7 +1,7 @@
 """Direction-aware and parallel frontier execution — ported to the scenario catalog.
 
 The workload formerly hand-rolled here is now the declarative catalog
-entries ``frontier-forward``, ``frontier-backward``, ``frontier-serial``, ``frontier-parallel-4w`` in :mod:`repro.bench.catalog`.  Timing and
+entries ``frontier-forward``, ``frontier-backward``, ``frontier-parallel-4w`` in :mod:`repro.bench.catalog`.  Timing and
 regression gating moved to ``repro bench run`` / ``repro bench gate``
 (see ``benchmarks/trajectory/``); the test below only exercises the
 catalog entries at smoke scale so ``pytest benchmarks/`` keeps
@@ -13,6 +13,5 @@ from repro.bench.shim import scenario_smoke_tests
 test_smoke = scenario_smoke_tests(
     "frontier-forward",
     "frontier-backward",
-    "frontier-serial",
     "frontier-parallel-4w",
 )

@@ -75,16 +75,13 @@ class ExecutorFactors:
     """The executor-configuration axis of the factor space.
 
     Mirrors the executor knobs: frontier ``direction``, parallel ``workers``
-    fan-out, unsafe-remainder ``strategy``, the compute ``kernel``
-    (``packed`` bitsets vs the legacy ``sets`` path), and whether a
-    persistent :class:`~repro.store.IndexStore` backs the service
-    (``store``).
+    fan-out, unsafe-remainder ``strategy``, and whether a persistent
+    :class:`~repro.store.IndexStore` backs the service (``store``).
     """
 
     direction: str = "auto"
     workers: int = 1
     strategy: str = "auto"
-    kernel: str = "auto"
     store: bool = False
 
     def as_dict(self) -> dict[str, object]:
@@ -92,7 +89,6 @@ class ExecutorFactors:
             "direction": self.direction,
             "workers": self.workers,
             "strategy": self.strategy,
-            "kernel": self.kernel,
             "store": self.store,
         }
 
@@ -343,7 +339,6 @@ def _executor_config(scenario: Scenario) -> "ExecutorConfig":
     return ExecutorConfig(
         direction=scenario.executor.direction,
         workers=scenario.executor.workers,
-        kernel=scenario.executor.kernel,
     )
 
 
@@ -826,12 +821,7 @@ def run_table(document: Mapping[str, Any]) -> list[dict[str, object]]:
                     str(executor.get(key, "-"))
                     for key in ("strategy", "direction", "workers")
                 )
-                + ("+store" if executor.get("store") else "")
-                + (
-                    f"+{executor.get('kernel')}"
-                    if executor.get("kernel") not in (None, "auto")
-                    else ""
-                ),
+                + ("+store" if executor.get("store") else ""),
                 "reps": entry.get("repetitions", 0),
                 "median_ms": 1000 * entry.get("median_s", 0.0),
                 "p95_ms": 1000 * entry.get("p95_s", 0.0),

@@ -5,10 +5,10 @@ Subcommands cover the typical workflow of the library:
 * ``repro spec``      — inspect a built-in or stored specification,
 * ``repro derive``    — derive a labeled run and store it as JSON,
 * ``repro safety``    — check whether a query is safe for a specification,
-* ``repro query``     — answer a pairwise or all-pairs query over a stored run,
+* ``repro query``     — answer a pairwise or all-pairs query over a stored run
+  (``--trace-json`` writes the evaluation's spans as Chrome trace-event JSON,
+  which loads in Perfetto / ``chrome://tracing``),
 * ``repro batch``     — stream a JSONL batch of queries through the query service,
-* ``repro trace``     — evaluate a query under the tracer and write a Chrome
-  trace-event JSON (loads in Perfetto / ``chrome://tracing``),
 * ``repro metrics``   — print the metrics registry in Prometheus text
   exposition format, optionally after replaying a JSONL batch,
 * ``repro store``     — manage a persistent index store (build/warm/ls/stats/gc),
@@ -183,9 +183,7 @@ def _evaluate_query(
     l2 = args.targets.split(",") if args.targets else None
     from repro.core.exec import ExecutorConfig
 
-    executor = ExecutorConfig(
-        direction=args.direction, workers=args.workers, kernel=args.kernel
-    )
+    executor = ExecutorConfig(direction=args.direction, workers=args.workers)
     if args.stream:
         # Pairs go to stdout as the evaluator finds them (unsorted); the
         # count goes to stderr so piped output stays pure.
@@ -211,36 +209,6 @@ def _evaluate_query(
             print(f"  {source} -> {target}")
         if len(matches) > args.limit:
             print(f"  ... ({len(matches) - args.limit} more; use --json for all)")
-    return 0
-
-
-def _cmd_trace(args: argparse.Namespace) -> int:
-    run = load_run(args.run)
-    engine = ProvenanceQueryEngine(run.spec)
-    l1 = args.sources.split(",") if args.sources else None
-    l2 = args.targets.split(",") if args.targets else None
-    from repro.core.exec import ExecutorConfig
-
-    executor = ExecutorConfig(
-        direction=args.direction, workers=args.workers, kernel=args.kernel
-    )
-    tracer = Tracer()
-    with use_tracer(tracer):
-        matches = engine.evaluate(run, args.query, l1, l2, executor=executor)
-    spans = tracer.spans()
-    document = chrome_trace(
-        spans, process_name=f"repro trace {Path(args.run).stem}"
-    )
-    text = json.dumps(document)
-    if args.output == "-":
-        print(text)
-    else:
-        Path(args.output).write_text(text + "\n")
-    print(
-        f"repro trace: {len(matches)} matching pairs, {len(spans)} spans"
-        + ("" if args.output == "-" else f" -> {args.output}"),
-        file=sys.stderr,
-    )
     return 0
 
 
@@ -819,19 +787,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     query_parser.add_argument(
-        "--kernel",
-        choices=["auto", "packed", "sets"],
-        default="auto",
-        help=(
-            "relation/search compute kernel: packed runs joins, closures and "
-            "frontier searches on uint64-packed bitsets over dense-interned "
-            "node ids (process workers attach a shared-memory arena instead "
-            "of unpickling adjacency), sets keeps the legacy set-based path "
-            "for A/B and fallback; auto (default) honours REPRO_KERNEL and "
-            "otherwise picks packed"
-        ),
-    )
-    query_parser.add_argument(
         "--profile",
         action="store_true",
         help=(
@@ -857,41 +812,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     query_parser.set_defaults(handler=_cmd_query)
-
-    trace_parser = sub.add_parser(
-        "trace",
-        help="evaluate a query under the tracer and emit Chrome trace JSON",
-        description=(
-            "Evaluate an all-pairs query with a recording tracer installed "
-            "and write the finished spans in Chrome trace-event format; load "
-            "the file in Perfetto or chrome://tracing to see the query "
-            "lifecycle (planning, frontier searches, decode, cache/store "
-            "traffic) on a timeline."
-        ),
-    )
-    trace_parser.add_argument("run", help="path to a run JSON file (see 'repro derive')")
-    trace_parser.add_argument("query")
-    trace_parser.add_argument("--sources", help="comma-separated source ids")
-    trace_parser.add_argument("--targets", help="comma-separated target ids")
-    trace_parser.add_argument(
-        "--direction", choices=["auto", "forward", "backward"], default="auto"
-    )
-    trace_parser.add_argument(
-        "--workers", type=int, default=1, help="parallel frontier fan-out"
-    )
-    trace_parser.add_argument(
-        "--kernel",
-        choices=["auto", "packed", "sets"],
-        default="auto",
-        help="compute kernel (see 'repro query --kernel')",
-    )
-    trace_parser.add_argument(
-        "--output",
-        default="-",
-        metavar="PATH",
-        help="trace JSON destination (default: stdout)",
-    )
-    trace_parser.set_defaults(handler=_cmd_trace)
 
     metrics_parser = sub.add_parser(
         "metrics",

@@ -12,24 +12,24 @@ element.  This module re-platforms that data path on *dense interned ids*
 * a relation or adjacency structure is one such row per source node, with
   bit ``j`` of row ``i`` meaning ``i → j``.
 
-Rows serialize to a fixed-width **little-endian uint64 word layout**
-(``row_byte_width`` = ``ceil(n / 64) * 8`` bytes per row, exactly the layout
-of an ``array('Q')`` buffer), which is what the shared-memory worker arena
-(:mod:`repro.core.exec.arena`) and the store's packed matrix format exchange.
+This is the kernel of joins and closures (:class:`PackedRelation`, driven by
+:func:`~repro.core.relations.evaluate_regex_relation_packed`) and of the
+reachability closures behind restriction pushdown (:func:`closure_mask`).
+Per-seed frontier searches stay on sets: on sparse runs their per-edge cost
+tracks the real out-degree, where a packed wave pays the full row width.
 
 When numpy is importable (a soft dependency, probed at import time — see
 :data:`HAS_NUMPY`) wide row unions additionally take a vectorized path:
-rows are mirrored into an ``(n, words)`` ``uint64`` matrix and a frontier
-propagation becomes one ``np.bitwise_or.reduce`` over the selected rows.
-The kernel is exactly equivalent with or without numpy; the probe only
-switches implementations.
+rows are serialized to a fixed-width little-endian uint64 word layout
+(``row_byte_width`` = ``ceil(n / 64) * 8`` bytes per row), mirrored into an
+``(n, words)`` ``uint64`` matrix, and a propagation becomes one
+``np.bitwise_or.reduce`` over the selected rows.  The kernel is exactly
+equivalent with or without numpy; the probe only switches implementations.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterable, Mapping, Protocol, Sequence
-
-from repro.automata.dfa import DFA
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.workflow.run import Run
@@ -41,16 +41,12 @@ __all__ = [
     "row_byte_width",
     "bit_indices",
     "rows_to_bytes",
-    "rows_from_bytes",
     "NodeInterner",
     "PackedAdjacency",
-    "RowPropagator",
-    "PackedGraph",
     "PackedRunView",
     "build_run_view",
     "closure_mask",
     "PackedRelation",
-    "PackedFrontier",
 ]
 
 WORD_BITS = 64
@@ -102,25 +98,6 @@ def rows_to_bytes(rows: Sequence[int], bits: int) -> bytes:
     return b"".join(row.to_bytes(width, "little") for row in rows)
 
 
-def rows_from_bytes(buffer: bytes | memoryview, bits: int, count: int) -> list[int]:
-    """Parse ``count`` fixed-width rows back into Python-int bitsets.
-
-    Accepts a ``memoryview`` so callers can parse straight out of a mapped
-    shared-memory segment without first copying the buffer.
-    """
-    width = row_byte_width(bits)
-    view = memoryview(buffer)
-    if len(view) < width * count:
-        raise ValueError(
-            f"buffer holds {len(view)} bytes; {count} rows of {width} bytes need "
-            f"{width * count}"
-        )
-    return [
-        int.from_bytes(view[index * width : (index + 1) * width], "little")
-        for index in range(count)
-    ]
-
-
 class NodeInterner:
     """Dense ``node id -> bit index`` table for one run, built once.
 
@@ -140,10 +117,6 @@ class NodeInterner:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def bit_of(self, node_id: str) -> int | None:
-        """Bit index of a node id, or ``None`` for ids not in the run."""
-        return self.index.get(node_id)
-
     def mask_of(self, node_ids: Iterable[str]) -> int:
         """Pack a node-id collection into a bitset (unknown ids dropped)."""
         index = self.index
@@ -160,19 +133,6 @@ class NodeInterner:
         return [ids[position] for position in bit_indices(mask)]
 
 
-class RowPropagator(Protocol):
-    """Anything that can union its rows over a source mask.
-
-    Both :class:`PackedAdjacency` and the executor's lazily-materialized
-    macro adjacency satisfy this; the frontier search only needs
-    :meth:`propagate`.
-    """
-
-    def propagate(self, mask: int) -> int:
-        """Union of ``rows[i]`` over the set bits ``i`` of ``mask``."""
-        ...
-
-
 class PackedAdjacency:
     """One packed row per source node; ``propagate`` is the kernel hot loop."""
 
@@ -185,15 +145,6 @@ class PackedAdjacency:
         self.rows: list[int] = list(rows)
         # Lazily-built numpy mirror; idempotent to race on (see _matrix).
         self._dense: Any = None
-
-    @classmethod
-    def from_edges(
-        cls, node_count: int, edges: Iterable[tuple[int, int]]
-    ) -> "PackedAdjacency":
-        rows = [0] * node_count
-        for source, target in edges:
-            rows[source] |= 1 << target
-        return cls(node_count, rows)
 
     def propagate(self, mask: int) -> int:
         """Union of the successor rows of every set bit of ``mask``."""
@@ -239,84 +190,62 @@ class PackedAdjacency:
         out = _NUMPY.bitwise_or.reduce(rows, axis=0)
         return int.from_bytes(out.tobytes(), "little")
 
-    def to_bytes(self) -> bytes:
-        return rows_to_bytes(self.rows, self.node_count)
-
-    @classmethod
-    def from_bytes(
-        cls, buffer: bytes | memoryview, node_count: int
-    ) -> "PackedAdjacency":
-        return cls(node_count, rows_from_bytes(buffer, node_count, node_count))
-
-
-class PackedGraph:
-    """One traversal direction of a run in packed form."""
-
-    __slots__ = ("by_tag", "any_tag")
-
-    def __init__(self, by_tag: Mapping[str, PackedAdjacency], any_tag: PackedAdjacency) -> None:
-        self.by_tag: dict[str, PackedAdjacency] = dict(by_tag)
-        self.any_tag = any_tag
-
 
 class PackedRunView:
-    """The memoized packed form of a run: interner plus both directions.
+    """The memoized packed form of a run.
 
-    Built once per run (see ``Run.packed``) and reused by every query, which
-    is what retires the old per-call adjacency rebuilds in the join and
-    closure paths.
+    ``by_tag`` and ``any_tag`` are the forward per-tag and wildcard
+    adjacency the join path reads; ``backward_any_tag`` is the reversed
+    wildcard adjacency behind backward reachability closures.  Built once
+    per run (see ``Run.packed``) and reused by every query, which is what
+    retires the old per-call adjacency rebuilds in the join and closure
+    paths.
     """
 
-    __slots__ = ("interner", "forward", "backward")
+    __slots__ = ("interner", "by_tag", "any_tag", "backward_any_tag")
 
-    def __init__(self, interner: NodeInterner, forward: PackedGraph, backward: PackedGraph) -> None:
+    def __init__(
+        self,
+        interner: NodeInterner,
+        by_tag: Mapping[str, PackedAdjacency],
+        any_tag: PackedAdjacency,
+        backward_any_tag: PackedAdjacency,
+    ) -> None:
         self.interner = interner
-        self.forward = forward
-        self.backward = backward
-
-    def graph(self, direction: str) -> PackedGraph:
-        if direction == "forward":
-            return self.forward
-        if direction == "backward":
-            return self.backward
-        raise ValueError(f"unknown direction {direction!r}")
+        self.by_tag: dict[str, PackedAdjacency] = dict(by_tag)
+        self.any_tag = any_tag
+        self.backward_any_tag = backward_any_tag
 
 
 def build_run_view(run: "Run") -> PackedRunView:
-    """Intern a run's nodes and pack both adjacency directions by tag."""
+    """Intern a run's nodes and pack its adjacency: forward by tag, plus the
+    wildcard union in both directions."""
     interner = NodeInterner(run.nodes)
     index = interner.index
     node_count = len(interner)
-    forward_by_tag: dict[str, list[int]] = {}
-    backward_by_tag: dict[str, list[int]] = {}
+    by_tag: dict[str, list[int]] = {}
     forward_any = [0] * node_count
     backward_any = [0] * node_count
     for edge in run.edges:
         source = index[edge.source]
         target = index[edge.target]
-        source_bit = 1 << source
         target_bit = 1 << target
-        tag_forward = forward_by_tag.get(edge.tag)
-        if tag_forward is None:
-            tag_forward = [0] * node_count
-            forward_by_tag[edge.tag] = tag_forward
-            backward_by_tag[edge.tag] = [0] * node_count
-        tag_forward[source] |= target_bit
-        backward_by_tag[edge.tag][target] |= source_bit
+        tag_rows = by_tag.get(edge.tag)
+        if tag_rows is None:
+            tag_rows = [0] * node_count
+            by_tag[edge.tag] = tag_rows
+        tag_rows[source] |= target_bit
         forward_any[source] |= target_bit
-        backward_any[target] |= source_bit
-    forward = PackedGraph(
-        {tag: PackedAdjacency(node_count, rows) for tag, rows in forward_by_tag.items()},
+        backward_any[target] |= 1 << source
+    return PackedRunView(
+        interner,
+        {tag: PackedAdjacency(node_count, rows) for tag, rows in by_tag.items()},
         PackedAdjacency(node_count, forward_any),
-    )
-    backward = PackedGraph(
-        {tag: PackedAdjacency(node_count, rows) for tag, rows in backward_by_tag.items()},
         PackedAdjacency(node_count, backward_any),
     )
-    return PackedRunView(interner, forward, backward)
 
 
-def closure_mask(adjacency: RowPropagator, seeds: int) -> int:
+def closure_mask(adjacency: PackedAdjacency, seeds: int) -> int:
     """Reachability closure of a seed mask (seeds included), by wavefront.
 
     Each round propagates the whole frontier in one word-parallel union, so
@@ -481,127 +410,3 @@ class PackedRelation:
                 out[position] = rows[position] & target_mask
                 pending ^= low
         return PackedRelation(self.node_count, out)
-
-
-class _MergedRows:
-    """The lazily-unioned rows of several adjacency matrices.
-
-    A frontier bucket like "every tag except one" would cost a full
-    ``n``-row merge to materialize eagerly — per DFA state, per pool worker,
-    exactly the startup the arena exists to avoid.  Instead the union of
-    each row is computed the first time a frontier actually touches it and
-    cached, so compile time is O(states) and the merge cost is bounded by
-    the rows a search really visits.  Safe to race from threads: every
-    writer stores the same value and list-item assignment is atomic under
-    the GIL.
-    """
-
-    __slots__ = ("node_count", "_sources", "_rows")
-
-    def __init__(self, matrices: Sequence[PackedAdjacency]) -> None:
-        self.node_count = matrices[0].node_count
-        self._sources: tuple[list[int], ...] = tuple(m.rows for m in matrices)
-        self._rows: list[int | None] = [None] * self.node_count
-
-    def propagate(self, mask: int) -> int:
-        rows = self._rows
-        sources = self._sources
-        out = 0
-        while mask:
-            low = mask & -mask
-            position = low.bit_length() - 1
-            row = rows[position]
-            if row is None:
-                row = 0
-                for source in sources:
-                    row |= source[position]
-                rows[position] = row
-            out |= row
-            mask ^= low
-        return out
-
-
-class PackedFrontier:
-    """A compiled product frontier search: DFA × packed adjacency.
-
-    The constructor pre-resolves, per DFA state, the list of live moves —
-    ``(next state, row propagator)`` for every transition that is neither
-    dead-state-bound nor over a tag absent from the run and macros — so each
-    :meth:`search` round does one word-parallel ``propagate`` per live move
-    instead of a per-edge dictionary probe.
-
-    Tags a state sends to the *same* next state are merged into one
-    propagator: a wildcard self-loop (every tag → same state, the ``_*``
-    workhorse) costs a single propagation per frontier instead of one per
-    tag.  When such a bucket covers every tag of ``by_tag`` the
-    caller-provided ``any_tag`` matrix (the run view already memoizes it)
-    is used directly; partial buckets union their rows lazily through
-    :class:`_MergedRows`, keeping compilation — which runs in every pool
-    worker — free of O(n · tags) work.
-    """
-
-    __slots__ = ("start", "accepting", "moves", "allowed")
-
-    def __init__(
-        self,
-        by_tag: Mapping[str, PackedAdjacency],
-        dfa: DFA,
-        *,
-        allowed: int,
-        macros: Mapping[str, RowPropagator] | None = None,
-        any_tag: PackedAdjacency | None = None,
-    ) -> None:
-        dead = dfa.dead_state()
-        tag_count = len(by_tag)
-        moves: list[list[tuple[int, RowPropagator]]] = []
-        for state in range(dfa.state_count):
-            entries: list[tuple[int, RowPropagator]] = []
-            buckets: dict[int, list[PackedAdjacency]] = {}
-            for tag, next_state in dfa.transitions[state].items():
-                if next_state == dead:
-                    continue
-                adjacency = by_tag.get(tag)
-                if adjacency is not None:
-                    buckets.setdefault(next_state, []).append(adjacency)
-                if macros:
-                    macro = macros.get(tag)
-                    if macro is not None:
-                        entries.append((next_state, macro))
-            for next_state, group in buckets.items():
-                if len(group) == 1:
-                    entries.append((next_state, group[0]))
-                elif any_tag is not None and len(group) == tag_count:
-                    entries.append((next_state, any_tag))
-                else:
-                    entries.append((next_state, _MergedRows(group)))
-            moves.append(entries)
-        self.start = dfa.start
-        self.accepting: tuple[int, ...] = tuple(dfa.accepting)
-        self.moves = moves
-        self.allowed = allowed
-
-    def search(self, seed_bit: int) -> int:
-        """Mask of nodes some accepted path reaches from the seed bit index.
-
-        The per-(node, state) bookkeeping of the set-based search collapses
-        into one ``seen`` mask per DFA state; each worklist step advances a
-        whole node-mask frontier through one DFA move word-parallel.
-        """
-        seed_mask = 1 << seed_bit
-        if not seed_mask & self.allowed:
-            return 0
-        state_count = len(self.moves)
-        seen = [0] * state_count
-        seen[self.start] = seed_mask
-        worklist: list[tuple[int, int]] = [(self.start, seed_mask)]
-        while worklist:
-            state, mask = worklist.pop()
-            for next_state, propagator in self.moves[state]:
-                fresh = propagator.propagate(mask) & self.allowed & ~seen[next_state]
-                if fresh:
-                    seen[next_state] |= fresh
-                    worklist.append((next_state, fresh))
-        result = 0
-        for state in self.accepting:
-            result |= seen[state]
-        return result

@@ -539,7 +539,7 @@ def evaluate_general_query_iter(
     co-reachable from ``l2``, times the DFA size) plus the label-decoded
     relations of the routed safe subqueries — never by the result set.
     ``executor`` enables the parallel per-seed executor (fan-out across a
-    worker pool with ordered or unordered streaming merge).  Each matching
+    worker pool, chunks streaming in completion order).  Each matching
     pair is yielded exactly once.  Planning and safety analysis run eagerly,
     before the iterator is returned.
     """

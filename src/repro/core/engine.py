@@ -321,8 +321,8 @@ class ProvenanceQueryEngine:
         (constant memory).  Unsafe queries stream through the executor
         layer's per-seed frontier search — forward from the sources, or
         backward from the targets over the reversed macro DFA
-        (``direction``), optionally fanned across a worker pool with ordered
-        or unordered streaming merge (``executor``; see
+        (``direction``), optionally fanned across a worker pool whose chunks
+        stream in completion order (``executor``; see
         :class:`~repro.core.exec.ExecutorConfig`): memory is bounded by the
         region of the run reachable from ``l1`` (and co-reachable from
         ``l2``) plus the routed safe subqueries' relations — never by the

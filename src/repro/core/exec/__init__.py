@@ -10,14 +10,16 @@ The evaluation stack splits in two at this package's boundary:
   resolves a workload into a tree of operators (:class:`FrontierSearchOp`,
   :class:`JoinOp`, :class:`LabelDecodeOp`, :class:`RestrictOp`) and
   ``execute``/``execute_iter`` run it — serially, or fanned across a thread
-  or process pool with ordered/unordered streaming merge.
+  or process pool whose chunk results stream in completion order.  Each
+  operator has one compute kernel: packed bitsets for joins and closures,
+  per-element sets for per-seed frontier searches.
 
 New execution strategies plug in at this seam without touching the planner:
 the backward (reversed-DFA) frontier search and the parallel per-seed
 executor both live here.
 """
 
-from repro.core.exec.config import DIRECTIONS, KERNELS, ExecutorConfig, WorkerBudget
+from repro.core.exec.config import DIRECTIONS, ExecutorConfig, WorkerBudget
 from repro.core.exec.executor import execute, execute_iter
 from repro.core.exec.ops import (
     FrontierSearchOp,
@@ -34,7 +36,6 @@ __all__ = [
     "ExecutorConfig",
     "FrontierSearchOp",
     "JoinOp",
-    "KERNELS",
     "LabelDecodeOp",
     "MacroRelation",
     "PhysicalOp",

@@ -21,7 +21,6 @@ from typing import Callable, Iterable, Mapping
 
 from repro.automata.dfa import DFA
 from repro.automata.regex import RegexNode
-from repro.core.bitset import NodeInterner, PackedAdjacency
 from repro.obs import get_tracer
 
 __all__ = [
@@ -50,7 +49,6 @@ class MacroRelation:
         self._lock = threading.Lock()
         self._forward: dict[str, tuple[str, ...]] | None = None  # guarded-by: _lock
         self._backward: dict[str, tuple[str, ...]] | None = None  # guarded-by: _lock
-        self._packed: dict[str, PackedAdjacency] = {}  # guarded-by: _lock
 
     def _materialize(self) -> tuple[
         dict[str, tuple[str, ...]], dict[str, tuple[str, ...]]
@@ -88,50 +86,6 @@ class MacroRelation:
     def expander(self, direction: str) -> Callable[[str], tuple[str, ...]]:
         """The per-node successor callable :func:`frontier_search` expects."""
         return self.successors if direction == "forward" else self.predecessors
-
-    def packed_adjacency(self, direction: str, interner: NodeInterner) -> PackedAdjacency:
-        """The macro relation as packed rows over the run's interner.
-
-        Decodes (at most once, shared with the set-based views) and packs (at
-        most once per direction; a macro belongs to one plan, so the interner
-        is fixed).  The process-pool executor ships these rows into the
-        shared-memory arena; the serial/thread packed paths reach them
-        through :meth:`packed_propagator` instead, which defers this call to
-        the first frontier that actually crosses the macro edge.
-        """
-        with self._lock:
-            cached = self._packed.get(direction)
-        if cached is not None:
-            return cached
-        # Decode outside the critical section: adjacency() takes _lock itself
-        # (it is not reentrant), and two threads packing the same direction
-        # concurrently just produce identical rows — setdefault keeps one.
-        mapping = self.adjacency(direction)
-        packed = PackedAdjacency(
-            len(interner),
-            [interner.mask_of(mapping.get(node_id, ())) for node_id in interner.ids],
-        )
-        with self._lock:
-            return self._packed.setdefault(direction, packed)
-
-    def packed_propagator(self, direction: str, interner: NodeInterner) -> "_LazyPackedMacro":
-        """A row propagator that materializes the macro lazily on first use."""
-        return _LazyPackedMacro(self, direction, interner)
-
-
-class _LazyPackedMacro:
-    """Defers macro decode+pack until a frontier actually propagates over it,
-    mirroring the laziness of the set-based ``expander`` path."""
-
-    __slots__ = ("_relation", "_direction", "_interner")
-
-    def __init__(self, relation: MacroRelation, direction: str, interner: NodeInterner) -> None:
-        self._relation = relation
-        self._direction = direction
-        self._interner = interner
-
-    def propagate(self, mask: int) -> int:
-        return self._relation.packed_adjacency(self._direction, self._interner).propagate(mask)
 
 
 @dataclass(frozen=True)

@@ -178,39 +178,6 @@ class FineGrainedRun:
             node for node, states in reachable.items() if states & accepting
         )
 
-    def accepting_targets_packed(self, source: str) -> frozenset[str]:
-        """Word-parallel twin of :meth:`accepting_targets`.
-
-        Tracks one packed node mask per DFA state over the run's memoized
-        :class:`~repro.core.bitset.PackedRunView` and moves whole frontiers
-        through the per-tag adjacency in word-wide unions, so each BFS wave
-        costs a handful of big-int operations instead of a hash probe per
-        fine-grained edge.  The explicit per-edge :meth:`accepting_targets`
-        stays as the executable ground truth; the property suite pins the
-        two to identical answers.
-        """
-        view = self._run.packed
-        bit = view.interner.bit_of(source)
-        if bit is None:
-            return frozenset()
-        dfa = self._dfa
-        by_tag = view.forward.by_tag
-        masks: dict[int, int] = {dfa.start: 1 << bit}
-        pending: list[tuple[int, int]] = [(dfa.start, 1 << bit)]
-        while pending:
-            state, frontier = pending.pop()
-            transitions = dfa.transitions[state]
-            for tag, adjacency in by_tag.items():
-                next_state = transitions[tag]
-                fresh = adjacency.propagate(frontier) & ~masks.get(next_state, 0)
-                if fresh:
-                    masks[next_state] = masks.get(next_state, 0) | fresh
-                    pending.append((next_state, fresh))
-        reached = 0
-        for state in dfa.accepting:
-            reached |= masks.get(state, 0)
-        return frozenset(view.interner.nodes_of(reached))
-
 
 def intersect_run(run: Run, dfa: DFA) -> FineGrainedRun:
     """Convenience constructor mirroring :func:`intersect_specification`."""

@@ -124,8 +124,9 @@ class Run:
         """The run's dense-interned, uint64-packed adjacency view.
 
         Built once (the service warms it at registration) and reused by every
-        query: tag/wildcard rows for both directions plus the node interner,
-        so joins and closures never rebuild adjacency per call.  The import
+        query: forward tag rows, wildcard rows for both directions and the
+        node interner, so joins and closures never rebuild adjacency per
+        call.  The import
         is deferred because :mod:`repro.core` imports this module.
         """
         from repro.core.bitset import build_run_view

@@ -1,36 +1,35 @@
 """The packed bitset kernel pinned to its set-based reference.
 
-Every word-parallel operation the packed data path performs — tag/all-edge
+Every word-parallel operation the packed join path performs — tag/all-edge
 relations, join composition, the semi-naive closure, restriction universes,
-the product frontier search (with and without macro transitions), and the
-fixed-width row serialization shared with store format 2 and the worker
-arena — must return exactly what the per-element set machinery returns, on
-Hypothesis-generated runs, queries, masks and node lists (including empty
-and disjoint ones).  A parametrized end-to-end test additionally holds the
-two kernels together through the executor under the thread *and* process
-backends.
+whole-query regex evaluation, and the fixed-width row serialization the
+numpy mirror reads — must return exactly what the per-element set machinery
+(the G1 baseline) returns, on Hypothesis-generated runs, queries, masks and
+node lists (including empty and disjoint ones).  End-to-end tests
+additionally hold the executor's frontier (thread *and* process backends)
+and join plans to the set reference.
 """
+
+import functools
+import operator
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.automata.boolean_matrix import BooleanMatrix
-from repro.automata.dfa import dfa_from_regex
 from repro.automata.regex import parse_regex
+from repro.core import bitset as bitset_module
 from repro.core.bitset import (
+    NodeInterner,
     PackedAdjacency,
-    PackedFrontier,
     PackedRelation,
     bit_indices,
     closure_mask,
     row_byte_width,
-    rows_from_bytes,
     rows_to_bytes,
 )
 from repro.core.exec import ExecutorConfig, build_physical_plan, execute
-from repro.core.exec.arena import attach_tables, create_arena, release_arena
-from repro.core.intersection import intersect_run
 from repro.core.query_index import build_query_index
 from repro.core.decomposition import plan_decomposition
 from repro.core.relations import (
@@ -39,7 +38,6 @@ from repro.core.relations import (
     evaluate_regex_relation,
     evaluate_regex_relation_packed,
     forward_closure_nodes,
-    frontier_search,
     restrict,
     restriction_universe,
     tag_relation,
@@ -47,7 +45,6 @@ from repro.core.relations import (
 )
 from repro.datasets.paper_example import paper_specification
 from repro.datasets.synthetic import generate_synthetic_specification
-from repro.obs.metrics import get_registry
 from repro.workflow.derivation import derive_run
 
 _SPECS = {
@@ -115,8 +112,134 @@ def _mask_of(run, node_list):
     return None if node_list is None else interner.mask_of(node_list)
 
 
+def _brute_closure(seeds, adjacency):
+    """Per-edge depth-first reachability over ``(neighbour, tag)`` lists."""
+    reached = {seed for seed in seeds if seed in adjacency}
+    stack = list(reached)
+    while stack:
+        node = stack.pop()
+        for target, _ in adjacency[node]:
+            if target not in reached:
+                reached.add(target)
+                stack.append(target)
+    return reached
+
+
+@st.composite
+def adjacency_and_mask(draw):
+    """Random packed rows plus a source mask, wide enough (up to 130 nodes,
+    masks up to every bit) to reach the vectorized propagation path."""
+    size = draw(st.integers(1, 130))
+    rows = draw(
+        st.lists(
+            st.integers(0, (1 << size) - 1), min_size=size, max_size=size
+        )
+    )
+    mask = draw(st.integers(0, (1 << size) - 1))
+    return size, rows, mask
+
+
 # ---------------------------------------------------------------------------
-# Row serialization: the layout shared with store format 2 and the arena
+# Interning and the memoized run view
+# ---------------------------------------------------------------------------
+
+
+class TestNodeInterner:
+    @given(run_and_lists())
+    @settings(**_SETTINGS)
+    def test_mask_round_trip_keeps_run_order_and_drops_unknown_ids(self, data):
+        run, l1, _ = data
+        interner = run.packed.interner
+        ids = [] if l1 is None else l1
+        known = {node for node in ids if node in interner.index}
+        expected = [node for node in run.node_ids() if node in known]
+        assert interner.nodes_of(interner.mask_of(ids)) == expected
+
+    def test_full_mask_covers_every_run_node_in_order(self):
+        run = _RUNS["paper"][0]
+        interner = run.packed.interner
+        assert len(interner) == len(run.node_ids())
+        assert interner.nodes_of(interner.full_mask) == list(run.node_ids())
+        assert NodeInterner([]).full_mask == 0
+
+
+class TestPackedRunView:
+    def test_view_is_built_once_per_run(self):
+        run = _RUNS["synthetic"][1]
+        assert run.packed is run.packed
+
+    @given(run_and_lists())
+    @settings(**_SETTINGS)
+    def test_any_tag_rows_are_the_union_of_tag_rows(self, data):
+        run, _, _ = data
+        view = run.packed
+        union = [0] * len(view.interner)
+        for adjacency in view.by_tag.values():
+            union = [mine | theirs for mine, theirs in zip(union, adjacency.rows)]
+        assert view.any_tag.rows == union
+        assert set(view.by_tag) == set(run.tags())
+
+    @given(run_and_lists())
+    @settings(**_SETTINGS)
+    def test_backward_any_tag_is_the_transposed_forward_adjacency(self, data):
+        run, _, _ = data
+        view = run.packed
+        forward = {
+            (source, target)
+            for source, row in enumerate(view.any_tag.rows)
+            for target in bit_indices(row)
+        }
+        backward = {
+            (source, target)
+            for target, row in enumerate(view.backward_any_tag.rows)
+            for source in bit_indices(row)
+        }
+        assert backward == forward
+
+    @given(run_and_lists())
+    @settings(**_SETTINGS)
+    def test_backward_closure_mask_matches_per_edge_search(self, data):
+        run, _, l2 = data
+        seeds = list(run.node_ids())[-3:] if l2 is None else l2
+        view = run.packed
+        mask = closure_mask(view.backward_any_tag, view.interner.mask_of(seeds))
+        assert set(view.interner.nodes_of(mask)) == _brute_closure(
+            seeds, run.predecessors
+        )
+
+
+class TestPackedAdjacency:
+    @given(adjacency_and_mask())
+    @settings(**_SETTINGS)
+    def test_propagate_is_the_union_of_selected_rows(self, data):
+        size, rows, mask = data
+        expected = 0
+        for position in bit_indices(mask):
+            expected |= rows[position]
+        assert PackedAdjacency(size, rows).propagate(mask) == expected
+
+    def test_vectorized_and_big_int_propagation_agree(self, monkeypatch):
+        """A wide mask takes the numpy path when numpy is importable; with
+        the probe forced off the same call runs the big-int loop."""
+        size = 100
+        rows = [((position * 2654435761) ^ (position << 37)) % (1 << size)
+                for position in range(size)]
+        masks = [(1 << size) - 1, int("10" * (size // 2), 2), (1 << 64) - 1]
+        default = [PackedAdjacency(size, rows).propagate(mask) for mask in masks]
+        monkeypatch.setattr(bitset_module, "_NUMPY", None)
+        fallback = [PackedAdjacency(size, rows).propagate(mask) for mask in masks]
+        assert default == fallback
+        assert default[0] == functools.reduce(operator.or_, rows)
+
+    def test_row_count_must_match_node_count(self):
+        with pytest.raises(ValueError, match="expected 3 rows, got 2"):
+            PackedAdjacency(3, [0, 0])
+        with pytest.raises(ValueError, match="expected 2 rows, got 3"):
+            PackedRelation(2, [0, 0, 0])
+
+
+# ---------------------------------------------------------------------------
+# Row serialization: the uint64 word layout of the numpy mirror and store format 2
 # ---------------------------------------------------------------------------
 
 
@@ -133,8 +256,13 @@ class TestRowSerialization:
     def test_rows_round_trip_through_word_layout(self, data):
         bits, rows = data
         buffer = rows_to_bytes(rows, bits)
-        assert len(buffer) == row_byte_width(bits) * len(rows)
-        assert rows_from_bytes(buffer, bits, len(rows)) == rows
+        width = row_byte_width(bits)
+        assert len(buffer) == width * len(rows)
+        parsed = [
+            int.from_bytes(buffer[index * width : (index + 1) * width], "little")
+            for index in range(len(rows))
+        ]
+        assert parsed == rows
 
     @given(st.integers(0, 130))
     @settings(**_SETTINGS)
@@ -163,14 +291,6 @@ class TestRowSerialization:
         matrix = BooleanMatrix(size, rows)
         assert BooleanMatrix.from_packed(size, matrix.to_packed()) == matrix
 
-    @given(st.integers(1, 60), st.integers(0, 5))
-    @settings(**_SETTINGS)
-    def test_adjacency_round_trips_through_bytes(self, size, seed):
-        edges = [((seed + i * 7) % size, (i * 13) % size) for i in range(size)]
-        adjacency = PackedAdjacency.from_edges(size, edges)
-        rebuilt = PackedAdjacency.from_bytes(adjacency.to_bytes(), size)
-        assert rebuilt.rows == adjacency.rows
-
 
 # ---------------------------------------------------------------------------
 # Relation algebra: packed rows vs per-element sets
@@ -185,9 +305,9 @@ class TestRelationAlgebra:
         view = run.packed
         allowed = None if l1 is None else frozenset(l1)
         allowed_mask = _mask_of(run, l1)
-        packed_any = PackedRelation.from_adjacency(view.forward.any_tag, allowed_mask)
+        packed_any = PackedRelation.from_adjacency(view.any_tag, allowed_mask)
         assert packed_any.to_pairs(view.interner) == all_edge_relation(run, allowed)
-        for tag, adjacency in view.forward.by_tag.items():
+        for tag, adjacency in view.by_tag.items():
             packed = PackedRelation.from_adjacency(adjacency, allowed_mask)
             assert packed.to_pairs(view.interner) == tag_relation(run, tag, allowed)
 
@@ -219,26 +339,14 @@ class TestRelationAlgebra:
         agrees with a per-edge breadth-first reference."""
         run, l1, l2 = data
         universe = restriction_universe(run, l1, l2)
-
-        def brute_closure(seeds, adjacency):
-            reached = {seed for seed in seeds if seed in adjacency}
-            stack = list(reached)
-            while stack:
-                node = stack.pop()
-                for target, _ in adjacency[node]:
-                    if target not in reached:
-                        reached.add(target)
-                        stack.append(target)
-            return reached
-
         if l1 is None and l2 is None:
             assert universe is None
             return
         expected = None
         if l1 is not None:
-            expected = brute_closure(l1, run.successors)
+            expected = _brute_closure(l1, run.successors)
         if l2 is not None:
-            backward = brute_closure(l2, run.predecessors)
+            backward = _brute_closure(l2, run.predecessors)
             expected = backward if expected is None else expected & backward
         assert universe == frozenset(expected)
 
@@ -248,15 +356,76 @@ class TestRelationAlgebra:
         run, l1, _ = data
         seeds = list(run.node_ids())[:3] if l1 is None else l1
         view = run.packed
-        mask = closure_mask(view.forward.any_tag, view.interner.mask_of(seeds))
-        in_run = [seed for seed in seeds if view.interner.bit_of(seed) is not None]
+        mask = closure_mask(view.any_tag, view.interner.mask_of(seeds))
+        in_run = [seed for seed in seeds if seed in view.interner.index]
         assert frozenset(view.interner.nodes_of(mask)) == forward_closure_nodes(
             run, in_run
         )
 
+    @given(run_and_lists())
+    @settings(**_SETTINGS)
+    def test_restrict_matches_set_restrict(self, data):
+        run, l1, l2 = data
+        relation = all_edge_relation(run)
+        view = run.packed
+        packed = PackedRelation.from_pairs(view.interner, relation).restrict(
+            _mask_of(run, l1), _mask_of(run, l2)
+        )
+        assert packed.to_pairs(view.interner) == restrict(relation, l1, l2)
+
+    @given(run_and_lists())
+    @settings(**_SETTINGS)
+    def test_union_matches_set_union(self, data):
+        run, l1, _ = data
+        view = run.packed
+        tags = sorted(run.tags())
+        allowed = None if l1 is None else frozenset(l1)
+        left = tag_relation(run, tags[0], allowed)
+        right = tag_relation(run, tags[-1])
+        packed = PackedRelation.from_pairs(view.interner, left).union(
+            PackedRelation.from_pairs(view.interner, right)
+        )
+        assert packed.to_pairs(view.interner) == left | right
+
+    @given(run_and_lists())
+    @settings(**_SETTINGS)
+    def test_identity_union_equals_with_diagonal(self, data):
+        """``R ∪ id(U)`` built both ways — the diagonal ``X*`` adds for the
+        empty path — is the set reference's ``R`` plus ``(u, u)`` per node."""
+        run, l1, _ = data
+        view = run.packed
+        interner = view.interner
+        universe = interner.full_mask if l1 is None else interner.mask_of(l1)
+        relation = PackedRelation.from_adjacency(view.any_tag, None)
+        identity = PackedRelation.identity(len(interner), universe)
+        expected = all_edge_relation(run) | {
+            (node, node) for node in interner.nodes_of(universe)
+        }
+        assert relation.with_diagonal(universe).to_pairs(interner) == expected
+        assert relation.union(identity).to_pairs(interner) == expected
+
+    @given(run_and_lists())
+    @settings(**_SETTINGS)
+    def test_pair_count_and_emptiness_match_the_unpacked_pairs(self, data):
+        run, l1, _ = data
+        view = run.packed
+        packed = PackedRelation.from_adjacency(view.any_tag, _mask_of(run, l1))
+        pairs = packed.to_pairs(view.interner)
+        assert packed.pair_count() == len(pairs)
+        assert packed.is_empty() == (not pairs)
+        assert PackedRelation.empty(len(view.interner)).is_empty()
+
+    def test_from_pairs_drops_pairs_with_unknown_ids(self):
+        interner = NodeInterner(["a", "b", "c"])
+        packed = PackedRelation.from_pairs(
+            interner, {("a", "b"), ("b", "zz"), ("zz", "c"), ("c", "a")}
+        )
+        assert packed.to_pairs(interner) == {("a", "b"), ("c", "a")}
+        assert packed.rows == [0b010, 0, 0b001]
+
     @given(run_query_lists())
     @settings(**_SETTINGS)
-    def test_regex_evaluation_matches_on_both_kernels(self, data):
+    def test_packed_regex_evaluation_matches_set_reference(self, data):
         run, query, l1, _ = data
         node = parse_regex(query)
         allowed = None if l1 is None else frozenset(l1)
@@ -266,155 +435,13 @@ class TestRelationAlgebra:
 
 
 # ---------------------------------------------------------------------------
-# The product frontier search, with and without macro transitions
+# End to end: frontier plans on both pool backends, packed join plans
 # ---------------------------------------------------------------------------
 
 
-class TestPackedFrontier:
-    @given(run_query_lists())
-    @settings(**_SETTINGS)
-    def test_frontier_search_matches_set_reference(self, data):
-        run, query, l1, seeds = data
-        dfa = dfa_from_regex(query, run.tags())
-        view = run.packed
-        allowed = None if l1 is None else frozenset(l1)
-        allowed_mask = (
-            view.interner.full_mask if l1 is None else view.interner.mask_of(l1)
-        )
-        frontier = PackedFrontier(
-            view.forward.by_tag,
-            dfa,
-            allowed=allowed_mask,
-            any_tag=view.forward.any_tag,
-        )
-        for seed in list(run.node_ids())[:5] if seeds is None else seeds:
-            expected = frontier_search(run.successors, dfa, seed, allowed=allowed)
-            bit = view.interner.bit_of(seed)
-            reached = set() if bit is None else set(
-                view.interner.nodes_of(frontier.search(bit))
-            )
-            assert reached == expected
-
-    @given(run_query_lists())
-    @settings(**_SETTINGS)
-    def test_frontier_search_matches_with_macro_transitions(self, data):
-        """One run tag is rerouted through a macro relation: the set search
-        expands it via ``macro_successors`` while the packed search gets a
-        propagator — both must reach the same accepted nodes."""
-        run, query, _, _ = data
-        macro_tag = sorted(run.tags())[-1]
-        dfa = dfa_from_regex(query, run.tags())
-        view = run.packed
-        macro_pairs = tag_relation(run, macro_tag)
-        expand = {}
-        for source, target in macro_pairs:
-            expand.setdefault(source, []).append(target)
-        adjacency = {
-            node: [(t, tag) for t, tag in run.successors[node] if tag != macro_tag]
-            for node in run.node_ids()
-        }
-        by_tag = {
-            tag: matrix
-            for tag, matrix in view.forward.by_tag.items()
-            if tag != macro_tag
-        }
-        macro_matrix = PackedAdjacency.from_edges(
-            len(view.interner),
-            (
-                (view.interner.index[source], view.interner.index[target])
-                for source, target in macro_pairs
-            ),
-        )
-        frontier = PackedFrontier(
-            by_tag,
-            dfa,
-            allowed=view.interner.full_mask,
-            macros={macro_tag: macro_matrix},
-        )
-        for seed in list(run.node_ids())[:5]:
-            expected = frontier_search(
-                adjacency,
-                dfa,
-                seed,
-                macro_successors={macro_tag: lambda n: expand.get(n, ())},
-            )
-            reached = set(
-                view.interner.nodes_of(frontier.search(view.interner.index[seed]))
-            )
-            assert reached == expected
-
-    @given(run_and_lists())
-    @settings(**_SETTINGS)
-    def test_fine_grained_run_packed_twin_matches(self, data):
-        run, _, _ = data
-        fine = intersect_run(run, dfa_from_regex("_* " + sorted(run.tags())[0], run.tags()))
-        for source in list(run.node_ids())[:5]:
-            assert fine.accepting_targets_packed(source) == fine.accepting_targets(
-                source
-            )
-
-
-# ---------------------------------------------------------------------------
-# The worker arena: sparse round-trips and lifecycle accounting
-# ---------------------------------------------------------------------------
-
-
-class TestArena:
-    @given(
-        st.integers(1, 80).flatmap(
-            lambda nodes: st.tuples(
-                st.just(nodes),
-                st.dictionaries(
-                    st.sampled_from(["tag:a", "tag:b", "macro:m", "allowed", "emit"]),
-                    st.lists(
-                        st.integers(0, (1 << nodes) - 1),
-                        min_size=nodes,
-                        max_size=nodes,
-                    ),
-                    max_size=4,
-                ),
-            )
-        )
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_tables_round_trip_through_shared_memory(self, data):
-        nodes, tables = data
-        layout, segment = create_arena(tables, nodes)
-        try:
-            attached = attach_tables(layout)
-        finally:
-            release_arena(segment)
-        assert attached == {key: list(rows) for key, rows in tables.items()}
-
-    def test_lifecycle_metrics_stay_balanced(self):
-        registry = get_registry()
-        created = registry.counter("exec_arena_segments_created_total", "")
-        released = registry.counter("exec_arena_segments_released_total", "")
-        active = registry.gauge("exec_arena_active_segments", "")
-        before = (created.value, released.value, active.value)
-        layout, segment = create_arena({"tag:x": [0, 1, 2]}, 3)
-        release_arena(segment)
-        assert created.value == before[0] + 1
-        assert released.value == before[1] + 1
-        assert active.value == before[2]
-
-    def test_release_is_idempotent_against_racing_unlink(self):
-        layout, segment = create_arena({"allowed": [7]}, 3)
-        segment.unlink()
-        release_arena(segment)  # must tolerate the already-unlinked file
-
-
-# ---------------------------------------------------------------------------
-# End to end: both kernels, both pool backends
-# ---------------------------------------------------------------------------
-
-
-class TestKernelExecutorEquivalence:
-    @pytest.mark.parametrize("kernel", ["packed", "sets"])
+class TestExecutorEquivalence:
     @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_parallel_frontier_matches_reference_on_both_kernels(
-        self, kernel, backend
-    ):
+    def test_parallel_frontier_matches_reference(self, backend):
         run = _RUNS["synthetic"][0]
         tags = sorted(run.tags())
         query = f"_* {tags[0]} _*"
@@ -431,13 +458,13 @@ class TestKernelExecutorEquivalence:
             l2,
             indexes=lambda node: build_query_index(run.spec, node),
             strategy="frontier",
-            executor=ExecutorConfig(workers=2, backend=backend, kernel=kernel),
+            executor=ExecutorConfig(workers=2, backend=backend),
         )
         assert set(execute(physical)) == set(reference)
 
-    @pytest.mark.parametrize("kernel", ["packed", "sets"])
-    def test_join_strategy_matches_reference_on_both_kernels(self, kernel):
-        run = _RUNS["paper"][0]
+    @pytest.mark.parametrize("spec_name", sorted(_SPECS))
+    def test_join_strategy_matches_reference(self, spec_name):
+        run = _RUNS[spec_name][0]
         tags = sorted(run.tags())
         query = f"_* {tags[0]} _*"
         reference = evaluate_regex_relation(run, parse_regex(query))
@@ -449,6 +476,5 @@ class TestKernelExecutorEquivalence:
             None,
             indexes=lambda node: build_query_index(run.spec, node),
             strategy="join",
-            executor=ExecutorConfig(kernel=kernel),
         )
         assert set(execute(physical)) == set(reference)

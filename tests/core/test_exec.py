@@ -1,10 +1,10 @@
 """The executor layer: planner resolution, executors, budget, parallelism.
 
 The load-bearing property test: every physical execution path — forward
-frontier, backward frontier, parallel (thread) frontier, ordered merge —
-returns exactly the pair set of the join reference on Hypothesis-generated
-(specification, run, query, l1, l2) tuples, including empty and disjoint
-node lists.  One slower non-Hypothesis test covers the process backend.
+frontier, backward frontier, parallel (thread) frontier — returns exactly
+the pair set of the join reference on Hypothesis-generated (specification,
+run, query, l1, l2) tuples, including empty and disjoint node lists.  Slower
+non-Hypothesis tests cover the process backend and its broken-pool fallback.
 """
 
 import pytest
@@ -24,10 +24,14 @@ from repro.core.exec import (
     execute,
     execute_iter,
 )
+from repro.core.exec import config as config_module
+from repro.core.exec import executor as executor_module
 from repro.core.query_index import build_query_index
 from repro.core.relations import evaluate_regex_relation, restrict
 from repro.datasets.paper_example import paper_specification
 from repro.datasets.synthetic import generate_synthetic_specification
+from repro.obs import Tracer, use_tracer
+from repro.obs.metrics import MetricsRegistry
 from repro.workflow.derivation import derive_run
 
 _SPECS = {
@@ -96,8 +100,8 @@ class TestExecutorEquivalence:
         max_examples=50, deadline=None, suppress_health_check=[HealthCheck.data_too_large]
     )
     def test_all_executors_match_the_join_reference(self, data):
-        """Forward, backward, auto-direction, parallel-thread and ordered
-        executions all return the join reference's pair set."""
+        """Forward, backward, auto-direction and parallel-thread executions
+        all return the join reference's pair set."""
         run, query, l1, l2 = data
         reference = restrict(evaluate_regex_relation(run, parse_regex(query)), l1, l2)
         for label, kwargs in (
@@ -109,13 +113,6 @@ class TestExecutorEquivalence:
                 {
                     "strategy": "frontier",
                     "executor": ExecutorConfig(workers=4, backend="thread"),
-                },
-            ),
-            (
-                "parallel-ordered",
-                {
-                    "strategy": "frontier",
-                    "executor": ExecutorConfig(workers=3, backend="thread", ordered=True),
                 },
             ),
         ):
@@ -234,6 +231,21 @@ class TestPlannerResolution:
         with pytest.raises(ValueError, match="workers must be at least 1"):
             ExecutorConfig(workers=0)
 
+    def test_unknown_backend_raises(self):
+        with pytest.raises(ValueError, match="unknown backend 'gpu'"):
+            ExecutorConfig(backend="gpu")
+
+    def test_backend_resolution(self, monkeypatch):
+        """Explicit backends pass through; ``auto`` picks processes where
+        ``fork`` exists and threads elsewhere."""
+        assert ExecutorConfig(backend="thread").resolved_backend() == "thread"
+        assert ExecutorConfig(backend="process").resolved_backend() == "process"
+        monkeypatch.setattr(config_module.os, "fork", lambda: 0, raising=False)
+        monkeypatch.setattr(config_module.sys, "platform", "linux")
+        assert ExecutorConfig().resolved_backend() == "process"
+        monkeypatch.setattr(config_module.sys, "platform", "win32")
+        assert ExecutorConfig().resolved_backend() == "thread"
+
 
 class TestWorkerBudget:
     def test_lease_grants_at_most_free_capacity(self):
@@ -292,20 +304,60 @@ class TestWorkerBudget:
         assert budget.in_use == 0
 
 
-class TestOrderedMerge:
-    def test_ordered_merge_groups_pairs_in_seed_order(self):
+class TestBrokenPoolFallback:
+    def test_worker_death_mid_chunk_recomputes_chunks_locally(self, monkeypatch):
+        """A process worker that dies mid-chunk breaks the pool: the drain
+        loop recomputes every lost chunk in-process, marks the search span,
+        and hands the whole fan-out back to the budget."""
+        from crash_worker import die_mid_chunk
+
+        monkeypatch.setattr(executor_module, "timed_search_chunk", die_mid_chunk)
         run = _RUNS["paper"][0]
         nodes = list(run.node_ids())
+        serial = execute(_physical(run, "_* a _*", nodes, None, strategy="frontier"))
+        budget = WorkerBudget(4)
         physical = _physical(
             run, "_* a _*", nodes, None,
             strategy="frontier",
-            direction="forward",
-            executor=ExecutorConfig(workers=4, backend="thread", ordered=True),
+            executor=ExecutorConfig(workers=2, backend="process", budget=budget),
         )
-        streamed = [source for source, _ in execute_iter(physical)]
-        seed_rank = {seed: rank for rank, seed in enumerate(physical.root.seeds)}
-        ranks = [seed_rank[source] for source in streamed]
-        assert ranks == sorted(ranks), "ordered merge must follow seed order"
+        tracer = Tracer(registry=MetricsRegistry())
+        with use_tracer(tracer):
+            streamed = list(execute_iter(physical))
+        assert len(streamed) == len(set(streamed))
+        assert set(streamed) == serial
+        [search] = [span for span in tracer.spans() if span.name == "exec.frontier_search"]
+        assert search.attrs["mode"] == "parallel"
+        assert search.attrs.get("fallback") == "local"
+        assert budget.in_use == 0
+
+    def test_unusable_process_pool_degrades_to_threads(self, monkeypatch):
+        """When a process pool cannot even be constructed, the fan-out runs
+        on a thread pool with the in-process task and still matches serial."""
+        def no_processes(*args, **kwargs):
+            raise OSError("process pools unavailable")
+
+        monkeypatch.setattr(executor_module, "ProcessPoolExecutor", no_processes)
+        run = _RUNS["paper"][0]
+        nodes = list(run.node_ids())
+        serial = execute(_physical(run, "_* a _*", nodes, None, strategy="frontier"))
+        physical = _physical(
+            run, "_* a _*", nodes, None,
+            strategy="frontier",
+            executor=ExecutorConfig(workers=2, backend="process"),
+        )
+        tracer = Tracer(registry=MetricsRegistry())
+        with use_tracer(tracer):
+            streamed = list(execute_iter(physical))
+        assert len(streamed) == len(set(streamed))
+        assert set(streamed) == serial
+        chunks = [span for span in tracer.spans() if span.name == "exec.frontier_chunk"]
+        [search] = [span for span in tracer.spans() if span.name == "exec.frontier_search"]
+        assert chunks
+        # Live thread-pool spans, not chunk records stitched from processes.
+        assert all(span.thread != "worker" for span in chunks)
+        assert all(span.parent_id == search.span_id for span in chunks)
+        assert "fallback" not in search.attrs
 
 
 class TestPhysicalPlanReporting:

@@ -540,23 +540,6 @@ class TestObservabilityCommands:
         assert profile.root is not None
         assert profile.coverage() >= 0.95
 
-    def test_trace_command_writes_the_document(self, tmp_path, run_path, capsys):
-        out_path = tmp_path / "trace.json"
-        assert main(["trace", str(run_path), "_* a _*",
-                     "--output", str(out_path)]) == 0
-        assert "spans" in capsys.readouterr().err
-        names = {
-            event["name"]
-            for event in json.loads(out_path.read_text())["traceEvents"]
-        }
-        assert "query.evaluate" in names
-        assert any(name.startswith("exec.") for name in names)
-
-    def test_trace_command_defaults_to_stdout(self, run_path, capsys):
-        assert main(["trace", str(run_path), "A+"]) == 0
-        document = json.loads(capsys.readouterr().out)
-        assert document["traceEvents"]
-
     def test_metrics_replay_renders_prometheus_text(self, tmp_path, run_path, capsys):
         requests = tmp_path / "requests.jsonl"
         requests.write_text(
