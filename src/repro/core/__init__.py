@@ -15,8 +15,8 @@ This package contains the query-time machinery of the paper:
 * :mod:`repro.core.pairwise` — Algorithm 1: answer ``u —R→ v`` from the two
   node labels in time independent of the run size.
 * :mod:`repro.core.allpairs` — Algorithm 2: all-pairs safe queries over label
-  tries, with nested-loop (S1), reachability-filtered (S2 / optRPL) and
-  group-at-a-time vectorized (optRPL-G, streaming) strategies.
+  tries, decoded group at a time (optRPL-G, streaming); the per-pair S1/S2
+  strategies are baselines (:mod:`repro.baselines.rpl_per_pair`).
 * :mod:`repro.core.decomposition` — general (possibly unsafe) queries: find
   the largest safe subqueries of the parse tree (the *planner* side:
   decomposition, macro DFAs and their reversals, cost/direction memos).
@@ -30,7 +30,6 @@ This package contains the query-time machinery of the paper:
 """
 
 from repro.core.allpairs import (
-    AllPairsOptions,
     all_pairs_iter,
     all_pairs_reachability,
     all_pairs_safe_query,
@@ -52,7 +51,6 @@ from repro.core.query_index import QueryIndex, build_query_index
 from repro.core.safety import SafetyReport, analyze_safety, is_safe_query
 
 __all__ = [
-    "AllPairsOptions",
     "ExecutorConfig",
     "PhysicalPlan",
     "ProvenanceQueryEngine",

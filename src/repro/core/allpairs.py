@@ -1,22 +1,19 @@
 """All-pairs safe queries (Algorithm 2 of the paper), with vectorized decoding.
 
 Given two lists of run nodes ``l1`` and ``l2``, an all-pairs query asks for
-every pair ``(u, v) ∈ l1 × l2`` with ``u —R→ v``.  Three strategies are
-implemented; the first two match Options S1 and S2 of Section IV-A:
+every pair ``(u, v) ∈ l1 × l2`` with ``u —R→ v``.  The evaluator has two
+parts:
 
-* **S1 (nested loop / "RPL")** — run the constant-time pairwise decode on
-  every pair; Θ(|l1| · |l2|) decodes.
-* **S2 (reachability filter / "optRPL")** — represent each list as a label
-  trie (a projection of the compressed parse tree, Fig. 12), merge the two
-  tries structurally to enumerate only the *reachable* pairs, and run the
-  pairwise decode on those.  The traversal is the paper's Algorithm 2: at a
-  composite parse-tree node, children of different body positions contribute
-  all their leaves when one position reaches the other in the production
-  body; at a recursive (``R``) node, an earlier chain member contributes the
-  leaves under its "red" branches (branches that reach the recursive
-  position) against everything under later members, and symmetrically "blue"
-  branches for the other direction.
-* **vectorized S2 ("optRPL-G", the default)** — exploit that all members of a
+* **the structural join** — represent each list as a label trie (a
+  projection of the compressed parse tree, Fig. 12) and merge the two tries
+  structurally to enumerate only the *reachable* pairs.  The traversal is the
+  paper's Algorithm 2: at a composite parse-tree node, children of different
+  body positions contribute all their leaves when one position reaches the
+  other in the production body; at a recursive (``R``) node, an earlier
+  chain member contributes the leaves under its "red" branches (branches
+  that reach the recursive position) against everything under later
+  members, and symmetrically "blue" branches for the other direction.
+* **group-at-a-time decoding ("optRPL-G")** — exploit that all members of a
   group ``(U, V)`` emitted by the structural join share the same *crossing
   context*: the Algorithm-1 decode of any ``(u, v)`` in the group factors as
 
@@ -31,6 +28,10 @@ implemented; the first two match Options S1 and S2 of Section IV-A:
   every group that touches the node.  A group then costs one matrix-vector
   product per member (pushing the row vectors through ``context``) plus a
   single bitmask intersection per pair.
+
+The paper's per-pair strategies — S1 (decode every pair of the cross
+product) and S2 / optRPL (decode every reachable pair) — live in
+:mod:`repro.baselines.rpl_per_pair` as the experiments' reference points.
 
 :func:`all_pairs_reachability` is the special case ``R = _*`` which skips the
 per-pair decode entirely and therefore runs in time linear in the input plus
@@ -48,11 +49,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 from repro.automata.boolean_matrix import BooleanMatrix
-from repro.core.pairwise import (
-    answer_pairwise_query,
-    enter_step_matrix,
-    exit_step_matrix,
-)
+from repro.core.pairwise import enter_step_matrix, exit_step_matrix
 from repro.core.query_index import QueryIndex
 from repro.errors import LabelError
 from repro.labeling.labels import ProductionStep, RecursionStep
@@ -62,29 +59,12 @@ from repro.workflow.run import Run
 from repro.workflow.spec import Specification
 
 __all__ = [
-    "AllPairsOptions",
     "StructuralGroup",
     "all_pairs_safe_query",
     "all_pairs_iter",
     "all_pairs_reachability",
-    "reachable_pair_groups",
     "structural_join",
 ]
-
-PairGroup = tuple[list[str], list[str]]
-
-
-@dataclass(frozen=True)
-class AllPairsOptions:
-    """Tuning knobs for the all-pairs evaluator.
-
-    ``use_reachability_filter`` selects S2 (optRPL) over S1 (plain RPL);
-    ``vectorized`` selects the group-at-a-time state-vector decode over the
-    per-pair Algorithm-1 decode (only meaningful under S2).
-    """
-
-    use_reachability_filter: bool = True
-    vectorized: bool = True
 
 
 # ---------------------------------------------------------------------------
@@ -300,21 +280,6 @@ def structural_join(
     yield from visit(trie1.root, trie2.root)
 
 
-def reachable_pair_groups(
-    trie1: LabelTrie, trie2: LabelTrie, spec: Specification
-) -> Iterator[PairGroup]:
-    """Enumerate groups ``(U, V)`` such that every ``u ∈ U`` reaches every
-    ``v ∈ V`` in the run, and — provided the tries hold each leaf identifier
-    once — every reachable pair of leaves appears in exactly one emitted
-    group.
-
-    This is the leaf-list view of :func:`structural_join` (red branches are
-    emitted as separate groups, which keeps the partition disjoint).
-    """
-    for group in structural_join(trie1, trie2, spec):
-        yield group.source_ids(), group.target_ids()
-
-
 # ---------------------------------------------------------------------------
 # Group-at-a-time vectorized decoding (optRPL-G)
 # ---------------------------------------------------------------------------
@@ -430,79 +395,35 @@ def all_pairs_iter(
     l1: Sequence[str],
     l2: Sequence[str],
     index: QueryIndex,
-    options: AllPairsOptions = AllPairsOptions(),
-    pair_filter: Callable[[str, str], bool] | None = None,
 ) -> Iterator[tuple[str, str]]:
     """Stream the answers of an all-pairs safe query over ``l1 × l2``.
 
     Pairs are yielded as they are found, without materializing the result
-    set; each matching pair is yielded exactly once.  ``options`` selects the
-    strategy (see :class:`AllPairsOptions`); a custom ``pair_filter``
-    replaces the Algorithm-1 decode and forces the per-pair strategies.
+    set; each matching pair is yielded exactly once.
     """
     return get_tracer().wrap_iter(
         "decode.all_pairs",
-        _all_pairs_gen(run, l1, l2, index, options, pair_filter),
+        _all_pairs_gen(run, l1, l2, index),
         sources=len(l1),
         targets=len(l2),
-        vectorized=options.vectorized,
-        filtered=options.use_reachability_filter,
     )
 
 
 def _all_pairs_gen(
-    run: Run,
-    l1: Sequence[str],
-    l2: Sequence[str],
-    index: QueryIndex,
-    options: AllPairsOptions,
-    pair_filter: Callable[[str, str], bool] | None,
+    run: Run, l1: Sequence[str], l2: Sequence[str], index: QueryIndex
 ) -> Iterator[tuple[str, str]]:
     unique1, unique2 = _unique(l1), _unique(l2)
-    use_decode = pair_filter is None
-    if pair_filter is None:
-        def pair_filter(u: str, v: str) -> bool:
-            return answer_pairwise_query(index, run.label_of(u), run.label_of(v))
-
-    if not options.use_reachability_filter:
-        for u in unique1:
-            for v in unique2:
-                if pair_filter(u, v):
-                    yield u, v
-        return
-
     trie1 = LabelTrie.from_run_nodes(run, unique1)
     trie2 = trie1 if unique1 == unique2 else LabelTrie.from_run_nodes(run, unique2)
-    if options.vectorized and use_decode:
-        tables = _VectorTables(index)
-        for group in structural_join(trie1, trie2, run.spec):
-            yield from _decode_group_vectorized(group, index, tables)
-        return
+    tables = _VectorTables(index)
     for group in structural_join(trie1, trie2, run.spec):
-        for u in group.source_ids():
-            for v in group.target_ids():
-                if pair_filter(u, v):
-                    yield u, v
+        yield from _decode_group_vectorized(group, index, tables)
 
 
 def all_pairs_safe_query(
-    run: Run,
-    l1: Sequence[str],
-    l2: Sequence[str],
-    index: QueryIndex,
-    options: AllPairsOptions = AllPairsOptions(),
-    pair_filter: Callable[[str, str], bool] | None = None,
+    run: Run, l1: Sequence[str], l2: Sequence[str], index: QueryIndex
 ) -> set[tuple[str, str]]:
-    """Answer an all-pairs safe query over ``l1 × l2``.
-
-    ``options`` selects between:
-
-    * **vectorized S2 / optRPL-G** (default): enumerate reachable groups with
-      the structural join and decode each group at a time with state-vector
-      operations;
-    * **S2 / optRPL** (``vectorized=False``): same enumeration, but the full
-      pairwise decode on every surviving pair;
-    * **S1 / RPL** (``use_reachability_filter=False``): the pairwise decode
-      on every pair of the cross product.
-    """
-    return set(all_pairs_iter(run, l1, l2, index, options, pair_filter))
+    """Answer an all-pairs safe query over ``l1 × l2``: enumerate reachable
+    groups with the structural join and decode each group at a time with
+    state-vector operations."""
+    return set(all_pairs_iter(run, l1, l2, index))

@@ -72,7 +72,6 @@ from repro.automata.regex import (
     regex_alphabet,
     regex_to_string,
 )
-from repro.core.allpairs import AllPairsOptions
 from repro.core.optimizer import (
     estimate_join_cost,
     estimate_label_all_pairs_cost,
@@ -304,27 +303,25 @@ def worth_label_evaluation(node: RegexNode) -> bool:
     return False
 
 
-def label_routed_subtrees(
-    plan: DecompositionPlan, run: Run, *, cost_based_routing: bool = True
-) -> list[RegexNode]:
+def label_routed_subtrees(plan: DecompositionPlan, run: Run) -> list[RegexNode]:
     """The safe subtrees of the plan that the evaluator answers with the
     labeling engine for the given run (the rest stay in the join/frontier
-    remainder).  Used by the benchmarks to report routing decisions."""
+    remainder).
+
+    A subtree goes to the labels only when it is worth it
+    (:func:`worth_label_evaluation`) *and* the cost model of
+    :mod:`repro.core.optimizer` predicts that its join-based evaluation would
+    be more expensive — the paper's future-work remark about a cost-based
+    optimizer, which matters because routing a highly selective safe
+    subquery to an all-pairs label scan would be wasted work.  The paper's
+    own always-use-labels scheme is the baseline
+    :mod:`repro.baselines.paper_decomposition`.
+    """
     return [
         node
         for node in plan.safe_subtrees
-        if _should_use_labels(plan, run, node, cost_based_routing)
+        if worth_label_evaluation(node) and plan.estimate_prefers_labels(run, node)
     ]
-
-
-def _should_use_labels(
-    plan: DecompositionPlan, run: Run, node: RegexNode, cost_based_routing: bool
-) -> bool:
-    if not worth_label_evaluation(node):
-        return False
-    if not cost_based_routing:
-        return True
-    return plan.estimate_prefers_labels(run, node)
 
 
 # ---------------------------------------------------------------------------
@@ -398,11 +395,7 @@ def _reversed_macro_dfa(
 
 
 def warm_frontier_dfa(
-    plan: DecompositionPlan,
-    run: Run,
-    *,
-    cost_based_routing: bool = True,
-    direction: str = "forward",
+    plan: DecompositionPlan, run: Run, *, direction: str = "forward"
 ) -> DFA:
     """Build (and memoize on the plan) the macro DFA the frontier strategy
     will use for this run's routing decision, without evaluating anything.
@@ -413,7 +406,7 @@ def warm_frontier_dfa(
     ``direction="backward"`` warms the reversed automaton of the backward
     frontier search instead.
     """
-    routed = label_routed_subtrees(plan, run, cost_based_routing=cost_based_routing)
+    routed = label_routed_subtrees(plan, run)
     rewritten, macro_map = (
         _substitute_macros(plan.root, routed) if routed else (plan.root, {})
     )
@@ -451,12 +444,8 @@ def evaluate_general_query(
     l2: Sequence[str] | None = None,
     *,
     plan: DecompositionPlan | None = None,
-    use_reachability_filter: bool = True,
-    vectorized: bool = True,
-    cost_based_routing: bool = True,
     index_provider: IndexProvider | None = None,
     strategy: str = "auto",
-    push_restrictions: bool = True,
     direction: str = "auto",
     executor: "ExecutorConfig | None" = None,
 ) -> NodePairs:
@@ -468,9 +457,8 @@ def evaluate_general_query(
     ``plan`` (and therefore its safety checks) may be supplied so benchmarks
     can separate planning overhead from evaluation time; ``index_provider``
     lets a shared cache supply the safe subqueries'
-    :class:`~repro.core.query_index.QueryIndex` objects.  ``vectorized``
-    toggles the group-at-a-time state-vector decode of safe (sub)queries
-    (see :class:`~repro.core.allpairs.AllPairsOptions`).
+    :class:`~repro.core.query_index.QueryIndex` objects.  Safe subqueries
+    go to the labeling engine as :func:`label_routed_subtrees` decides.
 
     ``strategy`` selects how the unsafe remainder is evaluated: ``"frontier"``
     (per-source product-DFA search), ``"join"`` (bottom-up relational
@@ -478,39 +466,21 @@ def evaluate_general_query(
     the frontier strategy (``"forward"`` from the sources, ``"backward"``
     from the targets over the reversed macro DFA, or ``"auto"`` to let the
     cost model compare seed counts); ``executor`` tunes the physical
-    execution further (parallel fan-out, merge order — see
-    :class:`~repro.core.exec.ExecutorConfig`).  ``push_restrictions=False``
-    disables the ``allowed``-universe pruning and restores the pre-pushdown
-    behaviour of evaluating over the whole run and restricting afterwards
-    (kept as the benchmarks' reference point).
-
-    With ``cost_based_routing`` (the default) a maximal safe subquery is only
-    sent to the labeling engine when the simple cost model of
-    :mod:`repro.core.optimizer` predicts that its join-based evaluation would
-    be more expensive — the paper's future-work remark about a cost-based
-    optimizer, which matters because routing *highly selective* safe
-    subqueries to an all-pairs label scan would be wasted work.  Disable it
-    to always use the labeling engine for safe subqueries (the paper's plain
-    heuristic).
+    execution further (parallel fan-out — see
+    :class:`~repro.core.exec.ExecutorConfig`).
     """
     from repro.core.exec import build_physical_plan, execute
 
     plan, indexes = _prepare(run, query, plan, index_provider)
-    options = AllPairsOptions(
-        use_reachability_filter=use_reachability_filter, vectorized=vectorized
-    )
     physical = build_physical_plan(
         run,
         plan,
         l1,
         l2,
-        options=options,
         indexes=indexes,
         strategy=strategy,
         direction=direction,
         executor=executor,
-        push_restrictions=push_restrictions,
-        cost_based_routing=cost_based_routing,
     )
     return execute(physical)
 
@@ -522,11 +492,7 @@ def evaluate_general_query_iter(
     l2: Sequence[str] | None = None,
     *,
     plan: DecompositionPlan | None = None,
-    use_reachability_filter: bool = True,
-    vectorized: bool = True,
-    cost_based_routing: bool = True,
     index_provider: IndexProvider | None = None,
-    push_restrictions: bool = True,
     direction: str = "auto",
     executor: "ExecutorConfig | None" = None,
 ) -> Iterator[tuple[str, str]]:
@@ -546,20 +512,14 @@ def evaluate_general_query_iter(
     from repro.core.exec import build_physical_plan, execute_iter
 
     plan, indexes = _prepare(run, query, plan, index_provider)
-    options = AllPairsOptions(
-        use_reachability_filter=use_reachability_filter, vectorized=vectorized
-    )
     physical = build_physical_plan(
         run,
         plan,
         l1,
         l2,
-        options=options,
         indexes=indexes,
         strategy="frontier" if not plan.is_fully_safe else "auto",
         direction=direction,
         executor=executor,
-        push_restrictions=push_restrictions,
-        cost_based_routing=cost_based_routing,
     )
     return execute_iter(physical)

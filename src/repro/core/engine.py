@@ -6,8 +6,7 @@ query pipeline of the paper:
 * derive labeled runs (executions) of the specification,
 * check query safety,
 * answer pairwise queries from labels alone (Algorithm 1),
-* answer all-pairs safe queries with or without the reachability filter
-  (Algorithm 2, Options S1/S2),
+* answer all-pairs safe queries (Algorithm 2, decoded group at a time),
 * answer general queries through safe-subtree decomposition,
 * answer plain reachability queries,
 
@@ -27,11 +26,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
 from repro.automata.regex import RegexNode, parse_regex
-from repro.core.allpairs import (
-    AllPairsOptions,
-    all_pairs_iter,
-    all_pairs_reachability,
-)
+from repro.core.allpairs import all_pairs_iter, all_pairs_reachability
 from repro.core.decomposition import (
     DecompositionPlan,
     evaluate_general_query,
@@ -176,22 +171,9 @@ class ProvenanceQueryEngine:
         query: str | RegexNode,
         l1: Sequence[str] | None = None,
         l2: Sequence[str] | None = None,
-        *,
-        use_reachability_filter: bool = True,
-        vectorized: bool = True,
     ) -> set[tuple[str, str]]:
-        """Algorithm 2 for a *safe* query (vectorized S2 by default; see
-        :class:`~repro.core.allpairs.AllPairsOptions`)."""
-        return set(
-            self.all_pairs_iter(
-                run,
-                query,
-                l1,
-                l2,
-                use_reachability_filter=use_reachability_filter,
-                vectorized=vectorized,
-            )
-        )
+        """Algorithm 2 for a *safe* query (see :mod:`repro.core.allpairs`)."""
+        return set(self.all_pairs_iter(run, query, l1, l2))
 
     def all_pairs_iter(
         self,
@@ -199,9 +181,6 @@ class ProvenanceQueryEngine:
         query: str | RegexNode,
         l1: Sequence[str] | None = None,
         l2: Sequence[str] | None = None,
-        *,
-        use_reachability_filter: bool = True,
-        vectorized: bool = True,
     ) -> Iterator[tuple[str, str]]:
         """Stream the matching pairs of a *safe* all-pairs query.
 
@@ -216,15 +195,7 @@ class ProvenanceQueryEngine:
         index = self.query_index(query)
         universe1 = list(l1) if l1 is not None else list(run.node_ids())
         universe2 = list(l2) if l2 is not None else list(run.node_ids())
-        return all_pairs_iter(
-            run,
-            universe1,
-            universe2,
-            index,
-            AllPairsOptions(
-                use_reachability_filter=use_reachability_filter, vectorized=vectorized
-            ),
-        )
+        return all_pairs_iter(run, universe1, universe2, index)
 
     def evaluate(
         self,
@@ -233,8 +204,6 @@ class ProvenanceQueryEngine:
         l1: Sequence[str] | None = None,
         l2: Sequence[str] | None = None,
         *,
-        use_reachability_filter: bool = True,
-        vectorized: bool = True,
         strategy: str = "auto",
         direction: str = "auto",
         executor: "ExecutorConfig | None" = None,
@@ -286,22 +255,13 @@ class ProvenanceQueryEngine:
                         l1,
                         l2,
                         plan=self.plan(node),
-                        use_reachability_filter=use_reachability_filter,
-                        vectorized=vectorized,
                         index_provider=self._subtree_index_provider(),
                         strategy=strategy,
                         direction=direction,
                         executor=executor,
                     )
             with tracer.span("query.execute", path="safe-allpairs"):
-                return self.all_pairs(
-                    run,
-                    node,
-                    l1,
-                    l2,
-                    use_reachability_filter=use_reachability_filter,
-                    vectorized=vectorized,
-                )
+                return self.all_pairs(run, node, l1, l2)
 
     def evaluate_iter(
         self,
@@ -310,8 +270,6 @@ class ProvenanceQueryEngine:
         l1: Sequence[str] | None = None,
         l2: Sequence[str] | None = None,
         *,
-        use_reachability_filter: bool = True,
-        vectorized: bool = True,
         direction: str = "auto",
         executor: "ExecutorConfig | None" = None,
     ) -> Iterator[tuple[str, str]]:
@@ -349,8 +307,6 @@ class ProvenanceQueryEngine:
                     l1,
                     l2,
                     plan=self.plan(node),
-                    use_reachability_filter=use_reachability_filter,
-                    vectorized=vectorized,
                     index_provider=self._subtree_index_provider(),
                     direction=direction,
                     executor=executor,
@@ -358,16 +314,7 @@ class ProvenanceQueryEngine:
                 path="decomposition",
             )
         return tracer.wrap_iter(
-            "query.stream",
-            self.all_pairs_iter(
-                run,
-                node,
-                l1,
-                l2,
-                use_reachability_filter=use_reachability_filter,
-                vectorized=vectorized,
-            ),
-            path="safe-allpairs",
+            "query.stream", self.all_pairs_iter(run, node, l1, l2), path="safe-allpairs"
         )
 
     # -- reporting -------------------------------------------------------------------------

@@ -72,11 +72,7 @@ def execute(plan: PhysicalPlan) -> NodePairs:
             "exec.label_decode", sources=len(root.l1), targets=len(root.l2)
         ) as span:
             result = all_pairs_safe_query(
-                plan.run,
-                list(root.l1),
-                list(root.l2),
-                plan.indexes(root.node),
-                plan.options,
+                plan.run, list(root.l1), list(root.l2), plan.indexes(root.node)
             )
             span.set("pairs", len(result))
             return result
@@ -104,11 +100,7 @@ def execute_iter(plan: PhysicalPlan) -> Iterator[tuple[str, str]]:
         return get_tracer().wrap_iter(
             "exec.label_decode",
             all_pairs_iter(
-                plan.run,
-                list(root.l1),
-                list(root.l2),
-                plan.indexes(root.node),
-                plan.options,
+                plan.run, list(root.l1), list(root.l2), plan.indexes(root.node)
             ),
             sources=len(root.l1),
             targets=len(root.l2),
@@ -126,7 +118,7 @@ def execute_iter(plan: PhysicalPlan) -> Iterator[tuple[str, str]]:
 def _execute_join(plan: PhysicalPlan, op: JoinOp) -> NodePairs:
     """Bottom-up relational evaluation with routed safe subtrees answered by
     the labeling engine over the ``allowed`` universe."""
-    run, options, indexes = plan.run, plan.options, plan.indexes
+    run, indexes = plan.run, plan.indexes
     universe: list[str] | None = None
 
     def subquery_evaluator(node: RegexNode) -> NodePairs | None:
@@ -137,7 +129,7 @@ def _execute_join(plan: PhysicalPlan, op: JoinOp) -> NodePairs:
             universe = (
                 list(op.allowed) if op.allowed is not None else list(run.node_ids())
             )
-        return all_pairs_safe_query(run, universe, universe, indexes(node), options)
+        return all_pairs_safe_query(run, universe, universe, indexes(node))
 
     with get_tracer().span("exec.join", routed=len(op.routed)) as span:
         result = evaluate_regex_relation_packed(

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
 from repro.automata.regex import RegexNode
-from repro.core.allpairs import AllPairsOptions, all_pairs_iter
+from repro.core.allpairs import all_pairs_iter
 from repro.core.decomposition import (
     DecompositionPlan,
     IndexProvider,
@@ -59,14 +59,13 @@ _STRATEGIES = ("auto", "frontier", "join")
 @dataclass
 class PhysicalPlan:
     """A fully resolved physical plan: the operator tree plus everything the
-    executor needs to run it (run, options, index provider, executor
-    config).  ``strategy`` and ``direction`` record the resolved choices for
-    reporting (``direction`` is ``"-"`` for non-frontier plans)."""
+    executor needs to run it (run, index provider, executor config).
+    ``strategy`` and ``direction`` record the resolved choices for reporting
+    (``direction`` is ``"-"`` for non-frontier plans)."""
 
     run: Run
     logical: DecompositionPlan
     root: PhysicalOp
-    options: AllPairsOptions
     indexes: IndexProvider
     executor: ExecutorConfig
     strategy: str
@@ -157,7 +156,6 @@ def _macro_decoder(
     subtree: RegexNode,
     indexes: IndexProvider,
     allowed: frozenset[str] | None,
-    options: AllPairsOptions,
 ) -> Callable[[], Iterable[tuple[str, str]]]:
     """The lazy label decode of one routed safe subquery's relation,
     restricted to the ``allowed`` universe (runs once per MacroRelation)."""
@@ -165,7 +163,7 @@ def _macro_decoder(
     def decode() -> Iterable[tuple[str, str]]:
         index = indexes(subtree)
         universe = list(allowed) if allowed is not None else list(run.node_ids())
-        return all_pairs_iter(run, universe, universe, index, options)
+        return all_pairs_iter(run, universe, universe, index)
 
     return decode
 
@@ -178,7 +176,6 @@ def _frontier_op(
     l2: Sequence[str] | None,
     allowed: frozenset[str] | None,
     direction: str,
-    options: AllPairsOptions,
     indexes: IndexProvider,
 ) -> FrontierSearchOp:
     rewritten, macro_map = (
@@ -194,7 +191,7 @@ def _frontier_op(
         seeds = tuple(dict.fromkeys(l1)) if l1 is not None else run.node_ids()
         emit_filter = frozenset(l2) if l2 is not None else None
     macros = {
-        tag: MacroRelation(_macro_decoder(run, subtree, indexes, allowed, options))
+        tag: MacroRelation(_macro_decoder(run, subtree, indexes, allowed))
         for tag, subtree in macro_map.items()
     }
     return FrontierSearchOp(
@@ -213,13 +210,10 @@ def build_physical_plan(
     l1: Sequence[str] | None = None,
     l2: Sequence[str] | None = None,
     *,
-    options: AllPairsOptions = AllPairsOptions(),
     indexes: IndexProvider,
     strategy: str = "auto",
     direction: str = "auto",
     executor: ExecutorConfig | None = None,
-    push_restrictions: bool = True,
-    cost_based_routing: bool = True,
 ) -> PhysicalPlan:
     """Resolve a logical decomposition plan into a physical operator tree.
 
@@ -234,13 +228,10 @@ def build_physical_plan(
             plan,
             l1,
             l2,
-            options=options,
             indexes=indexes,
             strategy=strategy,
             direction=direction,
             executor=executor,
-            push_restrictions=push_restrictions,
-            cost_based_routing=cost_based_routing,
         )
         span.set("strategy", physical.strategy)
         span.set("direction", physical.direction)
@@ -253,13 +244,10 @@ def _build_physical_plan(
     l1: Sequence[str] | None,
     l2: Sequence[str] | None,
     *,
-    options: AllPairsOptions,
     indexes: IndexProvider,
     strategy: str,
     direction: str,
     executor: ExecutorConfig | None,
-    push_restrictions: bool,
-    cost_based_routing: bool,
 ) -> PhysicalPlan:
     if strategy not in _STRATEGIES:
         raise ValueError(
@@ -283,22 +271,20 @@ def _build_physical_plan(
             run=run,
             logical=plan,
             root=op,
-            options=options,
             indexes=indexes,
             executor=config,
             strategy="safe",
             direction="-",
         )
 
-    allowed = restriction_universe(run, l1, l2) if push_restrictions else None
-    routed = label_routed_subtrees(plan, run, cost_based_routing=cost_based_routing)
+    allowed = restriction_universe(run, l1, l2)
+    routed = label_routed_subtrees(plan, run)
 
     resolved_direction: str | None = None
     if strategy != "auto":
         chosen = strategy
-    elif not push_restrictions or (l1 is None and l2 is None):
-        # The pre-pushdown reference point — and the unrestricted case, whose
-        # relations the pruning cannot shrink — evaluate with joins.
+    elif l1 is None and l2 is None:
+        # Unrestricted: the pruning cannot shrink any relation, so joins win.
         chosen = "join"
     else:
         resolved_direction, frontier_cost = _resolve_direction(
@@ -317,7 +303,7 @@ def _build_physical_plan(
             )
         _record_direction(run, plan, l1, l2, allowed, resolved_direction)
         op: PhysicalOp = _frontier_op(
-            run, plan, routed, l1, l2, allowed, resolved_direction, options, indexes
+            run, plan, routed, l1, l2, allowed, resolved_direction, indexes
         )
     else:
         resolved_direction = "-"
@@ -330,7 +316,6 @@ def _build_physical_plan(
         run=run,
         logical=plan,
         root=op,
-        options=options,
         indexes=indexes,
         executor=config,
         strategy=chosen,

@@ -61,7 +61,6 @@ class QueryRequest:
     target: str | None = None
     sources: tuple[str, ...] | None = None
     targets: tuple[str, ...] | None = None
-    use_reachability_filter: bool = True
     request_id: str | None = None
 
     def __post_init__(self) -> None:
@@ -98,10 +97,7 @@ def request_from_dict(payload: dict[str, Any]) -> QueryRequest:
     """Validate and build a request from one decoded JSONL record."""
     if not isinstance(payload, dict):
         raise BatchFormatError(f"request must be a JSON object, got {type(payload).__name__}")
-    known = {
-        "op", "run", "query", "source", "target", "sources", "targets",
-        "use_reachability_filter", "id",
-    }
+    known = {"op", "run", "query", "source", "target", "sources", "targets", "id"}
     unknown = set(payload) - known
     if unknown:
         raise BatchFormatError(f"unknown request field(s): {sorted(unknown)}")
@@ -123,7 +119,6 @@ def request_from_dict(payload: dict[str, Any]) -> QueryRequest:
         target=payload.get("target"),
         sources=_string_list("sources"),
         targets=_string_list("targets"),
-        use_reachability_filter=bool(payload.get("use_reachability_filter", True)),
         request_id=None if request_id is None else str(request_id),
     )
 
@@ -143,8 +138,6 @@ def request_to_dict(request: QueryRequest) -> dict[str, Any]:
         record["sources"] = list(request.sources)
     if request.targets is not None:
         record["targets"] = list(request.targets)
-    if not request.use_reachability_filter:
-        record["use_reachability_filter"] = False
     return record
 
 

@@ -413,7 +413,6 @@ class QueryService:
             request.query,
             list(request.sources) if request.sources is not None else None,
             list(request.targets) if request.targets is not None else None,
-            use_reachability_filter=request.use_reachability_filter,
             executor=config,
         )
 
@@ -490,11 +489,7 @@ class QueryService:
                         )
                     else:
                         answer = (request.source, request.target) in engine.evaluate(
-                            run,
-                            request.query,
-                            [request.source],
-                            [request.target],
-                            use_reachability_filter=request.use_reachability_filter,
+                            run, request.query, [request.source], [request.target]
                         )
                 else:  # allpairs — the only remaining validated op
                     # Materializing anyway, so let evaluate() cost-route the
@@ -508,7 +503,6 @@ class QueryService:
                             request.query,
                             list(request.sources) if request.sources is not None else None,
                             list(request.targets) if request.targets is not None else None,
-                            use_reachability_filter=request.use_reachability_filter,
                             executor=self._executor,
                         )
                     pairs = tuple(sorted(matches))

@@ -6,7 +6,11 @@ import pytest
 from repro.baselines.g1_parse_tree_joins import g1_all_pairs, g1_pairwise
 from repro.baselines.g2_rare_labels import g2_all_pairs, g2_pairwise
 from repro.baselines.g3_label_index import g3_all_pairs, g3_pairwise
+from repro.baselines.paper_decomposition import paper_decomposition_all_pairs
 from repro.baselines.product_bfs import product_bfs_all_pairs, product_bfs_pairwise
+from repro.baselines.rpl_per_pair import optrpl_all_pairs, rpl_all_pairs
+from repro.core.decomposition import plan_decomposition
+from repro.core.query_index import build_query_index
 from repro.datasets.index import EdgeTagIndex
 from repro.datasets.myexperiment import bioaid_specification
 from repro.datasets.paper_example import paper_run
@@ -96,6 +100,44 @@ class TestG3:
         l2 = ["b:1", "b:2"]
         expected = product_bfs_all_pairs(run, l1, l2, "_* e _*")
         assert g3_all_pairs(run, l1, l2, "_* e _*", index=index) == expected
+
+
+class TestPerPairDecodes:
+    """Options S1 (RPL) and S2 (optRPL): the per-pair Algorithm-1 decode."""
+
+    @pytest.mark.parametrize("query", ["_* e _*", "A+", "A", "c (a|b|A|B|e)* b"])
+    def test_s1_and_s2_match_oracle(self, run, query):
+        index = build_query_index(run.spec, query)
+        nodes = list(run.node_ids())
+        expected = product_bfs_all_pairs(run, nodes, nodes, query)
+        assert rpl_all_pairs(run, nodes, nodes, index) == expected
+        assert optrpl_all_pairs(run, nodes, nodes, index) == expected
+
+    def test_duplicates_and_empty_lists(self, run):
+        index = build_query_index(run.spec, "A+")
+        nodes = list(run.node_ids())
+        expected = product_bfs_all_pairs(run, nodes[:6], nodes, "A+")
+        doubled = nodes[:6] * 2
+        assert rpl_all_pairs(run, doubled, nodes, index) == expected
+        assert optrpl_all_pairs(run, doubled, nodes, index) == expected
+        assert rpl_all_pairs(run, [], nodes, index) == set()
+        assert optrpl_all_pairs(run, nodes, [], index) == set()
+
+
+class TestPaperDecomposition:
+    """Section IV-B as published: labels for every safe subquery, whole-run
+    joins for the rest, node lists applied last."""
+
+    @pytest.mark.parametrize("query", ["_* a _*", "e", "(A)+ . e", "(c | e) _*", "_* e _*"])
+    def test_matches_oracle(self, run, query):
+        expected = product_bfs_all_pairs(run, None, None, query)
+        assert paper_decomposition_all_pairs(run, None, None, query) == expected
+
+    def test_restricted_lists_with_a_precomputed_plan(self, run):
+        l1, l2 = ["c:1", "a:1", "d:2"], ["b:1", "b:3"]
+        plan = plan_decomposition(run.spec, "(A)+ . e")
+        expected = product_bfs_all_pairs(run, l1, l2, "(A)+ . e")
+        assert paper_decomposition_all_pairs(run, l1, l2, "(A)+ . e", plan=plan) == expected
 
 
 class TestOnBioAid:

@@ -5,12 +5,12 @@ from collections import Counter
 import pytest
 
 from repro.baselines.product_bfs import product_bfs_all_pairs
+from repro.baselines.rpl_per_pair import optrpl_all_pairs, rpl_all_pairs
 from repro.core.allpairs import (
-    AllPairsOptions,
     all_pairs_iter,
     all_pairs_reachability,
     all_pairs_safe_query,
-    reachable_pair_groups,
+    structural_join,
 )
 from repro.core.pairwise import answer_pairwise_query
 from repro.core.query_index import build_query_index
@@ -74,9 +74,9 @@ class TestAllPairsReachability:
         trie2 = LabelTrie.from_run_nodes(run, nodes)
         oracle = reachability_oracle(run, nodes, nodes)
         seen = set()
-        for group1, group2 in reachable_pair_groups(trie1, trie2, run.spec):
-            for u in group1:
-                for v in group2:
+        for group in structural_join(trie1, trie2, run.spec):
+            for u in group.source_ids():
+                for v in group.target_ids():
                     assert (u, v) in oracle
                     assert (u, v) not in seen, "pair emitted twice"
                     seen.add((u, v))
@@ -104,9 +104,7 @@ class TestAllPairsSafeQueries:
         index = build_query_index(run.spec, "_* e _*")
         nodes = list(run.node_ids())
         s2 = all_pairs_safe_query(run, nodes, nodes, index)
-        s1 = all_pairs_safe_query(
-            run, nodes, nodes, index, AllPairsOptions(use_reachability_filter=False)
-        )
+        s1 = rpl_all_pairs(run, nodes, nodes, index)
         assert s1 == s2
 
     @pytest.mark.parametrize("query", ["_* e _*", "A+", "a+", "c (a|b|A|B|e)* b"])
@@ -144,8 +142,6 @@ class TestAllPairsSafeQueries:
 class TestVectorizedDecoding:
     """The group-at-a-time state-vector decode (optRPL-G) and streaming."""
 
-    PER_PAIR_S2 = AllPairsOptions(vectorized=False)
-
     @pytest.mark.parametrize("query", ["_* e _*", "A+", "a+", "c (a|b|A|B|e)* b", "A"])
     def test_agrees_with_per_pair_and_oracle(self, query):
         run = paper_run(recursion_depth=5)
@@ -153,9 +149,7 @@ class TestVectorizedDecoding:
         nodes = list(run.node_ids())
         expected = product_bfs_all_pairs(run, nodes, nodes, query)
         assert all_pairs_safe_query(run, nodes, nodes, index) == expected
-        assert (
-            all_pairs_safe_query(run, nodes, nodes, index, self.PER_PAIR_S2) == expected
-        )
+        assert optrpl_all_pairs(run, nodes, nodes, index) == expected
 
     def test_agrees_on_fork_heavy_run(self):
         spec = bioaid_specification()
@@ -193,8 +187,8 @@ class TestVectorizedDecoding:
             if not is_safe_query(spec, query):
                 continue
             index = build_query_index(spec, query)
-            assert all_pairs_safe_query(run, l1, l2, index) == all_pairs_safe_query(
-                run, l1, l2, index, self.PER_PAIR_S2
+            assert all_pairs_safe_query(run, l1, l2, index) == optrpl_all_pairs(
+                run, l1, l2, index
             )
 
 
@@ -216,7 +210,7 @@ class TestDisjointDecoding:
             calls[(u, v)] += 1
             return answer_pairwise_query(index, run.label_of(u), run.label_of(v))
 
-        result = all_pairs_safe_query(run, l1, nodes, index, pair_filter=counting_filter)
+        result = optrpl_all_pairs(run, l1, nodes, index, decode=counting_filter)
         assert result == all_pairs_safe_query(run, nodes, nodes, index)
         assert calls, "the pair filter was never consulted"
         assert max(calls.values()) == 1, "a pair was decoded more than once"

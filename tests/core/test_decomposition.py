@@ -3,6 +3,7 @@
 import pytest
 
 from repro.automata.regex import parse_regex
+from repro.baselines.paper_decomposition import paper_decomposition_all_pairs
 from repro.baselines.product_bfs import product_bfs_all_pairs
 from repro.core.decomposition import (
     evaluate_general_query,
@@ -24,6 +25,13 @@ UNSAFE_QUERIES = [
     "(c | e) _*",       # union with unsafe parts
     "a* e",             # unsafe star then tag
 ]
+
+
+def _always_labels(monkeypatch, plan):
+    """Route every worthwhile safe subtree of ``plan`` to the labeling engine,
+    whatever the cost model says, so macro edges exist on small runs."""
+    monkeypatch.setattr(plan, "estimate_prefers_labels", lambda run, node: True)
+    return plan
 
 
 class TestPlanning:
@@ -77,13 +85,16 @@ class TestEvaluation:
         expected = product_bfs_all_pairs(run, l1, l2, "_* a _*")
         assert result == expected
 
-    def test_cost_based_routing_does_not_change_answers(self):
+    def test_cost_based_routing_does_not_change_answers(self, monkeypatch):
         run = paper_run(recursion_depth=3)
         query = "(A)+ . e"
         expected = product_bfs_all_pairs(run, None, None, query)
-        routed = evaluate_general_query(run, query, cost_based_routing=True)
-        always_labels = evaluate_general_query(run, query, cost_based_routing=False)
-        assert routed == always_labels == expected
+        routed = evaluate_general_query(run, query)
+        always_labels = evaluate_general_query(
+            run, query, plan=_always_labels(monkeypatch, plan_decomposition(run.spec, query))
+        )
+        paper = paper_decomposition_all_pairs(run, None, None, query)
+        assert routed == always_labels == paper == expected
 
     def test_precomputed_plan_reuse(self):
         run = paper_run()
@@ -142,8 +153,9 @@ class TestRestrictionPushdown:
         assert list(evaluate_general_query_iter(run, "_* a _*", [], [])) == []
 
     def test_ids_absent_from_run_are_ignored(self):
-        # The pre-pushdown evaluator restricted a whole-run relation, so
-        # unknown ids silently matched nothing; pushdown keeps that contract.
+        # The paper's evaluate-then-restrict scheme restricts a whole-run
+        # relation, so unknown ids silently match nothing; pushdown keeps
+        # that contract.
         run = paper_run()
         ghosts = ["no-such-node", "also-missing"]
         some = list(run.node_ids())[:3]
@@ -167,25 +179,20 @@ class TestRestrictionPushdown:
         with pytest.raises(ValueError, match="unknown strategy"):
             engine.evaluate(run, "_* e _*", strategy="magic")
 
-    def test_push_restrictions_off_restores_old_behaviour(self):
+    def test_pushdown_matches_the_paper_scheme(self):
         run = paper_run(recursion_depth=3)
         nodes = list(run.node_ids())
         l1, l2 = nodes[:4], nodes[3:9]
-        old = evaluate_general_query(
-            run, "_* a _*", l1, l2, strategy="join", push_restrictions=False
-        )
-        assert old == evaluate_general_query(run, "_* a _*", l1, l2)
+        paper = paper_decomposition_all_pairs(run, l1, l2, "_* a _*")
+        assert paper == evaluate_general_query(run, "_* a _*", l1, l2)
 
-    def test_push_restrictions_off_never_routes_auto_to_frontier(self):
-        # push_restrictions=False is the pre-pushdown reference point, so the
-        # auto router must take the join path (the frontier strategy would
-        # build a macro DFA, which lands in the plan's memo).
+    def test_unrestricted_auto_never_routes_to_frontier(self, monkeypatch):
+        # Without node lists the pruning cannot shrink anything, so the auto
+        # router takes the join path (the frontier strategy would build a
+        # macro DFA, which lands in the plan's memo).
         run = paper_run(recursion_depth=3)
-        plan = plan_decomposition(run.spec, "(A)+ . e")
-        evaluate_general_query(
-            run, "(A)+ . e", list(run.node_ids())[:2], None,
-            plan=plan, push_restrictions=False, cost_based_routing=False,
-        )
+        plan = _always_labels(monkeypatch, plan_decomposition(run.spec, "(A)+ . e"))
+        evaluate_general_query(run, "(A)+ . e", plan=plan)
         assert plan._dfa_memo == {}
 
     def test_cost_routing_memoized_on_plan(self):
@@ -198,15 +205,13 @@ class TestRestrictionPushdown:
         assert first == second
         assert len(plan._routing_memo) == memo_size  # second pass hit the memo
 
-    def test_macro_dfa_memoized_on_plan(self):
+    def test_macro_dfa_memoized_on_plan(self, monkeypatch):
         run = paper_run(recursion_depth=2)
-        plan = plan_decomposition(run.spec, "(A)+ . e")
-        evaluate_general_query(run, "(A)+ . e", plan=plan, strategy="frontier",
-                               cost_based_routing=False)
+        plan = _always_labels(monkeypatch, plan_decomposition(run.spec, "(A)+ . e"))
+        evaluate_general_query(run, "(A)+ . e", plan=plan, strategy="frontier")
         assert len(plan._dfa_memo) == 1
         dfa = next(iter(plan._dfa_memo.values()))
-        evaluate_general_query(run, "(A)+ . e", plan=plan, strategy="frontier",
-                               cost_based_routing=False)
+        evaluate_general_query(run, "(A)+ . e", plan=plan, strategy="frontier")
         assert next(iter(plan._dfa_memo.values())) is dfa
 
 

@@ -75,7 +75,6 @@ class TestEngineQueries:
         nodes = list(run.node_ids())
         expected = product_bfs_all_pairs(run, nodes, nodes, "A+")
         assert engine.all_pairs(run, "A+") == expected
-        assert engine.all_pairs(run, "A+", use_reachability_filter=False) == expected
 
     def test_all_pairs_reachability(self, engine, run):
         expected = product_bfs_all_pairs(run, None, None, "_*")
@@ -86,10 +85,6 @@ class TestEngineQueries:
         assert safe == product_bfs_all_pairs(run, None, None, "_* e _*")
         unsafe = engine.evaluate(run, "_* a _*")
         assert unsafe == product_bfs_all_pairs(run, None, None, "_* a _*")
-
-    def test_all_pairs_vectorized_toggle(self, engine, run):
-        expected = engine.all_pairs(run, "A+")
-        assert engine.all_pairs(run, "A+", vectorized=False) == expected
 
     def test_all_pairs_iter_streams_each_pair_once(self, engine, run):
         streamed = list(engine.all_pairs_iter(run, "A+"))

@@ -12,7 +12,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.automata.regex import parse_regex
-from repro.core.allpairs import AllPairsOptions
 from repro.core.decomposition import plan_decomposition
 from repro.core.exec import (
     ExecutorConfig,
@@ -144,7 +143,7 @@ class TestExecutorEquivalence:
         )
         assert parallel == serial
 
-    def test_backward_execution_crosses_macro_edges(self):
+    def test_backward_execution_crosses_macro_edges(self, monkeypatch):
         """Backward searches must follow macro relations against their
         direction; force label routing so a macro edge actually exists."""
         run = _RUNS["paper"][0]
@@ -153,9 +152,11 @@ class TestExecutorEquivalence:
         nodes = list(run.node_ids())
         l1, l2 = nodes, nodes[-3:]
         reference = restrict(evaluate_regex_relation(run, parse_regex(query)), l1, l2)
-        physical = _physical(
-            run, query, l1, l2,
-            strategy="frontier", direction="backward", cost_based_routing=False,
+        plan = plan_decomposition(run.spec, query)
+        monkeypatch.setattr(plan, "estimate_prefers_labels", lambda run, node: True)
+        physical = build_physical_plan(
+            run, plan, l1, l2, indexes=_indexes(run.spec),
+            strategy="frontier", direction="backward",
         )
         assert isinstance(physical.root, FrontierSearchOp)
         assert physical.root.macros, "expected a macro-routed safe subtree"
@@ -368,14 +369,6 @@ class TestPhysicalPlanReporting:
         text = physical.describe()
         assert 'frontier' in text
         assert 'backward' in text
-
-    def test_options_flow_through(self):
-        run = _RUNS["paper"][0]
-        physical = _physical(
-            run, "_* a _*", None, None,
-            options=AllPairsOptions(use_reachability_filter=False, vectorized=False),
-        )
-        assert physical.options.use_reachability_filter is False
 
 
 class TestMacroRelationThreadSafety:

@@ -9,14 +9,14 @@ import networkx
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.automata.regex import parse_regex
+from repro.baselines.paper_decomposition import paper_decomposition_all_pairs
 from repro.baselines.product_bfs import product_bfs_all_pairs, product_bfs_pairwise
+from repro.baselines.rpl_per_pair import optrpl_all_pairs, rpl_all_pairs
 from repro.core.decomposition import (
     evaluate_general_query,
     evaluate_general_query_iter,
 )
 from repro.core.engine import ProvenanceQueryEngine
-from repro.core.relations import evaluate_regex_relation, restrict
 from repro.core.safety import is_safe_query
 from repro.datasets.paper_example import paper_specification
 from repro.datasets.synthetic import generate_synthetic_specification
@@ -99,18 +99,19 @@ class TestEngineAgainstOracle:
 
     @given(restricted_spec_run_query())
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.data_too_large])
-    def test_restricted_evaluation_matches_naive_restrict(self, data):
-        """Every strategy of the restriction-pushdown evaluator — and the
-        streaming iterator — must match evaluating the whole run with plain
-        G1 joins and restricting afterwards."""
+    def test_restricted_evaluation_matches_oracle(self, data):
+        """Every strategy of the restriction-pushdown evaluator, the
+        streaming iterator and the paper's evaluate-then-restrict scheme
+        must match the product-automaton oracle."""
         spec, run, query, l1, l2 = data
-        naive = restrict(evaluate_regex_relation(run, parse_regex(query)), l1, l2)
+        expected = product_bfs_all_pairs(run, l1, l2, query)
         for strategy in ("auto", "frontier", "join"):
             got = evaluate_general_query(run, query, l1, l2, strategy=strategy)
-            assert got == naive, f"{strategy} diverged for {query!r}"
+            assert got == expected, f"{strategy} diverged for {query!r}"
         streamed = list(evaluate_general_query_iter(run, query, l1, l2))
         assert len(streamed) == len(set(streamed))
-        assert set(streamed) == naive
+        assert set(streamed) == expected
+        assert paper_decomposition_all_pairs(run, l1, l2, query) == expected
 
     @given(spec_run_query(), st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
@@ -159,19 +160,6 @@ class TestLabelingInvariants:
 class TestAllPairsConsistency:
     @given(spec_run_query())
     @settings(max_examples=25, deadline=None)
-    def test_s1_equals_s2_for_safe_queries(self, data):
-        spec, run, query = data
-        if not is_safe_query(spec, query):
-            return
-        engine = ProvenanceQueryEngine(spec)
-        l1 = run.node_ids()[::2]
-        l2 = run.node_ids()[1::2]
-        s2 = engine.all_pairs(run, query, l1, l2)
-        s1 = engine.all_pairs(run, query, l1, l2, use_reachability_filter=False)
-        assert s1 == s2
-
-    @given(spec_run_query())
-    @settings(max_examples=25, deadline=None)
     def test_all_four_evaluation_paths_agree(self, data):
         """Per-pair S1 ≡ per-pair S2 ≡ vectorized S2 ≡ streamed results on
         random specifications, runs and safe queries."""
@@ -181,10 +169,9 @@ class TestAllPairsConsistency:
         engine = ProvenanceQueryEngine(spec)
         l1 = run.node_ids()[::2]
         l2 = run.node_ids()[1::2]
-        per_pair_s1 = engine.all_pairs(
-            run, query, l1, l2, use_reachability_filter=False
-        )
-        per_pair_s2 = engine.all_pairs(run, query, l1, l2, vectorized=False)
+        index = engine.query_index(query)
+        per_pair_s1 = rpl_all_pairs(run, l1, l2, index)
+        per_pair_s2 = optrpl_all_pairs(run, l1, l2, index)
         vectorized = engine.all_pairs(run, query, l1, l2)
         streamed = list(engine.all_pairs_iter(run, query, l1, l2))
         assert len(streamed) == len(set(streamed))

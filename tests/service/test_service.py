@@ -357,7 +357,7 @@ class TestWireFormat:
     def test_request_round_trip(self):
         request = QueryRequest(
             op="allpairs", run="r1", query="A+", sources=("x",), targets=("y", "z"),
-            use_reachability_filter=False, request_id="q9",
+            request_id="q9",
         )
         assert request_from_dict(request_to_dict(request)) == request
 
@@ -381,6 +381,8 @@ class TestWireFormat:
             {"op": "pairwise"},  # missing run
             {"op": "allpairs", "run": "r", "query": "a", "sources": "not-a-list"},
             {"op": "allpairs", "run": "r", "query": "a", "surprise": 1},
+            # The per-pair S1 decode is a baseline, not a request option.
+            {"op": "allpairs", "run": "r", "query": "a", "use_reachability_filter": False},
         ],
     )
     def test_malformed_requests_rejected(self, payload):
