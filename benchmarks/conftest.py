@@ -1,10 +1,9 @@
-"""Path bootstrap for the benchmark shims.
+"""Path bootstrap for the tests under ``benchmarks/``.
 
-The files in this directory are thin pytest pointers into the declarative
-scenario catalog (:mod:`repro.bench.catalog`); each one runs its catalog
-entries at smoke scale so ``pytest benchmarks/`` exercises every ported
-workload without timing anything.  Timed runs and regression gating live in
-``repro bench run`` / ``repro bench gate``.
+The ``benchmarks/rpq`` self-tests import ``repro``; putting ``src/`` on
+``sys.path`` here lets ``python -m pytest benchmarks/rpq`` run without an
+installed package.  Timed runs and regression gating of the scenario
+catalog live in ``repro bench run`` / ``repro bench gate``.
 """
 
 import sys

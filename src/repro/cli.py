@@ -783,7 +783,8 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "parallel frontier fan-out for unsafe all-pairs queries: the "
             "per-seed searches are spread over this many workers (process "
-            "pool where available); 1 (default) runs serial"
+            "pool; in-process if processes are unavailable); 1 (default) "
+            "runs serial"
         ),
     )
     query_parser.add_argument(

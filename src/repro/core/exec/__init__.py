@@ -9,8 +9,8 @@ The evaluation stack splits in two at this package's boundary:
 * the **executor** (this package) is physical: ``build_physical_plan``
   resolves a workload into a tree of operators (:class:`FrontierSearchOp`,
   :class:`JoinOp`, :class:`LabelDecodeOp`, :class:`RestrictOp`) and
-  ``execute``/``execute_iter`` run it — serially, or fanned across a thread
-  or process pool whose chunk results stream in completion order.  Each
+  ``execute``/``execute_iter`` run it — serially, or fanned across a
+  process pool whose chunk results stream in completion order.  Each
   operator has one compute kernel: packed bitsets for joins and closures,
   per-element sets for per-seed frontier searches.
 

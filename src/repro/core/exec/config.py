@@ -1,4 +1,4 @@
-"""Executor tuning: direction, parallelism, pool backend, worker budget.
+"""Executor tuning: direction, parallelism, worker budget.
 
 An :class:`ExecutorConfig` travels from the API surface (CLI ``--direction``/
 ``--workers``, :class:`~repro.service.service.QueryService`) down to the
@@ -10,8 +10,6 @@ searches to serial instead of oversubscribing the host.
 
 from __future__ import annotations
 
-import os
-import sys
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -20,8 +18,6 @@ from typing import Iterator
 __all__ = ["DIRECTIONS", "ExecutorConfig", "WorkerBudget"]
 
 DIRECTIONS = ("auto", "forward", "backward")
-
-_BACKENDS = ("auto", "thread", "process")
 
 
 class WorkerBudget:
@@ -73,11 +69,10 @@ class ExecutorConfig:
 
     ``direction`` picks the frontier search orientation (``auto`` lets the
     cost model compare seed counts); ``workers`` is the requested per-query
-    fan-out (1 = serial), merged in completion order; ``backend`` selects
-    threads (shared memory, GIL-bound) or processes (true parallelism for
-    the pure-Python search; ``auto`` picks processes where ``fork`` is
-    available).  ``budget``, when set by a service, caps the granted
-    fan-out by what the shared pool has free.
+    fan-out (1 = serial) over a process pool — the pure-Python search holds
+    the GIL, so only processes scale — merged in completion order, and run
+    in-process where processes are unavailable.  ``budget``, when set by a
+    service, caps the granted fan-out by what the shared pool has free.
 
     The compute kernel is fixed per operator, not configured: joins and
     closures run on the packed bitset kernel of :mod:`repro.core.bitset`,
@@ -87,7 +82,6 @@ class ExecutorConfig:
 
     direction: str = "auto"
     workers: int = 1
-    backend: str = "auto"
     budget: WorkerBudget | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -95,18 +89,5 @@ class ExecutorConfig:
             raise ValueError(
                 f"unknown direction {self.direction!r}; use one of {list(DIRECTIONS)}"
             )
-        if self.backend not in _BACKENDS:
-            raise ValueError(
-                f"unknown backend {self.backend!r}; use one of {list(_BACKENDS)}"
-            )
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
-
-    def resolved_backend(self) -> str:
-        """``auto`` resolves to processes where ``fork`` start is available
-        (true parallelism for the GIL-bound search), threads elsewhere."""
-        if self.backend != "auto":
-            return self.backend
-        if sys.platform != "win32" and hasattr(os, "fork"):
-            return "process"
-        return "thread"

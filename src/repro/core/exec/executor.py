@@ -1,18 +1,19 @@
-"""Physical-plan execution: serial, thread-pool and process-pool variants.
+"""Physical-plan execution: serial, or fanned out over a process pool.
 
 ``execute`` materializes a plan's result set; ``execute_iter`` streams it.
 The interesting operator is :class:`FrontierSearchOp`:
 
 * **serial** — one pruned product search per seed on the calling thread,
-  yielding each seed's pairs as they are found (the PR-3 behaviour, now
-  direction-aware);
+  yielding each seed's pairs as they are found, with macro relations
+  decoded lazily on first use;
 * **parallel** — the per-seed searches are embarrassingly parallel, so the
-  seed list is split into contiguous chunks fanned across a worker pool.
-  The ``thread`` backend shares the run and the lazily decoded macro
-  relations directly (cheap, but GIL-bound); the ``process`` backend ships a
-  plain-data :class:`~repro.core.exec.worker.SearchContext` to each worker
-  for true parallelism, falling back to threads where process pools are
-  unavailable.  Chunks stream in completion order.
+  seed list is split into contiguous chunks fanned across a process pool
+  (the search is pure Python and holds the GIL, so only processes scale).
+  Each worker gets one plain-data
+  :class:`~repro.core.exec.worker.SearchContext`; chunks stream in
+  completion order.  Where the pool cannot be built, refuses a chunk or
+  loses a worker, the affected chunks run in-process through the worker's
+  own :func:`~repro.core.exec.worker.run_chunk` on the same context.
 
 Each operator has one compute kernel: joins and closures run on the packed
 bitset kernel (:func:`~repro.core.relations.evaluate_regex_relation_packed`),
@@ -27,13 +28,7 @@ serial instead of oversubscribing the host.
 
 from __future__ import annotations
 
-from concurrent.futures import (
-    Executor,
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    as_completed,
-)
+from concurrent.futures import Future, ProcessPoolExecutor, as_completed
 from pickle import PicklingError
 import multiprocessing
 import threading
@@ -56,12 +51,18 @@ from repro.core.exec.worker import (
     SearchContext,
     init_worker,
     search_seeds,
+    timed_run_chunk,
     timed_search_chunk,
 )
 from repro.core.relations import NodePairs, evaluate_regex_relation_packed, restrict
 from repro.obs import Span, SpanContext, Tracer, get_tracer
 
 __all__ = ["execute", "execute_iter"]
+
+#: What an unusable process pool raises — at construction, in ``submit`` or
+#: from a chunk's future: spawn failures (OSError), a missing start method or
+#: a broken pool (RuntimeError), unpicklable initializer arguments.
+_POOL_FAILURES = (OSError, RuntimeError, PicklingError)
 
 
 def execute(plan: PhysicalPlan) -> NodePairs:
@@ -256,118 +257,75 @@ def _mp_context() -> Any:
     return multiprocessing.get_context("forkserver") if "forkserver" in methods else None
 
 
-def _local_chunk_task(
-    plan: PhysicalPlan, op: FrontierSearchOp
-) -> Callable[[ChunkPayload], ChunkResult]:
-    """The in-process chunk task: what thread pools run, and what the drain
-    loop falls back to when a process pool turns out to be broken.
-
-    Thread workers share the parent's tracer: the task adopts the payload's
-    parent context so the chunk span nests under the submitting search, and
-    there is nothing to stitch on merge.
-    """
-    forward = op.direction == "forward"
-    adjacency = _graph_adjacency(plan, op)
-    macro_successors = _lazy_macro_successors(op)
-
-    def task(payload: ChunkPayload) -> ChunkResult:
-        seeds, parent = payload
-        tracer = get_tracer()
-        with tracer.attach(SpanContext.from_tuple(parent)):
-            with tracer.span("exec.frontier_chunk", seeds=len(seeds)) as span:
-                pairs = search_seeds(
-                    adjacency,
-                    op.dfa,
-                    seeds,
-                    allowed=op.allowed,
-                    emit_filter=op.emit_filter,
-                    macro_successors=macro_successors,
-                    forward=forward,
-                )
-                span.set("pairs", len(pairs))
-        return pairs, None
-
-    return task
-
-
-#: What ``_worker_pool`` hands the parallel merge: the pool, the chunk task
-#: it runs (picklable for process pools), and the in-process task the drain
-#: loop recomputes chunks with when the pool breaks mid-flight.
-_PoolParts = tuple[
-    Executor,
-    Callable[[ChunkPayload], ChunkResult],
-    Callable[[ChunkPayload], ChunkResult],
-]
-
-
 @contextmanager
 def _worker_pool(
     plan: PhysicalPlan, op: FrontierSearchOp, granted: int
-) -> Iterator[_PoolParts]:
-    """A ready-to-submit pool plus its chunk task and local fallback.
+) -> Iterator[tuple[SearchContext, ProcessPoolExecutor | None]]:
+    """The plain-data search context plus a process pool initialized with it.
 
-    Process workers get a plain-data :class:`SearchContext` pickled through
-    the initializer.  Nothing here waits for a worker to spawn: chunks are
-    submitted straight away and overlap with pool startup, so the
-    ``exec.worker_setup`` span measures exactly the parent-side fan-out
-    cost — context build and pool construction.  Process-side failures (no
-    ``fork``, a worker that cannot re-import or unpickle the context, a
-    worker that dies mid-chunk) either raise during construction — degraded
-    to a thread pool here — or surface as broken-pool errors on the chunk
-    futures, which the drain loop absorbs by recomputing chunks with the
-    returned local task.
+    Workers get the :class:`SearchContext` pickled through the initializer.
+    Nothing here waits for a worker to spawn: chunks are submitted straight
+    away and overlap with pool startup, so the ``exec.worker_setup`` span
+    measures exactly the parent-side fan-out cost — context build and pool
+    construction.  A pool that cannot be constructed yields ``None``, and
+    the drain loop runs every chunk in-process on the same context.
 
-    Macro relations are materialized here, in the parent, exactly once for
-    process pools: a deliberate trade — workers cannot label-decode, so the
-    process backend pays the decode up front even when no live product state
-    would ever cross the macro edge (serial and thread execution stay lazy;
-    prefer ``backend="thread"`` for macro-heavy queries whose edges are
-    rarely reached).  Thread pools share the run and the lazily decoded
-    macro relations directly — no copies, the first chunk that crosses a
-    macro edge decodes it for everyone.
+    Macro relations are materialized here, in the parent, exactly once: a
+    deliberate trade — workers cannot label-decode, so the fan-out pays the
+    decode up front even when no live product state would ever cross the
+    macro edge (serial execution stays lazy).
     """
-    backend = plan.executor.resolved_backend()
-    pool: Executor | None = None
-    with get_tracer().span("exec.worker_setup", backend=backend, workers=granted):
-        local = _local_chunk_task(plan, op)
-        task = local
-        if backend == "process":
-            try:
-                context = SearchContext(
-                    direction=op.direction,
-                    adjacency=dict(_graph_adjacency(plan, op)),
-                    dfa=op.dfa,
-                    allowed=op.allowed,
-                    emit_filter=op.emit_filter,
-                    macros={
-                        tag: dict(relation.adjacency(op.direction))
-                        for tag, relation in op.macros.items()
-                    },
-                )
-                pool = ProcessPoolExecutor(
-                    max_workers=granted,
-                    initializer=init_worker,
-                    initargs=(context,),
-                    mp_context=_mp_context(),
-                )
-                task = timed_search_chunk
-            except (OSError, RuntimeError, PicklingError):
-                # Everything pool construction actually raises when process
-                # pools are unusable: spawn failures (OSError), a missing
-                # start method (RuntimeError), unpicklable init arguments.
-                if pool is not None:
-                    pool.shutdown(wait=False, cancel_futures=True)
-                pool = None
-        if pool is None:
-            pool = ThreadPoolExecutor(max_workers=granted)
+    pool: ProcessPoolExecutor | None = None
+    with get_tracer().span("exec.worker_setup", workers=granted):
+        context = SearchContext(
+            direction=op.direction,
+            adjacency=dict(_graph_adjacency(plan, op)),
+            dfa=op.dfa,
+            allowed=op.allowed,
+            emit_filter=op.emit_filter,
+            macros={
+                tag: dict(relation.adjacency(op.direction))
+                for tag, relation in op.macros.items()
+            },
+        )
+        try:
+            pool = ProcessPoolExecutor(
+                max_workers=granted,
+                initializer=init_worker,
+                initargs=(context,),
+                mp_context=_mp_context(),
+            )
+        except _POOL_FAILURES:
+            pass
     try:
-        yield pool, task, local
+        yield context, pool
     finally:
-        pool.shutdown(wait=True)
+        if pool is not None:
+            pool.shutdown(wait=True)
+
+
+def _submit(
+    pool: ProcessPoolExecutor | None, payloads: list[ChunkPayload]
+) -> tuple[dict["Future[ChunkResult]", ChunkPayload], list[ChunkPayload]]:
+    """Submit chunks in order until the pool refuses one.
+
+    Workers spawn, and the initializer arguments are pickled, inside
+    ``submit``; a refusal leaves that chunk and the rest to run locally.
+    Returns the submitted futures (keyed to their payloads) and the rest."""
+    futures: dict["Future[ChunkResult]", ChunkPayload] = {}
+    if pool is None:
+        return futures, payloads
+    for index, payload in enumerate(payloads):
+        try:
+            futures[pool.submit(timed_search_chunk, payload)] = payload
+        except _POOL_FAILURES:
+            return futures, payloads[index:]
+    return futures, []
 
 
 def _stitch_chunk(tracer: Tracer, search: Span, record: ChunkRecord) -> None:
-    """Adopt a worker process's chunk record as a child span of the search.
+    """Adopt a chunk record as a child span of the search, whether a worker
+    process or the in-process fallback timed it.
 
     Worker and parent both read ``CLOCK_MONOTONIC``, so the timestamps are
     directly comparable; the start is still clamped into the search span's
@@ -394,10 +352,9 @@ def _iter_frontier_parallel(
 ) -> Iterator[tuple[str, str]]:
     tracer = get_tracer()
     parent = span.context.as_tuple() if tracer.enabled else None
-    chunks = _chunked(op.seeds, granted * 4)
-    with _worker_pool(plan, op, granted) as (pool, task, local):
-        futures = [pool.submit(task, (chunk, parent)) for chunk in chunks]
-        chunk_of = {future: chunk for future, chunk in zip(futures, chunks)}
+    payloads = [(chunk, parent) for chunk in _chunked(op.seeds, granted * 4)]
+    with _worker_pool(plan, op, granted) as (context, pool):
+        futures, rest = _submit(pool, payloads)
         if release is not None:
             # Completion-driven, not consumption-driven: the budget frees as
             # soon as the pool finishes, however slowly the stream drains.
@@ -412,21 +369,35 @@ def _iter_frontier_parallel(
                 if last:
                     release()
 
+            if not futures:
+                release()
             for future in futures:
                 future.add_done_callback(on_done)
+
+        def local(payload: ChunkPayload) -> ChunkResult:
+            # The worker's own chunk code on the same plain-data context.
+            span.set("fallback", "local")
+            return timed_run_chunk(context, payload)
+
+        def merge(result: ChunkResult) -> list[tuple[str, str]]:
+            pairs, record = result
+            if tracer.enabled:
+                _stitch_chunk(tracer, span, record)
+            return pairs
+
         try:
+            # Chunks the pool refused run first, overlapping whatever it took.
+            for payload in rest:
+                yield from merge(local(payload))
             for future in as_completed(futures):
                 try:
-                    pairs, record = future.result()
-                except (OSError, RuntimeError, PicklingError):
+                    result = future.result()
+                except _POOL_FAILURES:
                     # A worker died spawning, unpickling or mid-chunk
                     # (BrokenProcessPool is a RuntimeError): the pool is
                     # gone, but the chunk is not — recompute it in-process.
-                    span.set("fallback", "local")
-                    pairs, record = local((chunk_of[future], parent))
-                if record is not None and tracer.enabled:
-                    _stitch_chunk(tracer, span, record)
-                yield from pairs
+                    result = local(futures[future])
+                yield from merge(result)
         finally:
             for future in futures:
                 future.cancel()

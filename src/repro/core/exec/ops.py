@@ -4,8 +4,8 @@ A physical plan (see :mod:`repro.core.exec.plan`) is a tiny tree of the
 operators defined here.  Operators are *descriptions*: they carry everything
 an executor needs — seeds, direction-adjusted DFA, pruning universe, macro
 relations — but do no work themselves, so a plan can be built once (pure,
-cheap, unit-testable) and handed to any executor (serial, thread pool,
-process pool) without re-planning.
+cheap, unit-testable) and handed to any executor (serial or process pool)
+without re-planning.
 
 ``MacroRelation`` is the one stateful piece: the label-decoded relation of a
 routed safe subquery, materialized lazily on the first frontier expansion
@@ -37,11 +37,12 @@ class MacroRelation:
     """A lazily decoded safe-subquery relation serving macro transitions.
 
     ``decode`` yields the relation's ``(source, target)`` pairs; it runs at
-    most once (guarded by a lock, so parallel thread executors share one
-    decode).  ``successors``/``predecessors`` are the adjacency views the
-    forward and backward frontier searches follow across the macro edge;
-    ``adjacency(direction)`` hands the materialized mapping itself to the
-    process-pool executor, which must ship plain data to its workers.
+    most once (guarded by a lock, so a plan executed from several threads
+    at once still decodes once).  ``successors``/``predecessors`` are the
+    adjacency views the serial forward and backward frontier searches follow
+    across the macro edge; ``adjacency(direction)`` hands the materialized
+    mapping itself to the process-pool executor, which must ship plain data
+    to its workers.
     """
 
     def __init__(self, decode: Callable[[], Iterable[tuple[str, str]]]) -> None:

@@ -4,7 +4,8 @@ A worker receives one :class:`SearchContext` — plain, picklable data: the
 run's adjacency view for the chosen direction, the direction-adjusted DFA,
 the pruning universe, the emit filter and the *materialized* macro
 adjacencies — through the pool initializer.  Keeping the context in a
-module global means it is shipped once per worker, not once per task.
+module global means it is shipped once per worker, not once per task.  The
+parent's in-process fallback runs the same chunk code on the same context.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ __all__ = [
     "SearchContext",
     "init_worker",
     "run_chunk",
-    "search_chunk",
     "search_seeds",
+    "timed_run_chunk",
     "timed_search_chunk",
 ]
 
@@ -42,10 +43,8 @@ ChunkPayload = tuple[tuple[str, ...], "ContextTuple | None"]
 #: stitches this into its trace with :meth:`repro.obs.Tracer.record`.
 ChunkRecord = tuple["ContextTuple | None", float, float, int, int]
 
-#: The traced entry point's return shape.  ``None`` in the record slot means
-#: the span was already recorded live (the thread backend traces in-process
-#: and has nothing to stitch).
-ChunkResult = tuple[list[tuple[str, str]], "ChunkRecord | None"]
+#: The traced entry point's return shape: the chunk's pairs and its record.
+ChunkResult = tuple[list[tuple[str, str]], ChunkRecord]
 
 
 @dataclass(frozen=True)
@@ -80,11 +79,11 @@ def search_seeds(
 ) -> list[tuple[str, str]]:
     """The one per-seed search loop every executor path shares.
 
-    Serial, thread-pool and process-pool execution all reduce to this:
+    Serial, process-pool and in-process fallback execution all reduce to this:
     search from each seed, intersect with the emit filter, orient the pairs
     (forward hits are targets, backward hits are sources).  Keeping it in
     one place means the emit/orientation semantics cannot drift between
-    backends."""
+    execution paths."""
     pairs: list[tuple[str, str]] = []
     for seed in seeds:
         hits = frontier_search(
@@ -100,7 +99,7 @@ def search_seeds(
 
 
 def run_chunk(context: SearchContext, seeds: tuple[str, ...]) -> list[tuple[str, str]]:
-    """Search one chunk against a plain-data context (worker side)."""
+    """Search one chunk against a plain-data context."""
     macro_successors = {
         tag: (lambda node, mapping=mapping: mapping.get(node, ()))
         for tag, mapping in context.macros.items()
@@ -116,23 +115,23 @@ def run_chunk(context: SearchContext, seeds: tuple[str, ...]) -> list[tuple[str,
     )
 
 
-def search_chunk(seeds: tuple[str, ...]) -> list[tuple[str, str]]:
-    """Pool entry point: search one seed chunk against the worker context."""
-    assert _CONTEXT is not None, "worker used before init_worker ran"
-    return run_chunk(_CONTEXT, seeds)
-
-
-def timed_search_chunk(payload: ChunkPayload) -> ChunkResult:
-    """Traced pool entry point: search one chunk and report *when*.
+def timed_run_chunk(context: SearchContext, payload: ChunkPayload) -> ChunkResult:
+    """Search one chunk and report *when*.
 
     A worker process has no tracer (the ambient tracer is per-process), so
-    it times itself with the sanctioned clock — ``perf_counter`` reads
+    the chunk is timed with the sanctioned clock — ``perf_counter`` reads
     ``CLOCK_MONOTONIC`` on Linux, which is system-wide, so the window is
-    directly comparable with the parent's span clock — and echoes the
-    payload's parent context back so the submitting side can stitch the
+    directly comparable with the parent's span clock — and the payload's
+    parent context is echoed back so the submitting side can stitch the
     chunk in as a child span.
     """
     seeds, parent = payload
     started = clock.now()
-    pairs = search_chunk(seeds)
+    pairs = run_chunk(context, seeds)
     return pairs, (parent, started, clock.now(), len(seeds), len(pairs))
+
+
+def timed_search_chunk(payload: ChunkPayload) -> ChunkResult:
+    """Pool entry point: :func:`timed_run_chunk` against the worker context."""
+    assert _CONTEXT is not None, "worker used before init_worker ran"
+    return timed_run_chunk(_CONTEXT, payload)

@@ -16,7 +16,7 @@ Wire-up: ``IndexCache(store=IndexStore(path))`` checks memory → disk → build
 and writes built entries back; ``QueryService(store_dir=path)`` additionally
 persists registered runs, so a restarted service answers previously-seen
 queries with zero index/plan rebuilds (see ``repro store`` and the
-``bench_store_warm_restart`` benchmark).
+``store-restart-warm`` catalog scenario).
 """
 
 from repro.store.store import (

@@ -6,8 +6,8 @@ whole-query regex evaluation, and the fixed-width row serialization the
 numpy mirror reads — must return exactly what the per-element set machinery
 (the G1 baseline) returns, on Hypothesis-generated runs, queries, masks and
 node lists (including empty and disjoint ones).  End-to-end tests
-additionally hold the executor's frontier (thread *and* process backends)
-and join plans to the set reference.
+additionally hold the executor's process-pool frontier and join plans to
+the set reference.
 """
 
 import functools
@@ -435,13 +435,12 @@ class TestRelationAlgebra:
 
 
 # ---------------------------------------------------------------------------
-# End to end: frontier plans on both pool backends, packed join plans
+# End to end: frontier plans on a process pool, packed join plans
 # ---------------------------------------------------------------------------
 
 
 class TestExecutorEquivalence:
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_parallel_frontier_matches_reference(self, backend):
+    def test_parallel_frontier_matches_reference(self):
         run = _RUNS["synthetic"][0]
         tags = sorted(run.tags())
         query = f"_* {tags[0]} _*"
@@ -458,7 +457,7 @@ class TestExecutorEquivalence:
             l2,
             indexes=lambda node: build_query_index(run.spec, node),
             strategy="frontier",
-            executor=ExecutorConfig(workers=2, backend=backend),
+            executor=ExecutorConfig(workers=2),
         )
         assert set(execute(physical)) == set(reference)
 

@@ -1,11 +1,16 @@
 """The executor layer: planner resolution, executors, budget, parallelism.
 
 The load-bearing property test: every physical execution path — forward
-frontier, backward frontier, parallel (thread) frontier — returns exactly
-the pair set of the join reference on Hypothesis-generated (specification,
-run, query, l1, l2) tuples, including empty and disjoint node lists.  Slower
-non-Hypothesis tests cover the process backend and its broken-pool fallback.
+frontier, backward frontier, and the parallel frontier's chunking, drain
+loop and worker chunk code (run in-process by forcing the pool fallback) —
+returns exactly the pair set of the join reference on Hypothesis-generated
+(specification, run, query, l1, l2) tuples, including empty and disjoint
+node lists.  Slower non-Hypothesis tests cover real process pools and the
+broken-pool fallbacks.
 """
+
+import multiprocessing.context
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -23,7 +28,6 @@ from repro.core.exec import (
     execute,
     execute_iter,
 )
-from repro.core.exec import config as config_module
 from repro.core.exec import executor as executor_module
 from repro.core.query_index import build_query_index
 from repro.core.relations import evaluate_regex_relation, restrict
@@ -99,27 +103,34 @@ class TestExecutorEquivalence:
         max_examples=50, deadline=None, suppress_health_check=[HealthCheck.data_too_large]
     )
     def test_all_executors_match_the_join_reference(self, data):
-        """Forward, backward, auto-direction and parallel-thread executions
-        all return the join reference's pair set."""
+        """Forward, backward, auto-direction and parallel executions all
+        return the join reference's pair set.  The parallel arms run with
+        process pools unavailable, so every chunk goes through the worker's
+        chunk code on the shipped context, in-process."""
         run, query, l1, l2 = data
         reference = restrict(evaluate_regex_relation(run, parse_regex(query)), l1, l2)
-        for label, kwargs in (
-            ("forward", {"strategy": "frontier", "direction": "forward"}),
-            ("backward", {"strategy": "frontier", "direction": "backward"}),
-            ("auto", {}),
-            (
-                "parallel-thread",
-                {
-                    "strategy": "frontier",
-                    "executor": ExecutorConfig(workers=4, backend="thread"),
-                },
-            ),
+        parallel = ExecutorConfig(workers=4)
+        with mock.patch.object(
+            executor_module, "ProcessPoolExecutor", side_effect=OSError("no processes")
         ):
-            physical = _physical(run, query, l1, l2, **kwargs)
-            assert execute(physical) == reference, f"{label} diverged for {query!r}"
-            streamed = list(execute_iter(physical))
-            assert len(streamed) == len(set(streamed)), f"{label} duplicated pairs"
-            assert set(streamed) == reference, f"{label} stream diverged for {query!r}"
+            for label, kwargs in (
+                ("forward", {"strategy": "frontier", "direction": "forward"}),
+                ("backward", {"strategy": "frontier", "direction": "backward"}),
+                ("auto", {}),
+                (
+                    "parallel-forward",
+                    {"strategy": "frontier", "direction": "forward", "executor": parallel},
+                ),
+                (
+                    "parallel-backward",
+                    {"strategy": "frontier", "direction": "backward", "executor": parallel},
+                ),
+            ):
+                physical = _physical(run, query, l1, l2, **kwargs)
+                assert execute(physical) == reference, f"{label} diverged for {query!r}"
+                streamed = list(execute_iter(physical))
+                assert len(streamed) == len(set(streamed)), f"{label} duplicated pairs"
+                assert set(streamed) == reference, f"{label} stream diverged for {query!r}"
 
     def test_process_backend_matches_serial(self):
         """The process-pool executor (true parallelism) returns the serial
@@ -137,7 +148,7 @@ class TestExecutorEquivalence:
                     l1,
                     l2,
                     strategy="frontier",
-                    executor=ExecutorConfig(workers=2, backend="process"),
+                    executor=ExecutorConfig(workers=2),
                 )
             )
         )
@@ -161,6 +172,31 @@ class TestExecutorEquivalence:
         assert isinstance(physical.root, FrontierSearchOp)
         assert physical.root.macros, "expected a macro-routed safe subtree"
         assert execute(physical) == reference
+
+    def test_process_backend_crosses_macro_edges_backward(self, monkeypatch):
+        """Real workers search backward over materialized macro relations:
+        the parent ships each macro's reversed adjacency, and the workers'
+        pairs re-orient to (source, target)."""
+        run = _RUNS["paper"][0]
+        query = "(e)+ . (A|B)+"
+        nodes = list(run.node_ids())
+        l1, l2 = nodes, nodes[-3:]
+        reference = restrict(evaluate_regex_relation(run, parse_regex(query)), l1, l2)
+        plan = plan_decomposition(run.spec, query)
+        monkeypatch.setattr(plan, "estimate_prefers_labels", lambda run, node: True)
+        physical = build_physical_plan(
+            run, plan, l1, l2, indexes=_indexes(run.spec),
+            strategy="frontier", direction="backward",
+            executor=ExecutorConfig(workers=2),
+        )
+        assert physical.root.macros, "expected a macro-routed safe subtree"
+        tracer = Tracer(registry=MetricsRegistry())
+        with use_tracer(tracer):
+            streamed = list(execute_iter(physical))
+        assert len(streamed) == len(set(streamed))
+        assert set(streamed) == reference
+        [search] = [span for span in tracer.spans() if span.name == "exec.frontier_search"]
+        assert search.attrs["mode"] == "parallel"
 
 
 class TestPlannerResolution:
@@ -232,20 +268,9 @@ class TestPlannerResolution:
         with pytest.raises(ValueError, match="workers must be at least 1"):
             ExecutorConfig(workers=0)
 
-    def test_unknown_backend_raises(self):
-        with pytest.raises(ValueError, match="unknown backend 'gpu'"):
-            ExecutorConfig(backend="gpu")
-
-    def test_backend_resolution(self, monkeypatch):
-        """Explicit backends pass through; ``auto`` picks processes where
-        ``fork`` exists and threads elsewhere."""
-        assert ExecutorConfig(backend="thread").resolved_backend() == "thread"
-        assert ExecutorConfig(backend="process").resolved_backend() == "process"
-        monkeypatch.setattr(config_module.os, "fork", lambda: 0, raising=False)
-        monkeypatch.setattr(config_module.sys, "platform", "linux")
-        assert ExecutorConfig().resolved_backend() == "process"
-        monkeypatch.setattr(config_module.sys, "platform", "win32")
-        assert ExecutorConfig().resolved_backend() == "thread"
+    def test_pool_kind_is_not_configurable(self):
+        with pytest.raises(TypeError):
+            ExecutorConfig(backend="thread")
 
 
 class TestWorkerBudget:
@@ -270,7 +295,7 @@ class TestWorkerBudget:
         budget = WorkerBudget(2)
         reference = execute(_physical(run, "_* a _*", nodes[:6], nodes))
         with budget.lease(2):  # a busy batch holds the whole budget
-            config = ExecutorConfig(workers=4, backend="thread", budget=budget)
+            config = ExecutorConfig(workers=4, budget=budget)
             physical = _physical(
                 run, "_* a _*", nodes[:6], nodes, strategy="frontier", executor=config
             )
@@ -288,7 +313,7 @@ class TestWorkerBudget:
         run = _RUNS["paper"][0]
         nodes = list(run.node_ids())
         budget = WorkerBudget(4)
-        config = ExecutorConfig(workers=4, backend="thread", budget=budget)
+        config = ExecutorConfig(workers=2, budget=budget)
         physical = _physical(
             run, "_* a _*", nodes, None, strategy="frontier", executor=config
         )
@@ -320,7 +345,7 @@ class TestBrokenPoolFallback:
         physical = _physical(
             run, "_* a _*", nodes, None,
             strategy="frontier",
-            executor=ExecutorConfig(workers=2, backend="process", budget=budget),
+            executor=ExecutorConfig(workers=2, budget=budget),
         )
         tracer = Tracer(registry=MetricsRegistry())
         with use_tracer(tracer):
@@ -332,9 +357,77 @@ class TestBrokenPoolFallback:
         assert search.attrs.get("fallback") == "local"
         assert budget.in_use == 0
 
-    def test_unusable_process_pool_degrades_to_threads(self, monkeypatch):
-        """When a process pool cannot even be constructed, the fan-out runs
-        on a thread pool with the in-process task and still matches serial."""
+    def test_worker_that_fails_to_spawn_falls_back_locally(self, monkeypatch):
+        """Workers spawn inside ``submit``, not in the pool constructor: a
+        spawn failure there (here ``EAGAIN`` from the process start) must
+        still end in the in-process fallback, not escape to the caller."""
+        def no_spawn(process):
+            raise OSError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(
+            multiprocessing.context.ForkServerProcess, "_Popen", staticmethod(no_spawn)
+        )
+        run = _RUNS["paper"][0]
+        nodes = list(run.node_ids())
+        serial = execute(_physical(run, "_* a _*", nodes, None, strategy="frontier"))
+        budget = WorkerBudget(4)
+        physical = _physical(
+            run, "_* a _*", nodes, None,
+            strategy="frontier",
+            executor=ExecutorConfig(workers=2, budget=budget),
+        )
+        tracer = Tracer(registry=MetricsRegistry())
+        with use_tracer(tracer):
+            streamed = list(execute_iter(physical))
+        assert len(streamed) == len(set(streamed))
+        assert set(streamed) == serial
+        [search] = [span for span in tracer.spans() if span.name == "exec.frontier_search"]
+        assert search.attrs["mode"] == "parallel"
+        assert search.attrs.get("fallback") == "local"
+        assert budget.in_use == 0
+
+    def test_pool_that_refuses_later_chunks_runs_the_rest_locally(self, monkeypatch):
+        """A pool that takes the first chunk and then refuses ``submit``
+        keeps the chunk it took; the refused chunks run in-process, every
+        chunk is stitched under the search span once, and the budget frees
+        when the submitted chunk completes."""
+        original = executor_module.ProcessPoolExecutor.submit
+        accepted = []
+
+        def submit_once(pool, *args, **kwargs):
+            if accepted:
+                raise RuntimeError("cannot schedule new futures after shutdown")
+            accepted.append(args)
+            return original(pool, *args, **kwargs)
+
+        monkeypatch.setattr(executor_module.ProcessPoolExecutor, "submit", submit_once)
+        run = _RUNS["paper"][0]
+        nodes = list(run.node_ids())
+        serial = execute(_physical(run, "_* a _*", nodes, None, strategy="frontier"))
+        budget = WorkerBudget(4)
+        physical = _physical(
+            run, "_* a _*", nodes, None,
+            strategy="frontier",
+            executor=ExecutorConfig(workers=2, budget=budget),
+        )
+        tracer = Tracer(registry=MetricsRegistry())
+        with use_tracer(tracer):
+            streamed = list(execute_iter(physical))
+        assert len(accepted) == 1
+        assert len(streamed) == len(set(streamed))
+        assert set(streamed) == serial
+        chunks = [span for span in tracer.spans() if span.name == "exec.frontier_chunk"]
+        [search] = [span for span in tracer.spans() if span.name == "exec.frontier_search"]
+        assert len(chunks) > 1
+        assert all(span.parent_id == search.span_id for span in chunks)
+        assert sum(span.attrs["seeds"] for span in chunks) == len(nodes)
+        assert search.attrs.get("fallback") == "local"
+        assert budget.in_use == 0
+
+    def test_unusable_process_pool_runs_chunks_in_process(self, monkeypatch):
+        """When a process pool cannot even be constructed, every chunk runs
+        in-process through the worker's chunk code, still matches serial,
+        and is stitched under the search span like a worker's record."""
         def no_processes(*args, **kwargs):
             raise OSError("process pools unavailable")
 
@@ -345,7 +438,7 @@ class TestBrokenPoolFallback:
         physical = _physical(
             run, "_* a _*", nodes, None,
             strategy="frontier",
-            executor=ExecutorConfig(workers=2, backend="process"),
+            executor=ExecutorConfig(workers=2),
         )
         tracer = Tracer(registry=MetricsRegistry())
         with use_tracer(tracer):
@@ -355,10 +448,11 @@ class TestBrokenPoolFallback:
         chunks = [span for span in tracer.spans() if span.name == "exec.frontier_chunk"]
         [search] = [span for span in tracer.spans() if span.name == "exec.frontier_search"]
         assert chunks
-        # Live thread-pool spans, not chunk records stitched from processes.
-        assert all(span.thread != "worker" for span in chunks)
+        assert all(span.thread == "worker" for span in chunks)
         assert all(span.parent_id == search.span_id for span in chunks)
-        assert "fallback" not in search.attrs
+        assert all(search.start <= span.start <= span.end for span in chunks)
+        assert sum(span.attrs["seeds"] for span in chunks) == len(nodes)
+        assert search.attrs.get("fallback") == "local"
 
 
 class TestPhysicalPlanReporting:
@@ -372,8 +466,8 @@ class TestPhysicalPlanReporting:
 
 
 class TestMacroRelationThreadSafety:
-    """The lazily decoded macro relation is shared by every seed search of a
-    thread-pool executor (regression: readers used to peek at the half-built
+    """The lazily decoded macro relation decodes once however many threads
+    read it at once (regression: readers used to peek at the half-built
     fields outside the lock instead of working off the materialized maps)."""
 
     def test_concurrent_readers_decode_once_and_agree(self):

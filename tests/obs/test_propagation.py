@@ -1,9 +1,10 @@
-"""Trace-context propagation across the executor's pool backends.
+"""Trace-context propagation across the executor's process pool.
 
-The load-bearing claims: chunk spans recorded by thread-pool workers and
-stitched from process-pool records both nest under the ``exec.frontier_search``
-span of the submitting thread, and a saturated budget degrading execution to
-serial still produces a correctly nested search span (mode visible).
+The load-bearing claims: chunk spans stitched from process-pool records nest
+under the ``exec.frontier_search`` span of the submitting thread and
+assemble into one connected profile, and a saturated budget degrading
+execution to serial still produces a correctly nested search span (mode
+visible).
 """
 
 from repro.core.decomposition import plan_decomposition
@@ -49,35 +50,9 @@ def _search_span(spans):
 _REFERENCE = set(execute_iter(_physical(ExecutorConfig())))
 
 
-class TestThreadBackend:
-    def test_chunk_spans_nest_under_the_search_span(self):
-        pairs, spans = _traced_pairs(ExecutorConfig(workers=4, backend="thread"))
-        assert pairs == _REFERENCE
-        search = _search_span(spans)
-        assert search.attrs["mode"] == "parallel"
-        chunks = [span for span in spans if span.name == "exec.frontier_chunk"]
-        assert chunks, "thread workers recorded no chunk spans"
-        assert all(chunk.parent_id == search.span_id for chunk in chunks)
-        # Live spans from pool threads carry the pool thread's name.
-        assert all(chunk.thread != search.thread for chunk in chunks)
-        assert sum(chunk.attrs["seeds"] for chunk in chunks) == len(_RUN.node_ids())
-
-    def test_profile_assembles_one_connected_tree(self):
-        _, spans = _traced_pairs(ExecutorConfig(workers=4, backend="thread"))
-        profile = ExecutionProfile.from_spans(spans)
-        assert profile.root is not None
-        names = set()
-        stack = [profile.root]
-        while stack:
-            node = stack.pop()
-            names.add(node.name)
-            stack.extend(node.children)
-        assert "exec.frontier_chunk" in names
-
-
 class TestProcessBackend:
     def test_worker_records_stitch_under_the_search_span(self):
-        pairs, spans = _traced_pairs(ExecutorConfig(workers=2, backend="process"))
+        pairs, spans = _traced_pairs(ExecutorConfig(workers=2))
         assert pairs == _REFERENCE
         search = _search_span(spans)
         assert search.attrs["mode"] == "parallel"
@@ -91,12 +66,24 @@ class TestProcessBackend:
             assert search.start <= chunk.start <= chunk.end
         assert sum(chunk.attrs["seeds"] for chunk in chunks) == len(_RUN.node_ids())
 
+    def test_profile_assembles_one_connected_tree(self):
+        _, spans = _traced_pairs(ExecutorConfig(workers=2))
+        profile = ExecutionProfile.from_spans(spans)
+        assert profile.root is not None
+        names = set()
+        stack = [profile.root]
+        while stack:
+            node = stack.pop()
+            names.add(node.name)
+            stack.extend(node.children)
+        assert "exec.frontier_chunk" in names
+
 
 class TestSerialDegrade:
     def test_saturated_budget_keeps_the_span_nested_and_visible(self):
         budget = WorkerBudget(2)
         with budget.lease(2):  # a busy batch holds the whole budget
-            config = ExecutorConfig(workers=4, backend="thread", budget=budget)
+            config = ExecutorConfig(workers=4, budget=budget)
             tracer = Tracer(registry=MetricsRegistry())
             with use_tracer(tracer):
                 with tracer.span("caller") as caller:
@@ -110,7 +97,7 @@ class TestSerialDegrade:
         ]
 
     def test_unsaturated_budget_still_fans_out(self):
-        config = ExecutorConfig(workers=2, backend="thread", budget=WorkerBudget(4))
+        config = ExecutorConfig(workers=2, budget=WorkerBudget(4))
         pairs, spans = _traced_pairs(config)
         assert pairs == _REFERENCE
         search = _search_span(spans)
