@@ -63,7 +63,7 @@ def _default_streaming_functions() -> frozenset[str]:
 class AnalysisConfig:
     """Project-shape knowledge shared by the rules."""
 
-    #: planner modules that must stay deterministic (REP103, REP109).
+    #: planner modules that must stay deterministic (REP109).
     determinism_modules: frozenset[str] = field(
         default_factory=_default_determinism_modules
     )

@@ -9,10 +9,6 @@ REP101    lock discipline — attributes declared ``# guarded-by: <lock>`` may
 REP102    process-pool picklability — callables handed to a
           ``ProcessPoolExecutor`` must be module-level (importable by the
           child) and must not be lambdas, closures or bound methods
-REP103    planner determinism — planner modules may not import clocks or
-          randomness, read ``os.environ``, touch the filesystem, or mutate
-          module-level state: plans are cached by canonical key, so planning
-          must be a pure function of its inputs
 REP104    exception discipline — ``except Exception`` (and broader) only in
           boundary modules; core code catches :class:`~repro.errors.ReproError`
           subclasses (a handler that just cleans up and re-raises is fine)
@@ -30,8 +26,9 @@ REP108    lock order — the lock-order graph built from ``with`` nesting
           potential deadlock, reported with the full acquisition path
 REP109    planner purity — no impure effect (clock, randomness, env, file
           IO, global mutation) may be *reachable* from a planner function
-          through any resolved call chain; the interprocedural arm of the
-          module-scoped REP103
+          through any resolved call chain, its own body included: plans are
+          cached by canonical key, so planning must be a pure function of
+          its inputs
 ========  ====================================================================
 
 REP108 and REP109 (and the caller-aware arm of REP101) are *project* rules:
@@ -455,135 +452,6 @@ class PicklableSubmitRule(Rule):
 
 
 # ---------------------------------------------------------------------------
-# REP103 — planner determinism
-# ---------------------------------------------------------------------------
-
-_NONDETERMINISTIC_MODULES = frozenset(
-    {"time", "random", "secrets", "uuid", "datetime", "tempfile"}
-)
-_ENV_ATTRS = frozenset({"environ", "urandom", "getenv", "getrandom"})
-_MUTATORS = frozenset(
-    {"append", "add", "update", "setdefault", "pop", "popitem", "clear",
-     "extend", "insert", "remove", "discard"}
-)
-
-
-@register
-class PlannerDeterminismRule(Rule):
-    """Planner modules stay pure: plans are cached by canonical key."""
-
-    id = "REP103"
-    name = "planner-determinism"
-    description = (
-        "planner modules (decomposition, optimizer, exec.plan) may not use "
-        "clocks, randomness, environment variables, file IO or module-level "
-        "mutable state — cached plans must be pure functions of their inputs"
-    )
-
-    def check(
-        self, module: Module, project: Project, config: "AnalysisConfig"
-    ) -> Iterator[Finding]:
-        if module.logical_name not in config.determinism_modules:
-            return
-        mutable_globals = self._mutable_globals(module.tree)
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    top = alias.name.split(".")[0]
-                    if top in _NONDETERMINISTIC_MODULES:
-                        yield self.finding(
-                            module, node.lineno,
-                            f"import of nondeterministic module '{alias.name}' in a planner module",
-                        )
-            elif isinstance(node, ast.ImportFrom):
-                top = (node.module or "").split(".")[0]
-                if top in _NONDETERMINISTIC_MODULES:
-                    yield self.finding(
-                        module, node.lineno,
-                        f"import from nondeterministic module '{node.module}' in a planner module",
-                    )
-            elif isinstance(node, ast.Attribute):
-                if (
-                    isinstance(node.value, ast.Name)
-                    and node.value.id == "os"
-                    and node.attr in _ENV_ATTRS
-                ):
-                    yield self.finding(
-                        module, node.lineno,
-                        f"'os.{node.attr}' read in a planner module makes cached plans "
-                        "depend on ambient state",
-                    )
-            elif isinstance(node, ast.Global):
-                yield self.finding(
-                    module, node.lineno,
-                    f"'global {', '.join(node.names)}' in a planner module: cached "
-                    "plans must not depend on module-level mutable state",
-                )
-            elif isinstance(node, ast.Call) and _func_name(node.func) == "open":
-                yield self.finding(
-                    module, node.lineno, "file IO in a planner module"
-                )
-        yield from self._check_global_mutation(module, mutable_globals)
-
-    @staticmethod
-    def _mutable_globals(tree: ast.Module) -> set[str]:
-        """Module-level names bound to mutable literals/constructors."""
-        mutable: set[str] = set()
-        for statement in tree.body:
-            if isinstance(statement, ast.Assign):
-                value = statement.value
-                is_mutable = isinstance(value, (ast.Dict, ast.List, ast.Set)) or (
-                    isinstance(value, ast.Call)
-                    and _func_name(value.func) in ("dict", "list", "set", "defaultdict")
-                )
-                if is_mutable:
-                    mutable.update(
-                        target.id
-                        for target in statement.targets
-                        if isinstance(target, ast.Name)
-                    )
-        return mutable
-
-    def _check_global_mutation(
-        self, module: Module, mutable_globals: set[str]
-    ) -> Iterator[Finding]:
-        if not mutable_globals:
-            return
-        for outer in ast.walk(module.tree):
-            if not isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            for node in ast.walk(outer):
-                if (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in _MUTATORS
-                    and isinstance(node.func.value, ast.Name)
-                    and node.func.value.id in mutable_globals
-                ):
-                    yield self.finding(
-                        module, node.lineno,
-                        f"mutation of module-level '{node.func.value.id}' from a "
-                        "planner function: plans are cached, so planner state must "
-                        "live on the plan",
-                    )
-                elif isinstance(node, (ast.Assign, ast.AugAssign)):
-                    targets = (
-                        node.targets if isinstance(node, ast.Assign) else [node.target]
-                    )
-                    for target in targets:
-                        if (
-                            isinstance(target, ast.Subscript)
-                            and isinstance(target.value, ast.Name)
-                            and target.value.id in mutable_globals
-                        ):
-                            yield self.finding(
-                                module, node.lineno,
-                                f"subscript write to module-level "
-                                f"'{target.value.id}' from a planner function",
-                            )
-
-
-# ---------------------------------------------------------------------------
 # REP104 — exception discipline
 # ---------------------------------------------------------------------------
 
@@ -954,10 +822,10 @@ class PlannerPurityRule(Rule):
     id = "REP109"
     name = "planner-purity"
     description = (
-        "no impure effect (clock, randomness, env, file IO, global "
-        "mutation) may be reachable from a planner function through any "
-        "resolved call chain — the interprocedural arm of REP103, which "
-        "only inspects the planner modules themselves"
+        "planner functions (decomposition, optimizer, exec.plan) may not "
+        "reach an impure effect (clock, randomness, env, file IO, global "
+        "mutation) directly or through any resolved call chain — cached "
+        "plans must be pure functions of their inputs"
     )
     requires_model = True
 

@@ -4,19 +4,18 @@ Each function gets a *direct* effect set from a syntactic scan — clock
 reads, randomness, environment reads, file IO, module-level state mutation —
 and a *transitive* set as the fixpoint of direct effects unioned along call
 edges.  The transitive sets power REP109 ("no impure effect reachable from a
-planner entry point"): unlike REP103, which trusts a module allowlist, a
-planner function here is judged by what it actually calls, across modules.
+planner entry point"): a planner function is judged by what its own body
+does and by what it actually calls, across modules.
 
 Unresolved calls are treated as effect-free (optimistic).  That is the right
 polarity for this check: the resolver covers the project's own call idioms,
 and an optimistic default means a finding is always a real, witnessed path —
 the witness chain in the finding message can be followed by hand.
 
-Direct-effect detection mirrors REP103's tables (clock/randomness module
-imports, ``os.environ``/``os.urandom``, ``open``, global mutation) and adds
-method-level file IO (``Path.read_text`` and friends, ``os.replace``, ...)
-so boundary code is honestly labeled even though only planner reachability
-is enforced.
+Direct-effect detection covers clock/randomness module use,
+``os.environ``/``os.urandom``, ``open``, global mutation and method-level
+file IO (``Path.read_text`` and friends, ``os.replace``, ...), so boundary
+code is honestly labeled even though only planner reachability is enforced.
 """
 
 from __future__ import annotations

@@ -17,30 +17,17 @@ This is the kernel of joins and closures (:class:`PackedRelation`, driven by
 reachability closures behind restriction pushdown (:func:`closure_mask`).
 Per-seed frontier searches stay on sets: on sparse runs their per-edge cost
 tracks the real out-degree, where a packed wave pays the full row width.
-
-When numpy is importable (a soft dependency, probed at import time — see
-:data:`HAS_NUMPY`) wide row unions additionally take a vectorized path:
-rows are serialized to a fixed-width little-endian uint64 word layout
-(``row_byte_width`` = ``ceil(n / 64) * 8`` bytes per row), mirrored into an
-``(n, words)`` ``uint64`` matrix, and a propagation becomes one
-``np.bitwise_or.reduce`` over the selected rows.  The kernel is exactly
-equivalent with or without numpy; the probe only switches implementations.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.workflow.run import Run
 
 __all__ = [
-    "WORD_BITS",
-    "HAS_NUMPY",
-    "word_count",
-    "row_byte_width",
     "bit_indices",
-    "rows_to_bytes",
     "NodeInterner",
     "PackedAdjacency",
     "PackedRunView",
@@ -48,38 +35,6 @@ __all__ = [
     "closure_mask",
     "PackedRelation",
 ]
-
-WORD_BITS = 64
-
-
-def _load_numpy() -> Any:
-    """Probe for numpy without making it a hard dependency."""
-    try:
-        import numpy
-    except ImportError:
-        return None
-    return numpy
-
-
-_NUMPY: Any = _load_numpy()
-HAS_NUMPY: bool = _NUMPY is not None
-
-# Vectorize a propagation only when it unions at least this many rows (below
-# that, the Python big-int loop wins on constant factors) ...
-_NUMPY_MIN_FANOUT = 32
-# ... and only mirror a dense uint64 matrix for graphs up to this many nodes
-# (the mirror costs n * ceil(n/64) * 8 bytes; 16384 nodes = 32 MiB).
-_DENSE_NODE_LIMIT = 1 << 14
-
-
-def word_count(bits: int) -> int:
-    """Number of 64-bit words needed for a ``bits``-wide bitset row."""
-    return (bits + WORD_BITS - 1) // WORD_BITS
-
-
-def row_byte_width(bits: int) -> int:
-    """Serialized row width in bytes: whole little-endian uint64 words."""
-    return word_count(bits) * 8
 
 
 def bit_indices(mask: int) -> list[int]:
@@ -90,12 +45,6 @@ def bit_indices(mask: int) -> list[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
-
-
-def rows_to_bytes(rows: Sequence[int], bits: int) -> bytes:
-    """Serialize rows into the fixed-width little-endian word layout."""
-    width = row_byte_width(bits)
-    return b"".join(row.to_bytes(width, "little") for row in rows)
 
 
 class NodeInterner:
@@ -136,24 +85,16 @@ class NodeInterner:
 class PackedAdjacency:
     """One packed row per source node; ``propagate`` is the kernel hot loop."""
 
-    __slots__ = ("node_count", "rows", "_dense")
+    __slots__ = ("node_count", "rows")
 
     def __init__(self, node_count: int, rows: Sequence[int]) -> None:
         if len(rows) != node_count:
             raise ValueError(f"expected {node_count} rows, got {len(rows)}")
         self.node_count = node_count
         self.rows: list[int] = list(rows)
-        # Lazily-built numpy mirror; idempotent to race on (see _matrix).
-        self._dense: Any = None
 
     def propagate(self, mask: int) -> int:
         """Union of the successor rows of every set bit of ``mask``."""
-        if (
-            _NUMPY is not None
-            and 0 < self.node_count <= _DENSE_NODE_LIMIT
-            and mask.bit_count() >= _NUMPY_MIN_FANOUT
-        ):
-            return self._propagate_dense(mask)
         rows = self.rows
         out = 0
         while mask:
@@ -161,34 +102,6 @@ class PackedAdjacency:
             out |= rows[low.bit_length() - 1]
             mask ^= low
         return out
-
-    def _matrix(self) -> Any:
-        """The ``(n, words)`` uint64 mirror of the rows, built on first use.
-
-        Safe to race from threads: every builder computes the same immutable
-        array and the attribute store is atomic under the GIL.
-        """
-        dense = self._dense
-        if dense is None:
-            words = word_count(self.node_count)
-            flat = _NUMPY.frombuffer(
-                rows_to_bytes(self.rows, self.node_count), dtype=_NUMPY.uint64
-            )
-            dense = flat.reshape(self.node_count, words)
-            self._dense = dense
-        return dense
-
-    def _propagate_dense(self, mask: int) -> int:
-        width = row_byte_width(self.node_count)
-        mask_bytes = _NUMPY.frombuffer(
-            mask.to_bytes(width, "little"), dtype=_NUMPY.uint8
-        )
-        selected = _NUMPY.unpackbits(mask_bytes, bitorder="little")[: self.node_count]
-        rows = self._matrix()[selected.astype(bool)]
-        if not len(rows):
-            return 0
-        out = _NUMPY.bitwise_or.reduce(rows, axis=0)
-        return int.from_bytes(out.tobytes(), "little")
 
 
 class PackedRunView:

@@ -130,9 +130,6 @@ class DecompositionPlan:
     _dfa_memo: dict[str, DFA] = field(  # guarded-by: _memo_lock
         default_factory=dict, repr=False, compare=False
     )
-    _direction_memo: dict[str, str] = field(  # guarded-by: _memo_lock
-        default_factory=dict, repr=False, compare=False
-    )
     _mutations: int = field(default=0, repr=False, compare=False)  # guarded-by: _memo_lock
 
     def __post_init__(self) -> None:
@@ -140,10 +137,10 @@ class DecompositionPlan:
 
     @property
     def mutations(self) -> int:
-        """How many times the persistable memos (macro DFAs, direction
-        decisions) have grown.  The cache layer compares this against the
-        count it last persisted to decide whether the store copy is stale —
-        direction decisions change no cost, so cost alone cannot tell."""
+        """How many macro DFAs this plan instance has built.  The cache layer
+        compares this against the count it last persisted to decide whether
+        the store copy is stale — cost alone cannot tell, because the memo
+        resets at 16 entries and a rebuilt set can sum to the same cost."""
         with self._memo_lock:
             return self._mutations
 
@@ -205,34 +202,6 @@ class DecompositionPlan:
         frontier evaluation after a warm restart skips the determinization."""
         with self._memo_lock:
             self._dfa_memo.update(dfas)
-
-    def cached_direction(self, key: str) -> str | None:
-        """The last frontier direction recorded for one workload shape
-        (see :func:`repro.core.exec.plan.build_physical_plan`), or ``None``.
-        A record, not a routing input: the executor layer re-derives the
-        decision (O(1) arithmetic) on every plan."""
-        with self._memo_lock:
-            return self._direction_memo.get(key)
-
-    def remember_direction(self, key: str, direction: str) -> None:
-        """Record a used direction decision; bounded like the routing memo."""
-        with self._memo_lock:
-            if len(self._direction_memo) >= 1024:
-                self._direction_memo.clear()
-            self._direction_memo[key] = direction
-            self._mutations += 1
-
-    def direction_hints(self) -> dict[str, str]:
-        """A snapshot of the recorded direction decisions, keyed by
-        log-bucketed workload shape (persisted by :mod:`repro.store` as an
-        inspectable routing history that survives restarts)."""
-        with self._memo_lock:
-            return dict(self._direction_memo)
-
-    def restore_direction_hints(self, hints: dict[str, str]) -> None:
-        """Re-attach direction decisions persisted by a previous process."""
-        with self._memo_lock:
-            self._direction_memo.update(hints)
 
     def describe(self) -> str:
         parts = ", ".join(regex_to_string(node) for node in self.safe_subtrees) or "(none)"

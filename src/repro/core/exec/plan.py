@@ -15,11 +15,10 @@ memos) and the executors (:mod:`repro.core.exec.executor`).  It resolves
   handful of targets and thousands of sources flips to backward instead of
   sweeping the run forward.
 
-The decision itself is O(1) arithmetic and is always computed fresh; used
-decisions are *recorded* on the :class:`DecompositionPlan` (keyed by a
-log-bucketed workload shape) and persisted with it as an inspectable routing
-history — and, more importantly, the reversed macro DFA is stored alongside
-the forward one, so a restarted service pays no re-reversal.
+The decision itself is O(1) arithmetic and is computed fresh on every plan.
+What the :class:`DecompositionPlan` memoizes (and the store persists) is the
+forward and the reversed macro DFA, so a restarted service pays neither the
+determinization nor the reversal.
 """
 
 from __future__ import annotations
@@ -102,10 +101,7 @@ def _resolve_direction(
 
     Always computed from the exact seed counts — the per-seed bound is
     direction-independent, so the comparison is O(1) arithmetic and caching
-    it could only ever get it wrong.  (The decision is *recorded* on the
-    plan afterwards, when a frontier plan actually uses it — see
-    ``_record_direction`` — purely so it round-trips through the store as
-    an inspectable routing history, never as a routing input.)
+    it could only ever get it wrong.
     """
     allowed_count = len(allowed) if allowed is not None else None
     forward_seeds = _seed_count(run, l1, allowed)
@@ -128,27 +124,6 @@ def _resolve_direction(
     if backward_cost < forward_cost:
         return "backward", backward_cost
     return "forward", forward_cost
-
-
-def _record_direction(
-    run: Run,
-    plan: DecompositionPlan,
-    l1: Sequence[str] | None,
-    l2: Sequence[str] | None,
-    allowed: frozenset[str] | None,
-    direction: str,
-) -> None:
-    """Record a *used* frontier direction under a log-bucketed workload
-    shape.  The direction is part of the key, so two workloads that share a
-    bucket but resolve differently (or a config-forced override) coexist as
-    separate records instead of flapping — each (shape, direction) pair is
-    written once, and the store entry is only re-persisted when a genuinely
-    new combination appears."""
-    forward_seeds = _seed_count(run, l1, allowed)
-    backward_seeds = _seed_count(run, l2, allowed)
-    key = f"{forward_seeds.bit_length()}:{backward_seeds.bit_length()}:{direction}"
-    if plan.cached_direction(key) != direction:
-        plan.remember_direction(key, direction)
 
 
 def _macro_decoder(
@@ -301,7 +276,6 @@ def _build_physical_plan(
             resolved_direction, _ = _resolve_direction(
                 run, plan, l1, l2, allowed, config.direction
             )
-        _record_direction(run, plan, l1, l2, allowed, resolved_direction)
         op: PhysicalOp = _frontier_op(
             run, plan, routed, l1, l2, allowed, resolved_direction, indexes
         )

@@ -1,8 +1,8 @@
 """The sanctioned monotonic clock for instrumented code.
 
-The planner modules (``repro.core.decomposition``, ``repro.core.optimizer``,
-``repro.core.exec.plan``) may not import :mod:`time` (REP103), and no impure
-effect may be reachable from them (REP109).  Tracing still needs timestamps,
+No impure effect may be reachable from the planner modules
+(``repro.core.decomposition``, ``repro.core.optimizer``,
+``repro.core.exec.plan``; REP109).  Tracing still needs timestamps,
 so this function is the single carve-out: :func:`now` reads the monotonic
 clock on a line carrying the ``# effect-exempt: clock`` directive honored by
 the effect-inference pass (:mod:`repro.analysis.semantic.effects`).  Any

@@ -113,8 +113,9 @@ class CacheStats:
 class _Entry:
     """One cached query: its safety report, (when safe) its index, and (once
     requested) its decomposition plan.  ``plan_mutations`` is the plan's
-    mutation count at the last persist, so memo growth that changes no cost
-    (direction decisions) still triggers a re-persist."""
+    mutation count at the last persist, so macro-DFA memo growth that leaves
+    the cost unchanged (a 16-entry memo reset refilled to the same total)
+    still triggers a re-persist."""
 
     report: SafetyReport
     index: QueryIndex | None
@@ -254,8 +255,8 @@ class IndexCache:
             self._reaccount(key, entry)
             self._persist(key, entry)
         elif self._reaccount(key, entry) or self._plan_stale(entry):
-            # Macro DFAs or direction decisions memoized since the last call
-            # grew the plan; re-persist so the store copy carries them too.
+            # Macro DFAs memoized since the last call grew the plan;
+            # re-persist so the store copy carries them too.
             self._persist(key, entry)
         return plan
 

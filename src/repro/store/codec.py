@@ -12,9 +12,8 @@ JSON-ready dictionaries here, and rebuilt from them:
   λ matrices exactly like a freshly built one;
 * a :class:`~repro.core.decomposition.DecompositionPlan` — the canonical
   query, its maximal safe subtrees (as query text that parses back to equal
-  syntax trees), the memoized macro DFAs of the frontier strategy (forward
-  *and* reversed, under distinct memo keys) and the memoized direction
-  decisions of the executor layer.
+  syntax trees) and the memoized macro DFAs of the frontier strategy
+  (forward *and* reversed, under distinct memo keys).
 
 Boolean matrices serialize as ``[size, base64]`` pairs: the row bitmasks
 packed into fixed-width little-endian bytes
@@ -212,10 +211,8 @@ def plan_to_dict(plan: DecompositionPlan) -> dict[str, Any] | None:
     not render/parse round-trip (then the entry is stored without a plan).
 
     The macro DFA snapshot carries both forward and reversed automata (the
-    memo keys distinguish them), and ``directions`` carries the executor
-    layer's memoized direction decisions, so a restarted service picks the
-    same search direction — and skips the DFA reversal — on the first
-    repeated workload.
+    memo keys distinguish them), so a restarted service skips both the
+    determinization and the DFA reversal on the first repeated workload.
     """
     root_text = _render_stable(plan.root)
     subtree_texts = [_render_stable(node) for node in plan.safe_subtrees]
@@ -227,14 +224,16 @@ def plan_to_dict(plan: DecompositionPlan) -> dict[str, Any] | None:
         "macro_dfas": [
             [key, dfa.to_dict()] for key, dfa in sorted(plan.macro_dfas().items())
         ],
-        "directions": dict(sorted(plan.direction_hints().items())),
     }
 
 
 def plan_from_dict(spec: Specification, payload: dict[str, Any]) -> DecompositionPlan:
     """Rebuild a plan (run-dependent routing memos start empty and are cheap
-    to recompute; the macro DFAs — forward and reversed — and the direction
-    decisions are restored)."""
+    to recompute; the macro DFAs — forward and reversed — are restored).
+
+    Entries written before direction decisions stopped being recorded also
+    carry a ``directions`` key; it is ignored, so those entries still load.
+    """
     plan = DecompositionPlan(
         spec=spec,
         root=parse_regex(str(payload["root"])),
@@ -242,9 +241,6 @@ def plan_from_dict(spec: Specification, payload: dict[str, Any]) -> Decompositio
     )
     plan.restore_macro_dfas(
         {str(key): DFA.from_dict(entry) for key, entry in payload["macro_dfas"]}
-    )
-    plan.restore_direction_hints(
-        {str(key): str(value) for key, value in payload["directions"].items()}
     )
     return plan
 

@@ -70,7 +70,7 @@ from repro.workflow.spec import Specification
 __all__ = ["FORMAT_VERSION", "EntryInfo", "GcResult", "IndexStore", "StoreCounters", "StoredEntry"]
 
 #: Format 2 packs boolean matrices as base64 row bytes (~3x smaller entries),
-#: adds the reversed macro DFAs + direction decisions to plan payloads, and
+#: adds the reversed macro DFAs to plan payloads, and
 #: stamps run artifacts with their specification fingerprint (orphan gc).
 #: Format-1 artifacts fail the version check and degrade to a clean rebuild.
 FORMAT_VERSION = 2

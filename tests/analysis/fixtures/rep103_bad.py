@@ -1,5 +1,5 @@
 # repro-lint-module: repro.core.optimizer
-"""REP103 exhibit: a planner module leaking ambient state into plans."""
+"""REP109 exhibit: a planner module leaking ambient state into plans."""
 
 import os
 import random  # BAD: nondeterministic import

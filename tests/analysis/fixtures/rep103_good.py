@@ -1,5 +1,5 @@
 # repro-lint-module: repro.core.optimizer
-"""REP103 exhibit: planning as a pure function of its inputs."""
+"""REP109 exhibit: planning as a pure function of its inputs."""
 
 _THRESHOLD = 16  # immutable module constant: fine
 

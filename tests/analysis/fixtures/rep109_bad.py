@@ -1,7 +1,7 @@
 # repro-lint-module: fixtures.rep109_planner
 """REP109 exhibit: a planner whose helper reaches the clock.
 
-No *direct* impurity here — REP103 stays silent — but the call graph shows
+No impurity in the planner's own body, but the call graph shows
 ``plan_order`` reaching ``time.time`` through ``stamp``.
 """
 

@@ -73,23 +73,31 @@ class TestPicklableSubmit:
 
 
 class TestPlannerDeterminism:
+    """REP109 on a planner module whose own bodies are impure (no call
+    chain needed): every impurity is flagged on the function holding it."""
+
     def test_bad_fixture_flags_each_impurity(self):
-        findings = lint("REP103", "rep103_bad.py")
-        messages = " | ".join(finding.message for finding in findings)
-        assert "nondeterministic module 'random'" in messages
-        assert "nondeterministic module 'time'" in messages
-        assert "os.environ" in messages
-        assert "global _PLAN_CACHE" in messages
-        assert "file IO" in messages
-        assert "subscript write to module-level '_PLAN_CACHE'" in messages
+        findings = lint("REP109", "rep103_bad.py")
+        flagged = {
+            (finding.message.split("'")[1], finding.message.split("'")[3])
+            for finding in findings
+        }
+        assert flagged == {
+            ("choose_direction", "clock"),
+            ("choose_direction", "randomness"),
+            ("choose_direction", "env"),
+            ("choose_direction", "global-mutation"),
+            ("reset_cache", "global-mutation"),
+            ("persist", "file-io"),
+        }
 
     def test_good_fixture_is_clean(self):
-        assert lint("REP103", "rep103_good.py") == []
+        assert lint("REP109", "rep103_good.py") == []
 
     def test_rule_only_applies_to_planner_modules(self):
         # Same broken source, but without the planner logical name.
         config = AnalysisConfig(determinism_modules=frozenset({"somewhere.else"}))
-        assert lint("REP103", "rep103_bad.py", config=config) == []
+        assert lint("REP109", "rep103_bad.py", config=config) == []
 
 
 class TestBroadExcept:
@@ -197,10 +205,6 @@ class TestPlannerPurity:
         assert "'clock'" in message
         assert "stamp" in message  # the witness chain names the helper
 
-    def test_direct_rule_misses_what_the_reachability_rule_sees(self):
-        # REP103 scans syntax; the impurity hides behind a call.
-        assert lint("REP103", "rep109_bad.py", config=self.CONFIG) == []
-
     def test_pure_helper_chain_is_clean(self):
         findings = lint(
             "REP109", "rep109_good.py", "rep109_helpers.py", config=self.CONFIG
@@ -248,7 +252,6 @@ class TestRepositoryIsClean:
         [
             "REP101",
             "REP102",
-            "REP103",
             "REP104",
             "REP105",
             "REP106",

@@ -1,17 +1,18 @@
 """The packed bitset kernel pinned to its set-based reference.
 
 Every word-parallel operation the packed join path performs — tag/all-edge
-relations, join composition, the semi-naive closure, restriction universes,
-whole-query regex evaluation, and the fixed-width row serialization the
-numpy mirror reads — must return exactly what the per-element set machinery
-(the G1 baseline) returns, on Hypothesis-generated runs, queries, masks and
-node lists (including empty and disjoint ones).  End-to-end tests
+relations, join composition, the semi-naive closure, restriction universes
+and whole-query regex evaluation — must return exactly what the per-element
+set machinery (the G1 baseline) returns, on Hypothesis-generated runs,
+queries, masks and node lists (including empty and disjoint ones).  End-to-end tests
 additionally hold the executor's process-pool frontier and join plans to
 the set reference.
 """
 
-import functools
-import operator
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -19,15 +20,12 @@ from hypothesis import strategies as st
 
 from repro.automata.boolean_matrix import BooleanMatrix
 from repro.automata.regex import parse_regex
-from repro.core import bitset as bitset_module
 from repro.core.bitset import (
     NodeInterner,
     PackedAdjacency,
     PackedRelation,
     bit_indices,
     closure_mask,
-    row_byte_width,
-    rows_to_bytes,
 )
 from repro.core.exec import ExecutorConfig, build_physical_plan, execute
 from repro.core.query_index import build_query_index
@@ -218,19 +216,6 @@ class TestPackedAdjacency:
             expected |= rows[position]
         assert PackedAdjacency(size, rows).propagate(mask) == expected
 
-    def test_vectorized_and_big_int_propagation_agree(self, monkeypatch):
-        """A wide mask takes the numpy path when numpy is importable; with
-        the probe forced off the same call runs the big-int loop."""
-        size = 100
-        rows = [((position * 2654435761) ^ (position << 37)) % (1 << size)
-                for position in range(size)]
-        masks = [(1 << size) - 1, int("10" * (size // 2), 2), (1 << 64) - 1]
-        default = [PackedAdjacency(size, rows).propagate(mask) for mask in masks]
-        monkeypatch.setattr(bitset_module, "_NUMPY", None)
-        fallback = [PackedAdjacency(size, rows).propagate(mask) for mask in masks]
-        assert default == fallback
-        assert default[0] == functools.reduce(operator.or_, rows)
-
     def test_row_count_must_match_node_count(self):
         with pytest.raises(ValueError, match="expected 3 rows, got 2"):
             PackedAdjacency(3, [0, 0])
@@ -238,32 +223,42 @@ class TestPackedAdjacency:
             PackedRelation(2, [0, 0, 0])
 
 
+_SERVE_ONE_UNSAFE_QUERY = """
+import sys
+
+from repro import QueryService
+from repro.datasets.paper_example import paper_specification
+from repro.workflow.derivation import derive_run
+
+service = QueryService()
+service.register_run(derive_run(paper_specification(), seed=0, target_edges=60), "r")
+result = service.execute({"op": "allpairs", "run": "r", "query": "_* a _*"})
+assert result.ok and result.pairs, result
+print("numpy" in sys.modules)
+"""
+
+
+def test_serving_imports_no_optional_accelerator():
+    """The kernel is pure Python, so a fresh process that serves an unsafe
+    all-pairs query (packed joins and closures) never loads numpy, and
+    local runs execute the same code as numpy-less CI runs."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=f"{src}{os.pathsep}{path}" if path else str(src))
+    completed = subprocess.run(
+        [sys.executable, "-c", _SERVE_ONE_UNSAFE_QUERY],
+        env=env, capture_output=True, text=True, timeout=120, check=False,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.strip() == "False"
+
+
 # ---------------------------------------------------------------------------
-# Row serialization: the uint64 word layout of the numpy mirror and store format 2
+# Row serialization: mask decoding and store format 2's packed matrix rows
 # ---------------------------------------------------------------------------
 
 
 class TestRowSerialization:
-    @given(
-        st.integers(1, 200).flatmap(
-            lambda bits: st.tuples(
-                st.just(bits),
-                st.lists(st.integers(0, (1 << bits) - 1), max_size=8),
-            )
-        )
-    )
-    @settings(**_SETTINGS)
-    def test_rows_round_trip_through_word_layout(self, data):
-        bits, rows = data
-        buffer = rows_to_bytes(rows, bits)
-        width = row_byte_width(bits)
-        assert len(buffer) == width * len(rows)
-        parsed = [
-            int.from_bytes(buffer[index * width : (index + 1) * width], "little")
-            for index in range(len(rows))
-        ]
-        assert parsed == rows
-
     @given(st.integers(0, 130))
     @settings(**_SETTINGS)
     def test_bit_indices_inverts_mask_construction(self, seed):

@@ -81,6 +81,36 @@ class TestEntryRoundTrip:
         for key, dfa in plan.macro_dfas().items():
             assert restored.macro_dfas()[key].transitions == dfa.transitions
 
+    def test_entry_with_recorded_directions_still_restores(self, tmp_path, spec, run):
+        """Entries written while frontier directions were still recorded on
+        the plan carry a ``directions`` key; it is ignored, so such an entry
+        is a store hit with its macro DFAs intact, not a rebuild."""
+        store = IndexStore(tmp_path / "store")
+        cache = IndexCache(store=store)
+        plan = cache.plan(spec, UNSAFE_QUERY)
+        warm_frontier_dfa(plan, run)
+        warm_frontier_dfa(plan, run, direction="backward")
+        cache.sync(spec, UNSAFE_QUERY)
+        path = store.entry_path(*IndexCache.key_for(spec, UNSAFE_QUERY))
+        envelope = json.loads(path.read_text())
+        payload = store_module._decode_payload(envelope["payload64"])
+        assert "directions" not in payload["plan"]
+        payload["plan"]["directions"] = {"7:2:backward": "backward"}
+        envelope["payload64"] = store_module._encode_payload(payload)
+        envelope["checksum"] = store_module._checksum(payload)
+        path.write_text(json.dumps(envelope))
+
+        restored_cache = IndexCache(store=IndexStore(store.root))
+        restored = restored_cache.plan(spec, UNSAFE_QUERY)
+        stats = restored_cache.stats
+        assert stats.store_hits == 1
+        assert stats.store_errors == 0
+        assert stats.plan_builds == 0
+        assert len(plan.macro_dfas()) == 2  # forward and reversed
+        assert restored.macro_dfas().keys() == plan.macro_dfas().keys()
+        for key, dfa in plan.macro_dfas().items():
+            assert restored.macro_dfas()[key].transitions == dfa.transitions
+
     def test_no_temp_files_left_behind(self, tmp_path, spec):
         store = _warmed_store(tmp_path, spec)
         assert not list(store.root.rglob("*.tmp"))
