@@ -244,6 +244,25 @@ class TestPlannerResolution:
             )
             assert physical.direction == "backward"
 
+    def test_one_plan_follows_each_workload_shape(self):
+        """A single plan serves both shapes: few sources search forward,
+        few targets search backward, whichever came first."""
+        run = _RUNS["paper"][0]
+        plan = plan_decomposition(run.spec, "_* a _*")
+        nodes = list(run.node_ids())
+        shapes = [
+            (nodes, nodes[:2], "backward"),
+            (nodes[:2], nodes, "forward"),
+            (nodes, nodes[:2], "backward"),
+        ]
+        for l1, l2, expected in shapes:
+            physical = build_physical_plan(
+                run, plan, l1, l2, indexes=_indexes(run.spec)
+            )
+            assert physical.strategy == "frontier"
+            assert physical.direction == expected
+            assert physical.root.direction == expected
+
     def test_explicit_direction_overrides_executor_config(self):
         run = _RUNS["paper"][0]
         nodes = list(run.node_ids())

@@ -81,6 +81,25 @@ class TestEntryRoundTrip:
         for key, dfa in plan.macro_dfas().items():
             assert restored.macro_dfas()[key].transitions == dfa.transitions
 
+    def test_memo_rebuilt_at_equal_cost_is_persisted(self, tmp_path, spec, run):
+        """The macro-DFA memo resets at 16 entries, so it can be rebuilt to
+        the same summed cost with different keys; ``sync`` must still
+        rewrite the store copy (the plan's build count differs)."""
+        store = IndexStore(tmp_path / "store")
+        cache = IndexCache(store=store)
+        plan = cache.plan(spec, UNSAFE_QUERY)
+        dfa = warm_frontier_dfa(plan, run)
+        for index in range(1, 16):
+            plan.memoized_dfa(f"first-{index}", lambda: dfa)
+        cache.sync(spec, UNSAFE_QUERY)
+        persisted_cost = plan.cost()
+        for index in range(16):
+            plan.memoized_dfa(f"second-{index}", lambda: dfa)
+        assert plan.cost() == persisted_cost
+        cache.sync(spec, UNSAFE_QUERY)
+        restored = IndexCache(store=IndexStore(store.root)).plan(spec, UNSAFE_QUERY)
+        assert set(restored.macro_dfas()) == {f"second-{index}" for index in range(16)}
+
     def test_entry_with_recorded_directions_still_restores(self, tmp_path, spec, run):
         """Entries written while frontier directions were still recorded on
         the plan carry a ``directions`` key; it is ignored, so such an entry
