@@ -6,9 +6,6 @@ Each rule encodes one invariant the PR 1-6 architecture depends on:
 REP101    lock discipline — attributes declared ``# guarded-by: <lock>`` may
           only be touched inside ``with <self>.<lock>:`` (or in functions
           annotated ``# holds-lock: <lock>``, whose callers hold it)
-REP102    process-pool picklability — callables handed to a
-          ``ProcessPoolExecutor`` must be module-level (importable by the
-          child) and must not be lambdas, closures or bound methods
 REP104    exception discipline — ``except Exception`` (and broader) only in
           boundary modules; core code catches :class:`~repro.errors.ReproError`
           subclasses (a handler that just cleans up and re-raises is fine)
@@ -298,156 +295,6 @@ class LockDisciplineRule(Rule):
                     f"{access} '{node.attr}' (guarded-by: {lock}) outside "
                     f"'with {lock}' (annotate the function '# holds-lock: "
                     f"{lock}' if every caller holds it)",
-                )
-
-
-# ---------------------------------------------------------------------------
-# REP102 — process-pool picklability
-# ---------------------------------------------------------------------------
-
-
-@register
-class PicklableSubmitRule(Rule):
-    """Process pools only run module-level callables with plain-data args."""
-
-    id = "REP102"
-    name = "picklable-submit"
-    description = (
-        "callables submitted to a ProcessPoolExecutor (submit target, "
-        "initializer) must be module-level functions or imported names — "
-        "never lambdas, nested functions or bound methods — and submit "
-        "arguments must not be lambdas"
-    )
-
-    def check(
-        self, module: Module, project: Project, config: "AnalysisConfig"
-    ) -> Iterator[Finding]:
-        module_level = self._module_level_names(module.tree)
-        nested = self._nested_function_names(module.tree)
-        for scope in self._scopes(module.tree):
-            own_nodes = list(self._own_nodes(scope))
-            pools = self._process_pool_names(own_nodes)
-            for node in own_nodes:
-                if not isinstance(node, ast.Call):
-                    continue
-                if (
-                    isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "submit"
-                    and isinstance(node.func.value, ast.Name)
-                    and node.func.value.id in pools
-                    and node.args
-                ):
-                    yield from self._check_callable(
-                        module, node.args[0], module_level, nested, "submitted to"
-                    )
-                    for argument in node.args[1:]:
-                        if isinstance(argument, ast.Lambda):
-                            yield self.finding(
-                                module,
-                                argument.lineno,
-                                "lambda passed as a process-pool task argument "
-                                "is not picklable; pass plain data",
-                            )
-                if _func_name(node.func) == "ProcessPoolExecutor":
-                    for keyword in node.keywords:
-                        if keyword.arg == "initializer":
-                            yield from self._check_callable(
-                                module,
-                                keyword.value,
-                                module_level,
-                                nested,
-                                "used as initializer of",
-                            )
-
-    @staticmethod
-    def _scopes(tree: ast.Module) -> Iterator[ast.Module | ast.FunctionDef | ast.AsyncFunctionDef]:
-        yield tree
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield node
-
-    @classmethod
-    def _own_nodes(cls, scope: ast.AST) -> Iterator[ast.AST]:
-        """Walk a scope without descending into nested function scopes, so a
-        pool variable in one function never taints another's submits."""
-        for child in ast.iter_child_nodes(scope):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                continue
-            yield child
-            yield from cls._own_nodes(child)
-
-    @staticmethod
-    def _process_pool_names(own_nodes: list[ast.AST]) -> set[str]:
-        """Names assigned ``ProcessPoolExecutor(...)`` in this scope (the
-        rule stays scope-local on purpose: a pool received as an argument may
-        legitimately be a thread pool)."""
-        pools: set[str] = set()
-        for node in own_nodes:
-            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
-                if _func_name(node.value.func) == "ProcessPoolExecutor":
-                    for target in node.targets:
-                        if isinstance(target, ast.Name):
-                            pools.add(target.id)
-        return pools
-
-    @staticmethod
-    def _module_level_names(tree: ast.Module) -> set[str]:
-        names: set[str] = set()
-        for statement in tree.body:
-            if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                names.add(statement.name)
-            elif isinstance(statement, ast.Import):
-                names.update(alias.asname or alias.name.split(".")[0] for alias in statement.names)
-            elif isinstance(statement, ast.ImportFrom):
-                names.update(alias.asname or alias.name for alias in statement.names)
-            elif isinstance(statement, ast.Assign):
-                names.update(
-                    target.id for target in statement.targets if isinstance(target, ast.Name)
-                )
-        return names
-
-    @staticmethod
-    def _nested_function_names(tree: ast.Module) -> set[str]:
-        nested: set[str] = set()
-        for outer in ast.walk(tree):
-            if isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                for inner in ast.walk(outer):
-                    if inner is not outer and isinstance(
-                        inner, (ast.FunctionDef, ast.AsyncFunctionDef)
-                    ):
-                        nested.add(inner.name)
-        return nested
-
-    def _check_callable(
-        self,
-        module: Module,
-        candidate: ast.expr,
-        module_level: set[str],
-        nested: set[str],
-        role: str,
-    ) -> Iterator[Finding]:
-        if isinstance(candidate, ast.Lambda):
-            yield self.finding(
-                module,
-                candidate.lineno,
-                f"lambda {role} a process pool cannot be pickled; "
-                "use a module-level function",
-            )
-        elif isinstance(candidate, ast.Attribute):
-            yield self.finding(
-                module,
-                candidate.lineno,
-                f"bound method or attribute '{ast.unparse(candidate)}' {role} a "
-                "process pool would pickle its receiver; use a module-level "
-                "function taking plain data",
-            )
-        elif isinstance(candidate, ast.Name):
-            if candidate.id in nested and candidate.id not in module_level:
-                yield self.finding(
-                    module,
-                    candidate.lineno,
-                    f"nested function '{candidate.id}' {role} a process pool "
-                    "cannot be pickled; move it to module level",
                 )
 
 

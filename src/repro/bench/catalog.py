@@ -4,7 +4,7 @@ The entries fall into two groups:
 
 * **ported** — the claims the old hand-rolled ``bench_*.py`` scripts tracked
   (fig13 overhead/pairwise/all-pairs/Kleene, fig15 restriction pushdown,
-  service throughput, store warm restarts, frontier direction/parallelism),
+  service throughput, store warm restarts, frontier direction),
   now expressed as points in the factor space of
   :class:`~repro.bench.scenarios.Scenario`;
 * **new coverage** — the synthetic grammar families (deep recursion, wide
@@ -13,8 +13,9 @@ The entries fall into two groups:
   cheap to add.
 
 :data:`INVARIANTS` declares the cross-scenario performance relations the old
-scripts asserted inline (backward < forward, parallel ≥ 2x, warm restart
-≥ 4.5x); ``repro bench gate`` enforces them on every gated run.
+scripts asserted inline (backward < forward, warm restart ≥ 4.5x) plus the
+sweep's margin over the per-seed search; ``repro bench gate`` enforces them
+on every gated run.
 :func:`check_catalog` is the fail-fast validation behind ``repro bench
 check``.
 """
@@ -39,9 +40,9 @@ __all__ = ["CATALOG", "INVARIANTS", "check_catalog", "get_scenario", "select"]
 
 _CI = ("ci", "full")
 
-#: The frontier-direction/parallelism workload shared by four entries below:
-#: a large loop-heavy QBLast run, every node as a source, three
-#: high-fan-in targets — the regime where direction and fan-out matter.
+#: The frontier workload shared by three entries below: a large loop-heavy
+#: QBLast run, every node as a source, three high-fan-in targets — the
+#: regime where the direction and the number of seeds matter.
 _FRONTIER = {
     "grammar": "qblast",
     "query_class": "unsafe-allpairs",
@@ -160,7 +161,7 @@ CATALOG: tuple[Scenario, ...] = (
         params=(("query", "_* qx_b _*"), ("lists", "restricted")),
         suites=_CI,
     ),
-    # -- ported: executor direction + parallelism (PR 5) ------------------------
+    # -- ported: executor direction (PR 5) ---------------------------------------
     Scenario(
         id="frontier-forward",
         title="frontier search, forward from every source",
@@ -173,11 +174,13 @@ CATALOG: tuple[Scenario, ...] = (
         executor=ExecutorFactors(strategy="frontier", direction="backward"),
         **_FRONTIER,
     ),
+    # The same forward workload searched one seed at a time: the baseline
+    # the multi-source sweep replaced.
     Scenario(
-        id="frontier-parallel-4w",
-        title="frontier search, 4-worker per-seed fan-out",
-        executor=ExecutorFactors(strategy="frontier", direction="forward", workers=4),
-        **_FRONTIER,
+        id="frontier-per-seed",
+        title="frontier search, forward, one search per source (baseline)",
+        executor=ExecutorFactors(strategy="frontier", direction="forward"),
+        **{**_FRONTIER, "query_class": "per-seed-frontier"},
     ),
     # -- ported: service throughput (PR 1/2) ------------------------------------
     Scenario(
@@ -320,12 +323,11 @@ INVARIANTS: tuple[Invariant, ...] = (
         note="with |l2|=3 and |l1|=all nodes the reversed-DFA search must win",
     ),
     Invariant(
-        id="parallel-2x",
-        fast="frontier-parallel-4w",
-        slow="frontier-forward",
-        factor=2.0,
-        min_cpus=4,
-        note="per-seed process fan-out at 4 workers must give >= 2x",
+        id="sweep-beats-per-seed",
+        fast="frontier-forward",
+        slow="frontier-per-seed",
+        factor=10.0,
+        note="one multi-source sweep must beat one search per source by >= 10x",
     ),
     # The dedicated store benchmark historically showed ~4.5-6x; the bound
     # here is looser because the scenario repays service construction and
@@ -409,10 +411,7 @@ def check_catalog(
         try:
             from repro.core.exec import ExecutorConfig
 
-            ExecutorConfig(
-                direction=scenario.executor.direction,
-                workers=scenario.executor.workers,
-            )
+            ExecutorConfig(direction=scenario.executor.direction)
             if scenario.executor.strategy not in ("auto", "frontier", "join"):
                 raise ValueError(f"unknown strategy {scenario.executor.strategy!r}")
         except ValueError as error:

@@ -15,7 +15,7 @@ fresh run against it with noise-tolerant thresholds:
   ran (refresh the trajectory deliberately when the workload itself
   changed);
 * **invariants** — the catalog's declared cross-scenario relations
-  (backward < forward, parallel ≥ 2x, ...) must hold in the *current*
+  (backward < forward, warm restart ≥ 3.5x, ...) must hold in the *current*
   results, independent of history.
 
 A missing trajectory file bootstraps: the current results are written as the
@@ -26,7 +26,6 @@ Malformed trajectory JSON is a clean one-line :class:`TrajectoryError`.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -139,7 +138,6 @@ def compare(
     invariants: Sequence[Invariant] = (),
     max_regression: float = DEFAULT_MAX_REGRESSION,
     min_significant_s: float = MIN_SIGNIFICANT_S,
-    cpus: int | None = None,
 ) -> GateReport:
     """Gate ``current`` against ``baseline`` (see module notes for the rules)."""
     report = GateReport()
@@ -216,7 +214,6 @@ def compare(
             )
         return report
 
-    machine_cpus = cpus if cpus is not None else (os.cpu_count() or 1)
     for invariant in invariants:
         fast = current_entries.get(invariant.fast)
         slow = current_entries.get(invariant.slow)
@@ -224,15 +221,6 @@ def compare(
             missing = invariant.fast if fast is None else invariant.slow
             report.verdicts.append(
                 Verdict(invariant.id, "skipped", f"scenario {missing!r} not in this run")
-            )
-            continue
-        if machine_cpus < invariant.min_cpus:
-            report.verdicts.append(
-                Verdict(
-                    invariant.id,
-                    "skipped",
-                    f"needs >= {invariant.min_cpus} CPUs, machine has {machine_cpus}",
-                )
             )
             continue
         fast_median = float(fast.get("median_s") or 0.0)

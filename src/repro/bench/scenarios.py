@@ -2,7 +2,7 @@
 
 A :class:`Scenario` is a pure config object describing one benchmark as a
 point in a factor space — grammar family × run size × query class × executor
-configuration (``direction``, ``workers``, ``strategy``, store on/off) — plus
+configuration (``direction``, ``strategy``, store on/off) — plus
 the suites it belongs to.  The catalog (:mod:`repro.bench.catalog`) registers
 the scenarios; this module knows how to *execute* any of them through one
 generic harness:
@@ -74,20 +74,18 @@ class ScenarioError(ReproError):
 class ExecutorFactors:
     """The executor-configuration axis of the factor space.
 
-    Mirrors the executor knobs: frontier ``direction``, parallel ``workers``
-    fan-out, unsafe-remainder ``strategy``, and whether a persistent
+    Mirrors the executor knobs: frontier ``direction``, unsafe-remainder
+    ``strategy``, and whether a persistent
     :class:`~repro.store.IndexStore` backs the service (``store``).
     """
 
     direction: str = "auto"
-    workers: int = 1
     strategy: str = "auto"
     store: bool = False
 
     def as_dict(self) -> dict[str, object]:
         return {
             "direction": self.direction,
-            "workers": self.workers,
             "strategy": self.strategy,
             "store": self.store,
         }
@@ -162,16 +160,15 @@ class Invariant:
     """A relation between two scenarios' timings that must hold in a run.
 
     These replace the hard-coded asserts of the old ``bench_*.py`` scripts
-    (backward beats forward, parallel ≥ 2x, warm restart ≥ 4.5x): the gate
+    (backward beats forward, warm restart ≥ 4.5x): the gate
     checks them on the *current* results, independently of the stored
-    trajectory.  ``min_cpus`` guards claims the hardware cannot express.
+    trajectory.
     """
 
     id: str
     fast: str  # scenario id expected to be faster
     slow: str  # scenario id expected to be slower
     factor: float = 1.0  # require slow_median >= factor * fast_median
-    min_cpus: int = 1
     note: str = ""
 
 
@@ -336,10 +333,7 @@ def _lists(
 def _executor_config(scenario: Scenario) -> "ExecutorConfig":
     from repro.core.exec import ExecutorConfig
 
-    return ExecutorConfig(
-        direction=scenario.executor.direction,
-        workers=scenario.executor.workers,
-    )
+    return ExecutorConfig(direction=scenario.executor.direction)
 
 
 def _make_run(
@@ -455,8 +449,12 @@ def _build_allpairs(scenario: Scenario, scale: ScenarioScale) -> _Prepared:
     ``params['lists']`` shapes the restriction lists: ``"all"`` (sampled
     node lists), ``"restricted"`` (a handful of each — the pushdown regime),
     or ``"few-targets"`` (every node as a source, the three largest-closure
-    nodes as targets — the backward-direction regime).
+    nodes as targets — the backward-direction regime).  The
+    ``per-seed-frontier`` class answers the same workload with the frontier
+    plan searched one seed at a time
+    (:mod:`repro.baselines.per_seed_frontier`), the sweep's comparator.
     """
+    from repro.baselines.per_seed_frontier import per_seed_all_pairs
     from repro.core.decomposition import evaluate_general_query, plan_decomposition
     from repro.core.relations import backward_closure_nodes
 
@@ -466,7 +464,8 @@ def _build_allpairs(scenario: Scenario, scale: ScenarioScale) -> _Prepared:
         scenario,
         run,
         require_safe=scenario.query_class == "safe-allpairs",
-        require_unsafe=scenario.query_class in ("unsafe-allpairs", "adversarial-unsafe"),
+        require_unsafe=scenario.query_class
+        in ("unsafe-allpairs", "adversarial-unsafe", "per-seed-frontier"),
     )
     plan = plan_decomposition(spec, query)
     shape = str(scenario.param("lists", "all"))
@@ -489,6 +488,10 @@ def _build_allpairs(scenario: Scenario, scale: ScenarioScale) -> _Prepared:
     }
 
     def action() -> "NodePairs":
+        if scenario.query_class == "per-seed-frontier":
+            return per_seed_all_pairs(
+                run, l1, l2, query, plan=plan, direction=scenario.executor.direction
+            )
         return evaluate_general_query(run, query, l1, l2, **kwargs)
 
     # Warm the plan's memoized (possibly reversed) macro DFAs so repetitions
@@ -697,6 +700,7 @@ WORKLOADS: dict[str, Callable[[Scenario, ScenarioScale], _Prepared]] = {
     "safe-allpairs": _build_allpairs,
     "unsafe-allpairs": _build_allpairs,
     "adversarial-unsafe": _build_allpairs,
+    "per-seed-frontier": _build_allpairs,
     "kleene-allpairs": _build_kleene,
     "service-batch": _build_service_batch,
     "warm-restart": _build_warm_restart,
@@ -819,7 +823,7 @@ def run_table(document: Mapping[str, Any]) -> list[dict[str, object]]:
                 "class": factors.get("query_class", "?"),
                 "exec": "/".join(
                     str(executor.get(key, "-"))
-                    for key in ("strategy", "direction", "workers")
+                    for key in ("strategy", "direction")
                 )
                 + ("+store" if executor.get("store") else ""),
                 "reps": entry.get("repetitions", 0),

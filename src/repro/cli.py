@@ -183,7 +183,7 @@ def _evaluate_query(
     l2 = args.targets.split(",") if args.targets else None
     from repro.core.exec import ExecutorConfig
 
-    executor = ExecutorConfig(direction=args.direction, workers=args.workers)
+    executor = ExecutorConfig(direction=args.direction)
     if args.stream:
         # Pairs go to stdout as the evaluator finds them (unsorted); the
         # count goes to stderr so piped output stays pure.
@@ -760,7 +760,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         help=(
             "unsafe-remainder evaluation strategy for non-streamed all-pairs "
-            "queries: per-source frontier search, join-based relations, or "
+            "queries: multi-source frontier sweep, join-based relations, or "
             "cost-based choice (default)"
         ),
     )
@@ -770,21 +770,10 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         help=(
             "frontier search direction for unsafe all-pairs queries: forward "
-            "runs one search per requested source, backward runs one per "
-            "requested target over the reversed query DFA (wins when "
+            "seeds the sweep with the requested sources, backward with the "
+            "requested targets over the reversed query DFA (wins when "
             "--targets is much smaller than --sources); auto (default) "
             "compares the two seed counts with the cost model"
-        ),
-    )
-    query_parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help=(
-            "parallel frontier fan-out for unsafe all-pairs queries: the "
-            "per-seed searches are spread over this many workers (process "
-            "pool; in-process if processes are unavailable); 1 (default) "
-            "runs serial"
         ),
     )
     query_parser.add_argument(

@@ -42,7 +42,6 @@ from repro.core.engine import ProvenanceQueryEngine
 from repro.core.exec import (
     ExecutorConfig,
     PhysicalPlan,
-    WorkerBudget,
     build_physical_plan,
 )
 from repro.core.intersection import intersect_specification
@@ -56,7 +55,6 @@ __all__ = [
     "ProvenanceQueryEngine",
     "QueryIndex",
     "SafetyReport",
-    "WorkerBudget",
     "all_pairs_iter",
     "all_pairs_reachability",
     "all_pairs_safe_query",

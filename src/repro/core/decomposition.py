@@ -26,8 +26,8 @@ instead of being applied to a whole-run result:
 
 * the **frontier strategy** rewrites the query with one synthetic *macro*
   symbol per label-routed safe subquery, compiles it to a DFA (wildcards
-  never match macro symbols), and runs one product-DFA frontier search per
-  requested source (:func:`~repro.core.relations.product_frontier_targets`),
+  never match macro symbols), and runs one product-DFA frontier sweep from
+  all requested sources at once (:func:`~repro.core.relations.frontier_search`),
   pruned by the forward/backward ``allowed`` universe and following macro
   edges through the label-decoded relations;
 * the **join strategy** keeps the classic bottom-up relational evaluation
@@ -46,7 +46,7 @@ safe-subtree search, macro rewriting, (reversed) macro DFAs, cost and
 direction memos — is pure, run-graph-independent where possible, cacheable
 in the shared :class:`~repro.service.cache.IndexCache` and serializable by
 :mod:`repro.store`.  The *physical* side — strategy/direction resolution
-into operator trees and their serial or parallel execution — lives in
+into operator trees and their execution — lives in
 :mod:`repro.core.exec`; the ``evaluate_general_query*`` functions below are
 thin compatibility wrappers over ``build_physical_plan`` + ``execute``.
 """
@@ -430,13 +430,12 @@ def evaluate_general_query(
     go to the labeling engine as :func:`label_routed_subtrees` decides.
 
     ``strategy`` selects how the unsafe remainder is evaluated: ``"frontier"``
-    (per-source product-DFA search), ``"join"`` (bottom-up relational
+    (multi-source product-DFA sweep), ``"join"`` (bottom-up relational
     evaluation), or ``"auto"`` (cost-based choice).  ``direction`` orients
     the frontier strategy (``"forward"`` from the sources, ``"backward"``
     from the targets over the reversed macro DFA, or ``"auto"`` to let the
-    cost model compare seed counts); ``executor`` tunes the physical
-    execution further (parallel fan-out — see
-    :class:`~repro.core.exec.ExecutorConfig`).
+    cost model compare seed counts); ``executor`` carries the default
+    direction (see :class:`~repro.core.exec.ExecutorConfig`).
     """
     from repro.core.exec import build_physical_plan, execute
 
@@ -469,13 +468,11 @@ def evaluate_general_query_iter(
 
     Safe queries stream straight out of the group-at-a-time evaluator.
     Unsafe queries stream through the frontier strategy: one pruned
-    product-DFA search per seed — per source forward, per target backward —
-    so memory stays bounded by the nodes reachable from ``l1`` (and
-    co-reachable from ``l2``, times the DFA size) plus the label-decoded
-    relations of the routed safe subqueries — never by the result set.
-    ``executor`` enables the parallel per-seed executor (fan-out across a
-    worker pool, chunks streaming in completion order).  Each matching
-    pair is yielded exactly once.  Planning and safety analysis run eagerly,
+    product-DFA sweep from every seed — the sources forward, the targets
+    backward — so memory stays bounded by one seed bitmask per live (node,
+    DFA state) of the nodes reachable from ``l1`` (and co-reachable from
+    ``l2``) plus the label-decoded relations of the routed safe subqueries
+    — never by the result set.  Each matching pair is yielded exactly once.  Planning and safety analysis run eagerly,
     before the iterator is returned.
     """
     from repro.core.exec import build_physical_plan, execute_iter

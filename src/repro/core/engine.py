@@ -217,9 +217,8 @@ class ProvenanceQueryEngine:
         being applied to a whole-run result.  ``strategy`` routes the unsafe
         remainder (``"auto"``, ``"frontier"``, or ``"join"``), ``direction``
         orients the frontier strategy (``"backward"`` searches from the
-        targets over the reversed macro DFA), and ``executor`` tunes the
-        physical execution (parallel per-seed fan-out; see
-        :class:`~repro.core.exec.ExecutorConfig` and
+        targets over the reversed macro DFA), and ``executor`` carries the
+        default direction (see :class:`~repro.core.exec.ExecutorConfig` and
         :func:`~repro.core.decomposition.evaluate_general_query`).
         """
         if strategy not in ("auto", "frontier", "join"):
@@ -277,14 +276,14 @@ class ProvenanceQueryEngine:
 
         Safe queries stream straight out of the group-at-a-time evaluator
         (constant memory).  Unsafe queries stream through the executor
-        layer's per-seed frontier search — forward from the sources, or
-        backward from the targets over the reversed macro DFA
-        (``direction``), optionally fanned across a worker pool whose chunks
-        stream in completion order (``executor``; see
-        :class:`~repro.core.exec.ExecutorConfig`): memory is bounded by the
-        region of the run reachable from ``l1`` (and co-reachable from
-        ``l2``) plus the routed safe subqueries' relations — never by the
-        result set, and never by materializing a whole-run relation.
+        layer's frontier sweep — forward from the sources, or backward from
+        the targets over the reversed macro DFA (``direction``, or the
+        default of ``executor``; see :class:`~repro.core.exec.ExecutorConfig`),
+        pairs streaming per node as the sweep passes it: memory is bounded
+        by one seed bitmask per live (node, DFA state) of the region
+        reachable from ``l1`` (and co-reachable from ``l2``) plus the routed
+        safe subqueries' relations — never by the result set, and never by
+        materializing a whole-run relation.
         Validation (run/spec match, parsing, safety, planning) runs eagerly,
         before the iterator is returned.
         """

@@ -9,17 +9,15 @@ The evaluation stack splits in two at this package's boundary:
 * the **executor** (this package) is physical: ``build_physical_plan``
   resolves a workload into a tree of operators (:class:`FrontierSearchOp`,
   :class:`JoinOp`, :class:`LabelDecodeOp`, :class:`RestrictOp`) and
-  ``execute``/``execute_iter`` run it — serially, or fanned across a
-  process pool whose chunk results stream in completion order.  Each
-  operator has one compute kernel: packed bitsets for joins and closures,
-  per-element sets for per-seed frontier searches.
+  ``execute``/``execute_iter`` run it.  Each operator has one compute
+  kernel: packed bitsets for joins and closures, one topological
+  multi-source sweep per frontier operator.
 
 New execution strategies plug in at this seam without touching the planner:
-the backward (reversed-DFA) frontier search and the parallel per-seed
-executor both live here.
+the backward (reversed-DFA) frontier search lives here.
 """
 
-from repro.core.exec.config import DIRECTIONS, ExecutorConfig, WorkerBudget
+from repro.core.exec.config import DIRECTIONS, ExecutorConfig
 from repro.core.exec.executor import execute, execute_iter
 from repro.core.exec.ops import (
     FrontierSearchOp,
@@ -41,7 +39,6 @@ __all__ = [
     "PhysicalOp",
     "PhysicalPlan",
     "RestrictOp",
-    "WorkerBudget",
     "build_physical_plan",
     "execute",
     "execute_iter",

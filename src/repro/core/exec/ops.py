@@ -4,13 +4,12 @@ A physical plan (see :mod:`repro.core.exec.plan`) is a tiny tree of the
 operators defined here.  Operators are *descriptions*: they carry everything
 an executor needs — seeds, direction-adjusted DFA, pruning universe, macro
 relations — but do no work themselves, so a plan can be built once (pure,
-cheap, unit-testable) and handed to any executor (serial or process pool)
-without re-planning.
+cheap, unit-testable) and handed to the executor without re-planning.
 
 ``MacroRelation`` is the one stateful piece: the label-decoded relation of a
 routed safe subquery, materialized lazily on the first frontier expansion
-that crosses its macro edge and shared — thread-safely — by every seed
-search of the operator, in either direction.
+that crosses its macro edge and shared — thread-safely — by every
+execution of the operator, in either direction.
 """
 
 from __future__ import annotations
@@ -39,10 +38,8 @@ class MacroRelation:
     ``decode`` yields the relation's ``(source, target)`` pairs; it runs at
     most once (guarded by a lock, so a plan executed from several threads
     at once still decodes once).  ``successors``/``predecessors`` are the
-    adjacency views the serial forward and backward frontier searches follow
-    across the macro edge; ``adjacency(direction)`` hands the materialized
-    mapping itself to the process-pool executor, which must ship plain data
-    to its workers.
+    adjacency views the forward and backward frontier searches follow
+    across the macro edge.
     """
 
     def __init__(self, decode: Callable[[], Iterable[tuple[str, str]]]) -> None:
@@ -71,11 +68,6 @@ class MacroRelation:
                 self._backward = {node: tuple(out) for node, out in backward.items()}
             return self._forward, self._backward
 
-    def adjacency(self, direction: str) -> Mapping[str, tuple[str, ...]]:
-        """The materialized macro adjacency for one search direction."""
-        forward, backward = self._materialize()
-        return forward if direction == "forward" else backward
-
     def successors(self, node: str) -> tuple[str, ...]:
         forward, _ = self._materialize()
         return forward.get(node, ())
@@ -91,14 +83,14 @@ class MacroRelation:
 
 @dataclass(frozen=True)
 class FrontierSearchOp:
-    """One pruned product-DFA frontier search per seed.
+    """One pruned product-DFA frontier search from all seeds at once.
 
     ``direction`` orients everything at once: forward seeds are the requested
     sources and hits are targets filtered by ``emit_filter`` (the requested
     target set); backward seeds are the requested *targets*, the ``dfa`` is
     the reversed macro DFA, searches follow run predecessors (and macro
     predecessors), and hits are sources filtered by the requested source set.
-    Executors re-orient emitted pairs so callers always see ``(source,
+    The search re-orients emitted pairs so callers always see ``(source,
     target)``.
     """
 

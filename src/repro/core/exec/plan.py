@@ -4,16 +4,16 @@
 (:mod:`repro.core.decomposition` — safety, decomposition, macro DFAs, cost
 memos) and the executors (:mod:`repro.core.exec.executor`).  It resolves
 
-* the **strategy** of the unsafe remainder — per-seed frontier search vs the
+* the **strategy** of the unsafe remainder — frontier search vs the
   bottom-up join evaluation — with the cost model of
   :mod:`repro.core.optimizer`, and
-* the frontier **direction**: forward runs one product search per requested
-  source over the macro DFA; backward runs one per requested *target* over
-  the reversed macro DFA (:meth:`repro.automata.dfa.DFA.reversed`),
-  following run and macro edges against their direction.  ``auto`` compares
-  the two seed counts under the same per-seed cost bound, so a query with a
-  handful of targets and thousands of sources flips to backward instead of
-  sweeping the run forward.
+* the frontier **direction**: forward seeds the product search with the
+  requested sources over the macro DFA; backward seeds it with the requested
+  *targets* over the reversed macro DFA
+  (:meth:`repro.automata.dfa.DFA.reversed`), following run and macro edges
+  against their direction.  ``auto`` compares the two seed counts under the
+  same per-seed cost bound, so a query with a handful of targets and
+  thousands of sources flips to backward.
 
 The decision itself is O(1) arithmetic and is computed fresh on every plan.
 What the :class:`DecompositionPlan` memoizes (and the store persists) is the
@@ -73,14 +73,14 @@ class PhysicalPlan:
     def describe(self) -> str:
         parts = f"strategy={self.strategy}"
         if self.strategy == "frontier":
-            parts += f", direction={self.direction}, workers={self.executor.workers}"
+            parts += f", direction={self.direction}"
         return f"PhysicalPlan({parts}) over run of {self.run.node_count} nodes"
 
 
 def _seed_count(
     run: Run, side: Sequence[str] | None, allowed: frozenset[str] | None
 ) -> int:
-    """How many frontier searches one direction would launch."""
+    """How many seeds one frontier direction would start from."""
     if side is None:
         return len(allowed) if allowed is not None else run.node_count
     seeds = set(side)
@@ -193,8 +193,8 @@ def build_physical_plan(
     """Resolve a logical decomposition plan into a physical operator tree.
 
     Pure and cheap: no relation is materialized, no search runs, and the
-    only side effects are memoizations on the logical plan (macro DFAs,
-    direction decisions) — exactly the artifacts the cache layer persists.
+    only side effects are memoizations on the logical plan (the forward and
+    reversed macro DFAs) — exactly the artifacts the cache layer persists.
     ``direction`` overrides the executor config's when not ``"auto"``.
     """
     with get_tracer().span("exec.plan", requested=strategy) as span:

@@ -189,8 +189,13 @@ def estimate_frontier_search_cost(
     run: Run, node: RegexNode, source_count: int, allowed_count: int | None = None
 ) -> float:
     """Rough estimate of the work of answering a general query with one
-    product-DFA frontier search per source
-    (:func:`repro.core.relations.product_frontier_targets`).
+    product-DFA frontier search per source.
+
+    The executor answers all sources in one multi-source sweep
+    (:func:`repro.core.relations.frontier_search`), so pricing one search
+    per seed overstates it.  The frontier/join routing built on this bound
+    is left as it was until the planner compares its estimates with
+    measured costs.
 
     Each search visits at most every *reachable* run edge once per DFA state;
     the DFA state count is approximated by the query's syntax-tree size.

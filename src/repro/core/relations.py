@@ -22,8 +22,8 @@ evaluation over the uint64-packed kernel of :mod:`repro.core.bitset`.  The
 packed path reads the run's adjacency from the memoized ``run.packed`` view —
 built once per run and reused across queries — instead of re-deriving
 per-tag edge sets on every call, and the closure helpers below ride the same
-packed view.  Per-seed frontier searches (:func:`frontier_search`) always
-run on sets.
+packed view.  The frontier search (:func:`frontier_search`) walks the run in
+topological order instead, with one seed bitmask per (node, DFA state).
 
 Two restriction-pushdown primitives let callers keep intermediate relations
 proportional to the *requested* node lists instead of the whole run:
@@ -33,21 +33,21 @@ proportional to the *requested* node lists instead of the whole run:
   backward-reachable from ``l2``), and every relation builder here accepts it
   as an ``allowed`` filter — sound because every node of a matching path is
   both reachable from its source and co-reachable from its target;
-* ``product_frontier_targets`` is a per-source frontier search over the
-  product of the run graph with a query DFA (the production generalization
-  of :mod:`repro.baselines.product_bfs`), pruned by the same ``allowed`` set
+* ``frontier_search`` searches the product of the run graph with a query
+  DFA from every seed at once (the production generalization of
+  :mod:`repro.baselines.product_bfs`), pruned by the same ``allowed`` set
   and extended with *macro transitions*: synthetic DFA symbols whose
   successors come from an already-materialized relation (the decomposition
   engine feeds the label-decoded relations of maximal safe subqueries
-  through this hook).
+  through this hook).  ``product_frontier_targets`` is its one-seed case.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.automata.dfa import DFA
-from repro.core.bitset import PackedRelation, closure_mask
+from repro.core.bitset import PackedRelation, bit_indices, closure_mask
 from repro.automata.regex import (
     AnySymbol,
     Concat,
@@ -72,6 +72,7 @@ __all__ = [
     "forward_closure_nodes",
     "backward_closure_nodes",
     "restriction_universe",
+    "iter_frontier_search",
     "frontier_search",
     "product_frontier_targets",
     "evaluate_regex_relation",
@@ -210,62 +211,153 @@ def restriction_universe(
     return forward & backward
 
 
+def iter_frontier_search(
+    adjacency: Mapping[str, Sequence[tuple[str, str]]],
+    dfa: DFA,
+    seeds: Iterable[str],
+    *,
+    order: Iterable[str],
+    allowed: frozenset[str] | set[str] | None = None,
+    emit_filter: frozenset[str] | set[str] | None = None,
+    macro_successors: Mapping[str, Callable[[str], Iterable[str]]] | None = None,
+    forward: bool = True,
+) -> Iterator[tuple[str, str]]:
+    """One multi-source product search from every seed at once.
+
+    ``adjacency[node]`` lists ``(neighbor, tag)`` pairs and ``order`` lists
+    the run's nodes so that every edge points forward in it: forward searches
+    pass ``run.successors`` with ``run.topological_order``, backward searches
+    pass ``run.predecessors``, the reversed order and a reversed DFA.  Runs
+    are DAGs, so one pass in that order settles every product state: each
+    node carries ``{DFA state: bitmask of the seeds that reach it}``, ORs
+    those masks into its neighbors under the DFA transitions and drops them
+    once passed (the bit-parallel multi-source BFS of Then et al., PVLDB
+    2014).  A node reached in an accepting state by seed ``i`` yields the
+    pair ``(seed, node)`` forward or ``(node, seed)`` backward, if the node
+    passes ``emit_filter``; pairs stream per node as the sweep passes it,
+    each exactly once.
+
+    ``macro_successors[tag](node)`` supplies the neighbors of ``node`` under
+    a synthetic macro symbol — a label-decoded safe subquery's relation —
+    expanded only when some live state has a transition on it.  Those
+    relations follow run paths, so they point forward in ``order`` too,
+    except for the diagonal pairs of a subquery that accepts the empty path;
+    those are closed over the node's DFA states before it propagates.
+    States at nodes outside ``allowed`` are pruned.  A duplicate seed counts
+    once; seeds absent from ``adjacency`` or outside ``allowed`` contribute
+    nothing.
+    """
+    sources = [
+        seed
+        for seed in dict.fromkeys(seeds)
+        if seed in adjacency and (allowed is None or seed in allowed)
+    ]
+    if not sources:
+        return
+    # A seed's bit enters the sweep when the sweep reaches the seed, so no
+    # mask exists before its node is due.
+    bit_of = {seed: bit for bit, seed in enumerate(sources)}
+    unstarted = len(sources)
+    # Transitions into the dead state are dropped once, up front: a missing
+    # row entry is then the only way a product state dies.
+    dead = dfa.dead_state()
+    rows = [
+        {tag: state for tag, state in row.items() if state != dead}
+        for row in dfa.transitions
+    ]
+    start = dfa.start
+    accepting = dfa.accepting
+    macros = macro_successors or {}
+    live: dict[str, dict[int, int]] = {}
+    for node in order:
+        states = live.pop(node, None)
+        bit = bit_of.get(node)
+        if bit is not None:
+            unstarted -= 1
+            if states is None:
+                states = {}
+            states[start] = states.get(start, 0) | 1 << bit
+        elif states is None:
+            continue
+        edges: Sequence[tuple[str, str]] = adjacency[node]
+        if macros:
+            expanded: dict[str, tuple[str, ...]] = {}
+            pending = list(states)
+            while pending:
+                state = pending.pop()
+                row = rows[state]
+                for tag, expand in macros.items():
+                    target_state = row.get(tag)
+                    if target_state is None:
+                        continue
+                    if tag not in expanded:
+                        expanded[tag] = tuple(expand(node))
+                    if node not in expanded[tag]:
+                        continue
+                    # A diagonal macro pair: the subquery matches the empty
+                    # path here, so the state's seeds reach (node,
+                    # target_state) without leaving the node.
+                    before = states.get(target_state, 0)
+                    after = before | states[state]
+                    if after != before:
+                        states[target_state] = after
+                        pending.append(target_state)
+            if expanded:
+                edges = [
+                    *edges,
+                    *(
+                        (target, tag)
+                        for tag, targets in expanded.items()
+                        for target in targets
+                        if target != node
+                    ),
+                ]
+        hits = 0
+        for state, mask in states.items():
+            if state in accepting:
+                hits |= mask
+        if hits and (emit_filter is None or node in emit_filter):
+            for bit in bit_indices(hits):
+                yield (sources[bit], node) if forward else (node, sources[bit])
+        for state, mask in states.items():
+            row = rows[state]
+            for target, tag in edges:
+                target_state = row.get(tag)
+                if target_state is None or (allowed is not None and target not in allowed):
+                    continue
+                bucket = live.get(target)
+                if bucket is None:
+                    live[target] = {target_state: mask}
+                else:
+                    bucket[target_state] = bucket.get(target_state, 0) | mask
+        if not unstarted and not live:
+            return
+
+
 def frontier_search(
     adjacency: Mapping[str, Sequence[tuple[str, str]]],
     dfa: DFA,
-    seed: str,
+    seeds: Iterable[str],
     *,
+    order: Iterable[str],
     allowed: frozenset[str] | set[str] | None = None,
+    emit_filter: frozenset[str] | set[str] | None = None,
     macro_successors: Mapping[str, Callable[[str], Iterable[str]]] | None = None,
-) -> set[str]:
-    """The core product frontier search over an explicit adjacency view.
-
-    ``adjacency[node]`` lists ``(neighbor, tag)`` pairs; passing
-    ``run.successors`` searches forward (see :func:`product_frontier_targets`)
-    and passing ``run.predecessors`` with a reversed DFA searches backward
-    from a target.  The function touches nothing but these plain mappings and
-    the DFA, so the parallel executor's process workers can run it on shipped
-    data without reconstructing a :class:`~repro.workflow.run.Run`.
-    """
-    if seed not in adjacency or (allowed is not None and seed not in allowed):
-        return set()
-    successors = adjacency
-    accepting = dfa.accepting
-    transitions = dfa.transitions
-    dead = dfa.dead_state()
-    start_state = dfa.start
-    result: set[str] = set()
-    if start_state in accepting:
-        result.add(seed)
-    seen = {(seed, start_state)}
-    stack = [(seed, start_state)]
-    while stack:
-        node, state = stack.pop()
-        row = transitions[state]
-        edges: Iterable[tuple[str, str]] = successors[node]
-        if macro_successors:
-            extra = [
-                (target, tag)
-                for tag, expand in macro_successors.items()
-                if row.get(tag, dead) != dead
-                for target in expand(node)
-            ]
-            if extra:
-                edges = list(edges) + extra
-        for target, tag in edges:
-            next_state = row.get(tag, dead)
-            if next_state is None or next_state == dead:
-                continue
-            if allowed is not None and target not in allowed:
-                continue
-            key = (target, next_state)
-            if key in seen:
-                continue
-            seen.add(key)
-            stack.append(key)
-            if next_state in accepting:
-                result.add(target)
-    return result
+    forward: bool = True,
+) -> list[tuple[str, str]]:
+    """The pairs of :func:`iter_frontier_search`, materialized by one call."""
+    return list(
+        iter_frontier_search(
+            adjacency,
+            dfa,
+            seeds,
+            order=order,
+            allowed=allowed,
+            emit_filter=emit_filter,
+            macro_successors=macro_successors,
+            forward=forward,
+        )
+    )
 
 
 def product_frontier_targets(
@@ -284,21 +376,26 @@ def product_frontier_targets(
 
     * states whose run node falls outside ``allowed`` are pruned (backward
       pruning from the requested targets), and dead DFA states are never
-      enqueued, so the search touches only the useful region of the run;
+      entered, so the search touches only the useful region of the run;
     * ``macro_successors[tag](node)`` supplies the successors of ``node``
       under a synthetic *macro* symbol — an edge standing for a whole
       relation (the decomposition engine maps each label-decoded safe
       subquery to one macro symbol).  Wildcard transitions never match macro
       symbols (see :func:`repro.automata.dfa.determinize`).
 
-    Memory is bounded by ``|reachable nodes| × |DFA states|``, never by the
-    run size.  The direction-agnostic core lives in :func:`frontier_search`;
-    the backward variant of the executor layer calls it with
-    ``run.predecessors`` and a reversed DFA.
+    It is the one-seed case of :func:`iter_frontier_search`.
     """
-    return frontier_search(
-        run.successors, dfa, source, allowed=allowed, macro_successors=macro_successors
-    )
+    return {
+        target
+        for _, target in iter_frontier_search(
+            run.successors,
+            dfa,
+            (source,),
+            order=run.topological_order,
+            allowed=allowed,
+            macro_successors=macro_successors,
+        )
+    }
 
 
 def evaluate_regex_relation(

@@ -4,7 +4,7 @@ The package the engine is instrumented against:
 
 * :mod:`repro.obs.tracer` — span-based tracing with an ambient tracer
   (:func:`get_tracer`), a near-zero-overhead null default, per-thread span
-  stacks, and plain-data context propagation across pool workers;
+  stacks, and context propagation across pool threads;
 * :mod:`repro.obs.metrics` — the lock-annotated registry of counters,
   gauges and fixed-bucket histograms (:func:`get_registry`);
 * :mod:`repro.obs.profile` — per-query :class:`ExecutionProfile` trees with

@@ -2,10 +2,10 @@
 
 One process-wide :class:`MetricsRegistry` (:func:`get_registry`) is the
 queryable surface unifying the counters that used to live scattered across
-``CacheStats``, ``WorkerBudget`` and the service's batch summaries.  The
+``CacheStats`` and the service's batch summaries.  The
 native instruments (cache hits, store reads, spans recorded, ...) are
 incremented at the source; state that already has an owner with its own lock
-discipline (the cache's entry table, the worker budget) is exposed through
+discipline (the cache's entry table) is exposed through
 registered *collectors* — callables polled at snapshot time — so no counter
 is maintained twice.
 

@@ -11,10 +11,10 @@ no-op — the disabled path instrumented code pays by default.
 
 Span ids are small integers allocated under the tracer lock — deliberately
 not UUIDs, because id allocation is reachable from the planner and must stay
-free of the ``randomness`` effect (REP109).  Context crosses pool boundaries
-as plain data: :meth:`Tracer.current` yields a picklable
-:class:`SpanContext`, workers return ``(name, start, end, attrs)`` records,
-and :meth:`Tracer.record` stitches them back in as child spans.
+free of the ``randomness`` effect (REP109).  Context crosses thread-pool
+boundaries as plain data: :meth:`Tracer.current` yields a
+:class:`SpanContext`, and :meth:`Tracer.attach` adopts it on the worker
+thread so its spans nest under the submitter's.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import threading
 from contextlib import AbstractContextManager
 from dataclasses import dataclass
 from types import TracebackType
-from typing import Callable, Iterator, Mapping, TypeVar
+from typing import Callable, Iterator, TypeVar
 
 from repro.obs import clock
 from repro.obs.metrics import Counter, MetricsRegistry, get_registry
@@ -45,19 +45,10 @@ _T = TypeVar("_T")
 
 @dataclass(frozen=True)
 class SpanContext:
-    """The picklable identity of a span: what crosses worker boundaries."""
+    """The identity of a span: what crosses worker-thread boundaries."""
 
     trace_id: int
     span_id: int
-
-    def as_tuple(self) -> tuple[int, int]:
-        return (self.trace_id, self.span_id)
-
-    @classmethod
-    def from_tuple(cls, pair: tuple[int, int] | None) -> "SpanContext | None":
-        if pair is None:
-            return None
-        return cls(trace_id=pair[0], span_id=pair[1])
 
 
 @dataclass
@@ -283,32 +274,6 @@ class Tracer:
             return None
         return stack[-1].context
 
-    def record(
-        self,
-        name: str,
-        start: float,
-        end: float,
-        *,
-        parent: SpanContext | None = None,
-        attrs: Mapping[str, object] | None = None,
-        thread: str = "",
-    ) -> None:
-        """Stitch in an already-finished span from plain data (the records
-        worker processes ship home)."""
-        span = Span(
-            name=name,
-            trace_id=parent.trace_id if parent is not None else self._trace_id,
-            span_id=self._allocate_id(),
-            parent_id=parent.span_id if parent is not None else None,
-            start=start,
-            end=max(start, end),
-            attrs=dict(attrs) if attrs else {},
-            thread=thread or threading.current_thread().name,
-        )
-        with self._lock:
-            self._finished.append(span)
-        self._span_counter.inc()
-
     def spans(self) -> tuple[Span, ...]:
         """A snapshot of the finished spans, in completion order."""
         with self._lock:
@@ -336,18 +301,6 @@ class NullTracer(Tracer):
         return _NULL_HANDLE
 
     def current(self) -> SpanContext | None:
-        return None
-
-    def record(
-        self,
-        name: str,
-        start: float,
-        end: float,
-        *,
-        parent: SpanContext | None = None,
-        attrs: Mapping[str, object] | None = None,
-        thread: str = "",
-    ) -> None:
         return None
 
     def spans(self) -> tuple[Span, ...]:

@@ -14,7 +14,7 @@ subsystem:
   requests concurrently.
 """
 
-from repro.core.exec import ExecutorConfig, WorkerBudget
+from repro.core.exec import ExecutorConfig
 from repro.service.cache import CacheStats, IndexCache
 from repro.service.requests import (
     BatchFormatError,
@@ -32,7 +32,6 @@ __all__ = [
     "CacheStats",
     "ExecutorConfig",
     "IndexCache",
-    "WorkerBudget",
     "QueryRequest",
     "QueryResult",
     "QueryService",

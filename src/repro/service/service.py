@@ -33,11 +33,9 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
-import dataclasses
-
 from repro.core.decomposition import label_routed_subtrees, warm_frontier_dfa
 from repro.core.engine import ProvenanceQueryEngine
-from repro.core.exec import ExecutorConfig, WorkerBudget
+from repro.core.exec import ExecutorConfig
 from repro.errors import ReproError
 from repro.obs import SpanContext, clock, get_registry, get_tracer
 from repro.service.cache import CacheStats, IndexCache
@@ -90,12 +88,7 @@ class QueryService:
         previously-seen query with zero index or plan rebuilds.
     executor:
         The default :class:`~repro.core.exec.ExecutorConfig` for unsafe-query
-        evaluation (frontier direction, per-query parallel fan-out, merge
-        order).  The service attaches its own :class:`WorkerBudget` of
-        ``max_workers`` slots, *shared with the batch pool*: each in-flight
-        batch request leases one slot, and a parallel frontier execution
-        leases its fan-out from the free remainder — so a saturated batch
-        degrades frontier searches to serial instead of oversubscribing.
+        evaluation (the frontier direction).
     """
 
     def __init__(
@@ -128,8 +121,7 @@ class QueryService:
         self._max_workers = max_workers if max_workers is not None else _default_workers()
         if self._max_workers < 1:
             raise ValueError("max_workers must be at least 1")
-        self._budget = WorkerBudget(self._max_workers)
-        self._executor = self._with_budget(executor or ExecutorConfig())
+        self._executor = executor or ExecutorConfig()
         self._lock = threading.Lock()
         self._runs: dict[str, Run] = {}  # guarded-by: _lock
         self._engines: dict[str, ProvenanceQueryEngine] = {}  # guarded-by: _lock
@@ -140,7 +132,7 @@ class QueryService:
             set(store.run_ids()) if store is not None else set()
         )
         # Observability: request latencies go to a histogram; state that
-        # already lives behind the cache's and budget's own locks is polled
+        # already lives behind the cache's own lock is polled
         # through a collector instead of being counted twice.  A newer
         # service instance re-registers the collector name and the snapshot
         # follows it (exactly the registry's replacement semantics).
@@ -156,20 +148,11 @@ class QueryService:
         return {
             "repro_cache_entries": float(stats.entries),
             "repro_cache_total_cost": float(stats.total_cost),
-            "repro_worker_budget_capacity": float(self._budget.capacity),
-            "repro_worker_budget_in_use": float(self._budget.in_use),
         }
-
-    def _with_budget(self, config: ExecutorConfig) -> ExecutorConfig:
-        """A copy of ``config`` leasing its fan-out from this service's
-        shared worker budget (an existing budget is respected)."""
-        if config.budget is not None:
-            return config
-        return dataclasses.replace(config, budget=self._budget)
 
     @property
     def executor(self) -> ExecutorConfig:
-        """The default executor configuration (budget attached)."""
+        """The default executor configuration."""
         return self._executor
 
     # -- registration ------------------------------------------------------------
@@ -390,12 +373,10 @@ class QueryService:
         Unlike :meth:`execute`, the pairs are yielded as the evaluator finds
         them (unsorted, each exactly once) without materializing the result
         set, so callers can cap, paginate or pipe arbitrarily large answers.
-        Unsafe queries stream too, through the executor layer's per-seed
-        frontier search (direction-aware, optionally fanned across a worker
-        pool — memory bounded by the reachable region, not the result; see
-        :meth:`ProvenanceQueryEngine.evaluate_iter`).  ``executor`` overrides
-        the service default for this call; either way the fan-out leases its
-        workers from the budget shared with the batch pool.  Failures raise
+        Unsafe queries stream too, through the executor layer's frontier
+        sweep (direction-aware — memory bounded by the reachable region, not
+        the result; see :meth:`ProvenanceQueryEngine.evaluate_iter`).
+        ``executor`` overrides the service default for this call.  Failures raise
         instead of becoming error results, since there is no result record
         to carry them; request validation, run lookup, query parsing and the
         safety check all happen eagerly, before the first pair is drawn.
@@ -407,7 +388,7 @@ class QueryService:
             )
         run = self.get_run(request.run)
         engine = self.engine_for(request.run)
-        config = self._with_budget(executor) if executor is not None else self._executor
+        config = executor if executor is not None else self._executor
         return engine.evaluate_iter(
             run,
             request.query,
@@ -494,17 +475,13 @@ class QueryService:
                 else:  # allpairs — the only remaining validated op
                     # Materializing anyway, so let evaluate() cost-route the
                     # unsafe remainder instead of forcing the streaming path.
-                    # The request leases one budget slot for its own thread;
-                    # a parallel frontier execution inside leases its fan-out
-                    # from whatever the rest of the batch leaves free.
-                    with self._budget.lease(1):
-                        matches = engine.evaluate(
-                            run,
-                            request.query,
-                            list(request.sources) if request.sources is not None else None,
-                            list(request.targets) if request.targets is not None else None,
-                            executor=self._executor,
-                        )
+                    matches = engine.evaluate(
+                        run,
+                        request.query,
+                        list(request.sources) if request.sources is not None else None,
+                        list(request.targets) if request.targets is not None else None,
+                        executor=self._executor,
+                    )
                     pairs = tuple(sorted(matches))
             except Exception as error:
                 span.set("ok", False)
@@ -532,6 +509,6 @@ class QueryService:
         return (
             f"QueryService({runs} runs, {engines} grammars, "
             f"workers={self._max_workers}, "
-            f"executor=direction:{executor.direction}/fanout:{executor.workers}) "
+            f"executor=direction:{executor.direction}) "
             f"{self._cache.stats.describe()}"
         )

@@ -120,6 +120,26 @@ class Run:
         return {node_id: tuple(sources) for node_id, sources in incoming.items()}
 
     @cached_property
+    def topological_order(self) -> tuple[str, ...]:
+        """The node ids in an order where every edge points forward (Kahn's
+        algorithm, run once); the frontier search sweeps runs in it."""
+        in_degree = {node_id: 0 for node_id in self.nodes}
+        for edge in self.edges:
+            in_degree[edge.target] += 1
+        ready = [node_id for node_id, degree in in_degree.items() if degree == 0]
+        order: list[str] = []
+        while ready:
+            node_id = ready.pop()
+            order.append(node_id)
+            for target, _ in self.successors[node_id]:
+                in_degree[target] -= 1
+                if in_degree[target] == 0:
+                    ready.append(target)
+        if len(order) != len(self.nodes):
+            raise ValueError("run graph contains a cycle; this should be impossible")
+        return tuple(order)
+
+    @cached_property
     def packed(self) -> "PackedRunView":
         """The run's dense-interned, uint64-packed adjacency view.
 
@@ -145,23 +165,6 @@ class Run:
         return frozenset(edge.tag for edge in self.edges)
 
     # -- traversal helpers (used by baselines and tests) --------------------------
-
-    def topological_order(self) -> list[str]:
-        in_degree = {node_id: 0 for node_id in self.nodes}
-        for edge in self.edges:
-            in_degree[edge.target] += 1
-        ready = [node_id for node_id, degree in in_degree.items() if degree == 0]
-        order: list[str] = []
-        while ready:
-            node_id = ready.pop()
-            order.append(node_id)
-            for target, _ in self.successors[node_id]:
-                in_degree[target] -= 1
-                if in_degree[target] == 0:
-                    ready.append(target)
-        if len(order) != len(self.nodes):
-            raise ValueError("run graph contains a cycle; this should be impossible")
-        return order
 
     def reachable_from(self, node_id: str) -> frozenset[str]:
         """All nodes reachable from ``node_id`` (excluding itself unless on a

@@ -66,60 +66,60 @@ class TestTrackedLocks:
         assert not lock.held_by_current_thread()
 
     def test_patched_factory_tracks_repro_callers_only(self, sanitizer):
-        from repro.core.exec.config import WorkerBudget
+        from repro.obs.metrics import Gauge
 
-        budget = WorkerBudget(2)
-        assert isinstance(budget._lock, TrackedLock)
+        gauge = Gauge("probe")
+        assert isinstance(gauge._lock, TrackedLock)
         # this test module is not part of the repro package: raw primitive
         assert not isinstance(threading.Lock(), TrackedLock)
 
 
 class TestGuardedWrites:
     def test_seeded_unguarded_write_is_caught(self, sanitizer):
-        from repro.core.exec.config import WorkerBudget
+        from repro.obs.metrics import Gauge
 
-        budget = WorkerBudget(4)
+        gauge = Gauge("probe")
         with sanitizer.capture() as caught:
-            budget._in_use = 1  # seeded violation: no lock held
+            gauge._value = 1  # seeded violation: no lock held
         assert len(caught) == 1
         violation = caught[0]
-        assert violation.attribute == "_in_use"
+        assert violation.attribute == "_value"
         assert violation.lock == "_lock"
-        assert "WorkerBudget" in violation.cls
+        assert "Gauge" in violation.cls
         assert "unguarded write" in violation.describe()
 
     def test_write_under_the_declared_lock_is_clean(self, sanitizer):
-        from repro.core.exec.config import WorkerBudget
+        from repro.obs.metrics import Gauge
 
-        budget = WorkerBudget(4)
+        gauge = Gauge("probe")
         with sanitizer.capture() as caught:
-            with budget._lock:
-                budget._in_use = 1
+            with gauge._lock:
+                gauge._value = 1
         assert caught == []
 
     def test_the_real_code_paths_are_clean(self, sanitizer):
-        from repro.core.exec.config import WorkerBudget
+        from repro.obs.metrics import Gauge
 
-        budget = WorkerBudget(4)
+        gauge = Gauge("probe")
         with sanitizer.capture() as caught:
-            granted = budget.acquire(3)
-            budget.release(granted)
+            gauge.inc(3)
+            gauge.set(1)
         assert caught == []
 
     def test_init_writes_are_exempt(self, sanitizer):
-        from repro.core.exec.config import WorkerBudget
+        from repro.obs.metrics import Gauge
 
         with sanitizer.capture() as caught:
-            WorkerBudget(4)  # __init__ writes _in_use without the lock
+            Gauge("probe")  # __init__ writes _value without the lock
         assert caught == []
 
     def test_unguarded_write_from_worker_thread_is_attributed(self, sanitizer):
-        from repro.core.exec.config import WorkerBudget
+        from repro.obs.metrics import Gauge
 
-        budget = WorkerBudget(4)
+        gauge = Gauge("probe")
         with sanitizer.capture() as caught:
             thread = threading.Thread(
-                target=lambda: setattr(budget, "_in_use", 2), name="rogue"
+                target=lambda: setattr(gauge, "_value", 2), name="rogue"
             )
             thread.start()
             thread.join(timeout=5)
@@ -129,7 +129,7 @@ class TestGuardedWrites:
 
 class TestLifecycle:
     def test_discovery_instruments_the_guarded_classes(self, sanitizer):
-        assert "repro.core.exec.config.WorkerBudget" in sanitizer.guarded
+        assert "repro.obs.metrics.Gauge" in sanitizer.guarded
         assert "repro.service.cache.IndexCache" in sanitizer.guarded
         assert len(sanitizer.guarded) >= 5
 
@@ -142,21 +142,21 @@ class TestLifecycle:
         try:
             assert not isinstance(threading.Lock(), TrackedLock)
 
-            from repro.core.exec.config import WorkerBudget
+            from repro.obs.metrics import Gauge
 
-            budget = WorkerBudget(4)
+            gauge = Gauge("probe")
             before = len(instance.violations)
-            budget._in_use = 1  # no longer checked
+            gauge._value = 1  # no longer checked
             assert len(instance.violations) == before
         finally:
             if was_active:
                 instance.activate()  # hand the session its sanitizer back
 
     def test_violations_never_raise(self, sanitizer):
-        from repro.core.exec.config import WorkerBudget
+        from repro.obs.metrics import Gauge
 
-        budget = WorkerBudget(4)
+        gauge = Gauge("probe")
         with sanitizer.capture() as caught:
-            budget._in_use = 3  # records, does not raise
-        assert budget._in_use == 3
+            gauge._value = 3  # records, does not raise
+        assert gauge._value == 3
         assert len(caught) == 1

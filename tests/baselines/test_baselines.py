@@ -7,9 +7,11 @@ from repro.baselines.g1_parse_tree_joins import g1_all_pairs, g1_pairwise
 from repro.baselines.g2_rare_labels import g2_all_pairs, g2_pairwise
 from repro.baselines.g3_label_index import g3_all_pairs, g3_pairwise
 from repro.baselines.paper_decomposition import paper_decomposition_all_pairs
+from repro.baselines.per_seed_frontier import per_seed_all_pairs, per_seed_execute
 from repro.baselines.product_bfs import product_bfs_all_pairs, product_bfs_pairwise
 from repro.baselines.rpl_per_pair import optrpl_all_pairs, rpl_all_pairs
-from repro.core.decomposition import plan_decomposition
+from repro.core.decomposition import evaluate_general_query, plan_decomposition
+from repro.core.exec import build_physical_plan
 from repro.core.query_index import build_query_index
 from repro.datasets.index import EdgeTagIndex
 from repro.datasets.myexperiment import bioaid_specification
@@ -152,3 +154,26 @@ class TestOnBioAid:
         assert g1_all_pairs(run, l1, l2, query) == expected
         assert g2_all_pairs(run, l1, l2, query, index=index) == expected
         assert g3_all_pairs(run, l1, l2, query, index=index) == expected
+
+
+class TestPerSeedFrontier:
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    @pytest.mark.parametrize("query", ["_* a _*", "_* a _* e _*", "a+ e", "(e)+ . (A|B)*"])
+    def test_matches_oracle(self, run, query, direction):
+        nodes = list(run.node_ids())
+        l1, l2 = nodes[::2], nodes[1::3]
+        expected = product_bfs_all_pairs(run, l1, l2, query)
+        assert per_seed_all_pairs(run, l1, l2, query, direction=direction) == expected
+        # ... and with the production sweep on the same frontier plan.
+        assert evaluate_general_query(
+            run, query, l1, l2, strategy="frontier", direction=direction
+        ) == expected
+
+    def test_rejects_a_plan_without_a_frontier_operator(self, run):
+        plan = plan_decomposition(run.spec, "_* e _*")  # safe: a label decode
+        physical = build_physical_plan(
+            run, plan, None, None,
+            indexes=lambda node: build_query_index(run.spec, node),
+        )
+        with pytest.raises(TypeError, match="frontier plan"):
+            per_seed_execute(physical)

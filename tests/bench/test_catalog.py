@@ -29,6 +29,24 @@ class TestCatalogShape:
         assert ci
         assert {scenario.id for scenario in ci} <= {scenario.id for scenario in CATALOG}
 
+    def test_per_seed_baseline_shares_the_forward_workload(self):
+        """The two arms of 'sweep-beats-per-seed' differ only in evaluator."""
+        sweep = get_scenario("frontier-forward")
+        per_seed = get_scenario("frontier-per-seed")
+        assert per_seed.query_class == "per-seed-frontier"
+        assert (per_seed.grammar, per_seed.run_edges, per_seed.params, per_seed.executor) == (
+            sweep.grammar, sweep.run_edges, sweep.params, sweep.executor
+        )
+        [invariant] = [item for item in INVARIANTS if item.id == "sweep-beats-per-seed"]
+        assert (invariant.fast, invariant.slow, invariant.factor) == (
+            "frontier-forward", "frontier-per-seed", 10.0
+        )
+
+    def test_no_fan_out_scenario_remains(self):
+        assert "workers" not in CATALOG[0].executor.as_dict()
+        ids = {scenario.id for scenario in CATALOG} | {item.id for item in INVARIANTS}
+        assert not {"frontier-parallel-4w", "parallel-2x"} & ids
+
     def test_synthetic_grammar_families_are_covered(self):
         families = {scenario.grammar.split(":")[0] for scenario in CATALOG}
         assert {"deep-recursion", "wide-alternation", "dense-wildcard"} <= families

@@ -79,6 +79,16 @@ class TestRunScenario:
         assert row["factors"]["executor"] == ExecutorFactors().as_dict()
 
 
+    def test_per_seed_baseline_answers_like_the_sweep(self):
+        """At smoke scale the per-seed arm and the forward sweep return the
+        same pairs (the checksum), so the gated ratio compares like with
+        like."""
+        sweep = run_scenario(get_scenario("frontier-forward"), "smoke", repetitions=1)
+        per_seed = run_scenario(get_scenario("frontier-per-seed"), "smoke", repetitions=1)
+        assert per_seed.checksum == sweep.checksum
+        assert not sweep.checksum.startswith("0:")
+
+
 class TestRunSuite:
     def test_document_schema_and_table(self):
         document = run_suite([get_scenario(CHEAP_ID)], "smoke", suite="ci", repetitions=1)

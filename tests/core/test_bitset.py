@@ -27,7 +27,7 @@ from repro.core.bitset import (
     bit_indices,
     closure_mask,
 )
-from repro.core.exec import ExecutorConfig, build_physical_plan, execute
+from repro.core.exec import build_physical_plan, execute
 from repro.core.query_index import build_query_index
 from repro.core.decomposition import plan_decomposition
 from repro.core.relations import (
@@ -266,6 +266,21 @@ class TestRowSerialization:
         mask = sum(1 << index for index in indices)
         assert bit_indices(mask) == indices
 
+    @given(st.integers(65, 3000), st.integers(1, 8), st.integers(0, 7))
+    @settings(**_SETTINGS)
+    def test_bit_indices_of_wide_masks(self, width, stride, offset):
+        """Wide masks of any density decode to their ascending indices."""
+        indices = [*range(offset % stride, width - 1, stride), width - 1]
+        mask = sum(1 << index for index in indices)
+        assert bit_indices(mask) == indices
+
+    def test_bit_indices_edge_masks(self):
+        assert bit_indices(0) == []
+        assert bit_indices(1) == [0]
+        assert bit_indices((1 << 64) - 1) == list(range(64))
+        assert bit_indices(1 << 5000) == [5000]
+        assert bit_indices((1 << 5000) - 1) == list(range(5000))
+
     @given(
         st.integers(0, 70).flatmap(
             lambda size: st.tuples(
@@ -430,12 +445,12 @@ class TestRelationAlgebra:
 
 
 # ---------------------------------------------------------------------------
-# End to end: frontier plans on a process pool, packed join plans
+# End to end: frontier sweeps, packed join plans
 # ---------------------------------------------------------------------------
 
 
 class TestExecutorEquivalence:
-    def test_parallel_frontier_matches_reference(self):
+    def test_frontier_sweep_matches_reference(self):
         run = _RUNS["synthetic"][0]
         tags = sorted(run.tags())
         query = f"_* {tags[0]} _*"
@@ -452,7 +467,6 @@ class TestExecutorEquivalence:
             l2,
             indexes=lambda node: build_query_index(run.spec, node),
             strategy="frontier",
-            executor=ExecutorConfig(workers=2),
         )
         assert set(execute(physical)) == set(reference)
 

@@ -1,15 +1,15 @@
-"""The executor layer: planner resolution, executors, budget, parallelism.
+"""The executor layer: planner resolution and the frontier sweep.
 
-The load-bearing property test: every physical execution path — forward
-frontier, backward frontier, and the parallel frontier's chunking, drain
-loop and worker chunk code (run in-process by forcing the pool fallback) —
-returns exactly the pair set of the join reference on Hypothesis-generated
-(specification, run, query, l1, l2) tuples, including empty and disjoint
-node lists.  Slower non-Hypothesis tests cover real process pools and the
-broken-pool fallbacks.
+The load-bearing property tests: every physical execution path — forward
+frontier, backward frontier and auto-direction — returns exactly the pair
+set of the join reference on Hypothesis-generated (specification, run,
+query, l1, l2) tuples, including empty and disjoint node lists; and the
+multi-source sweep agrees with the product-automaton oracle and with the
+per-seed search it replaced, in both directions, with label routing forced
+so macro edges (diagonal ones included) occur.
 """
 
-import multiprocessing.context
+import contextlib
 from unittest import mock
 
 import pytest
@@ -17,13 +17,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.automata.regex import parse_regex
+from repro.baselines.per_seed_frontier import per_seed_execute
+from repro.baselines.product_bfs import product_bfs_all_pairs
 from repro.core.decomposition import plan_decomposition
 from repro.core.exec import (
     ExecutorConfig,
     FrontierSearchOp,
     LabelDecodeOp,
     RestrictOp,
-    WorkerBudget,
     build_physical_plan,
     execute,
     execute_iter,
@@ -57,10 +58,16 @@ def _physical(run, query, l1, l2, **kwargs):
     return build_physical_plan(run, plan, l1, l2, **kwargs)
 
 
+#: An id no run contains: node lists may name it, and it must be ignored.
+_GHOST = "ghost:0"
+
+
 @st.composite
 def spec_run_query_lists(draw):
     """Random runs + queries + node lists covering the pushdown edge cases:
-    ``None``, empty lists, duplicates, and lists disjoint from the answer."""
+    ``None``, empty lists, duplicates, ids absent from the run, and lists
+    disjoint from each other or from the answer.  Some queries star a union
+    of tags, a safe subtree that matches the empty path."""
     name = draw(st.sampled_from(sorted(_SPECS)))
     spec = _SPECS[name]
     run = draw(st.sampled_from(_RUNS[name]))
@@ -74,27 +81,63 @@ def spec_run_query_lists(draw):
             return "_*"
         return draw(st.sampled_from(tags))
 
-    shape = draw(st.integers(0, 3))
+    def tag():
+        return draw(st.sampled_from(tags))
+
+    shape = draw(st.integers(0, 5))
     if shape == 0:
         query = f"{leaf()} . {leaf()}"
     elif shape == 1:
         query = f"({leaf()} | {leaf()})"
     elif shape == 2:
-        query = f"({draw(st.sampled_from(tags))})*"
-    else:
+        query = f"({tag()})*"
+    elif shape == 3:
         query = f"{leaf()} . ({leaf()} | {leaf()})* . {leaf()}"
+    elif shape == 4:
+        query = f"({tag()})+ . ({tag()} | {tag()})*"
+    else:
+        query = f"({tag()} | {tag()})* . {leaf()} . ({tag()})*"
     nodes = list(run.node_ids())
 
     def node_list():
-        kind = draw(st.integers(0, 4))
+        kind = draw(st.integers(0, 5))
         if kind == 0:
             return None
         if kind == 1:
             return []
         count = draw(st.integers(1, 8))
-        return [nodes[draw(st.integers(0, len(nodes) - 1))] for _ in range(count)]
+        picked = [nodes[draw(st.integers(0, len(nodes) - 1))] for _ in range(count)]
+        if kind == 2:
+            picked.append(_GHOST)
+        return picked
 
-    return run, query, node_list(), node_list()
+    l1 = node_list()
+    if l1 and draw(st.booleans()):
+        # Disjoint from l1: every other node of the run.
+        l2 = [node for node in nodes if node not in set(l1)]
+    else:
+        l2 = node_list()
+    return run, query, l1, l2
+
+
+def _runnable(run, query, l1, l2):
+    """The node lists with :data:`_GHOST` kept only for unsafe queries: the
+    label decode of a fully safe query takes run nodes only."""
+    if not plan_decomposition(run.spec, query).is_fully_safe:
+        return l1, l2
+
+    def known(side):
+        return None if side is None else [node for node in side if node in run]
+
+    return known(l1), known(l2)
+
+
+def _oracle(run, query, l1, l2):
+    """The product-automaton answer; ids absent from the run are ignored."""
+    def known(side):
+        return None if side is None else [node for node in side if node in run]
+
+    return product_bfs_all_pairs(run, known(l1), known(l2), query)
 
 
 class TestExecutorEquivalence:
@@ -103,56 +146,57 @@ class TestExecutorEquivalence:
         max_examples=50, deadline=None, suppress_health_check=[HealthCheck.data_too_large]
     )
     def test_all_executors_match_the_join_reference(self, data):
-        """Forward, backward, auto-direction and parallel executions all
-        return the join reference's pair set.  The parallel arms run with
-        process pools unavailable, so every chunk goes through the worker's
-        chunk code on the shipped context, in-process."""
+        """Forward, backward and auto-direction executions all return the
+        join reference's pair set, and their streams yield each pair once."""
         run, query, l1, l2 = data
+        l1, l2 = _runnable(run, query, l1, l2)
         reference = restrict(evaluate_regex_relation(run, parse_regex(query)), l1, l2)
-        parallel = ExecutorConfig(workers=4)
-        with mock.patch.object(
-            executor_module, "ProcessPoolExecutor", side_effect=OSError("no processes")
+        for label, kwargs in (
+            ("forward", {"strategy": "frontier", "direction": "forward"}),
+            ("backward", {"strategy": "frontier", "direction": "backward"}),
+            ("auto", {}),
         ):
-            for label, kwargs in (
-                ("forward", {"strategy": "frontier", "direction": "forward"}),
-                ("backward", {"strategy": "frontier", "direction": "backward"}),
-                ("auto", {}),
-                (
-                    "parallel-forward",
-                    {"strategy": "frontier", "direction": "forward", "executor": parallel},
-                ),
-                (
-                    "parallel-backward",
-                    {"strategy": "frontier", "direction": "backward", "executor": parallel},
-                ),
-            ):
-                physical = _physical(run, query, l1, l2, **kwargs)
-                assert execute(physical) == reference, f"{label} diverged for {query!r}"
-                streamed = list(execute_iter(physical))
-                assert len(streamed) == len(set(streamed)), f"{label} duplicated pairs"
-                assert set(streamed) == reference, f"{label} stream diverged for {query!r}"
+            physical = _physical(run, query, l1, l2, **kwargs)
+            assert execute(physical) == reference, f"{label} diverged for {query!r}"
+            streamed = list(execute_iter(physical))
+            assert len(streamed) == len(set(streamed)), f"{label} duplicated pairs"
+            assert set(streamed) == reference, f"{label} stream diverged for {query!r}"
 
-    def test_process_backend_matches_serial(self):
-        """The process-pool executor (true parallelism) returns the serial
-        result — macro relations ship materialized, pairs re-orient."""
-        run = _RUNS["paper"][0]
-        query = "_* a _*"  # unsafe for the paper grammar, has safe subtrees
-        nodes = list(run.node_ids())
-        l1, l2 = nodes[::2], nodes[1::3]
-        serial = execute(_physical(run, query, l1, l2, strategy="frontier"))
-        parallel = set(
-            execute_iter(
-                _physical(
-                    run,
-                    query,
-                    l1,
-                    l2,
-                    strategy="frontier",
-                    executor=ExecutorConfig(workers=2),
-                )
-            )
+    @given(
+        spec_run_query_lists(),
+        st.sampled_from(["forward", "backward"]),
+        st.booleans(),
+    )
+    @settings(
+        max_examples=60, deadline=None, suppress_health_check=[HealthCheck.data_too_large]
+    )
+    def test_sweep_matches_the_oracle_and_the_per_seed_search(
+        self, data, direction, force_labels
+    ):
+        """The multi-source sweep against the product-BFS oracle and the
+        per-seed baseline on the same operator.  Forcing label routing turns
+        every worthwhile safe subtree into a macro edge; a starred one
+        matches the empty path, so its macro relation has diagonal pairs."""
+        run, query, l1, l2 = data
+        l1, l2 = _runnable(run, query, l1, l2)
+        plan = plan_decomposition(run.spec, query)
+        routing = (
+            mock.patch.object(plan, "estimate_prefers_labels", lambda run, node: True)
+            if force_labels
+            else contextlib.nullcontext()
         )
-        assert parallel == serial
+        with routing:
+            physical = build_physical_plan(
+                run, plan, l1, l2, indexes=_indexes(run.spec),
+                strategy="frontier", direction=direction,
+            )
+            oracle = _oracle(run, query, l1, l2)
+            streamed = list(execute_iter(physical))
+            assert len(streamed) == len(set(streamed)), f"duplicated pairs for {query!r}"
+            assert set(streamed) == oracle, f"sweep stream diverged for {query!r}"
+            assert execute(physical) == oracle, f"sweep diverged for {query!r}"
+            if isinstance(physical.root, FrontierSearchOp):
+                assert per_seed_execute(physical) == oracle
 
     def test_backward_execution_crosses_macro_edges(self, monkeypatch):
         """Backward searches must follow macro relations against their
@@ -173,30 +217,75 @@ class TestExecutorEquivalence:
         assert physical.root.macros, "expected a macro-routed safe subtree"
         assert execute(physical) == reference
 
-    def test_process_backend_crosses_macro_edges_backward(self, monkeypatch):
-        """Real workers search backward over materialized macro relations:
-        the parent ships each macro's reversed adjacency, and the workers'
-        pairs re-orient to (source, target)."""
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    def test_starred_macro_matches_the_empty_path(self, monkeypatch, direction):
+        """'(A|B)*' routed to the labels relates every node to itself, so
+        pairs matched by '(e)+' alone must survive the macro step."""
         run = _RUNS["paper"][0]
-        query = "(e)+ . (A|B)+"
+        query = "(e)+ . (A|B)*"
         nodes = list(run.node_ids())
-        l1, l2 = nodes, nodes[-3:]
-        reference = restrict(evaluate_regex_relation(run, parse_regex(query)), l1, l2)
         plan = plan_decomposition(run.spec, query)
         monkeypatch.setattr(plan, "estimate_prefers_labels", lambda run, node: True)
         physical = build_physical_plan(
-            run, plan, l1, l2, indexes=_indexes(run.spec),
-            strategy="frontier", direction="backward",
-            executor=ExecutorConfig(workers=2),
+            run, plan, nodes, nodes, indexes=_indexes(run.spec),
+            strategy="frontier", direction=direction,
         )
         assert physical.root.macros, "expected a macro-routed safe subtree"
+        e_only = evaluate_regex_relation(run, parse_regex("(e)+"))
+        result = execute(physical)
+        assert e_only and e_only <= result
+        assert result == evaluate_regex_relation(run, parse_regex(query))
+
+
+class TestFrontierExecution:
+    def test_one_sweep_per_operator(self, monkeypatch):
+        """Every seed of the operator goes into a single search call."""
+        run = _RUNS["paper"][0]
+        nodes = list(run.node_ids())
+        calls = []
+        original = executor_module.frontier_search
+
+        def counting(*args, **kwargs):
+            calls.append(tuple(args[2]))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(executor_module, "frontier_search", counting)
+        physical = _physical(run, "_* a _*", nodes, None, strategy="frontier")
+        assert len(physical.root.seeds) == len(nodes)
+        execute(physical)
+        assert calls == [physical.root.seeds]
+
+    def test_search_span_reports_direction_seeds_and_pairs(self):
+        run = _RUNS["paper"][0]
+        nodes = list(run.node_ids())
+        physical = _physical(
+            run, "_* a _*", nodes, nodes[:2], strategy="frontier", direction="backward"
+        )
         tracer = Tracer(registry=MetricsRegistry())
         with use_tracer(tracer):
-            streamed = list(execute_iter(physical))
-        assert len(streamed) == len(set(streamed))
-        assert set(streamed) == reference
+            result = execute(physical)
         [search] = [span for span in tracer.spans() if span.name == "exec.frontier_search"]
-        assert search.attrs["mode"] == "parallel"
+        assert search.attrs == {"direction": "backward", "seeds": 2, "pairs": len(result)}
+
+    def test_execute_iter_searches_on_first_draw(self, monkeypatch):
+        """Building the stream runs nothing; the sweep starts when the first
+        pair is drawn, and the stream then matches the materialized set."""
+        run = _RUNS["paper"][0]
+        nodes = list(run.node_ids())
+        started = []
+        original = executor_module.iter_frontier_search
+
+        def tracking(*args, **kwargs):
+            started.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(executor_module, "iter_frontier_search", tracking)
+        physical = _physical(run, "_* a _*", nodes, None, strategy="frontier")
+        stream = execute_iter(physical)
+        assert started == []
+        pairs = list(stream)
+        assert started == [1]
+        assert set(pairs) == execute(physical)
 
 
 class TestPlannerResolution:
@@ -282,194 +371,14 @@ class TestPlannerResolution:
             _physical(run, "_* a _*", None, None, direction="sideways")
         with pytest.raises(ValueError, match="unknown direction"):
             ExecutorConfig(direction="sideways")
-        with pytest.raises(ValueError, match="workers must be at least 1"):
-            ExecutorConfig(workers=0)
 
     def test_pool_kind_is_not_configurable(self):
         with pytest.raises(TypeError):
             ExecutorConfig(backend="thread")
 
-
-class TestWorkerBudget:
-    def test_lease_grants_at_most_free_capacity(self):
-        budget = WorkerBudget(4)
-        with budget.lease(3) as first:
-            assert first == 3
-            with budget.lease(3) as second:
-                assert second == 1  # only one slot free
-                assert budget.in_use == 4
-        assert budget.in_use == 0
-
-    def test_saturated_budget_still_grants_one(self):
-        budget = WorkerBudget(1)
-        with budget.lease(1):
-            with budget.lease(4) as granted:
-                assert granted == 1  # degrade to serial, never block
-
-    def test_saturated_budget_degrades_execution_to_serial(self):
-        run = _RUNS["paper"][0]
-        nodes = list(run.node_ids())
-        budget = WorkerBudget(2)
-        reference = execute(_physical(run, "_* a _*", nodes[:6], nodes))
-        with budget.lease(2):  # a busy batch holds the whole budget
-            config = ExecutorConfig(workers=4, budget=budget)
-            physical = _physical(
-                run, "_* a _*", nodes[:6], nodes, strategy="frontier", executor=config
-            )
-            assert set(execute_iter(physical)) == reference
-
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(ValueError, match="capacity must be at least 1"):
-            WorkerBudget(0)
-
-    def test_lease_releases_before_the_stream_is_drained(self):
-        """A slow consumer must not keep budget slots hostage once every
-        search chunk has completed."""
-        import time
-
-        run = _RUNS["paper"][0]
-        nodes = list(run.node_ids())
-        budget = WorkerBudget(4)
-        config = ExecutorConfig(workers=2, budget=budget)
-        physical = _physical(
-            run, "_* a _*", nodes, None, strategy="frontier", executor=config
-        )
-        stream = execute_iter(physical)
-        first = next(stream)  # start execution, drain almost nothing
-        assert first
-        deadline = time.monotonic() + 10
-        while budget.in_use and time.monotonic() < deadline:
-            time.sleep(0.01)
-        assert budget.in_use == 0, "slots still held after searches finished"
-        rest = list(stream)  # the buffered results are all still there
-        reference = execute(_physical(run, "_* a _*", nodes, None, strategy="frontier"))
-        assert {first, *rest} == reference
-        assert budget.in_use == 0
-
-
-class TestBrokenPoolFallback:
-    def test_worker_death_mid_chunk_recomputes_chunks_locally(self, monkeypatch):
-        """A process worker that dies mid-chunk breaks the pool: the drain
-        loop recomputes every lost chunk in-process, marks the search span,
-        and hands the whole fan-out back to the budget."""
-        from crash_worker import die_mid_chunk
-
-        monkeypatch.setattr(executor_module, "timed_search_chunk", die_mid_chunk)
-        run = _RUNS["paper"][0]
-        nodes = list(run.node_ids())
-        serial = execute(_physical(run, "_* a _*", nodes, None, strategy="frontier"))
-        budget = WorkerBudget(4)
-        physical = _physical(
-            run, "_* a _*", nodes, None,
-            strategy="frontier",
-            executor=ExecutorConfig(workers=2, budget=budget),
-        )
-        tracer = Tracer(registry=MetricsRegistry())
-        with use_tracer(tracer):
-            streamed = list(execute_iter(physical))
-        assert len(streamed) == len(set(streamed))
-        assert set(streamed) == serial
-        [search] = [span for span in tracer.spans() if span.name == "exec.frontier_search"]
-        assert search.attrs["mode"] == "parallel"
-        assert search.attrs.get("fallback") == "local"
-        assert budget.in_use == 0
-
-    def test_worker_that_fails_to_spawn_falls_back_locally(self, monkeypatch):
-        """Workers spawn inside ``submit``, not in the pool constructor: a
-        spawn failure there (here ``EAGAIN`` from the process start) must
-        still end in the in-process fallback, not escape to the caller."""
-        def no_spawn(process):
-            raise OSError(11, "Resource temporarily unavailable")
-
-        monkeypatch.setattr(
-            multiprocessing.context.ForkServerProcess, "_Popen", staticmethod(no_spawn)
-        )
-        run = _RUNS["paper"][0]
-        nodes = list(run.node_ids())
-        serial = execute(_physical(run, "_* a _*", nodes, None, strategy="frontier"))
-        budget = WorkerBudget(4)
-        physical = _physical(
-            run, "_* a _*", nodes, None,
-            strategy="frontier",
-            executor=ExecutorConfig(workers=2, budget=budget),
-        )
-        tracer = Tracer(registry=MetricsRegistry())
-        with use_tracer(tracer):
-            streamed = list(execute_iter(physical))
-        assert len(streamed) == len(set(streamed))
-        assert set(streamed) == serial
-        [search] = [span for span in tracer.spans() if span.name == "exec.frontier_search"]
-        assert search.attrs["mode"] == "parallel"
-        assert search.attrs.get("fallback") == "local"
-        assert budget.in_use == 0
-
-    def test_pool_that_refuses_later_chunks_runs_the_rest_locally(self, monkeypatch):
-        """A pool that takes the first chunk and then refuses ``submit``
-        keeps the chunk it took; the refused chunks run in-process, every
-        chunk is stitched under the search span once, and the budget frees
-        when the submitted chunk completes."""
-        original = executor_module.ProcessPoolExecutor.submit
-        accepted = []
-
-        def submit_once(pool, *args, **kwargs):
-            if accepted:
-                raise RuntimeError("cannot schedule new futures after shutdown")
-            accepted.append(args)
-            return original(pool, *args, **kwargs)
-
-        monkeypatch.setattr(executor_module.ProcessPoolExecutor, "submit", submit_once)
-        run = _RUNS["paper"][0]
-        nodes = list(run.node_ids())
-        serial = execute(_physical(run, "_* a _*", nodes, None, strategy="frontier"))
-        budget = WorkerBudget(4)
-        physical = _physical(
-            run, "_* a _*", nodes, None,
-            strategy="frontier",
-            executor=ExecutorConfig(workers=2, budget=budget),
-        )
-        tracer = Tracer(registry=MetricsRegistry())
-        with use_tracer(tracer):
-            streamed = list(execute_iter(physical))
-        assert len(accepted) == 1
-        assert len(streamed) == len(set(streamed))
-        assert set(streamed) == serial
-        chunks = [span for span in tracer.spans() if span.name == "exec.frontier_chunk"]
-        [search] = [span for span in tracer.spans() if span.name == "exec.frontier_search"]
-        assert len(chunks) > 1
-        assert all(span.parent_id == search.span_id for span in chunks)
-        assert sum(span.attrs["seeds"] for span in chunks) == len(nodes)
-        assert search.attrs.get("fallback") == "local"
-        assert budget.in_use == 0
-
-    def test_unusable_process_pool_runs_chunks_in_process(self, monkeypatch):
-        """When a process pool cannot even be constructed, every chunk runs
-        in-process through the worker's chunk code, still matches serial,
-        and is stitched under the search span like a worker's record."""
-        def no_processes(*args, **kwargs):
-            raise OSError("process pools unavailable")
-
-        monkeypatch.setattr(executor_module, "ProcessPoolExecutor", no_processes)
-        run = _RUNS["paper"][0]
-        nodes = list(run.node_ids())
-        serial = execute(_physical(run, "_* a _*", nodes, None, strategy="frontier"))
-        physical = _physical(
-            run, "_* a _*", nodes, None,
-            strategy="frontier",
-            executor=ExecutorConfig(workers=2),
-        )
-        tracer = Tracer(registry=MetricsRegistry())
-        with use_tracer(tracer):
-            streamed = list(execute_iter(physical))
-        assert len(streamed) == len(set(streamed))
-        assert set(streamed) == serial
-        chunks = [span for span in tracer.spans() if span.name == "exec.frontier_chunk"]
-        [search] = [span for span in tracer.spans() if span.name == "exec.frontier_search"]
-        assert chunks
-        assert all(span.thread == "worker" for span in chunks)
-        assert all(span.parent_id == search.span_id for span in chunks)
-        assert all(search.start <= span.start <= span.end for span in chunks)
-        assert sum(span.attrs["seeds"] for span in chunks) == len(nodes)
-        assert search.attrs.get("fallback") == "local"
+    def test_fan_out_is_not_configurable(self):
+        with pytest.raises(TypeError):
+            ExecutorConfig(workers=2)
 
 
 class TestPhysicalPlanReporting:
@@ -480,6 +389,7 @@ class TestPhysicalPlanReporting:
         text = physical.describe()
         assert 'frontier' in text
         assert 'backward' in text
+        assert 'workers' not in text
 
 
 class TestMacroRelationThreadSafety:

@@ -1,16 +1,38 @@
-"""Tests for the restriction-pushdown primitives of :mod:`repro.core.relations`."""
+"""Tests for the restriction-pushdown primitives of :mod:`repro.core.relations`
+and the multi-source frontier sweep."""
 
-from repro.automata.regex import parse_regex
+import pytest
+
+from repro.automata.dfa import determinize
+from repro.automata.nfa import nfa_from_regex
+from repro.automata.regex import Concat, Symbol, parse_regex
+from repro.baselines.per_seed_frontier import per_seed_frontier_search
 from repro.baselines.product_bfs import product_dfa
 from repro.core.relations import (
     backward_closure_nodes,
     evaluate_regex_relation,
     forward_closure_nodes,
+    frontier_search,
+    iter_frontier_search,
     product_frontier_targets,
     restrict,
     restriction_universe,
 )
 from repro.datasets.paper_example import paper_run
+
+#: The macro symbol of the hand-built sweeps below.
+_MACRO = "\x00M"
+
+#: x -a-> y -b-> z, plus an isolated w last in the order.
+_CHAIN = {"x": (("y", "a"),), "y": (("z", "b"),), "z": (), "w": ()}
+_ORDER = ("x", "y", "z", "w")
+
+
+def _dfa(*tags):
+    """The DFA of the concatenation of ``tags`` over the chain's alphabet,
+    with the wildcard kept off the macro symbol."""
+    node = Concat(tuple(Symbol(tag) for tag in tags)) if len(tags) > 1 else Symbol(tags[0])
+    return determinize(nfa_from_regex(node), {"a", "b", _MACRO}, wildcard_tags={"a", "b"})
 
 
 class TestClosures:
@@ -116,3 +138,109 @@ class TestFrontierSearch:
             macro_successors={macro: lambda node: relation.get(node, ())},
         )
         assert hits == {nodes[3], nodes[4]}
+
+
+class TestFrontierSweep:
+    """The sweep on hand-built adjacencies, where every case is visible."""
+
+    def test_duplicate_seeds_are_searched_once(self):
+        pairs = frontier_search(_CHAIN, _dfa("a"), ["x", "x", "x"], order=_ORDER)
+        assert pairs == [("x", "y")]
+
+    def test_seeds_absent_or_disallowed_contribute_nothing(self):
+        dfa = _dfa("a")
+        assert frontier_search(_CHAIN, dfa, ["ghost"], order=_ORDER) == []
+        assert frontier_search(
+            _CHAIN, dfa, ["x", "ghost"], order=_ORDER, allowed={"y", "z"}
+        ) == []
+        # A pruned target also stops the search on its far side.
+        assert frontier_search(_CHAIN, _dfa("a", "b"), ["x"], order=_ORDER) == [("x", "z")]
+        assert frontier_search(
+            _CHAIN, _dfa("a", "b"), ["x"], order=_ORDER, allowed={"x", "z"}
+        ) == []
+
+    def test_no_seeds_yield_nothing_and_read_no_order(self):
+        def order():
+            raise AssertionError("the sweep walked the order without seeds")
+            yield  # pragma: no cover
+
+        assert frontier_search(_CHAIN, _dfa("a"), [], order=order()) == []
+
+    def test_backward_pairs_put_the_hit_first(self):
+        reverse = {"y": (("x", "a"),), "z": (("y", "b"),), "x": (), "w": ()}
+        reversed_dfa = _dfa("b", "a")  # "a b" read backward
+        pairs = frontier_search(
+            reverse, reversed_dfa, ["z"], order=reversed(_ORDER), forward=False
+        )
+        assert pairs == [("x", "z")]
+
+    def test_emit_filter_keeps_only_listed_hits(self):
+        star = determinize(
+            nfa_from_regex(parse_regex("_*")), {"a", "b"}, wildcard_tags={"a", "b"}
+        )
+        every = frontier_search(_CHAIN, star, ["x", "y"], order=_ORDER)
+        assert sorted(every) == [
+            ("x", "x"), ("x", "y"), ("x", "z"), ("y", "y"), ("y", "z"),
+        ]
+        filtered = frontier_search(
+            _CHAIN, star, ["x", "y"], order=_ORDER, emit_filter={"z"}
+        )
+        assert sorted(filtered) == [("x", "z"), ("y", "z")]
+
+    def test_diagonal_macro_pairs_close_over_states(self):
+        """A macro relation holding (x, x) — its subquery matched the empty
+        path at x — lets 'M M a' take both macro steps without leaving x."""
+        dfa = _dfa(_MACRO, _MACRO, "a")
+        macros = {_MACRO: lambda node: (node,) if node == "x" else ()}
+        pairs = frontier_search(
+            _CHAIN, dfa, ["x"], order=_ORDER, macro_successors=macros
+        )
+        assert pairs == [("x", "y")]
+        assert pairs == per_seed_frontier_search(
+            _CHAIN, dfa, ["x"], macro_successors=macros
+        )
+
+    def test_macro_edges_expand_only_on_a_live_transition(self):
+        expanded = []
+
+        def expand(node):
+            expanded.append(node)
+            return ("z",) if node == "y" else ()
+
+        pairs = frontier_search(
+            _CHAIN, _dfa("a", _MACRO), ["x"], order=_ORDER,
+            macro_successors={_MACRO: expand},
+        )
+        assert pairs == [("x", "z")]
+        assert expanded == ["y"]  # x needs an 'a' first; z is accepting already
+
+    def test_sweep_stops_after_the_last_live_node(self):
+        order = iter(_ORDER)
+        assert frontier_search(_CHAIN, _dfa("a"), ["x"], order=order) == [("x", "y")]
+        assert list(order) == ["z", "w"]
+
+    def test_pairs_stream_per_node_in_sweep_order(self):
+        star = determinize(
+            nfa_from_regex(parse_regex("_*")), {"a", "b"}, wildcard_tags={"a", "b"}
+        )
+        stream = iter_frontier_search(_CHAIN, star, ["x", "y"], order=_ORDER)
+        assert next(stream) == ("x", "x")
+        assert list(stream) == [("x", "y"), ("y", "y"), ("x", "z"), ("y", "z")]
+
+    @pytest.mark.parametrize("query", ["_* a _*", "a* e", "(c | e) _*", "_"])
+    def test_all_seeds_at_once_match_one_search_each(self, query):
+        run = paper_run(recursion_depth=3)
+        dfa = product_dfa(run, query)
+        nodes = list(run.node_ids())
+        swept = frontier_search(
+            run.successors, dfa, nodes, order=run.topological_order
+        )
+        assert len(swept) == len(set(swept))
+        assert set(swept) == {
+            (source, target)
+            for source in nodes
+            for target in product_frontier_targets(run, dfa, source)
+        }
+        assert set(swept) == set(
+            per_seed_frontier_search(run.successors, dfa, nodes)
+        )

@@ -286,9 +286,9 @@ class TestBatchCommand:
             "repro_obs_spans_total",
             "repro_service_request_seconds_count",
             "repro_cache_entries",
-            "repro_worker_budget_capacity",
         ):
             assert key in metrics, f"metrics block lost {key}"
+        assert not [key for key in metrics if key.startswith("repro_worker_budget")]
         assert metrics["repro_cache_hits_total"] >= 1
         assert metrics["repro_service_request_seconds_count"] >= 2
 
@@ -442,15 +442,14 @@ class TestCacheCommand:
             main(["cache", "--warm", "_*"])
 
 
-class TestDirectionAndWorkersFlags:
-    def test_direction_and_workers_match_default_output(self, tmp_path, run_path, capsys):
+class TestDirectionFlag:
+    def test_direction_matches_default_output(self, tmp_path, run_path, capsys):
         base = ["query", str(run_path), "_* a _*", "--json"]
         assert main(base) == 0
         expected = json.loads(capsys.readouterr().out)
         for extra in (
             ["--direction", "forward", "--strategy", "frontier"],
             ["--direction", "backward", "--strategy", "frontier"],
-            ["--workers", "2", "--strategy", "frontier"],
         ):
             assert main(base + extra) == 0
             assert json.loads(capsys.readouterr().out) == expected, extra
@@ -467,6 +466,10 @@ class TestDirectionAndWorkersFlags:
     def test_invalid_direction_is_rejected(self, tmp_path, run_path):
         with pytest.raises(SystemExit):
             main(["query", str(run_path), "_* a _*", "--direction", "sideways"])
+
+    def test_query_has_no_workers_flag(self, tmp_path, run_path):
+        with pytest.raises(SystemExit):
+            main(["query", str(run_path), "_* a _*", "--workers", "2"])
 
 
 class TestStoreGcOrphans:

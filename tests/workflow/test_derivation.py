@@ -151,8 +151,11 @@ class TestDeriveRun:
     def test_runs_are_dags(self):
         spec = paper_specification()
         run = derive_run(spec, seed=5, target_edges=120)
-        order = run.topological_order()
+        order = run.topological_order
         assert len(order) == run.node_count
+        position = {node: index for index, node in enumerate(order)}
+        assert all(position[edge.source] < position[edge.target] for edge in run.edges)
+        assert run.topological_order is order  # computed once per run
 
     def test_all_run_nodes_are_atomic(self):
         spec = paper_specification()
