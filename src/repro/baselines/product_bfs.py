@@ -8,10 +8,10 @@ approach (" [24] is too slow, we omit it"); here it serves two purposes:
 * the correctness oracle for every other engine in the test suite, and
 * a baseline in the ablation benchmarks.
 
-The traversal was also promoted (generalized with ``allowed``-set pruning
-and macro transitions) into the production path as
-:func:`repro.core.relations.product_frontier_targets`; this module keeps its
-own standalone copy of the plain search so the oracle stays *independent* of
+The traversal was also promoted (generalized to many seeds at once, with
+``allowed``-set pruning and macro transitions) into the production path as
+:func:`repro.core.relations.frontier_search`; this module keeps its own
+standalone copy of the plain search so the oracle stays *independent* of
 the code it verifies.
 """
 

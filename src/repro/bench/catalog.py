@@ -389,11 +389,13 @@ def check_catalog(
     """Validate the catalog; returns a list of problems (empty = healthy).
 
     Static checks: unique ids, resolvable grammar factors, known query
-    classes and scales, executor factors that construct, invariants that
-    reference existing scenarios.  With ``runnable=True`` every entry is
-    additionally *executed* at the given scale, so a broken benchmark
+    classes and scales, known strategy and direction factors, invariants
+    that reference existing scenarios.  With ``runnable=True`` every entry
+    is additionally *executed* at the given scale, so a broken benchmark
     definition fails fast without timing anything meaningful.
     """
+    from repro.core.exec import check_routing
+
     problems: list[str] = []
     seen: set[str] = set()
     for scenario in CATALOG:
@@ -409,11 +411,7 @@ def check_catalog(
         except ScenarioError as error:
             problems.append(f"{scenario.id}: {error}")
         try:
-            from repro.core.exec import ExecutorConfig
-
-            ExecutorConfig(direction=scenario.executor.direction)
-            if scenario.executor.strategy not in ("auto", "frontier", "join"):
-                raise ValueError(f"unknown strategy {scenario.executor.strategy!r}")
+            check_routing(scenario.executor.strategy, scenario.executor.direction)
         except ValueError as error:
             problems.append(f"{scenario.id}: bad executor factors: {error}")
         unknown_suites = set(scenario.suites) - set(_CI) - {"smoke"}

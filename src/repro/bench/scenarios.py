@@ -37,7 +37,6 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 from repro.errors import ReproError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.exec import ExecutorConfig
     from repro.core.relations import NodePairs
     from repro.service.requests import QueryRequest, QueryResult
     from repro.workflow.run import Run
@@ -330,12 +329,6 @@ def _lists(
     return node_lists(run, limit=limit, seed=scenario.seed + 2)
 
 
-def _executor_config(scenario: Scenario) -> "ExecutorConfig":
-    from repro.core.exec import ExecutorConfig
-
-    return ExecutorConfig(direction=scenario.executor.direction)
-
-
 def _make_run(
     scenario: Scenario, scale: ScenarioScale, spec: "Specification | None" = None
 ) -> "Run":
@@ -479,12 +472,10 @@ def _build_allpairs(scenario: Scenario, scale: ScenarioScale) -> _Prepared:
         l1, l2 = sampled1[:5], sampled2[-5:]
     else:
         l1, l2 = _lists(run, scenario, scale)
-    executor = _executor_config(scenario)
     kwargs = {
         "plan": plan,
         "strategy": scenario.executor.strategy,
         "direction": scenario.executor.direction,
-        "executor": executor,
     }
 
     def action() -> "NodePairs":

@@ -36,6 +36,7 @@ from pathlib import Path
 
 from repro import __version__
 from repro.core.engine import ProvenanceQueryEngine
+from repro.core.exec.plan import DIRECTIONS, STRATEGIES
 from repro.datasets.myexperiment import bioaid_specification, qblast_specification
 from repro.datasets.paper_example import paper_specification
 from repro.datasets.synthetic import generate_synthetic_specification
@@ -181,15 +182,12 @@ def _evaluate_query(
         return 0
     l1 = args.sources.split(",") if args.sources else None
     l2 = args.targets.split(",") if args.targets else None
-    from repro.core.exec import ExecutorConfig
-
-    executor = ExecutorConfig(direction=args.direction)
     if args.stream:
         # Pairs go to stdout as the evaluator finds them (unsorted); the
         # count goes to stderr so piped output stays pure.
         count = 0
         for source, target in engine.evaluate_iter(
-            run, args.query, l1, l2, executor=executor
+            run, args.query, l1, l2, direction=args.direction
         ):
             print(
                 json.dumps([source, target]) if args.json else f"{source} -> {target}",
@@ -199,7 +197,7 @@ def _evaluate_query(
         print(f"{count} matching pairs", file=sys.stderr)
         return 0
     matches = engine.evaluate(
-        run, args.query, l1, l2, strategy=args.strategy, executor=executor
+        run, args.query, l1, l2, strategy=args.strategy, direction=args.direction
     )
     if args.json:
         print(json.dumps(sorted(matches)))
@@ -756,7 +754,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     query_parser.add_argument(
         "--strategy",
-        choices=["auto", "frontier", "join"],
+        choices=STRATEGIES,
         default="auto",
         help=(
             "unsafe-remainder evaluation strategy for non-streamed all-pairs "
@@ -766,7 +764,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     query_parser.add_argument(
         "--direction",
-        choices=["auto", "forward", "backward"],
+        choices=DIRECTIONS,
         default="auto",
         help=(
             "frontier search direction for unsafe all-pairs queries: forward "

@@ -19,10 +19,10 @@ This package contains the query-time machinery of the paper:
   strategies are baselines (:mod:`repro.baselines.rpl_per_pair`).
 * :mod:`repro.core.decomposition` — general (possibly unsafe) queries: find
   the largest safe subqueries of the parse tree (the *planner* side:
-  decomposition, macro DFAs and their reversals, cost/direction memos).
-* :mod:`repro.core.exec` — the *executor* side: physical plans
-  (frontier/join/label-decode/restrict operators), direction resolution, and
-  serial or parallel execution with streaming merge.
+  decomposition, label routing, macro DFAs and their reversals).
+* :mod:`repro.core.exec` — the *executor* side: physical plans (one
+  frontier, join or label-decode operator), strategy and direction
+  resolution, and materialized or streamed execution.
 * :mod:`repro.core.optimizer` — a simple cost model choosing between the
   labeling-based engine and the baselines (the paper's future-work item).
 * :mod:`repro.core.engine` — the :class:`ProvenanceQueryEngine` facade tying
@@ -39,18 +39,13 @@ from repro.core.decomposition import (
     evaluate_general_query_iter,
 )
 from repro.core.engine import ProvenanceQueryEngine
-from repro.core.exec import (
-    ExecutorConfig,
-    PhysicalPlan,
-    build_physical_plan,
-)
+from repro.core.exec import PhysicalPlan, build_physical_plan
 from repro.core.intersection import intersect_specification
 from repro.core.pairwise import answer_pairwise_query, pairwise_reach_matrix
 from repro.core.query_index import QueryIndex, build_query_index
 from repro.core.safety import SafetyReport, analyze_safety, is_safe_query
 
 __all__ = [
-    "ExecutorConfig",
     "PhysicalPlan",
     "ProvenanceQueryEngine",
     "QueryIndex",

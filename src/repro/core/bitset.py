@@ -15,8 +15,10 @@ element.  This module re-platforms that data path on *dense interned ids*
 This is the kernel of joins and closures (:class:`PackedRelation`, driven by
 :func:`~repro.core.relations.evaluate_regex_relation_packed`) and of the
 reachability closures behind restriction pushdown (:func:`closure_mask`).
-Per-seed frontier searches stay on sets: on sparse runs their per-edge cost
-tracks the real out-degree, where a packed wave pays the full row width.
+The frontier sweep (:func:`~repro.core.relations.frontier_search`) keeps
+string-keyed node maps and uses packed integers only for its seed sets: it
+follows the run's real out-degree, where a packed wave pays the full row
+width.
 """
 
 from __future__ import annotations
@@ -323,10 +325,6 @@ class PackedRelation:
             for position, row in enumerate(rows):
                 out[position] = row & target_mask
         else:
-            pending = sources
-            while pending:
-                low = pending & -pending
-                position = low.bit_length() - 1
+            for position in bit_indices(sources):
                 out[position] = rows[position] & target_mask
-                pending ^= low
         return PackedRelation(self.node_count, out)

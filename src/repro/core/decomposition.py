@@ -42,20 +42,20 @@ Planner/executor split
 ----------------------
 
 This module is the *planner* side of the evaluation stack: everything here —
-safe-subtree search, macro rewriting, (reversed) macro DFAs, cost and
-direction memos — is pure, run-graph-independent where possible, cacheable
-in the shared :class:`~repro.service.cache.IndexCache` and serializable by
+safe-subtree search, label-routing memos, macro rewriting, (reversed) macro
+DFAs — is pure, run-graph-independent where possible, cacheable in the
+shared :class:`~repro.service.cache.IndexCache` and serializable by
 :mod:`repro.store`.  The *physical* side — strategy/direction resolution
-into operator trees and their execution — lives in
-:mod:`repro.core.exec`; the ``evaluate_general_query*`` functions below are
-thin compatibility wrappers over ``build_physical_plan`` + ``execute``.
+into one operator and its execution — lives in :mod:`repro.core.exec`; the
+``evaluate_general_query*`` entry points below plan with
+``build_physical_plan`` and run the plan with ``execute``/``execute_iter``.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from repro.automata.dfa import DFA, determinize
 from repro.automata.nfa import nfa_from_regex
@@ -82,9 +82,6 @@ from repro.core.safety import is_safe_query
 from repro.obs import get_tracer
 from repro.workflow.run import Run
 from repro.workflow.spec import Specification
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.exec import ExecutorConfig
 
 __all__ = [
     "DecompositionPlan",
@@ -416,7 +413,6 @@ def evaluate_general_query(
     index_provider: IndexProvider | None = None,
     strategy: str = "auto",
     direction: str = "auto",
-    executor: "ExecutorConfig | None" = None,
 ) -> NodePairs:
     """Answer a general all-pairs query, safe or not.
 
@@ -434,8 +430,7 @@ def evaluate_general_query(
     evaluation), or ``"auto"`` (cost-based choice).  ``direction`` orients
     the frontier strategy (``"forward"`` from the sources, ``"backward"``
     from the targets over the reversed macro DFA, or ``"auto"`` to let the
-    cost model compare seed counts); ``executor`` carries the default
-    direction (see :class:`~repro.core.exec.ExecutorConfig`).
+    cost model compare seed counts).
     """
     from repro.core.exec import build_physical_plan, execute
 
@@ -448,7 +443,6 @@ def evaluate_general_query(
         indexes=indexes,
         strategy=strategy,
         direction=direction,
-        executor=executor,
     )
     return execute(physical)
 
@@ -462,7 +456,6 @@ def evaluate_general_query_iter(
     plan: DecompositionPlan | None = None,
     index_provider: IndexProvider | None = None,
     direction: str = "auto",
-    executor: "ExecutorConfig | None" = None,
 ) -> Iterator[tuple[str, str]]:
     """Stream the answers of a general all-pairs query, safe or not.
 
@@ -486,6 +479,5 @@ def evaluate_general_query_iter(
         indexes=indexes,
         strategy="frontier" if not plan.is_fully_safe else "auto",
         direction=direction,
-        executor=executor,
     )
     return execute_iter(physical)

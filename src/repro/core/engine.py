@@ -32,6 +32,7 @@ from repro.core.decomposition import (
     evaluate_general_query,
     evaluate_general_query_iter,
 )
+from repro.core.exec.plan import check_routing
 from repro.core.pairwise import answer_pairwise_query, pairwise_reach_matrix
 from repro.core.query_index import QueryIndex
 from repro.core.safety import SafetyReport
@@ -44,7 +45,6 @@ from repro.workflow.spec import Specification
 
 if TYPE_CHECKING:
     from repro.automata.boolean_matrix import BooleanMatrix
-    from repro.core.exec import ExecutorConfig
     from repro.service.cache import IndexCache
 
 __all__ = ["ProvenanceQueryEngine", "DEFAULT_CACHE_ENTRIES"]
@@ -206,7 +206,6 @@ class ProvenanceQueryEngine:
         *,
         strategy: str = "auto",
         direction: str = "auto",
-        executor: "ExecutorConfig | None" = None,
     ) -> set[tuple[str, str]]:
         """Answer any all-pairs query, safe or not.
 
@@ -215,23 +214,15 @@ class ProvenanceQueryEngine:
         remainder (Section IV-B) evaluated with restriction pushdown: the
         ``l1``/``l2`` lists bound every intermediate relation instead of
         being applied to a whole-run result.  ``strategy`` routes the unsafe
-        remainder (``"auto"``, ``"frontier"``, or ``"join"``), ``direction``
-        orients the frontier strategy (``"backward"`` searches from the
-        targets over the reversed macro DFA), and ``executor`` carries the
-        default direction (see :class:`~repro.core.exec.ExecutorConfig` and
+        remainder (``"auto"``, ``"frontier"``, or ``"join"``) and
+        ``direction`` orients the frontier strategy (``"backward"`` searches
+        from the targets over the reversed macro DFA; see
         :func:`~repro.core.decomposition.evaluate_general_query`).
         """
-        if strategy not in ("auto", "frontier", "join"):
-            # Validate up front: safe queries never reach the decomposition
-            # engine, so a typo must not pass silently until a query happens
-            # to be unsafe.
-            raise ValueError(
-                f"unknown strategy {strategy!r}; use 'auto', 'frontier' or 'join'"
-            )
-        if direction not in ("auto", "forward", "backward"):
-            raise ValueError(
-                f"unknown direction {direction!r}; use 'auto', 'forward' or 'backward'"
-            )
+        # Validate up front: safe queries never reach the decomposition
+        # engine, so a typo must not pass silently until a query happens to
+        # be unsafe.
+        check_routing(strategy, direction)
         self._check_run(run)
         tracer = get_tracer()
         with tracer.span(
@@ -257,7 +248,6 @@ class ProvenanceQueryEngine:
                         index_provider=self._subtree_index_provider(),
                         strategy=strategy,
                         direction=direction,
-                        executor=executor,
                     )
             with tracer.span("query.execute", path="safe-allpairs"):
                 return self.all_pairs(run, node, l1, l2)
@@ -270,23 +260,22 @@ class ProvenanceQueryEngine:
         l2: Sequence[str] | None = None,
         *,
         direction: str = "auto",
-        executor: "ExecutorConfig | None" = None,
     ) -> Iterator[tuple[str, str]]:
         """Stream the answers of any all-pairs query, safe or not.
 
         Safe queries stream straight out of the group-at-a-time evaluator
         (constant memory).  Unsafe queries stream through the executor
         layer's frontier sweep — forward from the sources, or backward from
-        the targets over the reversed macro DFA (``direction``, or the
-        default of ``executor``; see :class:`~repro.core.exec.ExecutorConfig`),
-        pairs streaming per node as the sweep passes it: memory is bounded
+        the targets over the reversed macro DFA (``direction``), pairs
+        streaming per node as the sweep passes it: memory is bounded
         by one seed bitmask per live (node, DFA state) of the region
         reachable from ``l1`` (and co-reachable from ``l2``) plus the routed
         safe subqueries' relations — never by the result set, and never by
         materializing a whole-run relation.
-        Validation (run/spec match, parsing, safety, planning) runs eagerly,
-        before the iterator is returned.
+        Validation (direction, run/spec match, parsing, safety, planning)
+        runs eagerly, before the iterator is returned.
         """
+        check_routing("auto", direction)
         self._check_run(run)
         tracer = get_tracer()
         with tracer.span("query.parse"):
@@ -308,7 +297,6 @@ class ProvenanceQueryEngine:
                     plan=self.plan(node),
                     index_provider=self._subtree_index_provider(),
                     direction=direction,
-                    executor=executor,
                 ),
                 path="decomposition",
             )

@@ -7,8 +7,8 @@ The evaluation stack splits in two at this package's boundary:
   safety analysis, macro rewriting, cost and direction estimation — pure,
   cacheable, store-serializable;
 * the **executor** (this package) is physical: ``build_physical_plan``
-  resolves a workload into a tree of operators (:class:`FrontierSearchOp`,
-  :class:`JoinOp`, :class:`LabelDecodeOp`, :class:`RestrictOp`) and
+  resolves a workload into one operator (:class:`FrontierSearchOp`,
+  :class:`JoinOp` or :class:`LabelDecodeOp`) and
   ``execute``/``execute_iter`` run it.  Each operator has one compute
   kernel: packed bitsets for joins and closures, one topological
   multi-source sweep per frontier operator.
@@ -17,7 +17,6 @@ New execution strategies plug in at this seam without touching the planner:
 the backward (reversed-DFA) frontier search lives here.
 """
 
-from repro.core.exec.config import DIRECTIONS, ExecutorConfig
 from repro.core.exec.executor import execute, execute_iter
 from repro.core.exec.ops import (
     FrontierSearchOp,
@@ -25,21 +24,26 @@ from repro.core.exec.ops import (
     LabelDecodeOp,
     MacroRelation,
     PhysicalOp,
-    RestrictOp,
 )
-from repro.core.exec.plan import PhysicalPlan, build_physical_plan
+from repro.core.exec.plan import (
+    DIRECTIONS,
+    STRATEGIES,
+    PhysicalPlan,
+    build_physical_plan,
+    check_routing,
+)
 
 __all__ = [
     "DIRECTIONS",
-    "ExecutorConfig",
+    "STRATEGIES",
     "FrontierSearchOp",
     "JoinOp",
     "LabelDecodeOp",
     "MacroRelation",
     "PhysicalOp",
     "PhysicalPlan",
-    "RestrictOp",
     "build_physical_plan",
+    "check_routing",
     "execute",
     "execute_iter",
 ]

@@ -16,19 +16,13 @@ from typing import Callable, Iterator, TypeVar
 
 from repro.automata.regex import RegexNode
 from repro.core.allpairs import all_pairs_iter, all_pairs_safe_query
-from repro.core.exec.ops import (
-    FrontierSearchOp,
-    JoinOp,
-    LabelDecodeOp,
-    RestrictOp,
-)
+from repro.core.exec.ops import FrontierSearchOp, JoinOp, LabelDecodeOp
 from repro.core.exec.plan import PhysicalPlan
 from repro.core.relations import (
     NodePairs,
     evaluate_regex_relation_packed,
     frontier_search,
     iter_frontier_search,
-    restrict,
 )
 from repro.obs import Span, get_tracer
 
@@ -52,12 +46,6 @@ def execute(plan: PhysicalPlan) -> NodePairs:
     if isinstance(root, FrontierSearchOp):
         with _frontier_span(root) as span:
             result = set(_sweep(plan, root, frontier_search))
-            span.set("pairs", len(result))
-            return result
-    if isinstance(root, RestrictOp):
-        with get_tracer().span("exec.restrict") as span:
-            inner = _execute_join(plan, root.child)
-            result = restrict(inner, root.l1, root.l2)
             span.set("pairs", len(result))
             return result
     if isinstance(root, JoinOp):
@@ -93,7 +81,8 @@ def execute_iter(plan: PhysicalPlan) -> Iterator[tuple[str, str]]:
 
 def _execute_join(plan: PhysicalPlan, op: JoinOp) -> NodePairs:
     """Bottom-up relational evaluation with routed safe subtrees answered by
-    the labeling engine over the ``allowed`` universe."""
+    the labeling engine over the ``allowed`` universe, restricted to the
+    requested node lists before the root relation is unpacked."""
     run, indexes = plan.run, plan.indexes
     universe: list[str] | None = None
 
@@ -109,7 +98,12 @@ def _execute_join(plan: PhysicalPlan, op: JoinOp) -> NodePairs:
 
     with get_tracer().span("exec.join", routed=len(op.routed)) as span:
         result = evaluate_regex_relation_packed(
-            run, op.root, subquery_evaluator=subquery_evaluator, allowed=op.allowed
+            run,
+            op.root,
+            subquery_evaluator=subquery_evaluator,
+            allowed=op.allowed,
+            sources=op.l1,
+            targets=op.l2,
         )
         span.set("pairs", len(result))
         return result

@@ -1,6 +1,6 @@
 """Physical operators of the executor layer.
 
-A physical plan (see :mod:`repro.core.exec.plan`) is a tiny tree of the
+A physical plan (see :mod:`repro.core.exec.plan`) wraps one of the
 operators defined here.  Operators are *descriptions*: they carry everything
 an executor needs — seeds, direction-adjusted DFA, pruning universe, macro
 relations — but do no work themselves, so a plan can be built once (pure,
@@ -28,7 +28,6 @@ __all__ = [
     "LabelDecodeOp",
     "MacroRelation",
     "PhysicalOp",
-    "RestrictOp",
 ]
 
 
@@ -116,21 +115,15 @@ class LabelDecodeOp:
 class JoinOp:
     """The bottom-up relational evaluation (Option G1) of the unsafe
     remainder, with safe subtrees in ``routed`` answered by the labeling
-    engine and every relation filtered to the ``allowed`` universe."""
+    engine and every relation filtered to the ``allowed`` universe.  The
+    root relation is restricted to sources in ``l1`` and targets in ``l2``
+    while still packed (``None`` keeps a side unconstrained)."""
 
     root: RegexNode
     routed: frozenset[RegexNode]
     allowed: frozenset[str] | None
-
-
-@dataclass(frozen=True)
-class RestrictOp:
-    """Final source/target restriction over a child operator's relation
-    (``None`` keeps a side unconstrained)."""
-
-    child: "PhysicalOp"
     l1: tuple[str, ...] | None
     l2: tuple[str, ...] | None
 
 
-PhysicalOp = FrontierSearchOp | LabelDecodeOp | JoinOp | RestrictOp
+PhysicalOp = FrontierSearchOp | LabelDecodeOp | JoinOp

@@ -1,4 +1,4 @@
-"""The physical planner: logical plan + workload → operator tree.
+"""The physical planner: logical plan + workload → one physical operator.
 
 ``build_physical_plan`` is the single seam between the planner layer
 (:mod:`repro.core.decomposition` — safety, decomposition, macro DFAs, cost
@@ -23,7 +23,7 @@ determinization nor the reversal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from repro.automata.regex import RegexNode
@@ -36,37 +36,54 @@ from repro.core.decomposition import (
     _substitute_macros,
     label_routed_subtrees,
 )
-from repro.core.exec.config import DIRECTIONS, ExecutorConfig
 from repro.core.exec.ops import (
     FrontierSearchOp,
     JoinOp,
     LabelDecodeOp,
     MacroRelation,
     PhysicalOp,
-    RestrictOp,
 )
 from repro.core.optimizer import estimate_frontier_search_cost, estimate_join_cost
 from repro.core.relations import restriction_universe
 from repro.obs import get_tracer
 from repro.workflow.run import Run
 
-__all__ = ["PhysicalPlan", "build_physical_plan"]
+__all__ = [
+    "DIRECTIONS",
+    "STRATEGIES",
+    "PhysicalPlan",
+    "build_physical_plan",
+    "check_routing",
+]
 
-_STRATEGIES = ("auto", "frontier", "join")
+#: How the unsafe remainder may be evaluated (``auto`` lets the cost model pick).
+STRATEGIES = ("auto", "frontier", "join")
+#: Which way a frontier sweep may run (``auto`` compares the seed counts).
+DIRECTIONS = ("auto", "forward", "backward")
+
+
+def check_routing(strategy: str, direction: str) -> None:
+    """Raise ``ValueError`` unless both routing choices are known values."""
+    if strategy not in STRATEGIES:
+        raise ValueError(
+            f"unknown strategy {strategy!r}; use one of {list(STRATEGIES)}"
+        )
+    if direction not in DIRECTIONS:
+        raise ValueError(
+            f"unknown direction {direction!r}; use one of {list(DIRECTIONS)}"
+        )
 
 
 @dataclass
 class PhysicalPlan:
-    """A fully resolved physical plan: the operator tree plus everything the
-    executor needs to run it (run, index provider, executor config).
-    ``strategy`` and ``direction`` record the resolved choices for reporting
-    (``direction`` is ``"-"`` for non-frontier plans)."""
+    """A fully resolved physical plan: the root operator plus the run and
+    index provider the executor runs it against.  ``strategy`` and
+    ``direction`` record the resolved choices for reporting (``direction``
+    is ``"-"`` for non-frontier plans)."""
 
     run: Run
-    logical: DecompositionPlan
     root: PhysicalOp
     indexes: IndexProvider
-    executor: ExecutorConfig
     strategy: str
     direction: str
 
@@ -188,110 +205,65 @@ def build_physical_plan(
     indexes: IndexProvider,
     strategy: str = "auto",
     direction: str = "auto",
-    executor: ExecutorConfig | None = None,
 ) -> PhysicalPlan:
-    """Resolve a logical decomposition plan into a physical operator tree.
+    """Resolve a logical decomposition plan into one physical operator.
 
     Pure and cheap: no relation is materialized, no search runs, and the
     only side effects are memoizations on the logical plan (the forward and
     reversed macro DFAs) — exactly the artifacts the cache layer persists.
-    ``direction`` overrides the executor config's when not ``"auto"``.
     """
+    check_routing(strategy, direction)
     with get_tracer().span("exec.plan", requested=strategy) as span:
-        physical = _build_physical_plan(
-            run,
-            plan,
-            l1,
-            l2,
-            indexes=indexes,
-            strategy=strategy,
-            direction=direction,
-            executor=executor,
-        )
-        span.set("strategy", physical.strategy)
-        span.set("direction", physical.direction)
-        return physical
-
-
-def _build_physical_plan(
-    run: Run,
-    plan: DecompositionPlan,
-    l1: Sequence[str] | None,
-    l2: Sequence[str] | None,
-    *,
-    indexes: IndexProvider,
-    strategy: str,
-    direction: str,
-    executor: ExecutorConfig | None,
-) -> PhysicalPlan:
-    if strategy not in _STRATEGIES:
-        raise ValueError(
-            f"unknown strategy {strategy!r}; use 'auto', 'frontier' or 'join'"
-        )
-    if direction not in DIRECTIONS:
-        raise ValueError(
-            f"unknown direction {direction!r}; use one of {list(DIRECTIONS)}"
-        )
-    config = executor if executor is not None else ExecutorConfig()
-    if direction != "auto":
-        config = replace(config, direction=direction)
-
-    if plan.is_fully_safe:
-        op = LabelDecodeOp(
-            node=plan.root,
-            l1=tuple(l1) if l1 is not None else run.node_ids(),
-            l2=tuple(l2) if l2 is not None else run.node_ids(),
-        )
+        op: PhysicalOp
+        if plan.is_fully_safe:
+            chosen, resolved_direction = "safe", "-"
+            op = LabelDecodeOp(
+                node=plan.root,
+                l1=tuple(l1) if l1 is not None else run.node_ids(),
+                l2=tuple(l2) if l2 is not None else run.node_ids(),
+            )
+        else:
+            allowed = restriction_universe(run, l1, l2)
+            routed = label_routed_subtrees(plan, run)
+            resolved_direction = "-"
+            if strategy != "auto":
+                chosen = strategy
+            elif l1 is None and l2 is None:
+                # Unrestricted: the pruning cannot shrink any relation, so
+                # joins win.
+                chosen = "join"
+            else:
+                resolved_direction, frontier_cost = _resolve_direction(
+                    run, plan, l1, l2, allowed, direction
+                )
+                chosen = (
+                    "frontier"
+                    if frontier_cost <= estimate_join_cost(run, plan.root)
+                    else "join"
+                )
+            if chosen == "frontier":
+                if resolved_direction == "-":
+                    resolved_direction, _ = _resolve_direction(
+                        run, plan, l1, l2, allowed, direction
+                    )
+                op = _frontier_op(
+                    run, plan, routed, l1, l2, allowed, resolved_direction, indexes
+                )
+            else:
+                resolved_direction = "-"
+                op = JoinOp(
+                    root=plan.root,
+                    routed=frozenset(routed),
+                    allowed=allowed,
+                    l1=tuple(l1) if l1 is not None else None,
+                    l2=tuple(l2) if l2 is not None else None,
+                )
+        span.set("strategy", chosen)
+        span.set("direction", resolved_direction)
         return PhysicalPlan(
             run=run,
-            logical=plan,
             root=op,
             indexes=indexes,
-            executor=config,
-            strategy="safe",
-            direction="-",
+            strategy=chosen,
+            direction=resolved_direction,
         )
-
-    allowed = restriction_universe(run, l1, l2)
-    routed = label_routed_subtrees(plan, run)
-
-    resolved_direction: str | None = None
-    if strategy != "auto":
-        chosen = strategy
-    elif l1 is None and l2 is None:
-        # Unrestricted: the pruning cannot shrink any relation, so joins win.
-        chosen = "join"
-    else:
-        resolved_direction, frontier_cost = _resolve_direction(
-            run, plan, l1, l2, allowed, config.direction
-        )
-        chosen = (
-            "frontier"
-            if frontier_cost <= estimate_join_cost(run, plan.root)
-            else "join"
-        )
-
-    if chosen == "frontier":
-        if resolved_direction is None:
-            resolved_direction, _ = _resolve_direction(
-                run, plan, l1, l2, allowed, config.direction
-            )
-        op: PhysicalOp = _frontier_op(
-            run, plan, routed, l1, l2, allowed, resolved_direction, indexes
-        )
-    else:
-        resolved_direction = "-"
-        op = RestrictOp(
-            child=JoinOp(root=plan.root, routed=frozenset(routed), allowed=allowed),
-            l1=tuple(l1) if l1 is not None else None,
-            l2=tuple(l2) if l2 is not None else None,
-        )
-    return PhysicalPlan(
-        run=run,
-        logical=plan,
-        root=op,
-        indexes=indexes,
-        executor=config,
-        strategy=chosen,
-        direction=resolved_direction,
-    )

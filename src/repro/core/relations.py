@@ -39,7 +39,7 @@ proportional to the *requested* node lists instead of the whole run:
   and extended with *macro transitions*: synthetic DFA symbols whose
   successors come from an already-materialized relation (the decomposition
   engine feeds the label-decoded relations of maximal safe subqueries
-  through this hook).  ``product_frontier_targets`` is its one-seed case.
+  through this hook).
 """
 
 from __future__ import annotations
@@ -74,7 +74,6 @@ __all__ = [
     "restriction_universe",
     "iter_frontier_search",
     "frontier_search",
-    "product_frontier_targets",
     "evaluate_regex_relation",
     "evaluate_regex_relation_packed",
 ]
@@ -360,44 +359,6 @@ def frontier_search(
     )
 
 
-def product_frontier_targets(
-    run: Run,
-    dfa: DFA,
-    source: str,
-    *,
-    allowed: frozenset[str] | set[str] | None = None,
-    macro_successors: Mapping[str, Callable[[str], Iterable[str]]] | None = None,
-) -> set[str]:
-    """All nodes ``v`` such that some path ``source ⤳ v`` is accepted.
-
-    A frontier search over the product of the run graph with the query DFA
-    (Mendelzon & Wood), with two production extensions over the baseline in
-    :mod:`repro.baselines.product_bfs`:
-
-    * states whose run node falls outside ``allowed`` are pruned (backward
-      pruning from the requested targets), and dead DFA states are never
-      entered, so the search touches only the useful region of the run;
-    * ``macro_successors[tag](node)`` supplies the successors of ``node``
-      under a synthetic *macro* symbol — an edge standing for a whole
-      relation (the decomposition engine maps each label-decoded safe
-      subquery to one macro symbol).  Wildcard transitions never match macro
-      symbols (see :func:`repro.automata.dfa.determinize`).
-
-    It is the one-seed case of :func:`iter_frontier_search`.
-    """
-    return {
-        target
-        for _, target in iter_frontier_search(
-            run.successors,
-            dfa,
-            (source,),
-            order=run.topological_order,
-            allowed=allowed,
-            macro_successors=macro_successors,
-        )
-    }
-
-
 def evaluate_regex_relation(
     run: Run,
     node: RegexNode,
@@ -543,13 +504,17 @@ def evaluate_regex_relation_packed(
     *,
     subquery_evaluator: Callable[[RegexNode], "NodePairs | None"] | None = None,
     allowed: frozenset[str] | set[str] | None = None,
+    sources: Iterable[str] | None = None,
+    targets: Iterable[str] | None = None,
 ) -> NodePairs:
-    """:func:`evaluate_regex_relation` on the packed kernel.
+    """:func:`evaluate_regex_relation` on the packed kernel, then
+    :func:`restrict` to ``sources``/``targets``.
 
     Same contract and results as the set-based evaluation (the Hypothesis
     equivalence suite holds the two paths together); only the representation
-    differs — relations live as packed rows for the whole bottom-up pass and
-    unpack to node pairs exactly once at the root.
+    differs — relations live as packed rows for the whole bottom-up pass,
+    the root rows are restricted while still packed, and only the kept
+    pairs unpack to node ids.
     """
     view = run.packed
     allowed_mask = None if allowed is None else view.interner.mask_of(allowed)
@@ -561,4 +526,9 @@ def evaluate_regex_relation_packed(
         allowed_mask=allowed_mask,
         universe_mask=universe_mask,
     )
+    if sources is not None or targets is not None:
+        relation = relation.restrict(
+            None if sources is None else view.interner.mask_of(sources),
+            None if targets is None else view.interner.mask_of(targets),
+        )
     return relation.to_pairs(view.interner)

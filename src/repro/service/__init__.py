@@ -14,7 +14,6 @@ subsystem:
   requests concurrently.
 """
 
-from repro.core.exec import ExecutorConfig
 from repro.service.cache import CacheStats, IndexCache
 from repro.service.requests import (
     BatchFormatError,
@@ -30,7 +29,6 @@ from repro.service.service import QueryService
 __all__ = [
     "BatchFormatError",
     "CacheStats",
-    "ExecutorConfig",
     "IndexCache",
     "QueryRequest",
     "QueryResult",

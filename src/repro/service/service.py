@@ -35,7 +35,6 @@ from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from repro.core.decomposition import label_routed_subtrees, warm_frontier_dfa
 from repro.core.engine import ProvenanceQueryEngine
-from repro.core.exec import ExecutorConfig
 from repro.errors import ReproError
 from repro.obs import SpanContext, clock, get_registry, get_tracer
 from repro.service.cache import CacheStats, IndexCache
@@ -86,9 +85,6 @@ class QueryService:
         labels included, so no re-labeling — are re-registered on
         construction, which is what lets a restarted service answer its first
         previously-seen query with zero index or plan rebuilds.
-    executor:
-        The default :class:`~repro.core.exec.ExecutorConfig` for unsafe-query
-        evaluation (the frontier direction).
     """
 
     def __init__(
@@ -98,7 +94,6 @@ class QueryService:
         max_workers: int | None = None,
         store_dir: str | Path | None = None,
         store: IndexStore | None = None,
-        executor: ExecutorConfig | None = None,
     ) -> None:
         if store is None and store_dir is not None:
             store = IndexStore(store_dir)
@@ -121,7 +116,6 @@ class QueryService:
         self._max_workers = max_workers if max_workers is not None else _default_workers()
         if self._max_workers < 1:
             raise ValueError("max_workers must be at least 1")
-        self._executor = executor or ExecutorConfig()
         self._lock = threading.Lock()
         self._runs: dict[str, Run] = {}  # guarded-by: _lock
         self._engines: dict[str, ProvenanceQueryEngine] = {}  # guarded-by: _lock
@@ -149,11 +143,6 @@ class QueryService:
             "repro_cache_entries": float(stats.entries),
             "repro_cache_total_cost": float(stats.total_cost),
         }
-
-    @property
-    def executor(self) -> ExecutorConfig:
-        """The default executor configuration."""
-        return self._executor
 
     # -- registration ------------------------------------------------------------
 
@@ -365,8 +354,6 @@ class QueryService:
     def stream_pairs(
         self,
         request: QueryRequest | Mapping[str, Any],
-        *,
-        executor: ExecutorConfig | None = None,
     ) -> Iterator[tuple[str, str]]:
         """Stream the matching pairs of one ``allpairs`` request.
 
@@ -376,10 +363,10 @@ class QueryService:
         Unsafe queries stream too, through the executor layer's frontier
         sweep (direction-aware — memory bounded by the reachable region, not
         the result; see :meth:`ProvenanceQueryEngine.evaluate_iter`).
-        ``executor`` overrides the service default for this call.  Failures raise
-        instead of becoming error results, since there is no result record
-        to carry them; request validation, run lookup, query parsing and the
-        safety check all happen eagerly, before the first pair is drawn.
+        Failures raise instead of becoming error results, since there is no
+        result record to carry them; request validation, run lookup, query
+        parsing and the safety check all happen eagerly, before the first
+        pair is drawn.
         """
         request = self._coerce(request)
         if request.op != "allpairs":
@@ -388,13 +375,11 @@ class QueryService:
             )
         run = self.get_run(request.run)
         engine = self.engine_for(request.run)
-        config = executor if executor is not None else self._executor
         return engine.evaluate_iter(
             run,
             request.query,
             list(request.sources) if request.sources is not None else None,
             list(request.targets) if request.targets is not None else None,
-            executor=config,
         )
 
     def _coerce(self, request: QueryRequest | Mapping[str, Any]) -> QueryRequest:
@@ -480,7 +465,6 @@ class QueryService:
                         request.query,
                         list(request.sources) if request.sources is not None else None,
                         list(request.targets) if request.targets is not None else None,
-                        executor=self._executor,
                     )
                     pairs = tuple(sorted(matches))
             except Exception as error:
@@ -505,10 +489,8 @@ class QueryService:
         with self._lock:
             runs = len(set(self._runs) | self._pending_run_ids)
             engines = len(self._engines)
-        executor = self._executor
         return (
             f"QueryService({runs} runs, {engines} grammars, "
-            f"workers={self._max_workers}, "
-            f"executor=direction:{executor.direction}) "
+            f"workers={self._max_workers}) "
             f"{self._cache.stats.describe()}"
         )

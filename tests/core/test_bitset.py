@@ -5,8 +5,8 @@ relations, join composition, the semi-naive closure, restriction universes
 and whole-query regex evaluation — must return exactly what the per-element
 set machinery (the G1 baseline) returns, on Hypothesis-generated runs,
 queries, masks and node lists (including empty and disjoint ones).  End-to-end tests
-additionally hold the executor's process-pool frontier and join plans to
-the set reference.
+additionally hold the executor's frontier and join plans to the set
+reference.
 """
 
 import os
@@ -442,6 +442,27 @@ class TestRelationAlgebra:
         assert evaluate_regex_relation_packed(
             run, node, allowed=allowed
         ) == evaluate_regex_relation(run, node, allowed=allowed)
+
+    @given(run_query_lists())
+    @settings(**_SETTINGS)
+    def test_packed_evaluation_restricts_like_the_set_reference(self, data):
+        """``sources``/``targets`` cut the packed root rows exactly as
+        :func:`restrict` cuts the set-based relation — unknown ids,
+        duplicates and empty lists included — with or without the pruning
+        universe the join plan passes alongside."""
+        run, query, l1, l2 = data
+        node = parse_regex(query)
+        expected = restrict(evaluate_regex_relation(run, node), l1, l2)
+        assert evaluate_regex_relation_packed(
+            run, node, sources=l1, targets=l2
+        ) == expected
+        assert evaluate_regex_relation_packed(
+            run,
+            node,
+            allowed=restriction_universe(run, l1, l2),
+            sources=l1,
+            targets=l2,
+        ) == expected
 
 
 # ---------------------------------------------------------------------------

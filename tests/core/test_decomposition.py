@@ -178,6 +178,11 @@ class TestRestrictionPushdown:
         engine = ProvenanceQueryEngine(run.spec)
         with pytest.raises(ValueError, match="unknown strategy"):
             engine.evaluate(run, "_* e _*", strategy="magic")
+        with pytest.raises(ValueError, match="unknown direction"):
+            engine.evaluate(run, "_* e _*", direction="sideways")
+        # Eagerly, before the stream is drawn, like every other validation.
+        with pytest.raises(ValueError, match="unknown direction"):
+            engine.evaluate_iter(run, "_* e _*", direction="sideways")
 
     def test_pushdown_matches_the_paper_scheme(self):
         run = paper_run(recursion_depth=3)

@@ -1,12 +1,12 @@
 """The executor layer: planner resolution and the frontier sweep.
 
 The load-bearing property tests: every physical execution path — forward
-frontier, backward frontier and auto-direction — returns exactly the pair
-set of the join reference on Hypothesis-generated (specification, run,
-query, l1, l2) tuples, including empty and disjoint node lists; and the
-multi-source sweep agrees with the product-automaton oracle and with the
-per-seed search it replaced, in both directions, with label routing forced
-so macro edges (diagonal ones included) occur.
+frontier, backward frontier, the packed join and auto routing — returns
+exactly the pair set of the set-based join reference on Hypothesis-generated
+(specification, run, query, l1, l2) tuples, including empty and disjoint
+node lists; and the multi-source sweep agrees with the product-automaton
+oracle and with the per-seed search it replaced, in both directions, with
+label routing forced so macro edges (diagonal ones included) occur.
 """
 
 import contextlib
@@ -21,11 +21,13 @@ from repro.baselines.per_seed_frontier import per_seed_execute
 from repro.baselines.product_bfs import product_bfs_all_pairs
 from repro.core.decomposition import plan_decomposition
 from repro.core.exec import (
-    ExecutorConfig,
+    DIRECTIONS,
+    STRATEGIES,
     FrontierSearchOp,
+    JoinOp,
     LabelDecodeOp,
-    RestrictOp,
     build_physical_plan,
+    check_routing,
     execute,
     execute_iter,
 )
@@ -146,14 +148,16 @@ class TestExecutorEquivalence:
         max_examples=50, deadline=None, suppress_health_check=[HealthCheck.data_too_large]
     )
     def test_all_executors_match_the_join_reference(self, data):
-        """Forward, backward and auto-direction executions all return the
-        join reference's pair set, and their streams yield each pair once."""
+        """Forward, backward, packed-join and auto executions all return the
+        set-based join reference's pair set, and their streams yield each
+        pair once.  The join arm restricts to the node lists while packed."""
         run, query, l1, l2 = data
         l1, l2 = _runnable(run, query, l1, l2)
         reference = restrict(evaluate_regex_relation(run, parse_regex(query)), l1, l2)
         for label, kwargs in (
             ("forward", {"strategy": "frontier", "direction": "forward"}),
             ("backward", {"strategy": "frontier", "direction": "backward"}),
+            ("join", {"strategy": "join"}),
             ("auto", {}),
         ):
             physical = _physical(run, query, l1, l2, **kwargs)
@@ -317,9 +321,35 @@ class TestPlannerResolution:
     def test_unrestricted_unsafe_query_plans_to_join(self):
         run = _RUNS["paper"][0]
         physical = _physical(run, "_* a _*", None, None)
-        assert isinstance(physical.root, RestrictOp)
+        assert isinstance(physical.root, JoinOp)
+        assert (physical.root.l1, physical.root.l2) == (None, None)
         assert physical.strategy == "join"
         assert physical.direction == "-"
+
+    def test_forced_join_carries_the_node_lists(self):
+        run = _RUNS["paper"][0]
+        nodes = list(run.node_ids())
+        physical = _physical(
+            run, "_* a _*", nodes[:3], [nodes[4], nodes[4]], strategy="join"
+        )
+        assert isinstance(physical.root, JoinOp)
+        assert physical.root.l1 == tuple(nodes[:3])
+        assert physical.root.l2 == (nodes[4], nodes[4])
+
+    def test_join_span_reports_the_restricted_pair_count(self):
+        run = _RUNS["paper"][0]
+        nodes = list(run.node_ids())
+        physical = _physical(run, "_* a _*", nodes[:3], None, strategy="join")
+        tracer = Tracer(registry=MetricsRegistry())
+        with use_tracer(tracer):
+            result = execute(physical)
+        whole = execute(_physical(run, "_* a _*", None, None))
+        assert result == restrict(whole, nodes[:3], None) != whole
+        assert [span.name for span in tracer.spans() if span.name.startswith("exec.")] == [
+            "exec.join"
+        ]
+        [join] = [span for span in tracer.spans() if span.name == "exec.join"]
+        assert join.attrs["pairs"] == len(result)
 
     def test_direction_is_resolved_fresh_on_every_plan(self):
         run = _RUNS["paper"][0]
@@ -352,33 +382,24 @@ class TestPlannerResolution:
             assert physical.direction == expected
             assert physical.root.direction == expected
 
-    def test_explicit_direction_overrides_executor_config(self):
-        run = _RUNS["paper"][0]
-        nodes = list(run.node_ids())
-        physical = _physical(
-            run, "_* a _*", nodes, nodes[:2],
-            strategy="frontier",
-            direction="forward",
-            executor=ExecutorConfig(direction="backward"),
-        )
-        assert physical.direction == "forward"
-
     def test_bad_strategy_and_direction_raise(self):
         run = _RUNS["paper"][0]
         with pytest.raises(ValueError, match="unknown strategy"):
             _physical(run, "_* a _*", None, None, strategy="sideways")
         with pytest.raises(ValueError, match="unknown direction"):
             _physical(run, "_* a _*", None, None, direction="sideways")
-        with pytest.raises(ValueError, match="unknown direction"):
-            ExecutorConfig(direction="sideways")
+        # A fully safe query never picks a strategy, yet a typo still fails.
+        with pytest.raises(ValueError, match="unknown strategy"):
+            _physical(run, "_* e _*", None, None, strategy="magic")
 
-    def test_pool_kind_is_not_configurable(self):
-        with pytest.raises(TypeError):
-            ExecutorConfig(backend="thread")
-
-    def test_fan_out_is_not_configurable(self):
-        with pytest.raises(TypeError):
-            ExecutorConfig(workers=2)
+    def test_check_routing_accepts_exactly_the_published_values(self):
+        for strategy in STRATEGIES:
+            for direction in DIRECTIONS:
+                check_routing(strategy, direction)
+        with pytest.raises(ValueError, match=r"\['auto', 'frontier', 'join'\]"):
+            check_routing("Join", "auto")
+        with pytest.raises(ValueError, match=r"\['auto', 'forward', 'backward'\]"):
+            check_routing("auto", "")
 
 
 class TestPhysicalPlanReporting:

@@ -14,7 +14,6 @@ from repro.core.relations import (
     forward_closure_nodes,
     frontier_search,
     iter_frontier_search,
-    product_frontier_targets,
     restrict,
     restriction_universe,
 )
@@ -26,6 +25,16 @@ _MACRO = "\x00M"
 #: x -a-> y -b-> z, plus an isolated w last in the order.
 _CHAIN = {"x": (("y", "a"),), "y": (("z", "b"),), "z": (), "w": ()}
 _ORDER = ("x", "y", "z", "w")
+
+
+def _targets(run, dfa, source, **kwargs):
+    """The targets of a one-seed forward sweep from ``source``."""
+    return {
+        target
+        for _, target in frontier_search(
+            run.successors, dfa, [source], order=run.topological_order, **kwargs
+        )
+    }
 
 
 def _dfa(*tags):
@@ -101,24 +110,24 @@ class TestFrontierSearch:
         dfa = product_dfa(run, "_* a _*")
         targets = set(run.node_ids())
         for source in run.node_ids():
-            hits = product_frontier_targets(run, dfa, source)
+            hits = _targets(run, dfa, source)
             allowed = forward_closure_nodes(run, [source])
-            pruned = product_frontier_targets(run, dfa, source, allowed=allowed)
+            pruned = _targets(run, dfa, source, allowed=allowed)
             assert hits <= targets
             assert pruned == hits  # forward closure never cuts real answers
 
     def test_unknown_or_disallowed_source_is_empty(self):
         run = paper_run()
         dfa = product_dfa(run, "_*")
-        assert product_frontier_targets(run, dfa, "no-such-node") == set()
+        assert _targets(run, dfa, "no-such-node") == set()
         some = run.node_ids()[0]
-        assert product_frontier_targets(run, dfa, some, allowed=frozenset()) == set()
+        assert _targets(run, dfa, some, allowed=frozenset()) == set()
 
     def test_nullable_query_accepts_source_itself(self):
         run = paper_run()
         dfa = product_dfa(run, "_*")
         source = run.node_ids()[0]
-        assert source in product_frontier_targets(run, dfa, source)
+        assert source in _targets(run, dfa, source)
 
     def test_macro_transitions_follow_supplied_relation(self):
         run = paper_run(recursion_depth=2)
@@ -133,7 +142,7 @@ class TestFrontierSearch:
         relation = {}
         nodes = list(run.node_ids())
         relation[nodes[0]] = (nodes[3], nodes[4])
-        hits = product_frontier_targets(
+        hits = _targets(
             run, dfa, nodes[0],
             macro_successors={macro: lambda node: relation.get(node, ())},
         )
@@ -239,7 +248,7 @@ class TestFrontierSweep:
         assert set(swept) == {
             (source, target)
             for source in nodes
-            for target in product_frontier_targets(run, dfa, source)
+            for target in _targets(run, dfa, source)
         }
         assert set(swept) == set(
             per_seed_frontier_search(run.successors, dfa, nodes)
