@@ -3,14 +3,19 @@
 The set-based machinery in :mod:`repro.core.relations` represents run-scale
 state as ``set[str]`` / ``set[tuple[str, str]]`` and pays a hash lookup per
 element.  This module re-platforms that data path on *dense interned ids*
-(each run node gets an index ``0 .. n-1``, assigned once per
-:class:`~repro.workflow.run.Run` and memoized on it) and *packed bitsets*:
+(each run node gets an index ``0 .. n-1`` in the run's topological order,
+assigned once per :class:`~repro.workflow.run.Run` and memoized on it) and
+*packed bitsets*:
 
 * a node set is one unbounded Python integer whose bit ``i`` is node ``i``
   (CPython stores it as an array of native words, so ``&``/``|``/``~`` run
   word-parallel at C speed — 64 nodes per machine operation);
 * a relation or adjacency structure is one such row per source node, with
   bit ``j`` of row ``i`` meaning ``i → j``.
+
+Runs are DAGs, so under topological numbering every relation over run paths
+is upper-triangular plus the diagonal: ``i → j`` implies ``i <= j``.  That
+is what lets :meth:`PackedRelation.transitive_closure` finish in one pass.
 
 This is the kernel of joins and closures (:class:`PackedRelation`, driven by
 :func:`~repro.core.relations.evaluate_regex_relation_packed`) and of the
@@ -25,6 +30,8 @@ from __future__ import annotations
 
 from itertools import compress
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+
+from repro.errors import RelationOrderError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.workflow.run import Run
@@ -59,8 +66,10 @@ def bit_indices(mask: int) -> list[int]:
 class NodeInterner:
     """Dense ``node id -> bit index`` table for one run, built once.
 
-    ``ids`` preserves run node order, so bit indices (and therefore every
-    packed row) are deterministic for a given run.
+    ``ids`` keeps the order it is given; :func:`build_run_view` passes the
+    run's topological order, so bit ``i`` precedes bit ``j`` in that order
+    exactly when ``i < j``, and every packed row is deterministic for a
+    given run.
     """
 
     __slots__ = ("ids", "index", "full_mask")
@@ -86,7 +95,7 @@ class NodeInterner:
         return mask
 
     def nodes_of(self, mask: int) -> list[str]:
-        """Unpack a bitset back into node ids, in bit (= run) order."""
+        """Unpack a bitset back into node ids, in bit (= topological) order."""
         ids = self.ids
         return [ids[position] for position in bit_indices(mask)]
 
@@ -140,9 +149,9 @@ class PackedRunView:
 
 
 def build_run_view(run: "Run") -> PackedRunView:
-    """Intern a run's nodes and pack its adjacency: forward by tag, plus the
-    wildcard union in both directions."""
-    interner = NodeInterner(run.nodes)
+    """Intern a run's nodes in topological order and pack its adjacency:
+    forward by tag, plus the wildcard union in both directions."""
+    interner = NodeInterner(run.topological_order)
     index = interner.index
     node_count = len(interner)
     by_tag: dict[str, list[int]] = {}
@@ -180,6 +189,11 @@ def closure_mask(adjacency: PackedAdjacency, seeds: int) -> int:
         reach |= fresh
         frontier = fresh
     return reach
+
+
+def _support(rows: Sequence[int]) -> int:
+    """The bitmask of the non-empty rows (bit ``i`` set iff ``rows[i]``)."""
+    return int("".join("1" if row else "0" for row in reversed(rows)) or "0", 2)
 
 
 class PackedRelation:
@@ -270,10 +284,13 @@ class PackedRelation:
     def compose(self, other: "PackedRelation") -> "PackedRelation":
         """Relational composition: row ``i`` becomes the union of the other
         relation's rows over row ``i``'s set bits (a boolean matrix product
-        computed word-parallel)."""
+        computed word-parallel).  Bits whose row in ``other`` is empty are
+        masked off first, so they are never peeled."""
         other_rows = other.rows
+        support = _support(other_rows)
         out = [0] * self.node_count
         for position, row in enumerate(self.rows):
+            row &= support
             acc = 0
             while row:
                 low = row & -row
@@ -283,29 +300,37 @@ class PackedRelation:
         return PackedRelation(self.node_count, out)
 
     def transitive_closure(self) -> "PackedRelation":
-        """``R+`` by in-place row sweeps to a fixpoint.
+        """``R+`` in one pass from the highest bit index down.
 
-        Each sweep replaces row ``i`` with ``row[i] | union(row[j] for j in
-        row[i])`` against the *current* rows, so reachability discovered
-        early in a sweep accelerates later rows; sweeps repeat until no row
-        changes.  Equivalent to the set-based semi-naive fixpoint.
+        Requires a relation over topologically numbered nodes: no row has a
+        bit below its own index (diagonal bits are allowed).  Row ``i`` then
+        only needs the finished closure rows of its successors ``j > i``,
+        ORed in ascending order; a successor already inside an ORed closure
+        row is skipped, since that row is closed and covers its closure.
+        Diagonal bits stay as they are: with ``D`` the diagonal part,
+        ``(R' ∪ D)+ = R'+ ∪ D`` (Purdom 1970; Goralčíková & Koubek 1979).
+
+        Raises :class:`~repro.errors.RelationOrderError` when a row points
+        backward, instead of returning a wrong closure.
         """
         rows = list(self.rows)
-        changed = True
-        while changed:
-            changed = False
-            for position, row in enumerate(rows):
-                if not row:
-                    continue
-                acc = row
-                pending = row
-                while pending:
-                    low = pending & -pending
-                    acc |= rows[low.bit_length() - 1]
-                    pending ^= low
-                if acc != row:
-                    rows[position] = acc
-                    changed = True
+        for position in range(self.node_count - 1, -1, -1):
+            row = rows[position]
+            if not row:
+                continue
+            if row & ((1 << position) - 1):
+                raise RelationOrderError(
+                    f"row {position} has a pair to a lower bit index; the "
+                    "one-pass closure needs topologically numbered rows"
+                )
+            acc = row
+            pending = row & ~(1 << position)
+            while pending:
+                low = pending & -pending
+                closed = rows[low.bit_length() - 1]
+                acc |= closed
+                pending = (pending ^ low) & ~closed
+            rows[position] = acc
         return PackedRelation(self.node_count, rows)
 
     def with_diagonal(self, universe: int) -> "PackedRelation":

@@ -81,25 +81,37 @@ class QueryIndex:
         self.lambdas = lambdas
         self.query_text = query_text
         self.state_count = dfa.state_count
-        self._identity = BooleanMatrix.identity(self.state_count)
-        self._zero = BooleanMatrix.zero(self.state_count)
+        # Hash-consing: the tables repeat a handful of distinct matrices
+        # (identity, zero, the tag transitions) many times over, so every
+        # table entry is swapped for the first equal matrix seen.
+        interned: dict[BooleanMatrix, BooleanMatrix] = {}
+
+        def intern(matrix: BooleanMatrix) -> BooleanMatrix:
+            return interned.setdefault(matrix, matrix)
+
+        self._identity = intern(BooleanMatrix.identity(self.state_count))
+        self._zero = intern(BooleanMatrix.zero(self.state_count))
         self._start_mask = 1 << dfa.start
         self._accepting_mask = dfa.accepting_mask()
-        self._tag_matrices = {tag: dfa.transition_matrix(tag) for tag in spec.tags}
+        self._tag_matrices = {
+            tag: intern(dfa.transition_matrix(tag)) for tag in spec.tags
+        }
         self._cross: list[dict[tuple[int, int], BooleanMatrix]] = []
         self._to_sink: list[list[BooleanMatrix]] = []
         self._from_source: list[list[BooleanMatrix]] = []
         if tables is None:
             self._build_production_tables()
-        else:
-            # Restoring from a persistent store: the production tables were
-            # computed (and serialized) by a previous process, so the matrix
-            # sweep above is skipped entirely — the main saving of a warm
-            # restart besides the DFA/safety work itself.
-            cross, to_sink, from_source = tables
-            self._cross = [dict(table) for table in cross]
-            self._to_sink = [list(row) for row in to_sink]
-            self._from_source = [list(row) for row in from_source]
+            tables = self._cross, self._to_sink, self._from_source
+        # Restoring from a persistent store (``tables`` given) skips the
+        # matrix sweep entirely: the production tables were computed and
+        # serialized by a previous process — the main saving of a warm
+        # restart besides the DFA/safety work itself.
+        cross, to_sink, from_source = tables
+        self._cross = [
+            {key: intern(matrix) for key, matrix in table.items()} for table in cross
+        ]
+        self._to_sink = [[intern(matrix) for matrix in row] for row in to_sink]
+        self._from_source = [[intern(matrix) for matrix in row] for row in from_source]
         self._cycles = tuple(
             self._build_cycle_tables(cycle) for cycle in spec.production_graph.cycles
         )

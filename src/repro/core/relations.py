@@ -22,8 +22,11 @@ evaluation over the uint64-packed kernel of :mod:`repro.core.bitset`.  The
 packed path reads the run's adjacency from the memoized ``run.packed`` view —
 built once per run and reused across queries — instead of re-deriving
 per-tag edge sets on every call, and the closure helpers below ride the same
-packed view.  The frontier search (:func:`frontier_search`) walks the run in
-topological order instead, with one seed bitmask per (node, DFA state).
+packed view.  That view numbers nodes in topological order, so the packed
+``R+`` is one pass in reverse topological order; the semi-naive
+:func:`transitive_closure` here stays its reference.  The frontier search
+(:func:`frontier_search`) walks the run in topological order instead, with
+one seed bitmask per (node, DFA state).
 
 Two restriction-pushdown primitives let callers keep intermediate relations
 proportional to the *requested* node lists instead of the whole run:

@@ -51,6 +51,17 @@ class UnsafeQueryError(ReproError):
     that requires safety (Algorithm 1 / Algorithm 2 of the paper)."""
 
 
+class RelationOrderError(ReproError):
+    """A packed relation has a pair that points backward in the run's
+    topological bit numbering.
+
+    Every relation over run paths points forward (or along the diagonal),
+    which is what lets the packed transitive closure finish in one pass;
+    a backward pair breaks that precondition, so the closure refuses it
+    instead of returning a wrong answer.
+    """
+
+
 class UnsupportedQueryError(ReproError):
     """A baseline was asked to evaluate a query shape it does not support
     (for example, Option G3 only supports infrequent-form queries)."""

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from repro.automata.boolean_matrix import BooleanMatrix
 from repro.automata.regex import parse_regex
+from repro.core.allpairs import all_pairs_safe_query
 from repro.core.bitset import (
     NodeInterner,
     PackedAdjacency,
@@ -41,8 +42,10 @@ from repro.core.relations import (
     tag_relation,
     transitive_closure,
 )
+from repro.core.safety import is_safe_query
 from repro.datasets.paper_example import paper_specification
 from repro.datasets.synthetic import generate_synthetic_specification
+from repro.errors import RelationOrderError
 from repro.workflow.derivation import derive_run
 
 _SPECS = {
@@ -53,6 +56,18 @@ _RUNS = {
     name: [derive_run(spec, seed=seed, target_edges=60) for seed in (0, 1)]
     for name, spec in _SPECS.items()
 }
+
+
+def _safe_closure_queries(spec):
+    """Safe queries whose label-decoded relations feed the closure property;
+    the starred ones carry diagonal (empty-path) pairs."""
+    candidates = ["_*", "_+"]
+    for tag in sorted(spec.tags):
+        candidates += [f"({tag})*", f"({tag} | _)*", f"_* {tag} _*"]
+    return [query for query in candidates if is_safe_query(spec, query)]
+
+
+_SAFE_CLOSURE_QUERIES = {name: _safe_closure_queries(spec) for name, spec in _SPECS.items()}
 
 _SETTINGS = dict(
     max_examples=40, deadline=None, suppress_health_check=[HealthCheck.data_too_large]
@@ -145,20 +160,33 @@ def adjacency_and_mask(draw):
 class TestNodeInterner:
     @given(run_and_lists())
     @settings(**_SETTINGS)
-    def test_mask_round_trip_keeps_run_order_and_drops_unknown_ids(self, data):
+    def test_mask_round_trip_keeps_topological_order_and_drops_unknown_ids(
+        self, data
+    ):
         run, l1, _ = data
         interner = run.packed.interner
         ids = [] if l1 is None else l1
         known = {node for node in ids if node in interner.index}
-        expected = [node for node in run.node_ids() if node in known]
+        expected = [node for node in run.topological_order if node in known]
         assert interner.nodes_of(interner.mask_of(ids)) == expected
 
-    def test_full_mask_covers_every_run_node_in_order(self):
+    def test_full_mask_covers_every_run_node_in_topological_order(self):
         run = _RUNS["paper"][0]
         interner = run.packed.interner
         assert len(interner) == len(run.node_ids())
-        assert interner.nodes_of(interner.full_mask) == list(run.node_ids())
+        assert interner.nodes_of(interner.full_mask) == list(run.topological_order)
         assert NodeInterner([]).full_mask == 0
+
+    @given(run_and_lists())
+    @settings(**_SETTINGS)
+    def test_adjacency_rows_point_strictly_forward(self, data):
+        """Topological numbering makes every run edge ``i → j`` have
+        ``i < j``: no adjacency row has a bit at or below its own index."""
+        run, _, _ = data
+        view = run.packed
+        for adjacency in (*view.by_tag.values(), view.any_tag):
+            for position, row in enumerate(adjacency.rows):
+                assert not row & ((1 << (position + 1)) - 1)
 
 
 class TestPackedRunView:
@@ -341,6 +369,44 @@ class TestRelationAlgebra:
         view = run.packed
         packed = PackedRelation.from_pairs(view.interner, relation).transitive_closure()
         assert packed.to_pairs(view.interner) == transitive_closure(relation)
+
+    @given(run_and_lists())
+    @settings(**_SETTINGS)
+    def test_closure_keeps_diagonal_bits(self, data):
+        """``any-edge ∪ id(U)`` carries diagonal bits the one-pass closure
+        leaves in place: ``(R ∪ D)+ = R+ ∪ D``."""
+        run, l1, _ = data
+        view = run.packed
+        interner = view.interner
+        universe = interner.full_mask if l1 is None else interner.mask_of(l1)
+        relation = all_edge_relation(run) | {
+            (node, node) for node in interner.nodes_of(universe)
+        }
+        packed = PackedRelation.from_pairs(interner, relation).transitive_closure()
+        assert packed.to_pairs(interner) == transitive_closure(relation)
+
+    @given(st.data())
+    @settings(**_SETTINGS)
+    def test_closure_of_label_decoded_relations_matches(self, data):
+        """Label-decoded shortcut relations (the join path's ``from_pairs``
+        boundary) close like their set-based reference, diagonal pairs of
+        empty-path queries included."""
+        name = data.draw(st.sampled_from(sorted(_SPECS)))
+        run = data.draw(st.sampled_from(_RUNS[name]))
+        query = data.draw(st.sampled_from(_SAFE_CLOSURE_QUERIES[name]))
+        nodes = list(run.node_ids())
+        relation = all_pairs_safe_query(
+            run, nodes, nodes, build_query_index(run.spec, query)
+        )
+        interner = run.packed.interner
+        packed = PackedRelation.from_pairs(interner, relation).transitive_closure()
+        assert packed.to_pairs(interner) == transitive_closure(relation)
+
+    def test_backward_pair_raises_typed_error(self):
+        interner = NodeInterner(["a", "b", "c"])
+        packed = PackedRelation.from_pairs(interner, {("a", "b"), ("c", "b")})
+        with pytest.raises(RelationOrderError, match="row 2"):
+            packed.transitive_closure()
 
     @given(run_and_lists())
     @settings(**_SETTINGS)
