@@ -5,9 +5,10 @@ leaves are single symbols and internal nodes are union, concatenation, or
 Kleene star.  We then evaluate the tree bottom-up."  (Section IV-B.)
 
 The relational machinery lives in :mod:`repro.core.relations`; this module is
-the thin baseline wrapper used by the experiments (the decomposition engine
-reuses the same machinery for the unsafe remainder of a general query, which
-keeps the comparison apples-to-apples).
+the thin baseline wrapper used by the experiments.  The paper's own
+decomposition scheme (:mod:`repro.baselines.paper_decomposition`) joins its
+unsafe remainder with the same machinery, and the decomposition engine joins
+an unsafe query without node lists with its packed twin.
 """
 
 from __future__ import annotations

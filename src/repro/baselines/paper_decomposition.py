@@ -7,10 +7,13 @@ G1).  The requested ``l1 × l2`` pairs are picked out of the finished
 whole-run relation.
 
 The production engine (:func:`repro.core.decomposition.evaluate_general_query`)
-departs from this in two ways: it pushes ``l1``/``l2`` into every relation
-and search, and it sends a safe subquery to the labels only when the cost
-model prefers that.  This module keeps the published scheme as the reference
-point of the Fig. 15 pushdown columns and of the routing tests.
+departs from this in three ways: given node lists, it replaces the joins
+with one frontier sweep over the macro DFA and pushes ``l1``/``l2`` into
+that sweep; without them it runs the joins on the packed bitset kernel; and
+it sends a safe subquery to the labels only when the cost model prefers
+that.  The joins here are the set-based G1 evaluation of
+:mod:`repro.core.relations`.  This module keeps the published scheme as the
+reference point of the Fig. 15 pushdown columns and of the routing tests.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from repro.core.decomposition import (
     worth_label_evaluation,
 )
 from repro.core.query_index import build_query_index
-from repro.core.relations import NodePairs, evaluate_regex_relation_packed, restrict
+from repro.core.relations import NodePairs, evaluate_regex_relation, restrict
 from repro.workflow.run import Run
 
 __all__ = ["paper_decomposition_all_pairs"]
@@ -51,5 +54,5 @@ def paper_decomposition_all_pairs(
             return None
         return all_pairs_safe_query(run, nodes, nodes, build_query_index(run.spec, node))
 
-    relation = evaluate_regex_relation_packed(run, plan.root, subquery_evaluator=label_engine)
+    relation = evaluate_regex_relation(run, plan.root, subquery_evaluator=label_engine)
     return restrict(relation, l1, l2)

@@ -138,7 +138,6 @@ def per_seed_all_pairs(
         l1,
         l2,
         indexes=lambda node: build_query_index(run.spec, node),
-        strategy="frontier",
         direction=direction,
     )
     return per_seed_execute(physical)

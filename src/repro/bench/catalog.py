@@ -165,13 +165,13 @@ CATALOG: tuple[Scenario, ...] = (
     Scenario(
         id="frontier-forward",
         title="frontier search, forward from every source",
-        executor=ExecutorFactors(strategy="frontier", direction="forward"),
+        executor=ExecutorFactors(direction="forward"),
         **_FRONTIER,
     ),
     Scenario(
         id="frontier-backward",
         title="frontier search, backward from the three targets",
-        executor=ExecutorFactors(strategy="frontier", direction="backward"),
+        executor=ExecutorFactors(direction="backward"),
         **_FRONTIER,
     ),
     # The same forward workload searched one seed at a time: the baseline
@@ -179,7 +179,7 @@ CATALOG: tuple[Scenario, ...] = (
     Scenario(
         id="frontier-per-seed",
         title="frontier search, forward, one search per source (baseline)",
-        executor=ExecutorFactors(strategy="frontier", direction="forward"),
+        executor=ExecutorFactors(direction="forward"),
         **{**_FRONTIER, "query_class": "per-seed-frontier"},
     ),
     # -- ported: service throughput (PR 1/2) ------------------------------------
@@ -261,17 +261,16 @@ CATALOG: tuple[Scenario, ...] = (
         params=(("query", "_* op0 _* op0 _*"),),
         suites=_CI,
     ),
-    # -- new coverage: packed join kernel ---------------------------------------
-    # Join-strategy evaluation of a wildcard-dense unsafe query: the regime
-    # where relation algebra dominates, so the row tracks the packed bitset
-    # compose/closure kernel every join runs on.
+    # -- new coverage: dense-wildcard all-pairs ----------------------------------
+    # A wildcard-dense unsafe all-pairs query with node lists, on the
+    # production path (one frontier sweep).  It used to force the packed
+    # join; it keeps its id so the gate keeps checking its answer.
     Scenario(
         id="kernel-packed-join",
-        title="dense-wildcard join evaluation on the packed bitset kernel",
+        title="dense-wildcard all-pairs on the production frontier sweep",
         grammar="dense-wildcard:250",
         query_class="unsafe-allpairs",
         run_edges=1200,
-        executor=ExecutorFactors(strategy="join"),
         params=(("query", "_* op0 _*"),),
         seed=1,
         suites=_CI,
@@ -389,12 +388,12 @@ def check_catalog(
     """Validate the catalog; returns a list of problems (empty = healthy).
 
     Static checks: unique ids, resolvable grammar factors, known query
-    classes and scales, known strategy and direction factors, invariants
+    classes and scales, known direction factors, invariants
     that reference existing scenarios.  With ``runnable=True`` every entry
     is additionally *executed* at the given scale, so a broken benchmark
     definition fails fast without timing anything meaningful.
     """
-    from repro.core.exec import check_routing
+    from repro.core.exec import check_direction
 
     problems: list[str] = []
     seen: set[str] = set()
@@ -411,7 +410,7 @@ def check_catalog(
         except ScenarioError as error:
             problems.append(f"{scenario.id}: {error}")
         try:
-            check_routing(scenario.executor.strategy, scenario.executor.direction)
+            check_direction(scenario.executor.direction)
         except ValueError as error:
             problems.append(f"{scenario.id}: bad executor factors: {error}")
         unknown_suites = set(scenario.suites) - set(_CI) - {"smoke"}

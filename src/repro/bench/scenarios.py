@@ -2,7 +2,7 @@
 
 A :class:`Scenario` is a pure config object describing one benchmark as a
 point in a factor space — grammar family × run size × query class × executor
-configuration (``direction``, ``strategy``, store on/off) — plus
+configuration (frontier ``direction``, store on/off) — plus
 the suites it belongs to.  The catalog (:mod:`repro.bench.catalog`) registers
 the scenarios; this module knows how to *execute* any of them through one
 generic harness:
@@ -73,21 +73,16 @@ class ScenarioError(ReproError):
 class ExecutorFactors:
     """The executor-configuration axis of the factor space.
 
-    Mirrors the executor knobs: frontier ``direction``, unsafe-remainder
-    ``strategy``, and whether a persistent
-    :class:`~repro.store.IndexStore` backs the service (``store``).
+    Mirrors the executor knobs: frontier ``direction``, and whether a
+    persistent :class:`~repro.store.IndexStore` backs the service
+    (``store``).
     """
 
     direction: str = "auto"
-    strategy: str = "auto"
     store: bool = False
 
     def as_dict(self) -> dict[str, object]:
-        return {
-            "direction": self.direction,
-            "strategy": self.strategy,
-            "store": self.store,
-        }
+        return {"direction": self.direction, "store": self.store}
 
 
 @dataclass(frozen=True)
@@ -472,22 +467,16 @@ def _build_allpairs(scenario: Scenario, scale: ScenarioScale) -> _Prepared:
         l1, l2 = sampled1[:5], sampled2[-5:]
     else:
         l1, l2 = _lists(run, scenario, scale)
-    kwargs = {
-        "plan": plan,
-        "strategy": scenario.executor.strategy,
-        "direction": scenario.executor.direction,
-    }
+    direction = scenario.executor.direction
 
     def action() -> "NodePairs":
         if scenario.query_class == "per-seed-frontier":
-            return per_seed_all_pairs(
-                run, l1, l2, query, plan=plan, direction=scenario.executor.direction
-            )
-        return evaluate_general_query(run, query, l1, l2, **kwargs)
+            return per_seed_all_pairs(run, l1, l2, query, plan=plan, direction=direction)
+        return evaluate_general_query(run, query, l1, l2, plan=plan, direction=direction)
 
     # Warm the plan's memoized (possibly reversed) macro DFAs so repetitions
     # time execution, not one-off planning.
-    evaluate_general_query(run, query, l1[:1], l2[:1], **kwargs)
+    evaluate_general_query(run, query, l1[:1], l2[:1], plan=plan, direction=direction)
     return _Prepared(
         action,
         detail=f"query {query!r}, |l1|={len(l1)}, |l2|={len(l2)}, {_edges(scenario, scale)} edges",
@@ -812,10 +801,7 @@ def run_table(document: Mapping[str, Any]) -> list[dict[str, object]]:
                 "scenario": entry.get("id", "?"),
                 "grammar": factors.get("grammar", "?"),
                 "class": factors.get("query_class", "?"),
-                "exec": "/".join(
-                    str(executor.get(key, "-"))
-                    for key in ("strategy", "direction")
-                )
+                "exec": str(executor.get("direction", "-"))
                 + ("+store" if executor.get("store") else ""),
                 "reps": entry.get("repetitions", 0),
                 "median_ms": 1000 * entry.get("median_s", 0.0),

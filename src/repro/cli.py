@@ -36,7 +36,7 @@ from pathlib import Path
 
 from repro import __version__
 from repro.core.engine import ProvenanceQueryEngine
-from repro.core.exec.plan import DIRECTIONS, STRATEGIES
+from repro.core.exec.plan import DIRECTIONS
 from repro.datasets.myexperiment import bioaid_specification, qblast_specification
 from repro.datasets.paper_example import paper_specification
 from repro.datasets.synthetic import generate_synthetic_specification
@@ -196,9 +196,7 @@ def _evaluate_query(
             count += 1
         print(f"{count} matching pairs", file=sys.stderr)
         return 0
-    matches = engine.evaluate(
-        run, args.query, l1, l2, strategy=args.strategy, direction=args.direction
-    )
+    matches = engine.evaluate(run, args.query, l1, l2, direction=args.direction)
     if args.json:
         print(json.dumps(sorted(matches)))
     else:
@@ -753,16 +751,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     query_parser.add_argument(
-        "--strategy",
-        choices=STRATEGIES,
-        default="auto",
-        help=(
-            "unsafe-remainder evaluation strategy for non-streamed all-pairs "
-            "queries: multi-source frontier sweep, join-based relations, or "
-            "cost-based choice (default)"
-        ),
-    )
-    query_parser.add_argument(
         "--direction",
         choices=DIRECTIONS,
         default="auto",
@@ -771,7 +759,7 @@ def build_parser() -> argparse.ArgumentParser:
             "seeds the sweep with the requested sources, backward with the "
             "requested targets over the reversed query DFA (wins when "
             "--targets is much smaller than --sources); auto (default) "
-            "compares the two seed counts with the cost model"
+            "goes backward when --targets has fewer seeds"
         ),
     )
     query_parser.add_argument(

@@ -21,8 +21,8 @@ This package contains the query-time machinery of the paper:
   the largest safe subqueries of the parse tree (the *planner* side:
   decomposition, label routing, macro DFAs and their reversals).
 * :mod:`repro.core.exec` — the *executor* side: physical plans (one
-  frontier, join or label-decode operator), strategy and direction
-  resolution, and materialized or streamed execution.
+  label-decode, join or frontier-sweep operator, picked by the request's
+  shape), direction resolution, and materialized or streamed execution.
 * :mod:`repro.core.optimizer` — a simple cost model choosing between the
   labeling-based engine and the baselines (the paper's future-work item).
 * :mod:`repro.core.engine` — the :class:`ProvenanceQueryEngine` facade tying

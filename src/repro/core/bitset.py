@@ -17,7 +17,8 @@ Runs are DAGs, so under topological numbering every relation over run paths
 is upper-triangular plus the diagonal: ``i → j`` implies ``i <= j``.  That
 is what lets :meth:`PackedRelation.transitive_closure` finish in one pass.
 
-This is the kernel of joins and closures (:class:`PackedRelation`, driven by
+This is the kernel of the joins and closures that answer an unsafe query
+without node lists (:class:`PackedRelation`, driven by
 :func:`~repro.core.relations.evaluate_regex_relation_packed`) and of the
 reachability closures behind restriction pushdown (:func:`closure_mask`).
 The frontier sweep (:func:`~repro.core.relations.frontier_search`) keeps
@@ -29,7 +30,7 @@ width.
 from __future__ import annotations
 
 from itertools import compress
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import RelationOrderError
 
@@ -126,11 +127,10 @@ class PackedRunView:
     """The memoized packed form of a run.
 
     ``by_tag`` and ``any_tag`` are the forward per-tag and wildcard
-    adjacency the join path reads; ``backward_any_tag`` is the reversed
-    wildcard adjacency behind backward reachability closures.  Built once
-    per run (see ``Run.packed``) and reused by every query, which is what
-    retires the old per-call adjacency rebuilds in the join and closure
-    paths.
+    adjacency the join reads; ``any_tag`` and ``backward_any_tag`` are the
+    wildcard adjacency behind the forward and backward reachability
+    closures.  Built once per run (see ``Run.packed``) and reused by every
+    query.
     """
 
     __slots__ = ("interner", "by_tag", "any_tag", "backward_any_tag")
@@ -214,12 +214,9 @@ class PackedRelation:
         return cls(node_count, [0] * node_count)
 
     @classmethod
-    def identity(cls, node_count: int, universe: int) -> "PackedRelation":
-        """The diagonal over a node universe (the empty path)."""
-        rows = [0] * node_count
-        for position in bit_indices(universe):
-            rows[position] = 1 << position
-        return cls(node_count, rows)
+    def identity(cls, node_count: int) -> "PackedRelation":
+        """The diagonal over every node (the empty path)."""
+        return cls(node_count, [1 << position for position in range(node_count)])
 
     @classmethod
     def from_pairs(
@@ -235,43 +232,23 @@ class PackedRelation:
                 rows[source_bit] |= 1 << target_bit
         return cls(len(interner), rows)
 
-    @classmethod
-    def from_adjacency(
-        cls, adjacency: PackedAdjacency, allowed: int | None
-    ) -> "PackedRelation":
-        """A single-step relation from packed adjacency, restricted to a
-        universe mask on both endpoints (``None`` = unrestricted)."""
-        if allowed is None:
-            return cls(adjacency.node_count, adjacency.rows)
-        rows = [0] * adjacency.node_count
-        source_mask = allowed
-        adjacency_rows = adjacency.rows
-        while source_mask:
-            low = source_mask & -source_mask
-            position = low.bit_length() - 1
-            rows[position] = adjacency_rows[position] & allowed
-            source_mask ^= low
-        return cls(adjacency.node_count, rows)
-
     # -- inspection --------------------------------------------------------------
 
     def is_empty(self) -> bool:
         return not any(self.rows)
 
-    def pair_count(self) -> int:
-        return sum(row.bit_count() for row in self.rows)
+    def iter_pairs(self, interner: NodeInterner) -> Iterator[tuple[str, str]]:
+        """Unpack row by row, holding one row's targets at a time."""
+        ids = interner.ids
+        for position, row in enumerate(self.rows):
+            if row:
+                source = ids[position]
+                for target in bit_indices(row):
+                    yield source, ids[target]
 
     def to_pairs(self, interner: NodeInterner) -> set[tuple[str, str]]:
         """Unpack into the set-based :data:`~repro.core.relations.NodePairs`."""
-        ids = interner.ids
-        out: set[tuple[str, str]] = set()
-        for position, row in enumerate(self.rows):
-            if not row:
-                continue
-            source = ids[position]
-            for target in bit_indices(row):
-                out.add((source, ids[target]))
-        return out
+        return set(self.iter_pairs(interner))
 
     # -- algebra -----------------------------------------------------------------
 
@@ -333,23 +310,9 @@ class PackedRelation:
             rows[position] = acc
         return PackedRelation(self.node_count, rows)
 
-    def with_diagonal(self, universe: int) -> "PackedRelation":
-        """Add the identity over a universe mask (``R`` → ``R ∪ id``)."""
-        rows = list(self.rows)
-        for position in bit_indices(universe):
-            rows[position] |= 1 << position
-        return PackedRelation(self.node_count, rows)
-
-    def restrict(self, sources: int | None, targets: int | None) -> "PackedRelation":
-        """Keep pairs with the source in ``sources`` and target in ``targets``
-        (``None`` = unconstrained, mirroring the set-based ``restrict``)."""
-        rows = self.rows
-        out = [0] * self.node_count
-        target_mask = -1 if targets is None else targets
-        if sources is None:
-            for position, row in enumerate(rows):
-                out[position] = row & target_mask
-        else:
-            for position in bit_indices(sources):
-                out[position] = rows[position] & target_mask
-        return PackedRelation(self.node_count, out)
+    def with_diagonal(self) -> "PackedRelation":
+        """Add the identity over every node (``R`` → ``R ∪ id``)."""
+        return PackedRelation(
+            self.node_count,
+            [row | (1 << position) for position, row in enumerate(self.rows)],
+        )

@@ -16,37 +16,36 @@ label decode cannot be applied to it as a whole.  The paper's approach:
 When the whole query is safe the decomposition degenerates to a single call
 to the safe engine.  Finding the *best* equivalent rewriting of the query
 with the largest safe parts is left as future work by the paper; like the
-paper we use the simple top-down heuristic.
+paper we use the simple top-down heuristic.  The published scheme,
+evaluate-then-restrict, is the baseline
+:mod:`repro.baselines.paper_decomposition`.
 
 Restriction pushdown
 --------------------
 
-The caller's ``l1``/``l2`` node lists are pushed *into* the evaluation
-instead of being applied to a whole-run result:
-
-* the **frontier strategy** rewrites the query with one synthetic *macro*
-  symbol per label-routed safe subquery, compiles it to a DFA (wildcards
-  never match macro symbols), and runs one product-DFA frontier sweep from
-  all requested sources at once (:func:`~repro.core.relations.frontier_search`),
-  pruned by the forward/backward ``allowed`` universe and following macro
-  edges through the label-decoded relations;
-* the **join strategy** keeps the classic bottom-up relational evaluation
-  but filters every leaf relation and closure to the ``allowed`` universe
-  and hands safe subqueries node lists restricted to it.
-
-Either way, peak relation size is bounded by the nodes reachable from ``l1``
-(and co-reachable from ``l2``) rather than by the run.  ``strategy="auto"``
-picks between the two with the cost model of :mod:`repro.core.optimizer`.
+Without node lists the answer is the whole relation, and step 4 runs as
+published: bottom-up joins on the packed kernel
+(:func:`~repro.core.relations.evaluate_regex_relation_packed`).  With node
+lists, this engine replaces step 4 and pushes the caller's ``l1``/``l2``
+*into* the evaluation instead of applying them to a whole-run result.  It
+rewrites the query with one synthetic *macro* symbol per
+label-routed safe subquery, compiles it to a DFA (wildcards never match
+macro symbols), and runs one product-DFA frontier sweep from all requested
+sources — or, backward over the reversed DFA, from all requested targets —
+at once (:func:`~repro.core.relations.frontier_search`), pruned by the
+forward/backward ``allowed`` universe and following macro edges through the
+label-decoded relations.  Live state is bounded by the nodes reachable from
+``l1`` (and co-reachable from ``l2``) rather than by the run.
 
 Planner/executor split
 ----------------------
 
 This module is the *planner* side of the evaluation stack: everything here —
-safe-subtree search, label-routing memos, macro rewriting, (reversed) macro
+safe-subtree search, label routing, macro rewriting, (reversed) macro
 DFAs — is pure, run-graph-independent where possible, cacheable in the
 shared :class:`~repro.service.cache.IndexCache` and serializable by
-:mod:`repro.store`.  The *physical* side — strategy/direction resolution
-into one operator and its execution — lives in :mod:`repro.core.exec`; the
+:mod:`repro.store`.  The *physical* side — direction resolution into one
+operator and its execution — lives in :mod:`repro.core.exec`; the
 ``evaluate_general_query*`` entry points below plan with
 ``build_physical_plan`` and run the plan with ``execute``/``execute_iter``.
 """
@@ -107,12 +106,12 @@ class DecompositionPlan:
 
     Plans are reusable across evaluations (and cached per specification in
     the shared :class:`~repro.service.cache.IndexCache`), so they memoize
-    the run-statistics-dependent cost routing of their safe subtrees and the
-    macro DFAs of the frontier strategy.  Memo keys include coarse run
-    statistics, so one plan instance serves many runs of the same grammar.
+    the macro DFAs of the frontier sweep, keyed by the rendered
+    macro-rewritten query: one plan instance serves many runs of the same
+    grammar.
 
     One cached plan instance is shared by every thread the service fans a
-    batch out to, so the memos live behind ``_memo_lock`` (an RLock: the
+    batch out to, so the memo lives behind ``_memo_lock`` (an RLock: the
     reversed-DFA builder memoizes the forward DFA while holding it).  The
     lock is created in ``__post_init__`` rather than as a field so plan
     equality and JSON serialization (``plan_to_dict``) never see it.
@@ -121,9 +120,6 @@ class DecompositionPlan:
     spec: Specification
     root: RegexNode
     safe_subtrees: list[RegexNode] = field(default_factory=list)
-    _routing_memo: dict[tuple[int, int, int | None, RegexNode], bool] = field(  # guarded-by: _memo_lock
-        default_factory=dict, repr=False, compare=False
-    )
     _dfa_memo: dict[str, DFA] = field(  # guarded-by: _memo_lock
         default_factory=dict, repr=False, compare=False
     )
@@ -151,25 +147,15 @@ class DecompositionPlan:
 
     def estimate_prefers_labels(self, run: Run, node: RegexNode) -> bool:
         """Does the cost model route this safe subtree to the label engine
-        for the given run?  Memoized per (run statistics, node)."""
-        key = (run.node_count, run.edge_count, run.seed, node)
-        with self._memo_lock:
-            cached = self._routing_memo.get(key)
-            if cached is None:
-                # Plans can outlive many runs (they are cached per spec), so
-                # the memo is reset instead of growing one entry per run.
-                if len(self._routing_memo) >= 1024:
-                    self._routing_memo.clear()
-                cached = estimate_join_cost(run, node) > estimate_label_all_pairs_cost(
-                    run.node_count
-                )
-                self._routing_memo[key] = cached
-            return cached
+        for the given run?  Two O(tree) estimates, computed fresh."""
+        return estimate_join_cost(run, node) > estimate_label_all_pairs_cost(
+            run.node_count
+        )
 
     def cost(self) -> int:
         """The boolean-matrix cost this plan pins beyond its entry's base DFA:
         the summed ``state_count²`` of the memoized macro DFAs.  Grows as the
-        frontier strategy memoizes routing variants, so cache cost accounting
+        frontier sweep memoizes routing variants, so cache cost accounting
         must be refreshed after evaluations (see ``IndexCache.sync``)."""
         with self._memo_lock:
             return sum(dfa.state_count**2 for dfa in self._dfa_memo.values())
@@ -271,7 +257,7 @@ def worth_label_evaluation(node: RegexNode) -> bool:
 
 def label_routed_subtrees(plan: DecompositionPlan, run: Run) -> list[RegexNode]:
     """The safe subtrees of the plan that the evaluator answers with the
-    labeling engine for the given run (the rest stay in the join/frontier
+    labeling engine for the given run (the rest stay in the frontier
     remainder).
 
     A subtree goes to the labels only when it is worth it
@@ -291,7 +277,7 @@ def label_routed_subtrees(plan: DecompositionPlan, run: Run) -> list[RegexNode]:
 
 
 # ---------------------------------------------------------------------------
-# Frontier strategy: macro-DFA product search with restriction pushdown
+# Frontier sweep: macro-DFA product search with restriction pushdown
 # ---------------------------------------------------------------------------
 
 
@@ -363,7 +349,7 @@ def _reversed_macro_dfa(
 def warm_frontier_dfa(
     plan: DecompositionPlan, run: Run, *, direction: str = "forward"
 ) -> DFA:
-    """Build (and memoize on the plan) the macro DFA the frontier strategy
+    """Build (and memoize on the plan) the macro DFA the frontier sweep
     will use for this run's routing decision, without evaluating anything.
 
     Called by warm-up paths (``QueryService.warm``, ``repro store warm``) so
@@ -411,7 +397,6 @@ def evaluate_general_query(
     *,
     plan: DecompositionPlan | None = None,
     index_provider: IndexProvider | None = None,
-    strategy: str = "auto",
     direction: str = "auto",
 ) -> NodePairs:
     """Answer a general all-pairs query, safe or not.
@@ -425,24 +410,17 @@ def evaluate_general_query(
     :class:`~repro.core.query_index.QueryIndex` objects.  Safe subqueries
     go to the labeling engine as :func:`label_routed_subtrees` decides.
 
-    ``strategy`` selects how the unsafe remainder is evaluated: ``"frontier"``
-    (multi-source product-DFA sweep), ``"join"`` (bottom-up relational
-    evaluation), or ``"auto"`` (cost-based choice).  ``direction`` orients
-    the frontier strategy (``"forward"`` from the sources, ``"backward"``
-    from the targets over the reversed macro DFA, or ``"auto"`` to let the
-    cost model compare seed counts).
+    Without node lists the unsafe remainder is joined bottom-up; with them
+    it is one multi-source product-DFA sweep.  ``direction`` orients the
+    sweep: ``"forward"`` from the sources, ``"backward"`` from the targets
+    over the reversed macro DFA, or ``"auto"`` to go backward exactly when
+    the target list has fewer seeds.
     """
     from repro.core.exec import build_physical_plan, execute
 
     plan, indexes = _prepare(run, query, plan, index_provider)
     physical = build_physical_plan(
-        run,
-        plan,
-        l1,
-        l2,
-        indexes=indexes,
-        strategy=strategy,
-        direction=direction,
+        run, plan, l1, l2, indexes=indexes, direction=direction
     )
     return execute(physical)
 
@@ -460,24 +438,21 @@ def evaluate_general_query_iter(
     """Stream the answers of a general all-pairs query, safe or not.
 
     Safe queries stream straight out of the group-at-a-time evaluator.
-    Unsafe queries stream through the frontier strategy: one pruned
-    product-DFA sweep from every seed — the sources forward, the targets
-    backward — so memory stays bounded by one seed bitmask per live (node,
-    DFA state) of the nodes reachable from ``l1`` (and co-reachable from
-    ``l2``) plus the label-decoded relations of the routed safe subqueries
-    — never by the result set.  Each matching pair is yielded exactly once.  Planning and safety analysis run eagerly,
-    before the iterator is returned.
+    Unsafe queries with node lists stream through the frontier sweep: one
+    pruned product-DFA sweep from every seed — the sources forward, the
+    targets backward — so memory stays bounded by one seed bitmask per live
+    (node, DFA state) of the nodes reachable from ``l1`` (and co-reachable
+    from ``l2``) plus the label-decoded relations of the routed safe
+    subqueries — never by the result set.  Unsafe queries without node
+    lists stream the joined root relation row by row out of its packed
+    form.  Each matching pair is yielded exactly once.
+    Planning and safety analysis run eagerly, before the iterator is
+    returned.
     """
     from repro.core.exec import build_physical_plan, execute_iter
 
     plan, indexes = _prepare(run, query, plan, index_provider)
     physical = build_physical_plan(
-        run,
-        plan,
-        l1,
-        l2,
-        indexes=indexes,
-        strategy="frontier" if not plan.is_fully_safe else "auto",
-        direction=direction,
+        run, plan, l1, l2, indexes=indexes, direction=direction
     )
     return execute_iter(physical)

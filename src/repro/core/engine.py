@@ -32,7 +32,7 @@ from repro.core.decomposition import (
     evaluate_general_query,
     evaluate_general_query_iter,
 )
-from repro.core.exec.plan import check_routing
+from repro.core.exec.plan import check_direction
 from repro.core.pairwise import answer_pairwise_query, pairwise_reach_matrix
 from repro.core.query_index import QueryIndex
 from repro.core.safety import SafetyReport
@@ -204,7 +204,6 @@ class ProvenanceQueryEngine:
         l1: Sequence[str] | None = None,
         l2: Sequence[str] | None = None,
         *,
-        strategy: str = "auto",
         direction: str = "auto",
     ) -> set[tuple[str, str]]:
         """Answer any all-pairs query, safe or not.
@@ -213,21 +212,18 @@ class ProvenanceQueryEngine:
         decomposed into their maximal safe subqueries plus an unsafe
         remainder (Section IV-B) evaluated with restriction pushdown: the
         ``l1``/``l2`` lists bound every intermediate relation instead of
-        being applied to a whole-run result.  ``strategy`` routes the unsafe
-        remainder (``"auto"``, ``"frontier"``, or ``"join"``) and
-        ``direction`` orients the frontier strategy (``"backward"`` searches
-        from the targets over the reversed macro DFA; see
+        being applied to a whole-run result.  ``direction`` orients the
+        remainder's frontier sweep (``"backward"`` searches from the targets
+        over the reversed macro DFA; see
         :func:`~repro.core.decomposition.evaluate_general_query`).
         """
         # Validate up front: safe queries never reach the decomposition
         # engine, so a typo must not pass silently until a query happens to
         # be unsafe.
-        check_routing(strategy, direction)
+        check_direction(direction)
         self._check_run(run)
         tracer = get_tracer()
-        with tracer.span(
-            "query.evaluate", strategy=strategy, direction=direction
-        ) as evaluation:
+        with tracer.span("query.evaluate", direction=direction) as evaluation:
             with tracer.span("query.parse"):
                 node = parse_regex(query)
             safe = True
@@ -246,7 +242,6 @@ class ProvenanceQueryEngine:
                         l2,
                         plan=self.plan(node),
                         index_provider=self._subtree_index_provider(),
-                        strategy=strategy,
                         direction=direction,
                     )
             with tracer.span("query.execute", path="safe-allpairs"):
@@ -275,7 +270,7 @@ class ProvenanceQueryEngine:
         Validation (direction, run/spec match, parsing, safety, planning)
         runs eagerly, before the iterator is returned.
         """
-        check_routing("auto", direction)
+        check_direction(direction)
         self._check_run(run)
         tracer = get_tracer()
         with tracer.span("query.parse"):

@@ -4,17 +4,16 @@ The evaluation stack splits in two at this package's boundary:
 
 * the **planner** (:mod:`repro.core.decomposition` + the cost model of
   :mod:`repro.core.optimizer`) is logical: safe-subtree decomposition,
-  safety analysis, macro rewriting, cost and direction estimation — pure,
-  cacheable, store-serializable;
+  safety analysis, label routing, macro rewriting — pure, cacheable,
+  store-serializable;
 * the **executor** (this package) is physical: ``build_physical_plan``
-  resolves a workload into one operator (:class:`FrontierSearchOp`,
-  :class:`JoinOp` or :class:`LabelDecodeOp`) and
-  ``execute``/``execute_iter`` run it.  Each operator has one compute
-  kernel: packed bitsets for joins and closures, one topological
-  multi-source sweep per frontier operator.
-
-New execution strategies plug in at this seam without touching the planner:
-the backward (reversed-DFA) frontier search lives here.
+  resolves a workload into one operator by its shape alone — a
+  :class:`LabelDecodeOp` for a fully safe query, a :class:`JoinOp` for an
+  unsafe query without node lists, a :class:`FrontierSearchOp` for an
+  unsafe query with them — and ``execute``/``execute_iter`` run it.  Each
+  operator has one compute kernel: the group-at-a-time label decode, the
+  packed bitset joins and closures, or one topological multi-source sweep
+  over the macro DFA, forward or backward.
 """
 
 from repro.core.exec.executor import execute, execute_iter
@@ -27,15 +26,13 @@ from repro.core.exec.ops import (
 )
 from repro.core.exec.plan import (
     DIRECTIONS,
-    STRATEGIES,
     PhysicalPlan,
     build_physical_plan,
-    check_routing,
+    check_direction,
 )
 
 __all__ = [
     "DIRECTIONS",
-    "STRATEGIES",
     "FrontierSearchOp",
     "JoinOp",
     "LabelDecodeOp",
@@ -43,7 +40,7 @@ __all__ = [
     "PhysicalOp",
     "PhysicalPlan",
     "build_physical_plan",
-    "check_routing",
+    "check_direction",
     "execute",
     "execute_iter",
 ]

@@ -1,9 +1,12 @@
 """Physical-plan execution.
 
 ``execute`` materializes a plan's result set; ``execute_iter`` streams it.
-Each operator has one compute kernel: joins and closures run on the packed
-bitset kernel (:func:`~repro.core.relations.evaluate_regex_relation_packed`);
-a :class:`FrontierSearchOp` is one multi-source sweep
+Each operator has one compute kernel: a :class:`LabelDecodeOp` is the
+group-at-a-time label decode of Algorithm 2; a :class:`JoinOp` is the
+bottom-up relational evaluation on the packed bitset kernel
+(:func:`~repro.core.relations.evaluate_regex_relation_packed`), whose root
+relation is unpacked whole or streamed row by row; and a
+:class:`FrontierSearchOp` is one multi-source sweep
 (:func:`~repro.core.relations.frontier_search`) that answers every seed in a
 single pass over the run in topological order, with macro relations decoded
 lazily on first use.
@@ -16,6 +19,7 @@ from typing import Callable, Iterator, TypeVar
 
 from repro.automata.regex import RegexNode
 from repro.core.allpairs import all_pairs_iter, all_pairs_safe_query
+from repro.core.bitset import PackedRelation
 from repro.core.exec.ops import FrontierSearchOp, JoinOp, LabelDecodeOp
 from repro.core.exec.plan import PhysicalPlan
 from repro.core.relations import (
@@ -49,16 +53,15 @@ def execute(plan: PhysicalPlan) -> NodePairs:
             span.set("pairs", len(result))
             return result
     if isinstance(root, JoinOp):
-        return _execute_join(plan, root)
+        with _join_span(root) as span:
+            result = _join(plan, root).to_pairs(plan.run.packed.interner)
+            span.set("pairs", len(result))
+            return result
     raise TypeError(f"unknown physical operator {root!r}")
 
 
 def execute_iter(plan: PhysicalPlan) -> Iterator[tuple[str, str]]:
-    """Stream a physical plan's pairs (each exactly once, unordered).
-
-    Frontier and label-decode plans stream genuinely; join plans materialize
-    first (they have no streaming formulation) and then iterate.
-    """
+    """Stream a physical plan's pairs (each exactly once, unordered)."""
     root = plan.root
     if isinstance(root, LabelDecodeOp):
         return get_tracer().wrap_iter(
@@ -71,47 +74,32 @@ def execute_iter(plan: PhysicalPlan) -> Iterator[tuple[str, str]]:
         )
     if isinstance(root, FrontierSearchOp):
         return _iter_frontier(plan, root)
-    return iter(execute(plan))
+    if isinstance(root, JoinOp):
+        return _iter_join(plan, root)
+    raise TypeError(f"unknown physical operator {root!r}")
 
 
-# ---------------------------------------------------------------------------
-# Join execution
-# ---------------------------------------------------------------------------
+def _join_span(op: JoinOp) -> AbstractContextManager[Span]:
+    return get_tracer().span("exec.join", routed=len(op.routed))
 
 
-def _execute_join(plan: PhysicalPlan, op: JoinOp) -> NodePairs:
-    """Bottom-up relational evaluation with routed safe subtrees answered by
-    the labeling engine over the ``allowed`` universe, restricted to the
-    requested node lists before the root relation is unpacked."""
+def _join(plan: PhysicalPlan, op: JoinOp) -> PackedRelation:
+    """The packed root relation, with routed safe subtrees answered by the
+    labeling engine over every node of the run."""
     run, indexes = plan.run, plan.indexes
-    universe: list[str] | None = None
+    nodes = list(run.node_ids())
 
     def subquery_evaluator(node: RegexNode) -> NodePairs | None:
-        nonlocal universe
         if node not in op.routed:
             return None
-        if universe is None:
-            universe = (
-                list(op.allowed) if op.allowed is not None else list(run.node_ids())
-            )
-        return all_pairs_safe_query(run, universe, universe, indexes(node))
+        return all_pairs_safe_query(run, nodes, nodes, indexes(node))
 
-    with get_tracer().span("exec.join", routed=len(op.routed)) as span:
-        result = evaluate_regex_relation_packed(
-            run,
-            op.root,
-            subquery_evaluator=subquery_evaluator,
-            allowed=op.allowed,
-            sources=op.l1,
-            targets=op.l2,
-        )
-        span.set("pairs", len(result))
-        return result
+    return evaluate_regex_relation_packed(run, op.root, subquery_evaluator=subquery_evaluator)
 
 
-# ---------------------------------------------------------------------------
-# Frontier execution
-# ---------------------------------------------------------------------------
+def _iter_join(plan: PhysicalPlan, op: JoinOp) -> Iterator[tuple[str, str]]:
+    with _join_span(op):
+        yield from _join(plan, op).iter_pairs(plan.run.packed.interner)
 
 
 def _frontier_span(op: FrontierSearchOp) -> AbstractContextManager[Span]:

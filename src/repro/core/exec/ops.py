@@ -113,17 +113,12 @@ class LabelDecodeOp:
 
 @dataclass(frozen=True)
 class JoinOp:
-    """The bottom-up relational evaluation (Option G1) of the unsafe
-    remainder, with safe subtrees in ``routed`` answered by the labeling
-    engine and every relation filtered to the ``allowed`` universe.  The
-    root relation is restricted to sources in ``l1`` and targets in ``l2``
-    while still packed (``None`` keeps a side unconstrained)."""
+    """The bottom-up relational evaluation (Option G1) of an unsafe query
+    without node lists, on the packed kernel, with the safe subtrees in
+    ``routed`` answered by the labeling engine over the whole run."""
 
     root: RegexNode
     routed: frozenset[RegexNode]
-    allowed: frozenset[str] | None
-    l1: tuple[str, ...] | None
-    l2: tuple[str, ...] | None
 
 
 PhysicalOp = FrontierSearchOp | LabelDecodeOp | JoinOp

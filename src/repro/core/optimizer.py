@@ -36,7 +36,6 @@ from repro.automata.regex import (
     Symbol,
     Union,
     parse_regex,
-    regex_size,
 )
 from repro.core.safety import is_safe_query
 from repro.datasets.index import EdgeTagIndex
@@ -51,7 +50,6 @@ __all__ = [
     "estimate_relation_size",
     "estimate_join_cost",
     "estimate_label_all_pairs_cost",
-    "estimate_frontier_search_cost",
 ]
 
 #: Relative cost of one label decode versus touching one indexed pair.
@@ -183,40 +181,6 @@ def estimate_join_cost(run: Run, node: RegexNode) -> float:
 
     cost, _ = visit(node)
     return cost
-
-
-def estimate_frontier_search_cost(
-    run: Run, node: RegexNode, source_count: int, allowed_count: int | None = None
-) -> float:
-    """Rough estimate of the work of answering a general query with one
-    product-DFA frontier search per source.
-
-    The executor answers all sources in one multi-source sweep
-    (:func:`repro.core.relations.frontier_search`), so pricing one search
-    per seed overstates it.  The frontier/join routing built on this bound
-    is left as it was until the planner compares its estimates with
-    measured costs.
-
-    Each search visits at most every *reachable* run edge once per DFA state;
-    the DFA state count is approximated by the query's syntax-tree size.
-    ``allowed_count`` is the size of the forward/backward pruned universe the
-    search is actually confined to (the cheap reachable-set estimate the
-    decomposition engine computes anyway); when given, the per-source bound
-    shrinks proportionally — without it the estimate falls back to the whole
-    run, which stays deliberately pessimistic so unrestricted queries (whose
-    relations the pruning cannot shrink) keep routing to the join evaluator.
-    """
-    states = max(1.0, float(regex_size(node)))
-    nodes = float(run.node_count)
-    edges = float(run.edge_count)
-    if allowed_count is not None and nodes > 0:
-        fraction = min(1.0, max(0.0, float(allowed_count)) / nodes)
-        # Edges are assumed uniformly distributed over nodes, so the pruned
-        # region sees roughly its node share of the run's edges.
-        edges *= fraction
-        nodes = float(allowed_count)
-    per_source = (edges + nodes) * states
-    return float(max(0, source_count)) * per_source
 
 
 def estimate_label_all_pairs_cost(node_count: int) -> float:

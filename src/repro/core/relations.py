@@ -1,44 +1,44 @@
-"""Node-pair relations and the join-based regex evaluation (Option G1).
+"""Node-pair relations, the join-based evaluation (Option G1) and the frontier sweep.
 
 A regular path query over a run can always be evaluated bottom-up over the
 query's parse tree, materializing for every subexpression the relation of
 node pairs it connects and combining child relations with joins, unions and
-fixpoints (Li & Moon [21]; Option G1 in Section IV-B).  This module holds
-that relational machinery:
-
-* it *is* the baseline G1 used in the experiments, and
-* it evaluates the unsafe remainder of a decomposed general query
-  (Section IV-B, "Our approach").
+fixpoints (Li & Moon [21]; Option G1 in Section IV-B).  The set-based
+relational machinery here is that evaluation: the G1 baseline of the
+experiments, the paper's evaluate-then-restrict decomposition
+(:mod:`repro.baselines.paper_decomposition`) and the executable reference
+semantics of the tests.
 
 Relations are plain sets of ``(source node id, target node id)`` pairs, with
 adjacency dictionaries built on the fly for joins; the transitive closure
 uses semi-naive iteration.  Following the library-wide convention, the empty
 path is admitted: ``ε`` and ``e*`` relate every node of the run to itself.
 
-This set-based evaluation is the G1 baseline of the experiments and the
-executable reference semantics of the tests.  Production joins and closures
-always run :func:`evaluate_regex_relation_packed`, the same bottom-up
-evaluation over the uint64-packed kernel of :mod:`repro.core.bitset`.  The
-packed path reads the run's adjacency from the memoized ``run.packed`` view —
-built once per run and reused across queries — instead of re-deriving
-per-tag edge sets on every call, and the closure helpers below ride the same
-packed view.  That view numbers nodes in topological order, so the packed
-``R+`` is one pass in reverse topological order; the semi-naive
-:func:`transitive_closure` here stays its reference.  The frontier search
-(:func:`frontier_search`) walks the run in topological order instead, with
-one seed bitmask per (node, DFA state).
+Production code evaluates an unsafe remainder one of two ways, fixed by the
+request's shape:
 
-Two restriction-pushdown primitives let callers keep intermediate relations
+* without node lists, :func:`evaluate_regex_relation_packed` runs the same
+  bottom-up evaluation over the packed kernel of :mod:`repro.core.bitset`,
+  reading the run's adjacency from the memoized ``run.packed`` view; that
+  view numbers nodes in topological order, so the packed ``R+`` is one pass
+  in reverse topological order (the semi-naive :func:`transitive_closure`
+  here stays its reference);
+* with node lists, :func:`frontier_search` walks the run once in
+  topological order with one seed bitmask per (node, DFA state), inside the
+  restriction universe below.
+
+Two restriction-pushdown primitives keep the frontier's live state
 proportional to the *requested* node lists instead of the whole run:
 
 * ``restriction_universe`` computes the set of nodes that can lie on any
   source-to-target path (forward-reachable from ``l1`` intersected with
-  backward-reachable from ``l2``), and every relation builder here accepts it
-  as an ``allowed`` filter — sound because every node of a matching path is
-  both reachable from its source and co-reachable from its target;
+  backward-reachable from ``l2``, closed on the packed adjacency of the
+  memoized ``run.packed`` view) — sound as a pruning filter because every
+  node of a matching path is both reachable from its source and
+  co-reachable from its target;
 * ``frontier_search`` searches the product of the run graph with a query
   DFA from every seed at once (the production generalization of
-  :mod:`repro.baselines.product_bfs`), pruned by the same ``allowed`` set
+  :mod:`repro.baselines.product_bfs`), pruned by that ``allowed`` set
   and extended with *macro transitions*: synthetic DFA symbols whose
   successors come from an already-materialized relation (the decomposition
   engine feeds the label-decoded relations of maximal safe subqueries
@@ -84,22 +84,14 @@ __all__ = [
 NodePairs = set[tuple[str, str]]
 
 
-def tag_relation(run: Run, tag: str, allowed: frozenset[str] | set[str] | None = None) -> NodePairs:
+def tag_relation(run: Run, tag: str) -> NodePairs:
     """Pairs connected by a single edge with the given tag."""
-    return {
-        (edge.source, edge.target)
-        for edge in run.edges_by_tag.get(tag, ())
-        if allowed is None or (edge.source in allowed and edge.target in allowed)
-    }
+    return {(edge.source, edge.target) for edge in run.edges_by_tag.get(tag, ())}
 
 
-def all_edge_relation(run: Run, allowed: frozenset[str] | set[str] | None = None) -> NodePairs:
+def all_edge_relation(run: Run) -> NodePairs:
     """Pairs connected by a single edge of any tag (the wildcard ``_``)."""
-    return {
-        (edge.source, edge.target)
-        for edge in run.edges
-        if allowed is None or (edge.source in allowed and edge.target in allowed)
-    }
+    return {(edge.source, edge.target) for edge in run.edges}
 
 
 def identity_relation(nodes: Iterable[str]) -> NodePairs:
@@ -367,137 +359,45 @@ def evaluate_regex_relation(
     node: RegexNode,
     *,
     subquery_evaluator: Callable[[RegexNode], "NodePairs | None"] | None = None,
-    allowed: frozenset[str] | set[str] | None = None,
 ) -> NodePairs:
     """Bottom-up join-based evaluation of a query over a run (Option G1).
 
     ``subquery_evaluator(node) -> NodePairs | None`` optionally intercepts
-    subtrees (the decomposition engine passes a hook that answers *safe*
-    subtrees with the labeling-based all-pairs algorithm and returns ``None``
-    for everything else).  ``allowed`` restricts every relation — leaves and
-    closures alike — to pairs inside a node universe (see
-    :func:`restriction_universe`), which bounds peak relation size by that
-    universe instead of the run.
+    subtrees (the paper's decomposition scheme passes a hook that answers
+    *safe* subtrees with the labeling-based all-pairs algorithm and returns
+    ``None`` for everything else).
     """
     if subquery_evaluator is not None:
         shortcut = subquery_evaluator(node)
         if shortcut is not None:
             return shortcut
-    # The empty-path diagonal (epsilon, star) only exists at nodes the run
-    # actually contains; ids in ``allowed`` that are not run nodes must not
-    # fabricate pairs (the packed kernel drops them at interning).
-    universe = (
-        frozenset(allowed).intersection(run.nodes)
-        if allowed is not None
-        else run.node_ids()
-    )
     if isinstance(node, Epsilon):
-        return identity_relation(universe)
+        return identity_relation(run.node_ids())
     if isinstance(node, Symbol):
-        return tag_relation(run, node.tag, allowed)
+        return tag_relation(run, node.tag)
     if isinstance(node, AnySymbol):
-        return all_edge_relation(run, allowed)
+        return all_edge_relation(run)
     if isinstance(node, Concat):
         relation: NodePairs | None = None
         for part in node.parts:
             part_relation = evaluate_regex_relation(
-                run, part, subquery_evaluator=subquery_evaluator, allowed=allowed
+                run, part, subquery_evaluator=subquery_evaluator
             )
             relation = part_relation if relation is None else compose(relation, part_relation)
             if not relation:
                 return set()
-        return relation if relation is not None else identity_relation(universe)
+        return relation if relation is not None else identity_relation(run.node_ids())
     if isinstance(node, Union):
         result: NodePairs = set()
         for part in node.parts:
-            result |= evaluate_regex_relation(
-                run, part, subquery_evaluator=subquery_evaluator, allowed=allowed
-            )
+            result |= evaluate_regex_relation(run, part, subquery_evaluator=subquery_evaluator)
         return result
     if isinstance(node, Star):
-        inner = evaluate_regex_relation(
-            run, node.child, subquery_evaluator=subquery_evaluator, allowed=allowed
-        )
-        return reflexive_transitive_closure(inner, universe)
+        inner = evaluate_regex_relation(run, node.child, subquery_evaluator=subquery_evaluator)
+        return reflexive_transitive_closure(inner, run.node_ids())
     if isinstance(node, Plus):
-        inner = evaluate_regex_relation(
-            run, node.child, subquery_evaluator=subquery_evaluator, allowed=allowed
-        )
+        inner = evaluate_regex_relation(run, node.child, subquery_evaluator=subquery_evaluator)
         return transitive_closure(inner)
-    raise TypeError(f"unknown regex node {node!r}")
-
-
-def _evaluate_packed(
-    run: Run,
-    node: RegexNode,
-    *,
-    subquery_evaluator: Callable[[RegexNode], "NodePairs | None"] | None,
-    allowed_mask: int | None,
-    universe_mask: int,
-) -> PackedRelation:
-    """The packed twin of :func:`evaluate_regex_relation`'s recursion.
-
-    Leaves come straight from the memoized ``run.packed`` rows; compositions,
-    unions, and closures are word-parallel :class:`PackedRelation` algebra.
-    Safe subtrees intercepted by ``subquery_evaluator`` arrive as node-pair
-    sets (the label-decode output) and are packed at the boundary.
-    """
-    view = run.packed
-    node_count = len(view.interner)
-    if subquery_evaluator is not None:
-        shortcut = subquery_evaluator(node)
-        if shortcut is not None:
-            return PackedRelation.from_pairs(view.interner, shortcut)
-    if isinstance(node, Epsilon):
-        return PackedRelation.identity(node_count, universe_mask)
-    if isinstance(node, Symbol):
-        adjacency = view.by_tag.get(node.tag)
-        if adjacency is None:
-            return PackedRelation.empty(node_count)
-        return PackedRelation.from_adjacency(adjacency, allowed_mask)
-    if isinstance(node, AnySymbol):
-        return PackedRelation.from_adjacency(view.any_tag, allowed_mask)
-    if isinstance(node, Concat):
-        relation: PackedRelation | None = None
-        for part in node.parts:
-            part_relation = _evaluate_packed(
-                run,
-                part,
-                subquery_evaluator=subquery_evaluator,
-                allowed_mask=allowed_mask,
-                universe_mask=universe_mask,
-            )
-            relation = part_relation if relation is None else relation.compose(part_relation)
-            if relation.is_empty():
-                return PackedRelation.empty(node_count)
-        return relation if relation is not None else PackedRelation.identity(
-            node_count, universe_mask
-        )
-    if isinstance(node, Union):
-        result = PackedRelation.empty(node_count)
-        for part in node.parts:
-            result = result.union(
-                _evaluate_packed(
-                    run,
-                    part,
-                    subquery_evaluator=subquery_evaluator,
-                    allowed_mask=allowed_mask,
-                    universe_mask=universe_mask,
-                )
-            )
-        return result
-    if isinstance(node, (Star, Plus)):
-        inner = _evaluate_packed(
-            run,
-            node.child,
-            subquery_evaluator=subquery_evaluator,
-            allowed_mask=allowed_mask,
-            universe_mask=universe_mask,
-        )
-        closed = inner.transitive_closure()
-        if isinstance(node, Star):
-            return closed.with_diagonal(universe_mask)
-        return closed
     raise TypeError(f"unknown regex node {node!r}")
 
 
@@ -506,32 +406,54 @@ def evaluate_regex_relation_packed(
     node: RegexNode,
     *,
     subquery_evaluator: Callable[[RegexNode], "NodePairs | None"] | None = None,
-    allowed: frozenset[str] | set[str] | None = None,
-    sources: Iterable[str] | None = None,
-    targets: Iterable[str] | None = None,
-) -> NodePairs:
-    """:func:`evaluate_regex_relation` on the packed kernel, then
-    :func:`restrict` to ``sources``/``targets``.
+) -> PackedRelation:
+    """:func:`evaluate_regex_relation` on the packed kernel.
 
     Same contract and results as the set-based evaluation (the Hypothesis
     equivalence suite holds the two paths together); only the representation
-    differs — relations live as packed rows for the whole bottom-up pass,
-    the root rows are restricted while still packed, and only the kept
-    pairs unpack to node ids.
+    differs.  Leaves come straight from the memoized ``run.packed`` rows;
+    compositions, unions and closures are word-parallel
+    :class:`~repro.core.bitset.PackedRelation` algebra over
+    ``run.packed.interner``.  Safe subtrees intercepted by
+    ``subquery_evaluator`` arrive as node-pair sets (the label-decode output)
+    and are packed at the boundary.  The caller unpacks the root relation.
     """
     view = run.packed
-    allowed_mask = None if allowed is None else view.interner.mask_of(allowed)
-    universe_mask = view.interner.full_mask if allowed_mask is None else allowed_mask
-    relation = _evaluate_packed(
-        run,
-        node,
-        subquery_evaluator=subquery_evaluator,
-        allowed_mask=allowed_mask,
-        universe_mask=universe_mask,
-    )
-    if sources is not None or targets is not None:
-        relation = relation.restrict(
-            None if sources is None else view.interner.mask_of(sources),
-            None if targets is None else view.interner.mask_of(targets),
-        )
-    return relation.to_pairs(view.interner)
+    interner = view.interner
+    node_count = len(interner)
+    if subquery_evaluator is not None:
+        shortcut = subquery_evaluator(node)
+        if shortcut is not None:
+            return PackedRelation.from_pairs(interner, shortcut)
+    if isinstance(node, Epsilon):
+        return PackedRelation.identity(node_count)
+    if isinstance(node, Symbol):
+        adjacency = view.by_tag.get(node.tag)
+        if adjacency is None:
+            return PackedRelation.empty(node_count)
+        return PackedRelation(node_count, adjacency.rows)
+    if isinstance(node, AnySymbol):
+        return PackedRelation(node_count, view.any_tag.rows)
+    if isinstance(node, Concat):
+        relation: PackedRelation | None = None
+        for part in node.parts:
+            part_relation = evaluate_regex_relation_packed(
+                run, part, subquery_evaluator=subquery_evaluator
+            )
+            relation = part_relation if relation is None else relation.compose(part_relation)
+            if relation.is_empty():
+                return PackedRelation.empty(node_count)
+        return relation if relation is not None else PackedRelation.identity(node_count)
+    if isinstance(node, Union):
+        result = PackedRelation.empty(node_count)
+        for part in node.parts:
+            result = result.union(
+                evaluate_regex_relation_packed(run, part, subquery_evaluator=subquery_evaluator)
+            )
+        return result
+    if isinstance(node, (Star, Plus)):
+        closed = evaluate_regex_relation_packed(
+            run, node.child, subquery_evaluator=subquery_evaluator
+        ).transitive_closure()
+        return closed.with_diagonal() if isinstance(node, Star) else closed
+    raise TypeError(f"unknown regex node {node!r}")

@@ -1,6 +1,6 @@
 """Span-based query-lifecycle tracing.
 
-A :class:`Tracer` records :class:`Span` trees: ``tracer.span("exec.join",
+A :class:`Tracer` records :class:`Span` trees: ``tracer.span("exec.plan",
 **attrs)`` is a context manager that times its block, nests under the
 enclosing span of the *current thread* (per-thread stacks, so a service
 batch fanned across a pool keeps each request's spans well nested), and

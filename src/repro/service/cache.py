@@ -223,10 +223,10 @@ class IndexCache:
         """The (cached) safe-subtree decomposition plan of a query.
 
         The plan is built from the query's canonical form (so equivalent
-        spellings share one plan) and memoizes its own cost-routing and macro
-        DFAs, which is what lets a service answer repeated unsafe queries
-        without re-planning.  Subtree safety is probed through this cache, so
-        planning also warms the safe subqueries' reports and indexes.
+        spellings share one plan) and memoizes its own macro DFAs, which is
+        what lets a service answer repeated unsafe queries without
+        re-planning.  Subtree safety is probed through this cache, so planning
+        also warms the safe subqueries' reports and indexes.
 
         Every call re-accounts the entry's cost: the plan (and any macro DFAs
         memoized since the last call) now counts against ``max_cost``, and a

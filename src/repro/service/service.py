@@ -290,7 +290,7 @@ class QueryService:
             routed = label_routed_subtrees(plan, run)
             for subtree in routed:
                 self._cache.index(spec, subtree)
-            # Memoize the frontier strategy's macro DFAs — forward and
+            # Memoize the frontier sweep's macro DFAs — forward and
             # reversed, so backward searches restart warm too — for this
             # run's routing, then re-account/persist the entry so the DFAs
             # count against the cache budget and survive restarts with the
@@ -458,8 +458,8 @@ class QueryService:
                             run, request.query, [request.source], [request.target]
                         )
                 else:  # allpairs — the only remaining validated op
-                    # Materializing anyway, so let evaluate() cost-route the
-                    # unsafe remainder instead of forcing the streaming path.
+                    # The answer is sorted below, so materialize it with
+                    # evaluate() instead of draining the streaming path.
                     matches = engine.evaluate(
                         run,
                         request.query,

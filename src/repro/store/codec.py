@@ -12,7 +12,7 @@ JSON-ready dictionaries here, and rebuilt from them:
   λ matrices exactly like a freshly built one;
 * a :class:`~repro.core.decomposition.DecompositionPlan` — the canonical
   query, its maximal safe subtrees (as query text that parses back to equal
-  syntax trees) and the memoized macro DFAs of the frontier strategy
+  syntax trees) and the memoized macro DFAs of the frontier sweep
   (forward *and* reversed, under distinct memo keys).
 
 Boolean matrices serialize as ``[size, base64]`` pairs: the row bitmasks
@@ -228,8 +228,8 @@ def plan_to_dict(plan: DecompositionPlan) -> dict[str, Any] | None:
 
 
 def plan_from_dict(spec: Specification, payload: dict[str, Any]) -> DecompositionPlan:
-    """Rebuild a plan (run-dependent routing memos start empty and are cheap
-    to recompute; the macro DFAs — forward and reversed — are restored).
+    """Rebuild a plan (label routing is recomputed per run; the macro DFAs —
+    forward and reversed — are restored).
 
     Entries written before direction decisions stopped being recorded also
     carry a ``directions`` key; it is ignored, so those entries still load.

@@ -1,9 +1,12 @@
 """The scenario catalog: unique ids, resolvable factors, sound invariants."""
 
+import dataclasses
+
 import pytest
 
+from repro.bench import catalog as catalog_module
 from repro.bench.catalog import CATALOG, INVARIANTS, check_catalog, get_scenario, select
-from repro.bench.scenarios import ScenarioError, resolve_grammar
+from repro.bench.scenarios import ExecutorFactors, ScenarioError, resolve_grammar
 
 
 class TestCatalogShape:
@@ -46,6 +49,24 @@ class TestCatalogShape:
         assert "workers" not in CATALOG[0].executor.as_dict()
         ids = {scenario.id for scenario in CATALOG} | {item.id for item in INVARIANTS}
         assert not {"frontier-parallel-4w", "parallel-2x"} & ids
+
+    def test_static_check_flags_an_unknown_direction(self, monkeypatch):
+        broken = dataclasses.replace(
+            CATALOG[0], executor=ExecutorFactors(direction="sideways")
+        )
+        monkeypatch.setattr(catalog_module, "CATALOG", (broken, *CATALOG[1:]))
+        [problem] = check_catalog(runnable=False)
+        assert problem.startswith(f"{broken.id}: bad executor factors: unknown direction")
+
+    def test_dense_wildcard_kernel_runs_on_the_production_path(self):
+        """The old packed-join entry keeps its id, workload and seed and now
+        runs with default executor factors (one auto-direction sweep)."""
+        kernel = get_scenario("kernel-packed-join")
+        assert kernel.executor == ExecutorFactors()
+        assert (kernel.grammar, kernel.query_class, kernel.seed) == (
+            "dense-wildcard:250", "unsafe-allpairs", 1
+        )
+        assert dict(kernel.params) == {"query": "_* op0 _*"}
 
     def test_synthetic_grammar_families_are_covered(self):
         families = {scenario.grammar.split(":")[0] for scenario in CATALOG}

@@ -102,3 +102,15 @@ class TestRunSuite:
         assert row["scenario"] == CHEAP_ID
         assert 'median_ms' in row
         assert 'checksum' in row
+
+    def test_table_exec_column_shows_direction_and_store(self):
+        document = {
+            "scenarios": [
+                {"id": "x", "factors": {"executor": {"direction": "backward", "store": True}}},
+                {"id": "y", "factors": {"executor": {"direction": "auto", "store": False}}},
+                {"id": "z", "factors": {}},
+            ]
+        }
+        assert [row["exec"] for row in run_table(document)] == [
+            "backward+store", "auto", "-"
+        ]

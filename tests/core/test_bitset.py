@@ -1,12 +1,12 @@
 """The packed bitset kernel pinned to its set-based reference.
 
-Every word-parallel operation the packed join path performs — tag/all-edge
-relations, join composition, the semi-naive closure, restriction universes
-and whole-query regex evaluation — must return exactly what the per-element
-set machinery (the G1 baseline) returns, on Hypothesis-generated runs,
-queries, masks and node lists (including empty and disjoint ones).  End-to-end tests
-additionally hold the executor's frontier and join plans to the set
-reference.
+Every word-parallel operation the packed join performs — tag/all-edge
+relations, join composition, the semi-naive closure and whole-query regex
+evaluation — and the reachability closures behind restriction universes
+must return exactly what the per-element set machinery (the G1 baseline)
+returns, on Hypothesis-generated runs, queries, masks and node lists
+(including empty and disjoint ones).  End-to-end tests additionally hold
+the executor's frontier and join plans to the set reference.
 """
 
 import os
@@ -28,7 +28,7 @@ from repro.core.bitset import (
     bit_indices,
     closure_mask,
 )
-from repro.core.exec import build_physical_plan, execute
+from repro.core.exec import JoinOp, build_physical_plan, execute
 from repro.core.query_index import build_query_index
 from repro.core.decomposition import plan_decomposition
 from repro.core.relations import (
@@ -120,9 +120,12 @@ def run_query_lists(draw):
     return run, query, l1, l2
 
 
-def _mask_of(run, node_list):
-    interner = run.packed.interner
-    return None if node_list is None else interner.mask_of(node_list)
+def _inside(relation, nodes):
+    """The pairs with both ends in ``nodes`` (``None`` keeps every pair)."""
+    if nodes is None:
+        return relation
+    kept = set(nodes)
+    return {(source, target) for source, target in relation if source in kept and target in kept}
 
 
 def _brute_closure(seeds, adjacency):
@@ -244,6 +247,20 @@ class TestPackedAdjacency:
             expected |= rows[position]
         assert PackedAdjacency(size, rows).propagate(mask) == expected
 
+    @given(adjacency_and_mask())
+    @settings(**_SETTINGS)
+    def test_closure_mask_matches_per_edge_search_on_any_rows(self, data):
+        """Arbitrary rows (cycles and self-loops included): the wavefront
+        closure is the seeds plus everything a depth-first search reaches."""
+        size, rows, mask = data
+        adjacency = {
+            position: [(target, None) for target in bit_indices(rows[position])]
+            for position in range(size)
+        }
+        expected = _brute_closure(bit_indices(mask), adjacency)
+        closure = closure_mask(PackedAdjacency(size, rows), mask)
+        assert bit_indices(closure) == sorted(expected)
+
     def test_row_count_must_match_node_count(self):
         with pytest.raises(ValueError, match="expected 3 rows, got 2"):
             PackedAdjacency(3, [0, 0])
@@ -339,15 +356,14 @@ class TestRelationAlgebra:
     @given(run_and_lists())
     @settings(**_SETTINGS)
     def test_tag_and_all_edge_relations_match(self, data):
-        run, l1, _ = data
+        run, _, _ = data
         view = run.packed
-        allowed = None if l1 is None else frozenset(l1)
-        allowed_mask = _mask_of(run, l1)
-        packed_any = PackedRelation.from_adjacency(view.any_tag, allowed_mask)
-        assert packed_any.to_pairs(view.interner) == all_edge_relation(run, allowed)
+        node_count = len(view.interner)
+        packed_any = PackedRelation(node_count, view.any_tag.rows)
+        assert packed_any.to_pairs(view.interner) == all_edge_relation(run)
         for tag, adjacency in view.by_tag.items():
-            packed = PackedRelation.from_adjacency(adjacency, allowed_mask)
-            assert packed.to_pairs(view.interner) == tag_relation(run, tag, allowed)
+            packed = PackedRelation(node_count, adjacency.rows)
+            assert packed.to_pairs(view.interner) == tag_relation(run, tag)
 
     @given(run_and_lists())
     @settings(**_SETTINGS)
@@ -355,7 +371,7 @@ class TestRelationAlgebra:
         run, l1, l2 = data
         view = run.packed
         left = tag_relation(run, sorted(run.tags())[0])
-        right = all_edge_relation(run, None if l2 is None else frozenset(l2))
+        right = _inside(all_edge_relation(run), l2)
         packed = PackedRelation.from_pairs(view.interner, left).compose(
             PackedRelation.from_pairs(view.interner, right)
         )
@@ -365,7 +381,7 @@ class TestRelationAlgebra:
     @settings(**_SETTINGS)
     def test_semi_naive_closure_matches(self, data):
         run, l1, _ = data
-        relation = all_edge_relation(run, None if l1 is None else frozenset(l1))
+        relation = _inside(all_edge_relation(run), l1)
         view = run.packed
         packed = PackedRelation.from_pairs(view.interner, relation).transitive_closure()
         assert packed.to_pairs(view.interner) == transitive_closure(relation)
@@ -440,23 +456,11 @@ class TestRelationAlgebra:
 
     @given(run_and_lists())
     @settings(**_SETTINGS)
-    def test_restrict_matches_set_restrict(self, data):
-        run, l1, l2 = data
-        relation = all_edge_relation(run)
-        view = run.packed
-        packed = PackedRelation.from_pairs(view.interner, relation).restrict(
-            _mask_of(run, l1), _mask_of(run, l2)
-        )
-        assert packed.to_pairs(view.interner) == restrict(relation, l1, l2)
-
-    @given(run_and_lists())
-    @settings(**_SETTINGS)
     def test_union_matches_set_union(self, data):
         run, l1, _ = data
         view = run.packed
         tags = sorted(run.tags())
-        allowed = None if l1 is None else frozenset(l1)
-        left = tag_relation(run, tags[0], allowed)
+        left = _inside(tag_relation(run, tags[0]), l1)
         right = tag_relation(run, tags[-1])
         packed = PackedRelation.from_pairs(view.interner, left).union(
             PackedRelation.from_pairs(view.interner, right)
@@ -466,28 +470,26 @@ class TestRelationAlgebra:
     @given(run_and_lists())
     @settings(**_SETTINGS)
     def test_identity_union_equals_with_diagonal(self, data):
-        """``R ∪ id(U)`` built both ways — the diagonal ``X*`` adds for the
+        """``R ∪ id`` built both ways — the diagonal ``X*`` adds for the
         empty path — is the set reference's ``R`` plus ``(u, u)`` per node."""
-        run, l1, _ = data
+        run, _, _ = data
         view = run.packed
         interner = view.interner
-        universe = interner.full_mask if l1 is None else interner.mask_of(l1)
-        relation = PackedRelation.from_adjacency(view.any_tag, None)
-        identity = PackedRelation.identity(len(interner), universe)
-        expected = all_edge_relation(run) | {
-            (node, node) for node in interner.nodes_of(universe)
-        }
-        assert relation.with_diagonal(universe).to_pairs(interner) == expected
+        relation = PackedRelation(len(interner), view.any_tag.rows)
+        identity = PackedRelation.identity(len(interner))
+        expected = all_edge_relation(run) | {(node, node) for node in run.node_ids()}
+        assert relation.with_diagonal().to_pairs(interner) == expected
         assert relation.union(identity).to_pairs(interner) == expected
 
     @given(run_and_lists())
     @settings(**_SETTINGS)
-    def test_pair_count_and_emptiness_match_the_unpacked_pairs(self, data):
+    def test_streamed_pairs_and_emptiness_match_the_unpacked_pairs(self, data):
         run, l1, _ = data
         view = run.packed
-        packed = PackedRelation.from_adjacency(view.any_tag, _mask_of(run, l1))
+        packed = PackedRelation.from_pairs(view.interner, _inside(all_edge_relation(run), l1))
         pairs = packed.to_pairs(view.interner)
-        assert packed.pair_count() == len(pairs)
+        streamed = list(packed.iter_pairs(view.interner))
+        assert len(streamed) == len(pairs) and set(streamed) == pairs
         assert packed.is_empty() == (not pairs)
         assert PackedRelation.empty(len(view.interner)).is_empty()
 
@@ -502,33 +504,10 @@ class TestRelationAlgebra:
     @given(run_query_lists())
     @settings(**_SETTINGS)
     def test_packed_regex_evaluation_matches_set_reference(self, data):
-        run, query, l1, _ = data
+        run, query, _, _ = data
         node = parse_regex(query)
-        allowed = None if l1 is None else frozenset(l1)
-        assert evaluate_regex_relation_packed(
-            run, node, allowed=allowed
-        ) == evaluate_regex_relation(run, node, allowed=allowed)
-
-    @given(run_query_lists())
-    @settings(**_SETTINGS)
-    def test_packed_evaluation_restricts_like_the_set_reference(self, data):
-        """``sources``/``targets`` cut the packed root rows exactly as
-        :func:`restrict` cuts the set-based relation — unknown ids,
-        duplicates and empty lists included — with or without the pruning
-        universe the join plan passes alongside."""
-        run, query, l1, l2 = data
-        node = parse_regex(query)
-        expected = restrict(evaluate_regex_relation(run, node), l1, l2)
-        assert evaluate_regex_relation_packed(
-            run, node, sources=l1, targets=l2
-        ) == expected
-        assert evaluate_regex_relation_packed(
-            run,
-            node,
-            allowed=restriction_universe(run, l1, l2),
-            sources=l1,
-            targets=l2,
-        ) == expected
+        packed = evaluate_regex_relation_packed(run, node)
+        assert packed.to_pairs(run.packed.interner) == evaluate_regex_relation(run, node)
 
 
 # ---------------------------------------------------------------------------
@@ -553,12 +532,11 @@ class TestExecutorEquivalence:
             l1,
             l2,
             indexes=lambda node: build_query_index(run.spec, node),
-            strategy="frontier",
         )
         assert set(execute(physical)) == set(reference)
 
     @pytest.mark.parametrize("spec_name", sorted(_SPECS))
-    def test_join_strategy_matches_reference(self, spec_name):
+    def test_unrestricted_join_matches_reference(self, spec_name):
         run = _RUNS[spec_name][0]
         tags = sorted(run.tags())
         query = f"_* {tags[0]} _*"
@@ -570,6 +548,6 @@ class TestExecutorEquivalence:
             None,
             None,
             indexes=lambda node: build_query_index(run.spec, node),
-            strategy="join",
         )
+        assert isinstance(physical.root, JoinOp)
         assert set(execute(physical)) == set(reference)

@@ -1,5 +1,7 @@
 """Tests for general-query decomposition (Section IV-B, "Our approach")."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.automata.regex import parse_regex
@@ -113,14 +115,14 @@ class TestEvaluation:
 
 class TestRestrictionPushdown:
     @pytest.mark.parametrize("query", UNSAFE_QUERIES)
-    @pytest.mark.parametrize("strategy", ["auto", "frontier", "join"])
-    def test_strategies_agree_with_oracle_on_lists(self, query, strategy):
+    @pytest.mark.parametrize("direction", ["auto", "forward", "backward"])
+    def test_pushdown_agrees_with_oracle_on_lists(self, query, direction):
         run = paper_run(recursion_depth=3)
         nodes = list(run.node_ids())
         l1 = nodes[:4]
         l2 = nodes[2:10]
         expected = product_bfs_all_pairs(run, l1, l2, query)
-        result = evaluate_general_query(run, query, l1, l2, strategy=strategy)
+        result = evaluate_general_query(run, query, l1, l2, direction=direction)
         assert result == expected
 
     @pytest.mark.parametrize("query", UNSAFE_QUERIES)
@@ -138,8 +140,7 @@ class TestRestrictionPushdown:
         l1 = [nodes[0], nodes[1], nodes[0], nodes[1]]
         l2 = [nodes[2], nodes[2], nodes[3]]
         expected = product_bfs_all_pairs(run, l1, l2, "_* a _*")
-        for strategy in ("auto", "frontier", "join"):
-            assert evaluate_general_query(run, "_* a _*", l1, l2, strategy=strategy) == expected
+        assert evaluate_general_query(run, "_* a _*", l1, l2) == expected
         streamed = list(evaluate_general_query_iter(run, "_* a _*", l1, l2))
         assert len(streamed) == len(set(streamed))
         assert set(streamed) == expected
@@ -147,9 +148,8 @@ class TestRestrictionPushdown:
     def test_empty_lists_give_empty_answers(self):
         run = paper_run()
         some = list(run.node_ids())[:3]
-        for strategy in ("auto", "frontier", "join"):
-            assert evaluate_general_query(run, "_* a _*", [], None, strategy=strategy) == set()
-            assert evaluate_general_query(run, "_* a _*", some, [], strategy=strategy) == set()
+        assert evaluate_general_query(run, "_* a _*", [], None) == set()
+        assert evaluate_general_query(run, "_* a _*", some, []) == set()
         assert list(evaluate_general_query_iter(run, "_* a _*", [], [])) == []
 
     def test_ids_absent_from_run_are_ignored(self):
@@ -159,25 +159,20 @@ class TestRestrictionPushdown:
         run = paper_run()
         ghosts = ["no-such-node", "also-missing"]
         some = list(run.node_ids())[:3]
-        for strategy in ("auto", "frontier", "join"):
-            assert evaluate_general_query(run, "_* a _*", ghosts, None, strategy=strategy) == set()
-            mixed = evaluate_general_query(
-                run, "_* a _*", some + ghosts, None, strategy=strategy
-            )
-            assert mixed == product_bfs_all_pairs(run, some, None, "_* a _*")
+        assert evaluate_general_query(run, "_* a _*", ghosts, None) == set()
+        mixed = evaluate_general_query(run, "_* a _*", some + ghosts, None)
+        assert mixed == product_bfs_all_pairs(run, some, None, "_* a _*")
 
-    def test_unknown_strategy_rejected(self):
+    def test_unknown_direction_rejected(self):
         run = paper_run()
-        with pytest.raises(ValueError, match="unknown strategy"):
-            evaluate_general_query(run, "_* a _*", strategy="magic")
+        with pytest.raises(ValueError, match="unknown direction"):
+            evaluate_general_query(run, "_* a _*", direction="magic")
 
-    def test_engine_rejects_unknown_strategy_even_for_safe_queries(self):
+    def test_engine_rejects_unknown_direction_even_for_safe_queries(self):
         from repro.core.engine import ProvenanceQueryEngine
 
         run = paper_run()
         engine = ProvenanceQueryEngine(run.spec)
-        with pytest.raises(ValueError, match="unknown strategy"):
-            engine.evaluate(run, "_* e _*", strategy="magic")
         with pytest.raises(ValueError, match="unknown direction"):
             engine.evaluate(run, "_* e _*", direction="sideways")
         # Eagerly, before the stream is drawn, like every other validation.
@@ -191,32 +186,42 @@ class TestRestrictionPushdown:
         paper = paper_decomposition_all_pairs(run, l1, l2, "_* a _*")
         assert paper == evaluate_general_query(run, "_* a _*", l1, l2)
 
-    def test_unrestricted_auto_never_routes_to_frontier(self, monkeypatch):
-        # Without node lists the pruning cannot shrink anything, so the auto
-        # router takes the join path (the frontier strategy would build a
-        # macro DFA, which lands in the plan's memo).
+    def test_unrestricted_query_joins_without_a_macro_dfa(self, monkeypatch):
+        # Without node lists the pruning cannot shrink anything, so the plan
+        # takes the join path (a frontier sweep would build a macro DFA,
+        # which lands in the plan's memo).
         run = paper_run(recursion_depth=3)
         plan = _always_labels(monkeypatch, plan_decomposition(run.spec, "(A)+ . e"))
         evaluate_general_query(run, "(A)+ . e", plan=plan)
         assert plan._dfa_memo == {}
 
-    def test_cost_routing_memoized_on_plan(self):
-        run = paper_run(recursion_depth=3)
-        plan = plan_decomposition(run.spec, "(A)+ . e")
-        first = label_routed_subtrees(plan, run)
-        memo_size = len(plan._routing_memo)
-        assert memo_size > 0
-        second = label_routed_subtrees(plan, run)
-        assert first == second
-        assert len(plan._routing_memo) == memo_size  # second pass hit the memo
+    def test_label_routing_follows_per_tag_edge_counts(self):
+        """The routing decision reads the run's per-tag edge counts on every
+        call: two runs with equal node and edge counts but a different tag
+        mix route the same safe subtree differently, in either order."""
+        plan = plan_decomposition(paper_specification(), "(_* a _*) | (A+ . A+)")
+
+        def stats(**tags):
+            return SimpleNamespace(
+                node_count=100,
+                edge_count=sum(tags.values()),
+                edges_by_tag={tag: (None,) * count for tag, count in tags.items()},
+            )
+
+        dense, sparse = stats(A=90, a=10), stats(A=10, a=90)
+        routed = [parse_regex("A+ . A+")]
+        for run in (dense, sparse, dense, sparse):
+            expected = routed if run is dense else []
+            assert label_routed_subtrees(plan, run) == expected
 
     def test_macro_dfa_memoized_on_plan(self, monkeypatch):
         run = paper_run(recursion_depth=2)
         plan = _always_labels(monkeypatch, plan_decomposition(run.spec, "(A)+ . e"))
-        evaluate_general_query(run, "(A)+ . e", plan=plan, strategy="frontier")
+        sources = list(run.node_ids())
+        evaluate_general_query(run, "(A)+ . e", sources, plan=plan)
         assert len(plan._dfa_memo) == 1
         dfa = next(iter(plan._dfa_memo.values()))
-        evaluate_general_query(run, "(A)+ . e", plan=plan, strategy="frontier")
+        evaluate_general_query(run, "(A)+ . e", sources, plan=plan)
         assert next(iter(plan._dfa_memo.values())) is dfa
 
 

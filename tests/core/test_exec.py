@@ -1,8 +1,9 @@
-"""The executor layer: planner resolution and the frontier sweep.
+"""The executor layer: planner resolution, the join and the frontier sweep.
 
 The load-bearing property tests: every physical execution path — forward
-frontier, backward frontier, the packed join and auto routing — returns
-exactly the pair set of the set-based join reference on Hypothesis-generated
+frontier, backward frontier, auto direction and, without node lists, the
+packed join — returns exactly the pair
+set of the set-based join reference on Hypothesis-generated
 (specification, run, query, l1, l2) tuples, including empty and disjoint
 node lists; and the multi-source sweep agrees with the product-automaton
 oracle and with the per-seed search it replaced, in both directions, with
@@ -22,18 +23,17 @@ from repro.baselines.product_bfs import product_bfs_all_pairs
 from repro.core.decomposition import plan_decomposition
 from repro.core.exec import (
     DIRECTIONS,
-    STRATEGIES,
     FrontierSearchOp,
     JoinOp,
     LabelDecodeOp,
     build_physical_plan,
-    check_routing,
+    check_direction,
     execute,
     execute_iter,
 )
 from repro.core.exec import executor as executor_module
 from repro.core.query_index import build_query_index
-from repro.core.relations import evaluate_regex_relation, restrict
+from repro.core.relations import backward_closure_nodes, evaluate_regex_relation, restrict
 from repro.datasets.paper_example import paper_specification
 from repro.datasets.synthetic import generate_synthetic_specification
 from repro.obs import Tracer, use_tracer
@@ -148,16 +148,15 @@ class TestExecutorEquivalence:
         max_examples=50, deadline=None, suppress_health_check=[HealthCheck.data_too_large]
     )
     def test_all_executors_match_the_join_reference(self, data):
-        """Forward, backward, packed-join and auto executions all return the
-        set-based join reference's pair set, and their streams yield each
-        pair once.  The join arm restricts to the node lists while packed."""
+        """Forward, backward and auto executions (a join without node
+        lists) all return the set-based join reference's pair set, and their
+        streams yield each pair once."""
         run, query, l1, l2 = data
         l1, l2 = _runnable(run, query, l1, l2)
         reference = restrict(evaluate_regex_relation(run, parse_regex(query)), l1, l2)
         for label, kwargs in (
-            ("forward", {"strategy": "frontier", "direction": "forward"}),
-            ("backward", {"strategy": "frontier", "direction": "backward"}),
-            ("join", {"strategy": "join"}),
+            ("forward", {"direction": "forward"}),
+            ("backward", {"direction": "backward"}),
             ("auto", {}),
         ):
             physical = _physical(run, query, l1, l2, **kwargs)
@@ -192,7 +191,7 @@ class TestExecutorEquivalence:
         with routing:
             physical = build_physical_plan(
                 run, plan, l1, l2, indexes=_indexes(run.spec),
-                strategy="frontier", direction=direction,
+                direction=direction,
             )
             oracle = _oracle(run, query, l1, l2)
             streamed = list(execute_iter(physical))
@@ -215,7 +214,7 @@ class TestExecutorEquivalence:
         monkeypatch.setattr(plan, "estimate_prefers_labels", lambda run, node: True)
         physical = build_physical_plan(
             run, plan, l1, l2, indexes=_indexes(run.spec),
-            strategy="frontier", direction="backward",
+            direction="backward",
         )
         assert isinstance(physical.root, FrontierSearchOp)
         assert physical.root.macros, "expected a macro-routed safe subtree"
@@ -232,7 +231,7 @@ class TestExecutorEquivalence:
         monkeypatch.setattr(plan, "estimate_prefers_labels", lambda run, node: True)
         physical = build_physical_plan(
             run, plan, nodes, nodes, indexes=_indexes(run.spec),
-            strategy="frontier", direction=direction,
+            direction=direction,
         )
         assert physical.root.macros, "expected a macro-routed safe subtree"
         e_only = evaluate_regex_relation(run, parse_regex("(e)+"))
@@ -254,7 +253,7 @@ class TestFrontierExecution:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(executor_module, "frontier_search", counting)
-        physical = _physical(run, "_* a _*", nodes, None, strategy="frontier")
+        physical = _physical(run, "_* a _*", nodes, None)
         assert len(physical.root.seeds) == len(nodes)
         execute(physical)
         assert calls == [physical.root.seeds]
@@ -262,9 +261,7 @@ class TestFrontierExecution:
     def test_search_span_reports_direction_seeds_and_pairs(self):
         run = _RUNS["paper"][0]
         nodes = list(run.node_ids())
-        physical = _physical(
-            run, "_* a _*", nodes, nodes[:2], strategy="frontier", direction="backward"
-        )
+        physical = _physical(run, "_* a _*", nodes, nodes[:2], direction="backward")
         tracer = Tracer(registry=MetricsRegistry())
         with use_tracer(tracer):
             result = execute(physical)
@@ -284,7 +281,7 @@ class TestFrontierExecution:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(executor_module, "iter_frontier_search", tracking)
-        physical = _physical(run, "_* a _*", nodes, None, strategy="frontier")
+        physical = _physical(run, "_* a _*", nodes, None)
         stream = execute_iter(physical)
         assert started == []
         pairs = list(stream)
@@ -297,7 +294,6 @@ class TestPlannerResolution:
         run = _RUNS["paper"][0]
         physical = _physical(run, "_* e _*", None, None)
         assert isinstance(physical.root, LabelDecodeOp)
-        assert physical.strategy == "safe"
 
     def test_auto_picks_backward_on_small_l2_large_l1(self):
         """The acceptance criterion: a handful of targets against the whole
@@ -305,8 +301,6 @@ class TestPlannerResolution:
         run = _RUNS["paper"][0]
         nodes = list(run.node_ids())
         physical = _physical(run, "_* a _*", nodes, nodes[:2])
-        assert physical.strategy == "frontier"
-        assert physical.direction == "backward"
         assert isinstance(physical.root, FrontierSearchOp)
         assert physical.root.direction == "backward"
         assert len(physical.root.seeds) == 2
@@ -315,41 +309,30 @@ class TestPlannerResolution:
         run = _RUNS["paper"][0]
         nodes = list(run.node_ids())
         physical = _physical(run, "_* a _*", nodes[:2], None)
-        assert physical.strategy == "frontier"
-        assert physical.direction == "forward"
+        assert isinstance(physical.root, FrontierSearchOp)
+        assert physical.root.direction == "forward"
 
     def test_unrestricted_unsafe_query_plans_to_join(self):
         run = _RUNS["paper"][0]
         physical = _physical(run, "_* a _*", None, None)
         assert isinstance(physical.root, JoinOp)
-        assert (physical.root.l1, physical.root.l2) == (None, None)
-        assert physical.strategy == "join"
-        assert physical.direction == "-"
+        assert physical.root.root == parse_regex("_* a _*")
 
-    def test_forced_join_carries_the_node_lists(self):
+    def test_join_span_reports_the_pair_count_and_streams_the_same_pairs(self):
         run = _RUNS["paper"][0]
-        nodes = list(run.node_ids())
-        physical = _physical(
-            run, "_* a _*", nodes[:3], [nodes[4], nodes[4]], strategy="join"
-        )
-        assert isinstance(physical.root, JoinOp)
-        assert physical.root.l1 == tuple(nodes[:3])
-        assert physical.root.l2 == (nodes[4], nodes[4])
-
-    def test_join_span_reports_the_restricted_pair_count(self):
-        run = _RUNS["paper"][0]
-        nodes = list(run.node_ids())
-        physical = _physical(run, "_* a _*", nodes[:3], None, strategy="join")
+        physical = _physical(run, "_* a _*", None, None)
         tracer = Tracer(registry=MetricsRegistry())
         with use_tracer(tracer):
             result = execute(physical)
-        whole = execute(_physical(run, "_* a _*", None, None))
-        assert result == restrict(whole, nodes[:3], None) != whole
+        assert result == product_bfs_all_pairs(run, None, None, "_* a _*")
         assert [span.name for span in tracer.spans() if span.name.startswith("exec.")] == [
             "exec.join"
         ]
-        [join] = [span for span in tracer.spans() if span.name == "exec.join"]
+        [join] = tracer.spans()
         assert join.attrs["pairs"] == len(result)
+        streamed = list(execute_iter(physical))
+        assert len(streamed) == len(set(streamed))
+        assert set(streamed) == result
 
     def test_direction_is_resolved_fresh_on_every_plan(self):
         run = _RUNS["paper"][0]
@@ -361,45 +344,70 @@ class TestPlannerResolution:
             physical = build_physical_plan(
                 run, plan, nodes, nodes[:2], indexes=_indexes(run.spec)
             )
-            assert physical.direction == "backward"
+            assert physical.root.direction == "backward"
 
     def test_one_plan_follows_each_workload_shape(self):
-        """A single plan serves both shapes: few sources search forward,
-        few targets search backward, whichever came first."""
+        """A single plan serves every shape, whichever came first: backward
+        exactly when there is a target list with fewer seeds inside the
+        pruned universe than the sources have; equal counts go forward."""
         run = _RUNS["paper"][0]
         plan = plan_decomposition(run.spec, "_* a _*")
         nodes = list(run.node_ids())
+        sink = run.topological_order[-1]
+        feeders = sorted(backward_closure_nodes(run, [sink]) - {sink})[:2]
+        assert len(feeders) == 2
         shapes = [
+            # no target list
+            (nodes[:2], None, "forward"),
+            # fewer targets than sources
             (nodes, nodes[:2], "backward"),
+            # more targets than sources
             (nodes[:2], nodes, "forward"),
-            (nodes, nodes[:2], "backward"),
+            # equal counts
+            (nodes, nodes, "forward"),
+            # more targets as written, one inside the pruned universe
+            (feeders, [sink, _GHOST, "ghost:1", "ghost:2"], "backward"),
+            (nodes[:2], None, "forward"),
         ]
         for l1, l2, expected in shapes:
             physical = build_physical_plan(
                 run, plan, l1, l2, indexes=_indexes(run.spec)
             )
-            assert physical.strategy == "frontier"
-            assert physical.direction == expected
-            assert physical.root.direction == expected
+            assert isinstance(physical.root, FrontierSearchOp)
+            assert physical.root.direction == expected, (l1, l2)
 
-    def test_bad_strategy_and_direction_raise(self):
+    @pytest.mark.parametrize(
+        ("forced", "seeds_side", "filter_side"),
+        [("forward", 0, 1), ("backward", 1, 0)],
+    )
+    def test_explicit_direction_overrides_the_seed_counts(
+        self, forced, seeds_side, filter_side
+    ):
+        """A forced direction wins over the count rule in both shapes, and
+        seeds the sweep from its own side while the other side filters."""
         run = _RUNS["paper"][0]
-        with pytest.raises(ValueError, match="unknown strategy"):
-            _physical(run, "_* a _*", None, None, strategy="sideways")
+        nodes = list(run.node_ids())
+        for lists in ((nodes, nodes[:2]), (nodes[:2], nodes)):
+            physical = _physical(run, "_* a _*", *lists, direction=forced)
+            assert physical.root.direction == forced
+            assert physical.root.seeds == tuple(lists[seeds_side])
+            assert physical.root.emit_filter == frozenset(lists[filter_side])
+
+    def test_bad_direction_raises(self):
+        run = _RUNS["paper"][0]
         with pytest.raises(ValueError, match="unknown direction"):
             _physical(run, "_* a _*", None, None, direction="sideways")
-        # A fully safe query never picks a strategy, yet a typo still fails.
-        with pytest.raises(ValueError, match="unknown strategy"):
-            _physical(run, "_* e _*", None, None, strategy="magic")
+        # A fully safe query never sweeps, yet a typo still fails.
+        with pytest.raises(ValueError, match="unknown direction"):
+            _physical(run, "_* e _*", None, None, direction="magic")
 
-    def test_check_routing_accepts_exactly_the_published_values(self):
-        for strategy in STRATEGIES:
-            for direction in DIRECTIONS:
-                check_routing(strategy, direction)
-        with pytest.raises(ValueError, match=r"\['auto', 'frontier', 'join'\]"):
-            check_routing("Join", "auto")
+    def test_check_direction_accepts_exactly_the_published_values(self):
+        for direction in DIRECTIONS:
+            check_direction(direction)
         with pytest.raises(ValueError, match=r"\['auto', 'forward', 'backward'\]"):
-            check_routing("auto", "")
+            check_direction("")
+        with pytest.raises(ValueError, match="unknown direction 'Forward'"):
+            check_direction("Forward")
 
 
 class TestPhysicalPlanReporting:
@@ -411,6 +419,37 @@ class TestPhysicalPlanReporting:
         assert 'frontier' in text
         assert 'backward' in text
         assert 'workers' not in text
+
+    def test_describe_names_the_label_decode(self):
+        run = _RUNS["paper"][0]
+        text = _physical(run, "_* e _*", None, None).describe()
+        assert text == f"PhysicalPlan(label-decode) over run of {run.node_count} nodes"
+        text = _physical(run, "_* a _*", None, None).describe()
+        assert text == f"PhysicalPlan(join) over run of {run.node_count} nodes"
+
+    @pytest.mark.parametrize(
+        ("query", "sides", "attrs"),
+        [
+            ("_* e _*", (None, None), {"operator": "label_decode"}),
+            ("_* a _*", (None, None), {"operator": "join"}),
+            ("_* a _*", (2, None), {"operator": "frontier_search", "direction": "forward"}),
+            ("_* a _*", (None, 2), {"operator": "frontier_search", "direction": "backward"}),
+        ],
+        ids=["safe", "join", "forward", "backward"],
+    )
+    def test_plan_span_reports_the_operator(self, query, sides, attrs):
+        """``exec.plan`` names the chosen operator, and for a sweep the
+        direction it resolved to; a label decode or a join has no
+        direction."""
+        run = _RUNS["paper"][0]
+        nodes = list(run.node_ids())
+        l1, l2 = (None if side is None else nodes[:side] for side in sides)
+        tracer = Tracer(registry=MetricsRegistry())
+        with use_tracer(tracer):
+            _physical(run, query, l1, l2)
+        [span] = [span for span in tracer.spans() if span.name == "exec.plan"]
+        assert {key: span.attrs[key] for key in attrs} == attrs
+        assert ("direction" in span.attrs) == ("direction" in attrs)
 
 
 class TestMacroRelationThreadSafety:

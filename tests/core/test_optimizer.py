@@ -63,44 +63,6 @@ class TestRelationEstimates:
         assert estimate_label_all_pairs_cost(200) > 3 * estimate_label_all_pairs_cost(100)
 
 
-class TestFrontierSearchEstimate:
-    """Calibration: the per-source frontier bound shrinks with the pruned
-    ``allowed`` universe instead of always charging for the whole run."""
-
-    def test_allowed_universe_shrinks_the_estimate(self):
-        from repro.core.optimizer import estimate_frontier_search_cost
-
-        run = paper_run(recursion_depth=6)
-        query = parse_regex("_* a _*")
-        whole = estimate_frontier_search_cost(run, query, 5)
-        assert estimate_frontier_search_cost(run, query, 5, allowed_count=None) == whole
-        pruned = estimate_frontier_search_cost(
-            run, query, 5, allowed_count=max(1, run.node_count // 10)
-        )
-        assert 0 < pruned < whole
-        # Monotone in the universe size, capped at the whole-run bound.
-        assert (
-            estimate_frontier_search_cost(run, query, 5, allowed_count=run.node_count)
-            == whole
-        )
-        assert (
-            estimate_frontier_search_cost(
-                run, query, 5, allowed_count=2 * run.node_count
-            )
-            <= 2 * whole
-        )
-
-    def test_tiny_reachable_region_routes_to_frontier(self):
-        from repro.core.optimizer import estimate_frontier_search_cost, estimate_join_cost
-
-        # A near-free restricted query (the fig15 misroute): one source whose
-        # reachable region is a handful of nodes must beat the join bound.
-        run = paper_run(recursion_depth=8)
-        query = parse_regex("(a | b)* . c . _*")
-        frontier = estimate_frontier_search_cost(run, query, 1, allowed_count=3)
-        assert frontier < estimate_join_cost(run, query)
-
-
 class TestCostModel:
     def make_model(self):
         run = paper_run(recursion_depth=6)

@@ -2,6 +2,8 @@
 and the multi-source frontier sweep."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.automata.dfa import determinize
 from repro.automata.nfa import nfa_from_regex
@@ -9,13 +11,19 @@ from repro.automata.regex import Concat, Symbol, parse_regex
 from repro.baselines.per_seed_frontier import per_seed_frontier_search
 from repro.baselines.product_bfs import product_dfa
 from repro.core.relations import (
+    all_edge_relation,
     backward_closure_nodes,
+    compose,
     evaluate_regex_relation,
     forward_closure_nodes,
     frontier_search,
+    identity_relation,
     iter_frontier_search,
+    reflexive_transitive_closure,
     restrict,
     restriction_universe,
+    tag_relation,
+    transitive_closure,
 )
 from repro.datasets.paper_example import paper_run
 
@@ -81,27 +89,6 @@ class TestClosures:
         assert both == forward_closure_nodes(run, [nodes[0]]) & backward_closure_nodes(
             run, [nodes[-1]]
         )
-
-
-class TestAllowedPruning:
-    def test_relation_stays_inside_allowed(self):
-        run = paper_run(recursion_depth=3)
-        source = run.node_ids()[0]
-        allowed = forward_closure_nodes(run, [source])
-        for query in ("_*", "_* a _*", "(c | e) _*", "a* e"):
-            relation = evaluate_regex_relation(run, parse_regex(query), allowed=allowed)
-            assert all(u in allowed and v in allowed for u, v in relation)
-
-    def test_allowed_pruning_preserves_restricted_answers(self):
-        run = paper_run(recursion_depth=3)
-        l1 = list(run.node_ids())[:4]
-        l2 = list(run.node_ids())[2:10]
-        allowed = restriction_universe(run, l1, l2)
-        for query in ("_*", "_* a _*", "e e", "a* e"):
-            node = parse_regex(query)
-            full = restrict(evaluate_regex_relation(run, node), l1, l2)
-            pruned = restrict(evaluate_regex_relation(run, node, allowed=allowed), l1, l2)
-            assert full == pruned
 
 
 class TestFrontierSearch:
@@ -252,4 +239,90 @@ class TestFrontierSweep:
         }
         assert set(swept) == set(
             per_seed_frontier_search(run.successors, dfa, nodes)
+        )
+
+
+# ---------------------------------------------------------------------------
+# The set-based G1 relation algebra, pinned to its definitions
+# ---------------------------------------------------------------------------
+
+#: Ids of the random relations below; ``n5`` never appears in a pair.
+_IDS = [f"n{index}" for index in range(6)]
+
+_relations = st.sets(
+    st.tuples(st.sampled_from(_IDS[:5]), st.sampled_from(_IDS[:5])), max_size=14
+)
+_node_lists = st.one_of(
+    st.none(), st.lists(st.sampled_from([*_IDS, "ghost"]), max_size=6)
+)
+
+
+def _paths(relation, length):
+    """Pairs joined by a walk of exactly ``length`` steps of ``relation``."""
+    walks = {(node, node) for pair in relation for node in pair}
+    for _ in range(length):
+        walks = {
+            (source, target)
+            for source, middle in walks
+            for step, target in relation
+            if step == middle
+        }
+    return walks
+
+
+class TestReferenceAlgebra:
+    """The relation algebra behind the G1 baseline and the paper's
+    evaluate-then-restrict scheme, which the oracle tests compare against."""
+
+    def test_tag_and_all_edge_relations_are_the_run_edges(self):
+        run = paper_run(recursion_depth=3)
+        edges = {(edge.source, edge.target, edge.tag) for edge in run.edges}
+        for tag in run.tags():
+            assert tag_relation(run, tag) == {
+                (source, target) for source, target, label in edges if label == tag
+            }
+        assert all_edge_relation(run) == {(source, target) for source, target, _ in edges}
+        assert tag_relation(run, "no-such-tag") == set()
+
+    @given(_relations, _relations)
+    @settings(max_examples=60, deadline=None)
+    def test_compose_matches_the_definition(self, left, right):
+        assert compose(left, right) == {
+            (source, target)
+            for source, middle in left
+            for step, target in right
+            if step == middle
+        }
+
+    @given(_relations)
+    @settings(max_examples=60, deadline=None)
+    def test_transitive_closure_is_every_walk_of_one_or_more_steps(self, relation):
+        # Five ids bound every simple path, so walks of length 1..5 suffice.
+        walks = set().union(*(_paths(relation, length) for length in range(1, 6)))
+        assert transitive_closure(relation) == walks
+
+    @given(_relations, st.sets(st.sampled_from(_IDS)))
+    @settings(max_examples=60, deadline=None)
+    def test_reflexive_closure_adds_the_diagonal_of_the_universe(self, relation, nodes):
+        assert reflexive_transitive_closure(relation, nodes) == (
+            transitive_closure(relation) | {(node, node) for node in nodes}
+        )
+        assert identity_relation(nodes) == {(node, node) for node in nodes}
+
+    @given(_relations, _node_lists, _node_lists)
+    @settings(max_examples=60, deadline=None)
+    def test_restrict_keeps_pairs_inside_the_lists(self, relation, l1, l2):
+        expected = {
+            (source, target)
+            for source, target in relation
+            if (l1 is None or source in l1) and (l2 is None or target in l2)
+        }
+        assert restrict(relation, l1, l2) == expected
+
+    def test_union_is_the_union_of_its_parts(self):
+        run = paper_run(recursion_depth=3)
+        parts = ("c", "e", "a _", "A+")
+        union = evaluate_regex_relation(run, parse_regex(" | ".join(f"({part})" for part in parts)))
+        assert union == set().union(
+            *(evaluate_regex_relation(run, parse_regex(part)) for part in parts)
         )

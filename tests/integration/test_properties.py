@@ -6,6 +6,7 @@ that core invariants of the labeling substrate hold on arbitrary runs.
 """
 
 import networkx
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -17,10 +18,13 @@ from repro.core.decomposition import (
     evaluate_general_query_iter,
 )
 from repro.core.engine import ProvenanceQueryEngine
+from repro.core import exec as exec_package
+from repro.core.exec import JoinOp
 from repro.core.safety import is_safe_query
 from repro.datasets.paper_example import paper_specification
 from repro.datasets.synthetic import generate_synthetic_specification
 from repro.labeling.reachability import is_reachable
+from repro.service import QueryService
 from repro.workflow.derivation import derive_run
 
 # A small cache of specifications/runs so hypothesis examples stay fast.
@@ -100,18 +104,72 @@ class TestEngineAgainstOracle:
     @given(restricted_spec_run_query())
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.data_too_large])
     def test_restricted_evaluation_matches_oracle(self, data):
-        """Every strategy of the restriction-pushdown evaluator, the
-        streaming iterator and the paper's evaluate-then-restrict scheme
-        must match the product-automaton oracle."""
+        """The restriction-pushdown evaluator, the streaming iterator and
+        the paper's evaluate-then-restrict scheme must match the
+        product-automaton oracle."""
         spec, run, query, l1, l2 = data
         expected = product_bfs_all_pairs(run, l1, l2, query)
-        for strategy in ("auto", "frontier", "join"):
-            got = evaluate_general_query(run, query, l1, l2, strategy=strategy)
-            assert got == expected, f"{strategy} diverged for {query!r}"
+        assert evaluate_general_query(run, query, l1, l2) == expected
         streamed = list(evaluate_general_query_iter(run, query, l1, l2))
         assert len(streamed) == len(set(streamed))
         assert set(streamed) == expected
         assert paper_decomposition_all_pairs(run, l1, l2, query) == expected
+
+    @pytest.mark.parametrize(
+        ("name", "queries"),
+        [
+            ("paper", ["_* a _*", "(A | e)+ . A", "_* a _* e _*", "_ . A*"]),
+            ("synthetic-a", ["_* op0 _*", "(op11)+ . _*", "(op3 | op6)+ . op3"]),
+            ("synthetic-b", ["(op14)+ . _*", "_ . (op11)*", "op0 . _"]),
+        ],
+    )
+    def test_unrestricted_unsafe_queries_join_on_every_surface(
+        self, name, queries, tmp_path, monkeypatch
+    ):
+        """Unsafe queries without node lists run one packed join through
+        the engine, its stream, a cold service and a service restarted from
+        the store after ``warm`` — and all of them match the oracle, the
+        restarted one without a safety check or a plan build."""
+        spec = _SPECS[name]
+        run = _RUNS[name][0]
+        roots = []
+        build = exec_package.build_physical_plan
+
+        def recording(*args, **kwargs):
+            physical = build(*args, **kwargs)
+            roots.append(physical.root)
+            return physical
+
+        monkeypatch.setattr(exec_package, "build_physical_plan", recording)
+        warmer = QueryService(store_dir=tmp_path)
+        warmer.register_run(run, "r")
+        statuses = warmer.warm("r", queries)
+        assert all(status.startswith("unsafe") for status in statuses.values())
+        restarted = QueryService(store_dir=tmp_path)
+        cold = QueryService()
+        cold.register_run(run, "r")
+        engine = ProvenanceQueryEngine(spec)
+        for query in queries:
+            assert not is_safe_query(spec, query)
+            expected = product_bfs_all_pairs(run, None, None, query)
+            assert expected, f"{query!r} should match on this run"
+            request = {"op": "allpairs", "run": "r", "query": query}
+            roots.clear()
+            streamed = list(engine.evaluate_iter(run, query))
+            assert len(streamed) == len(set(streamed))
+            answers = {
+                "evaluate": engine.evaluate(run, query),
+                "evaluate_iter": set(streamed),
+                "cold service": set(cold.execute(request).pairs),
+                "restarted service": set(restarted.execute(request).pairs),
+            }
+            for surface, answer in answers.items():
+                assert answer == expected, f"{surface} diverged for {query!r}"
+            assert len(roots) == len(answers)
+            assert all(isinstance(root, JoinOp) for root in roots)
+        stats = restarted.cache_stats
+        assert stats.safety_checks == 0
+        assert stats.plan_builds == 0
 
     @given(spec_run_query(), st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)

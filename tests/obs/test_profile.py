@@ -117,12 +117,12 @@ class TestSerialization:
 class TestRender:
     def test_render_shows_tree_attrs_and_coverage(self):
         spans = [
-            _span("exec.plan", 2, 1, 0.5, 1.0, strategy="frontier"),
+            _span("exec.plan", 2, 1, 0.5, 1.0, operator="frontier_search"),
             _span("query.evaluate", 1, None, 0.0, 2.0),
         ]
         text = ExecutionProfile.from_spans(spans).render()
         assert "query.evaluate" in text
-        assert "└─ exec.plan (strategy=frontier)" in text
+        assert "└─ exec.plan (operator=frontier_search)" in text
         assert "coverage: 25.0%" in text
         assert "2 spans" in text
 

@@ -16,7 +16,7 @@ def _profile(query="a b", run="run-1"):
             parent_id=1,
             start=0.2,
             end=0.4,
-            attrs={"strategy": "frontier"},
+            attrs={"operator": "frontier_search"},
             thread="main",
         ),
         Span(
@@ -44,7 +44,7 @@ class TestProfilePersistence:
         assert restored.run == "run-1"
         assert restored.meta == {"command": "query"}
         assert restored.root is not None
-        assert restored.root.children[0].attrs == {"strategy": "frontier"}
+        assert restored.root.children[0].attrs == {"operator": "frontier_search"}
         assert store.counters.writes == 1
 
     def test_saves_are_content_addressed(self, tmp_path):

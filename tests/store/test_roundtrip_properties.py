@@ -4,7 +4,7 @@ Hypothesis generates random queries over a few cached specifications; each
 query's cache entry is built through a store-backed cache, reloaded by a
 *fresh* cache in the same store, and the reloaded artifacts must be
 behaviorally identical to freshly built ones: same safety verdict, same DFA,
-same all-pairs answers across the safe and unsafe strategies — with zero
+same all-pairs answers for safe and unsafe queries — with zero
 safety checks, index builds or plan builds after the restart.
 """
 
@@ -84,10 +84,7 @@ class TestStoreRoundTrip:
                 fresh_plan = reference.plan(query)
                 assert plan.root == fresh_plan.root
                 assert plan.safe_subtrees == fresh_plan.safe_subtrees
-                for strategy in ("frontier", "join"):
-                    assert engine.evaluate(run, query, strategy=strategy) == (
-                        reference.evaluate(run, query, strategy=strategy)
-                    ), strategy
+                assert engine.evaluate(run, query) == reference.evaluate(run, query)
             stats = restored.stats
             assert stats.safety_checks == 0
             assert stats.index_builds == 0

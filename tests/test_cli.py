@@ -448,8 +448,8 @@ class TestDirectionFlag:
         assert main(base) == 0
         expected = json.loads(capsys.readouterr().out)
         for extra in (
-            ["--direction", "forward", "--strategy", "frontier"],
-            ["--direction", "backward", "--strategy", "frontier"],
+            ["--direction", "forward"],
+            ["--direction", "backward"],
         ):
             assert main(base + extra) == 0
             assert json.loads(capsys.readouterr().out) == expected, extra
@@ -470,6 +470,10 @@ class TestDirectionFlag:
     def test_query_has_no_workers_flag(self, tmp_path, run_path):
         with pytest.raises(SystemExit):
             main(["query", str(run_path), "_* a _*", "--workers", "2"])
+
+    def test_query_has_no_strategy_flag(self, tmp_path, run_path):
+        with pytest.raises(SystemExit):
+            main(["query", str(run_path), "_* a _*", "--strategy", "join"])
 
 
 class TestStoreGcOrphans:
