@@ -24,8 +24,8 @@ Quickstart::
     engine.all_pairs(run, "_* e _*", run.nodes_named("c"), run.nodes_named("b"))
     engine.evaluate(run, "_* a _*")      # unsafe queries work too (decomposition)
 
-See ``README.md`` for the architecture overview, ``DESIGN.md`` for the
-paper-to-module mapping and ``EXPERIMENTS.md`` for the reproduced evaluation.
+See ``README.md`` for the architecture overview (*Architecture: planner /
+executor split*, *Layout*) and the reproduced evaluation (*Paper figures*).
 """
 
 from repro.core.engine import ProvenanceQueryEngine

@@ -6,7 +6,7 @@ is a from-scratch Python replacement providing:
 
 * a regular-expression abstract syntax tree over *edge tags* (multi-character
   symbols, not single characters) and a parser for the query syntax described
-  in DESIGN.md (:mod:`repro.automata.regex`),
+  in the README's *Quickstart* (:mod:`repro.automata.regex`),
 * Thompson construction of an NFA with epsilon transitions
   (:mod:`repro.automata.nfa`),
 * subset-construction determinization and DFA completion

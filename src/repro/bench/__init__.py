@@ -1,42 +1,40 @@
 """Benchmarking: declarative scenarios, trajectory gating, paper figures.
 
-The declarative layer (:mod:`repro.bench.scenarios`,
-:mod:`repro.bench.catalog`, :mod:`repro.bench.gate`) expresses every
-benchmark as a config object — grammar family × run size × query class ×
-executor configuration — executed by one generic harness into a uniform
-``repro-bench-trajectory/1`` run table, which ``repro bench gate`` compares
-against the stored trajectory under ``benchmarks/trajectory/``.
+Every benchmark is a config object (:mod:`repro.bench.scenarios`,
+registered in :mod:`repro.bench.catalog`): grammar family × run size ×
+query class × executor configuration, executed by one generic harness into
+a uniform ``repro-bench-trajectory/1`` run table.  ``repro bench gate``
+(:mod:`repro.bench.gate`) compares the ``ci`` suite against the stored
+trajectory under ``benchmarks/trajectory/``.
 
-The legacy layer (:mod:`repro.bench.experiments`) reproduces the paper's
-evaluation figures (Section V); ``repro bench figures fig13a`` (or the
-shorthand ``repro bench fig13a``) prints the same series the paper plots.
-Because this reproduction runs pure Python rather than the paper's Java
-implementation, absolute times differ; the comparisons — who wins, how costs
-grow, where the crossovers are — are what the tables preserve.
+The paper's evaluation figures (Section V) and the ablations are figure
+groups of the same catalog: ``repro bench figures fig13a`` runs one group's
+scenarios and prints the series the paper plots, one median column per
+engine.  Because this reproduction runs pure Python rather than the paper's
+Java implementation, absolute times differ; the comparisons — who wins, how
+costs grow, where the crossovers are — are what the tables preserve.
 """
 
-from repro.bench.experiments import EXPERIMENTS, run_experiment
-from repro.bench.harness import BenchScale, ExperimentResult, current_scale, format_table
 from repro.bench.scenarios import (
     ExecutorFactors,
+    FigureGroup,
     Invariant,
     Scenario,
     ScenarioResult,
+    format_table,
+    render_figure,
     run_scenario,
     run_suite,
 )
 
 __all__ = [
-    "EXPERIMENTS",
-    "BenchScale",
     "ExecutorFactors",
-    "ExperimentResult",
+    "FigureGroup",
     "Invariant",
     "Scenario",
     "ScenarioResult",
-    "current_scale",
     "format_table",
-    "run_experiment",
+    "render_figure",
     "run_scenario",
     "run_suite",
 ]

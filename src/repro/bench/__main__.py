@@ -11,10 +11,9 @@ Subcommands:
   factors) and execute every entry at smoke scale, so a broken definition
   fails fast without timing anything;
 * ``list``    — print the catalog;
-* ``figures`` — the legacy paper-figure experiments (Fig. 13/15 tables).
-
-For backward compatibility, ``repro bench fig13a --scale small`` (a figure
-name in the first position) still runs the legacy experiments directly.
+* ``figures`` — run figure groups (Fig. 13/15 and the ablations) and print
+  each as the paper's table, one median column per engine; exits non-zero
+  when two engines of one row disagree.
 """
 
 from __future__ import annotations
@@ -24,31 +23,32 @@ import json
 import sys
 from pathlib import Path
 
-from repro.bench.experiments import EXPERIMENTS, run_experiment
-from repro.bench.harness import format_table
+from repro.bench.scenarios import format_table
 from repro.errors import ReproError
-from repro.obs import timed_call
 
 DEFAULT_TRAJECTORY = Path("benchmarks") / "trajectory" / "trajectory.json"
 
 
-def _cmd_figures(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _cmd_figures(args: argparse.Namespace) -> int:
+    from repro.bench.catalog import FIGURES
+    from repro.bench.scenarios import ScenarioError, render_figure, run_suite
+
+    groups = {group.id: group for group in FIGURES}
     if args.list:
-        for name in sorted(EXPERIMENTS):
-            print(name)
+        print("\n".join(groups))
         return 0
-    names = list(args.experiments)
+    names = list(args.groups)
     if names in ([], ["all"]):
-        names = sorted(EXPERIMENTS)
-    unknown = [name for name in names if name not in EXPERIMENTS]
+        names = list(groups)
+    unknown = [name for name in names if name not in groups]
     if unknown:
-        parser.error(f"unknown experiments: {unknown}; use --list to see choices")
+        raise ScenarioError(f"unknown figure groups {unknown}; use --list to see choices")
     for name in names:
-        elapsed, result = timed_call(
-            "bench.experiment", lambda: run_experiment(name, args.scale), experiment=name
+        group = groups[name]
+        document = run_suite(
+            group.expand(), args.scale, suite="figures", repetitions=args.repetitions
         )
-        print(result.render())
-        print(f"(experiment wall time: {elapsed:.1f}s)")
+        print(render_figure(group, document))
         print()
     return 0
 
@@ -148,7 +148,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="bench_command", required=True)
 
     run_parser = sub.add_parser("run", help="run catalog scenarios and emit the run table")
-    run_parser.add_argument("--suite", default="ci", help="scenario suite (ci, full, or all)")
+    run_parser.add_argument(
+        "--suite", default="ci", help="scenario suite (ci, full, figures, or all)"
+    )
     run_parser.add_argument(
         "--scenario", action="append", default=[], metavar="ID",
         help="run this scenario instead of a suite (repeatable)",
@@ -193,27 +195,24 @@ def build_parser() -> argparse.ArgumentParser:
     list_parser.add_argument("--suite", default="all")
     list_parser.set_defaults(handler=_cmd_list)
 
-    figures_parser = sub.add_parser("figures", help="run the legacy paper-figure experiments")
-    figures_parser.add_argument(
-        "experiments", nargs="*", default=["all"],
-        help=f"experiment names ({', '.join(sorted(EXPERIMENTS))}) or 'all'",
+    figures_parser = sub.add_parser(
+        "figures", help="run figure groups and print the paper's Fig. 13/15 tables"
     )
     figures_parser.add_argument(
-        "--scale", choices=["small", "paper"], default=None,
-        help="workload scale (default: REPRO_BENCH_SCALE or 'small')",
+        "groups", nargs="*", default=["all"],
+        help="figure group ids (fig13a ... fig15b, ablation-*) or 'all'",
     )
-    figures_parser.add_argument("--list", action="store_true", help="list available experiments")
-    figures_parser.set_defaults(handler=_cmd_figures, legacy=True)
+    figures_parser.add_argument("--scale", default="ci", choices=["smoke", "ci", "full"])
+    figures_parser.add_argument(
+        "--repetitions", type=int, default=None, help="override the scale's repetition count"
+    )
+    figures_parser.add_argument("--list", action="store_true", help="list the figure groups")
+    figures_parser.set_defaults(handler=_cmd_figures)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    # Backward compatibility: a figure name (or --list / 'all') in the first
-    # position runs the legacy experiments, as before the subcommands.
-    if argv and (argv[0] in EXPERIMENTS or argv[0] in ("all", "--list")):
-        argv = ["figures", *argv]
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "max_regression", None) is None and args.bench_command == "gate":
@@ -221,8 +220,6 @@ def main(argv: list[str] | None = None) -> int:
 
         args.max_regression = DEFAULT_MAX_REGRESSION
     try:
-        if getattr(args, "legacy", False):
-            return _cmd_figures(args, parser)
         return args.handler(args)
     except ReproError as error:
         print(f"repro bench: error: {error}", file=sys.stderr)

@@ -1,6 +1,6 @@
 """The scenario catalog: every benchmark of the repo as a declarative entry.
 
-The entries fall into two groups:
+The entries fall into three groups:
 
 * **ported** — the claims the old hand-rolled ``bench_*.py`` scripts tracked
   (fig13 overhead/pairwise/all-pairs/Kleene, fig15 restriction pushdown,
@@ -10,7 +10,10 @@ The entries fall into two groups:
 * **new coverage** — the synthetic grammar families (deep recursion, wide
   alternation, dense wildcards), an adversarial dense-wildcard unsafe query,
   and a mixed safe/unsafe service batch, which the declarative matrix makes
-  cheap to add.
+  cheap to add;
+* **figures** — :data:`FIGURES`, the paper's Section V figures and the
+  ablations as :class:`~repro.bench.scenarios.FigureGroup` sweeps, expanded
+  into the ``figures`` suite that ``repro bench figures`` renders as tables.
 
 :data:`INVARIANTS` declares the cross-scenario performance relations the old
 scripts asserted inline (backward < forward, warm restart ≥ 4.5x) plus the
@@ -27,16 +30,20 @@ from typing import Callable, Sequence
 from repro.bench.scenarios import (
     SCALES,
     ExecutorFactors,
+    FigureGroup,
     Invariant,
+    Params,
     Scenario,
     ScenarioError,
     WORKLOADS,
+    figure_disagreements,
     resolve_grammar,
     run_scenario,
 )
+from repro.datasets.myexperiment import BIOAID_KLEENE_TAG, QBLAST_KLEENE_TAG
 from repro.errors import ReproError
 
-__all__ = ["CATALOG", "INVARIANTS", "check_catalog", "get_scenario", "select"]
+__all__ = ["CATALOG", "FIGURES", "INVARIANTS", "check_catalog", "get_scenario", "select"]
 
 _CI = ("ci", "full")
 
@@ -314,6 +321,203 @@ CATALOG: tuple[Scenario, ...] = (
     ),
 )
 
+# -- the paper's Section V figures and the ablations, as sweeps ----------------
+# Every group expands into the 'figures' suite; 'repro bench figures' renders
+# each one as the paper's table.  Sweep sizes are the ci sizes; the ci scale
+# caps node lists at 150, the full scale (the paper's setting) does not.
+
+
+def _arms(production: str, *engines: str) -> tuple[tuple[str, Params], ...]:
+    """The production arm, then one arm per baseline engine; ``"rpl=s1"``
+    labels the ``s1`` engine's column ``rpl``."""
+    arms: list[tuple[str, Params]] = [(production, ())]
+    for engine in engines:
+        label, _, name = engine.rpartition("=")
+        arms.append((label or name, (("engine", name),)))
+    return tuple(arms)
+
+
+def _sweep(key: str, *values: object) -> tuple[Params, ...]:
+    return tuple(((key, value),) for value in values)
+
+
+#: The two workflows of Section V, each figure pair's second axis.
+_WORKFLOWS = (("bioaid", "BioAID"), ("qblast", "QBLast"))
+
+FIGURES: tuple[FigureGroup, ...] = (
+    FigureGroup(
+        id="fig13a",
+        title="safety-check overhead vs grammar size (synthetic workflows, IFQ k=3)",
+        expected="overhead grows with grammar size but stays far below query time",
+        grammar="synthetic:200",
+        query_class="overhead",
+        params=(("queries", 10), ("k", 3)),
+        points=_sweep("grammar", *(f"synthetic:{size}" for size in (200, 400, 600, 800))),
+        arms=_arms("rpl"),
+        columns=("queries", "states"),
+    ),
+    FigureGroup(
+        id="fig13b",
+        title="safety-check overhead vs query size k (BioAID and QBLast IFQs)",
+        expected="overhead grows with k; both workflows stay in the same low range",
+        grammar="bioaid",
+        query_class="overhead",
+        params=(("queries", 10),),
+        points=tuple(
+            (("grammar", grammar), ("k", k)) for grammar, _ in _WORKFLOWS for k in range(0, 11, 2)
+        ),
+        arms=_arms("rpl"),
+        columns=("states",),
+    ),
+    FigureGroup(
+        id="fig13c",
+        title="pairwise IFQ (k=3) over 1000 node pairs vs run size (BioAID)",
+        expected="RPL stays flat as the run grows; G3 and G2 grow with run size",
+        grammar="bioaid",
+        query_class="pairwise",
+        run_edges=1000,
+        params=(("pairs", 1000), ("k", 3)),
+        points=_sweep("run_edges", 250, 500, 1000, 2000),
+        arms=_arms("rpl", "g3", "g2"),
+        columns=("edges", "pairs"),
+    ),
+    FigureGroup(
+        id="fig13d",
+        title="pairwise IFQ over 1000 node pairs vs query size k (BioAID)",
+        expected="RPL grows mildly with k and stays below G2/G3 for k >= 1",
+        grammar="bioaid",
+        query_class="pairwise",
+        run_edges=1000,
+        params=(("pairs", 1000),),
+        points=_sweep("k", *range(0, 11, 2)),
+        arms=_arms("rpl", "g3", "g2"),
+        seed=2,
+        columns=("pairs",),
+    ),
+    # fig13e/f split 8 safe IFQs by selectivity: 4 from rare tags, 4 frequent.
+    *(
+        FigureGroup(
+            id=f"fig13{letter}",
+            title=f"all-pairs IFQs (k=3) on {name}: baseline G3 vs RPL vs optRPL",
+            expected=(
+                "the G3 baseline wins on highly selective IFQs and loses badly on lowly "
+                "selective ones; optRPL <= RPL and both are insensitive to selectivity"
+            ),
+            grammar=grammar,
+            query_class="safe-allpairs",
+            run_edges=1500,
+            params=(("k", 3),),
+            points=tuple(
+                (("prefer", prefer), ("query_rank", rank))
+                for prefer in ("rare", "frequent")
+                for rank in range(4)
+            ),
+            arms=_arms("optrpl", "rpl=s1", "g3"),
+            columns=("matches",),
+        )
+        for letter, (grammar, name) in zip("ef", _WORKFLOWS)
+    ),
+    *(
+        FigureGroup(
+            id=f"fig13{letter}",
+            title=f"all-pairs Kleene star {tag}* on fork-heavy {name} runs: G1 vs RPL vs optRPL",
+            expected=(
+                "the G1 fixpoint baseline grows sharply with run size; RPL/optRPL grow "
+                "slowly and win by a widening margin; optRPL is close to RPL"
+            ),
+            grammar=grammar,
+            query_class="kleene-allpairs",
+            params=(("kleene_tag", tag),),
+            points=_sweep("run_edges", 1000, 2000, 4000, 8000, 16000),
+            arms=_arms("optrpl", "rpl=s1", "g1"),
+            columns=("edges", "l1", "matches"),
+        )
+        for letter, (grammar, name), tag in zip(
+            "gh", _WORKFLOWS, (BIOAID_KLEENE_TAG, QBLAST_KLEENE_TAG)
+        )
+    ),
+    # fig15: G1 against the decomposition on the sampled lists, then the
+    # paper's evaluate-then-restrict scheme against pushdown on 5x5 lists.
+    *(
+        FigureGroup(
+            id=f"fig15{letter}",
+            title=f"general (unsafe) queries on {name}: the decomposition vs G1",
+            expected=(
+                "for unsafe queries with lowly selective safe components the "
+                "decomposition (optRPL) improves over the G1 baseline, often by more "
+                "than 40%; on 5x5 lists pushdown beats evaluate-then-restrict"
+            ),
+            grammar=grammar,
+            query_class="unsafe-allpairs",
+            run_edges=400,
+            points=_sweep("general_query", *range(12)),
+            arms=(
+                *_arms("optrpl", "g1"),
+                ("optrpl_5x5", (("lists", "restricted"),)),
+                ("paper_5x5", (("lists", "restricted"), ("engine", "paper-decomposition"))),
+            ),
+            seed=8,
+            columns=("routed", "matches"),
+        )
+        for letter, (grammar, name) in zip("ab", _WORKFLOWS)
+    ),
+    FigureGroup(
+        id="ablation-s1-vs-s2",
+        title=(
+            "Option S1 (nested loop) vs S2 (reachability filter) vs the group-at-a-time "
+            "decode across selectivities (BioAID)"
+        ),
+        expected=(
+            "S2 wins when few pairs are reachable; the two converge when most are; "
+            "the group-at-a-time decode beats both"
+        ),
+        grammar="bioaid",
+        query_class="safe-allpairs",
+        run_edges=1500,
+        points=(
+            (("query", "_*"),),
+            (("prefer", "rare"),),
+            (("prefer", "frequent"),),
+            (("query", f"{BIOAID_KLEENE_TAG}*"),),
+        ),
+        arms=_arms("grouped", "s1", "s2"),
+        seed=20,
+        columns=("matches",),
+    ),
+    FigureGroup(
+        id="ablation-dfa-minimization",
+        title="safety check on the minimal vs the unminimized DFA (Lemma 3.2, BioAID IFQs)",
+        expected=(
+            "the minimal DFA is smaller and cheaper to check; an unminimized DFA may "
+            "look unsafe when the query is safe, so the raw arm must then minimize too"
+        ),
+        grammar="bioaid",
+        query_class="overhead",
+        params=(("queries", 1),),
+        points=tuple((("k", k), ("seed", k)) for k in (1, 3, 5, 8)),
+        arms=(("minimal", ()), ("raw", (("engine", "raw-dfa"),))),
+        columns=("states", "raw_states"),
+    ),
+    FigureGroup(
+        id="ablation-optimizer",
+        title="cost-model strategy choice vs the measured fastest engine (BioAID)",
+        expected="the cost model routes rare IFQs to G3 and everything else to the labels",
+        grammar="bioaid",
+        query_class="safe-allpairs",
+        run_edges=1500,
+        points=(
+            (("prefer", "rare"),),
+            (("prefer", "frequent"),),
+            (("query", f"{BIOAID_KLEENE_TAG}*"),),
+        ),
+        arms=_arms("labels", "g3"),
+        seed=32,
+        columns=("choice", "fastest"),
+    ),
+)
+
+CATALOG += tuple(scenario for group in FIGURES for scenario in group.expand())
+
 INVARIANTS: tuple[Invariant, ...] = (
     Invariant(
         id="backward-beats-forward",
@@ -391,7 +595,8 @@ def check_catalog(
     classes and scales, known direction factors, invariants
     that reference existing scenarios.  With ``runnable=True`` every entry
     is additionally *executed* at the given scale, so a broken benchmark
-    definition fails fast without timing anything meaningful.
+    definition fails fast without timing anything meaningful, and the arms
+    of every figure row that differ only in engine must agree.
     """
     from repro.core.exec import check_direction
 
@@ -413,7 +618,7 @@ def check_catalog(
             check_direction(scenario.executor.direction)
         except ValueError as error:
             problems.append(f"{scenario.id}: bad executor factors: {error}")
-        unknown_suites = set(scenario.suites) - set(_CI) - {"smoke"}
+        unknown_suites = set(scenario.suites) - set(_CI) - {"smoke", "figures"}
         if not scenario.suites or unknown_suites:
             problems.append(f"{scenario.id}: bad suites {scenario.suites!r}")
     for invariant in INVARIANTS:
@@ -425,6 +630,7 @@ def check_catalog(
     if scale not in SCALES:
         problems.append(f"unknown scale {scale!r}")
     if runnable and not problems:
+        entries: dict[str, dict[str, object]] = {}
         for scenario in CATALOG:
             if progress is not None:
                 progress(f"running {scenario.id} at scale {scale} ...")
@@ -435,4 +641,7 @@ def check_catalog(
             else:
                 if not result.checksum:
                     problems.append(f"{scenario.id}: produced no checksum")
+                entries[scenario.id] = result.as_dict()
+        for group in FIGURES:
+            problems.extend(figure_disagreements(group, entries))
     return problems

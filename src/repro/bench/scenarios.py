@@ -22,17 +22,26 @@ generic harness:
 document that ``repro bench gate`` (:mod:`repro.bench.gate`) compares against
 the stored trajectory.  Every random choice is seeded by the scenario, so
 checksums are reproducible across machines and Python versions.
+
+A :class:`FigureGroup` is one of the paper's Section V figures (or an
+ablation) as a sweep: it expands into one scenario per (x-value, engine)
+point, a baseline engine picked by ``params['engine']``, and
+:func:`render_figure` pivots the rows of a run document back into the
+paper's table, refusing rows whose engines disagree.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import itertools
 import json
 import os
+import re
 import statistics
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import ReproError
 
@@ -46,14 +55,20 @@ __all__ = [
     "SCHEMA",
     "SCALES",
     "ExecutorFactors",
+    "FigureGroup",
     "Invariant",
     "Scenario",
     "ScenarioResult",
     "ScenarioScale",
     "calibrate",
+    "figure_disagreements",
+    "figure_rows",
+    "format_table",
+    "render_figure",
     "resolve_grammar",
     "run_scenario",
     "run_suite",
+    "run_table",
 ]
 
 #: Version tag of the trajectory document this module emits.
@@ -97,7 +112,7 @@ class ScenarioScale:
     name: str
     edge_divisor: int  # scenario.run_edges // divisor (floored at min_edges)
     repetitions: int
-    list_limit: int  # all-pairs node-list sample bound
+    list_limit: int | None  # all-pairs node-list sample bound (None: every node)
     batch_divisor: int  # service batch sizes // divisor
     min_edges: int = 40
 
@@ -110,6 +125,9 @@ SCALES: dict[str, ScenarioScale] = {
         ScenarioScale("full", edge_divisor=1, repetitions=5, list_limit=None, batch_divisor=1),
     )
 }
+
+
+Params = tuple[tuple[str, object], ...]
 
 
 @dataclass(frozen=True)
@@ -129,7 +147,7 @@ class Scenario:
     run_edges: int
     executor: ExecutorFactors = ExecutorFactors()
     suites: tuple[str, ...] = ("ci",)
-    params: tuple[tuple[str, object], ...] = ()
+    params: Params = ()
     seed: int = 0
 
     def param(self, key: str, default: Any = None) -> Any:
@@ -166,6 +184,83 @@ class Invariant:
     note: str = ""
 
 
+#: Scenario fields a figure point may set; any other point key is a param.
+_POINT_FIELDS = ("grammar", "run_edges", "seed")
+
+
+@dataclass(frozen=True)
+class FigureGroup:
+    """One paper figure or ablation: a sweep of catalog scenarios.
+
+    ``grammar``, ``query_class``, ``run_edges``, ``params`` and ``seed`` are
+    the factors every point shares.  Each entry of ``points`` is one x-value:
+    it overrides some factors (``grammar``, ``run_edges`` and ``seed`` set
+    that field, any other key a param) and its keys are the table's x
+    columns.  Each arm is ``(label, params)``: the first is the production
+    path (no ``engine``), a baseline arm sets ``params['engine']``, and an
+    arm may change other params too (fig15's 5x5 lists).  ``columns`` names
+    the non-timing table columns: ``matches`` is the production answer's
+    size (the checksum prefix), ``fastest`` the arm with the lowest median,
+    any other name a key of the arms' ``detail``, production first.
+    """
+
+    id: str
+    title: str
+    expected: str
+    grammar: str
+    query_class: str
+    points: tuple[Params, ...]
+    arms: tuple[tuple[str, Params], ...]
+    run_edges: int = 0
+    params: Params = ()
+    seed: int = 0
+    columns: tuple[str, ...] = ()
+
+    def arms_at(self, point: Params) -> Iterator[tuple[str, Params]]:
+        """The arms that can answer this point: G3 only answers IFQs."""
+        from repro.automata.regex import parse_regex
+        from repro.core.optimizer import ifq_tags
+
+        query = dict(self.params + point).get("query")
+        for label, params in self.arms:
+            if (
+                dict(params).get("engine") == "g3"
+                and query is not None
+                and ifq_tags(parse_regex(str(query))) is None
+            ):
+                continue
+            yield label, params
+
+    def scenario_id(self, point: Params, label: str) -> str:
+        x = "-".join(re.sub(r"[^\w.:]+", "", str(value)) for _, value in point)
+        return f"{self.id}-{x}-{label}"
+
+    def expand(self) -> tuple[Scenario, ...]:
+        """One scenario per (point, arm), all in the ``figures`` suite."""
+        scenarios = []
+        for point in self.points:
+            fields: dict[str, Any] = {key: value for key, value in point if key in _POINT_FIELDS}
+            point_params = tuple(item for item in point if item[0] not in _POINT_FIELDS)
+            for label, arm_params in self.arms_at(point):
+                scenarios.append(
+                    Scenario(
+                        id=self.scenario_id(point, label),
+                        title=f"{self.title} [{_point_text(point)}; {label}]",
+                        grammar=str(fields.get("grammar", self.grammar)),
+                        query_class=self.query_class,
+                        run_edges=int(fields.get("run_edges", self.run_edges)),
+                        suites=("figures",),
+                        params=self.params + point_params + arm_params,
+                        seed=int(fields.get("seed", self.seed)),
+                    )
+                )
+        return tuple(scenarios)
+
+
+def _point_text(point: Params) -> str:
+    return ", ".join(f"{key}={value}" for key, value in point)
+
+
 @dataclass
 class ScenarioResult:
     """One uniform run-table row."""
@@ -175,7 +270,7 @@ class ScenarioResult:
     repetitions: int
     times_s: list[float]
     checksum: str
-    detail: str = ""
+    detail: dict[str, object]
 
     @property
     def median_s(self) -> float:
@@ -301,7 +396,7 @@ def result_checksum(value: Any) -> str:
 
 
 class _Prepared:
-    def __init__(self, action: Callable[[], object], detail: str = "") -> None:
+    def __init__(self, action: Callable[[], object], **detail: object) -> None:
         self.action = action
         self.detail = detail
 
@@ -315,13 +410,7 @@ def _lists(
 ) -> tuple[list[str], list[str]]:
     from repro.datasets.runs import node_lists
 
-    limit = scale.list_limit
-    override = scenario.param("list_limit")
-    if override is not None and limit is not None:
-        limit = min(int(override), limit)
-    elif override is not None:
-        limit = int(override)
-    return node_lists(run, limit=limit, seed=scenario.seed + 2)
+    return node_lists(run, limit=scale.list_limit, seed=scenario.seed + 2)
 
 
 def _make_run(
@@ -333,8 +422,22 @@ def _make_run(
     return generate_run(spec, _edges(scenario, scale), seed=scenario.seed + 1)
 
 
+def _unknown_engine(scenario: Scenario) -> ScenarioError:
+    return ScenarioError(
+        f"scenario {scenario.id!r}: query class {scenario.query_class!r} has no "
+        f"engine {scenario.param('engine')!r}"
+    )
+
+
 def _build_overhead(scenario: Scenario, scale: ScenarioScale) -> _Prepared:
-    """Fig. 13a/b: per-query safety-check + index-build overhead."""
+    """Fig. 13a/b: per-query safety-check + index-build overhead.
+
+    The ``raw-dfa`` engine checks the unminimized DFA first and minimizes
+    only when that DFA looks unsafe: by Lemma 3.2 a safe DFA of the query
+    proves it safe, an unsafe one proves nothing.  Both arms therefore
+    reach the same verdicts, at the price of the DFA they check.
+    """
+    from repro.automata.dfa import dfa_from_regex
     from repro.core.query_index import build_query_index
     from repro.core.safety import analyze_safety, query_dfa
     from repro.datasets.queries import generate_ifq
@@ -345,25 +448,41 @@ def _build_overhead(scenario: Scenario, scale: ScenarioScale) -> _Prepared:
         count = min(count, 2)
     k = int(scenario.param("k", 3))
     queries = [generate_ifq(spec, k, seed=scenario.seed + index * 31) for index in range(count)]
+    engine = scenario.param("engine")
+    if engine not in (None, "raw-dfa"):
+        raise _unknown_engine(scenario)
+
+    def is_safe(query: str) -> bool:
+        if engine and analyze_safety(spec, dfa_from_regex(query, spec.tags, minimal=False)).is_safe:
+            return True
+        return analyze_safety(spec, query_dfa(spec, query)).is_safe
 
     def action() -> dict[str, int]:
         safe = 0
         for query in queries:
-            report = analyze_safety(spec, query_dfa(spec, query))
-            if report.is_safe:
+            if is_safe(query):
                 build_query_index(spec, query)
                 safe += 1
         return {"queries": len(queries), "safe": safe}
 
-    return _Prepared(action, detail=f"{count} IFQs (k={k})")
+    states = sum(
+        dfa_from_regex(query, spec.tags, minimal=not engine).state_count for query in queries
+    )
+    return _Prepared(
+        action, queries=count, k=k, **{"raw_states" if engine else "states": states}
+    )
 
 
 def _build_pairwise(scenario: Scenario, scale: ScenarioScale) -> _Prepared:
-    """Fig. 13c/d: per-pair decode over a sampled pair batch."""
+    """Fig. 13c/d: per-pair decode over a sampled pair batch, or the batch
+    answered by the ``g2``/``g3`` baseline."""
     import random
 
+    from repro.baselines.g2_rare_labels import g2_pairwise_batch
+    from repro.baselines.g3_label_index import g3_pairwise_batch
     from repro.core.pairwise import answer_pairwise_query
     from repro.core.query_index import build_query_index
+    from repro.datasets.index import EdgeTagIndex
 
     spec = resolve_grammar(scenario.grammar)
     run = _make_run(scenario, scale, spec)
@@ -372,16 +491,30 @@ def _build_pairwise(scenario: Scenario, scale: ScenarioScale) -> _Prepared:
     nodes = list(run.node_ids())
     pairs = [(rng.choice(nodes), rng.choice(nodes)) for _ in range(pair_count)]
     query = _resolved_query(scenario, run, require_safe=True)
-    query_index = build_query_index(spec, query)
+    engine = scenario.param("engine")
+    if engine is None:
+        query_index = build_query_index(spec, query)
 
-    def action() -> dict[str, int]:
-        matched = 0
-        for source, target in pairs:
-            if answer_pairwise_query(query_index, run.label_of(source), run.label_of(target)):
-                matched += 1
-        return {"pairs": len(pairs), "matched": matched}
+        def action() -> dict[str, int]:
+            matched = 0
+            for source, target in pairs:
+                if answer_pairwise_query(
+                    query_index, run.label_of(source), run.label_of(target)
+                ):
+                    matched += 1
+            return {"pairs": len(pairs), "matched": matched}
 
-    return _Prepared(action, detail=f"{pair_count} pairs, query {query!r}")
+    else:
+        batches = {"g2": g2_pairwise_batch, "g3": g3_pairwise_batch}
+        if engine not in batches:
+            raise _unknown_engine(scenario)
+        batch = batches[engine]
+        index = EdgeTagIndex.from_run(run)
+
+        def action() -> dict[str, int]:
+            return {"pairs": len(pairs), "matched": sum(batch(run, pairs, query, index=index))}
+
+    return _Prepared(action, pairs=pair_count, query=query, edges=run.edge_count)
 
 
 def _resolved_query(
@@ -391,8 +524,10 @@ def _resolved_query(
     require_safe: bool = False,
     require_unsafe: bool = False,
 ) -> str:
-    """The scenario's query: explicit ``params['query']``, or a generated
-    IFQ (``params['prefer']`` biases tag frequency) filtered by safety."""
+    """The scenario's query: explicit ``params['query']``, the
+    ``params['general_query']``-th query of the Fig. 15 workload, or the
+    ``params['query_rank']``-th (default 0) distinct generated IFQ that
+    passes the safety filter (``params['prefer']`` biases tag frequency)."""
     from repro.core.decomposition import plan_decomposition
     from repro.datasets.index import EdgeTagIndex
     from repro.datasets.queries import generate_ifq, generate_ifq_along_path
@@ -400,10 +535,14 @@ def _resolved_query(
     explicit = scenario.param("query")
     if explicit is not None:
         return str(explicit)
+    general = scenario.param("general_query")
+    if general is not None:
+        return _general_query(scenario, run, int(general))
     spec = run.spec
     index = EdgeTagIndex.from_run(run)
     k = int(scenario.param("k", 3))
     prefer = scenario.param("prefer")
+    rank = int(scenario.param("query_rank", 0))
 
     def matches(query: str) -> bool:
         plan = plan_decomposition(spec, query)
@@ -413,22 +552,92 @@ def _resolved_query(
             return False
         return True
 
-    for attempt in range(80):
-        query = generate_ifq_along_path(
-            run, k, seed=scenario.seed + attempt * 101, prefer=prefer, index=index
-        )
-        if matches(query):
-            return query
     # Small runs may not offer length-k walks with the required safety, so
     # fall back to grammar-wide IFQs (still deterministic, still checked).
-    for attempt in range(40):
-        query = generate_ifq(spec, k, seed=scenario.seed + attempt * 17)
-        if matches(query):
-            return query
+    candidates = itertools.chain(
+        (
+            generate_ifq_along_path(
+                run, k, seed=scenario.seed + attempt * 101, prefer=prefer, index=index
+            )
+            for attempt in range(80)
+        ),
+        (generate_ifq(spec, k, seed=scenario.seed + attempt * 17) for attempt in range(40)),
+    )
+    found: list[str] = []
+    for query in candidates:
+        if query not in found and matches(query):
+            found.append(query)
+            if len(found) > rank:
+                return query
     raise ScenarioError(
         f"scenario {scenario.id!r}: could not generate a "
         f"{'safe' if require_safe else 'matching'} query for grammar {scenario.grammar!r}"
     )
+
+
+def _general_query(scenario: Scenario, run: "Run", position: int) -> str:
+    """The ``position``-th unsafe query with safe parts in a random suite over
+    the tags that tell alternative implementations apart plus the run's 20
+    most frequent tags: Fig. 15's workload (random queries over all tags
+    are nearly always safe, as the paper also observes)."""
+    from repro.datasets.index import EdgeTagIndex
+    from repro.datasets.queries import discriminating_tags
+
+    frequent = EdgeTagIndex.from_run(run).rarest_tags()[::-1][:20]
+    pool = tuple(sorted(set(discriminating_tags(run.spec)) | set(frequent)))
+    queries = _general_queries(scenario.grammar, pool)
+    if position >= len(queries):
+        raise ScenarioError(
+            f"scenario {scenario.id!r}: only {len(queries)} unsafe queries with safe parts"
+        )
+    return queries[position]
+
+
+@functools.lru_cache(maxsize=8)
+def _general_queries(grammar: str, pool: tuple[str, ...]) -> tuple[str, ...]:
+    """Every unsafe query with safe parts among 500 seeded suite queries
+    (one scan serves all the points of a Fig. 15 group)."""
+    from repro.core.decomposition import plan_decomposition
+    from repro.datasets.queries import generate_query_suite
+
+    spec = resolve_grammar(grammar)
+    found = []
+    for seed in range(500):
+        [query] = generate_query_suite(spec, count=1, seed=seed, depth=2, tag_pool=pool)
+        plan = plan_decomposition(spec, query)
+        if not plan.is_fully_safe and plan.has_safe_parts:
+            found.append(query)
+    return tuple(found)
+
+
+def _baseline_all_pairs(
+    scenario: Scenario, run: "Run", query: str, l1: list[str], l2: list[str]
+) -> Callable[[], "NodePairs"]:
+    """The all-pairs action of the baseline named by ``params['engine']``;
+    its indexes are built here, outside the timed region."""
+    from repro.baselines.g1_parse_tree_joins import g1_all_pairs
+    from repro.baselines.g3_label_index import g3_all_pairs
+    from repro.baselines.paper_decomposition import paper_decomposition_all_pairs
+    from repro.baselines.rpl_per_pair import optrpl_all_pairs, rpl_all_pairs
+    from repro.core.decomposition import plan_decomposition
+    from repro.core.query_index import build_query_index
+    from repro.datasets.index import EdgeTagIndex
+
+    engine = scenario.param("engine")
+    if engine in ("s1", "s2"):
+        query_index = build_query_index(run.spec, query)
+        if engine == "s1":
+            return lambda: rpl_all_pairs(run, l1, l2, query_index)
+        return lambda: optrpl_all_pairs(run, l1, l2, query_index)
+    if engine == "g1":
+        return lambda: g1_all_pairs(run, l1, l2, query)
+    if engine == "g3":
+        index = EdgeTagIndex.from_run(run)
+        return lambda: g3_all_pairs(run, l1, l2, query, index=index)
+    if engine == "paper-decomposition":
+        plan = plan_decomposition(run.spec, query)
+        return lambda: paper_decomposition_all_pairs(run, l1, l2, query, plan=plan)
+    raise _unknown_engine(scenario)
 
 
 def _build_allpairs(scenario: Scenario, scale: ScenarioScale) -> _Prepared:
@@ -440,11 +649,18 @@ def _build_allpairs(scenario: Scenario, scale: ScenarioScale) -> _Prepared:
     nodes as targets — the backward-direction regime).  The
     ``per-seed-frontier`` class answers the same workload with the frontier
     plan searched one seed at a time
-    (:mod:`repro.baselines.per_seed_frontier`), the sweep's comparator.
+    (:mod:`repro.baselines.per_seed_frontier`), the sweep's comparator;
+    ``params['engine']`` picks a Section V baseline instead.
     """
     from repro.baselines.per_seed_frontier import per_seed_all_pairs
-    from repro.core.decomposition import evaluate_general_query, plan_decomposition
+    from repro.core.decomposition import (
+        evaluate_general_query,
+        label_routed_subtrees,
+        plan_decomposition,
+    )
+    from repro.core.optimizer import CostModel
     from repro.core.relations import backward_closure_nodes
+    from repro.datasets.index import EdgeTagIndex
 
     spec = resolve_grammar(scenario.grammar)
     run = _make_run(scenario, scale, spec)
@@ -468,6 +684,18 @@ def _build_allpairs(scenario: Scenario, scale: ScenarioScale) -> _Prepared:
     else:
         l1, l2 = _lists(run, scenario, scale)
     direction = scenario.executor.direction
+    detail: dict[str, object] = {
+        "query": query, "l1": len(l1), "l2": len(l2), "edges": run.edge_count
+    }
+    if plan.is_fully_safe:
+        model = CostModel(spec, EdgeTagIndex.from_run(run))
+        choice = model.choose(query, input_pairs=len(l1) * len(l2), run_edges=run.edge_count)
+        detail["choice"] = choice.strategy
+    else:
+        detail["routed"] = len(label_routed_subtrees(plan, run))
+
+    if scenario.param("engine") is not None:
+        return _Prepared(_baseline_all_pairs(scenario, run, query, l1, l2), **detail)
 
     def action() -> "NodePairs":
         if scenario.query_class == "per-seed-frontier":
@@ -477,10 +705,7 @@ def _build_allpairs(scenario: Scenario, scale: ScenarioScale) -> _Prepared:
     # Warm the plan's memoized (possibly reversed) macro DFAs so repetitions
     # time execution, not one-off planning.
     evaluate_general_query(run, query, l1[:1], l2[:1], plan=plan, direction=direction)
-    return _Prepared(
-        action,
-        detail=f"query {query!r}, |l1|={len(l1)}, |l2|={len(l2)}, {_edges(scenario, scale)} edges",
-    )
+    return _Prepared(action, **detail)
 
 
 def _build_kleene(scenario: Scenario, scale: ScenarioScale) -> _Prepared:
@@ -497,11 +722,14 @@ def _build_kleene(scenario: Scenario, scale: ScenarioScale) -> _Prepared:
     run = generate_fork_heavy_run(spec, _edges(scenario, scale), forks, seed=scenario.seed + 1)
     l1, l2 = _lists(run, scenario, scale)
     query = f"{tag}*"
+    detail = {"query": query, "l1": len(l1), "edges": run.edge_count}
+    if scenario.param("engine") is not None:
+        return _Prepared(_baseline_all_pairs(scenario, run, query, l1, l2), **detail)
 
     def action() -> "NodePairs":
         return evaluate_general_query(run, query, l1, l2)
 
-    return _Prepared(action, detail=f"query {query!r}, |l1|={len(l1)}")
+    return _Prepared(action, **detail)
 
 
 def _mixed_batch(
@@ -591,7 +819,7 @@ def _build_service_batch(scenario: Scenario, scale: ScenarioScale) -> _Prepared:
         def action() -> dict[str, object]:
             return _batch_summary(service.run_batch(requests))
 
-    return _Prepared(action, detail=f"{len(requests)} requests, mode={mode}")
+    return _Prepared(action, requests=len(requests), mode=mode)
 
 
 def _build_warm_restart(scenario: Scenario, scale: ScenarioScale) -> _Prepared:
@@ -638,9 +866,7 @@ def _build_warm_restart(scenario: Scenario, scale: ScenarioScale) -> _Prepared:
             service.load_run_file(run_file, run_id="bench")
         return _batch_summary(service.run_batch(batch))
 
-    return _Prepared(
-        action, detail=f"{len(batch)} first-contact queries, store={'on' if store_dir else 'off'}"
-    )
+    return _Prepared(action, queries=len(batch), store=store_dir is not None)
 
 
 def _build_obs_overhead(scenario: Scenario, scale: ScenarioScale) -> _Prepared:
@@ -667,10 +893,7 @@ def _build_obs_overhead(scenario: Scenario, scale: ScenarioScale) -> _Prepared:
             return evaluate_general_query(run, query, l1, l2, plan=plan)
 
     evaluate_general_query(run, query, l1[:1], l2[:1], plan=plan)  # warm the plan
-    return _Prepared(
-        action,
-        detail=f"query {query!r}, traced={traced}, |l1|={len(l1)}",
-    )
+    return _Prepared(action, query=query, traced=traced, l1=len(l1))
 
 
 WORKLOADS: dict[str, Callable[[Scenario, ScenarioScale], _Prepared]] = {
@@ -777,7 +1000,7 @@ def run_suite(
         if progress is not None:
             progress(
                 f"  {scenario.id}: median {result.median_s * 1000:.1f} ms, "
-                f"p95 {result.p95_s * 1000:.1f} ms, checksum {result.checksum}"
+                f"checksum {result.checksum}"
             )
         results.append(result)
     return {
@@ -788,6 +1011,17 @@ def run_suite(
         "cpus": os.cpu_count() or 1,
         "scenarios": [result.as_dict() for result in results],
     }
+
+
+#: Under this many repetitions the interpolated p95 is about the maximum,
+#: so the tables print ``-`` for it (the document keeps the value).
+MIN_P95_REPETITIONS = 20
+
+
+def _p95_ms(entry: Mapping[str, Any]) -> float | str:
+    if entry.get("repetitions", 0) < MIN_P95_REPETITIONS:
+        return "-"
+    return 1000 * float(entry.get("p95_s", 0.0))
 
 
 def run_table(document: Mapping[str, Any]) -> list[dict[str, object]]:
@@ -805,8 +1039,117 @@ def run_table(document: Mapping[str, Any]) -> list[dict[str, object]]:
                 + ("+store" if executor.get("store") else ""),
                 "reps": entry.get("repetitions", 0),
                 "median_ms": 1000 * entry.get("median_s", 0.0),
-                "p95_ms": 1000 * entry.get("p95_s", 0.0),
+                "p95_ms": _p95_ms(entry),
                 "checksum": entry.get("checksum", ""),
             }
         )
     return rows
+
+
+def figure_disagreements(
+    group: FigureGroup, entries: Mapping[str, Mapping[str, Any]]
+) -> list[str]:
+    """Rows of ``group`` whose arms differ only in engine yet answered
+    differently, one message each (``entries`` maps scenario id -> row)."""
+    problems = []
+    for point in group.points:
+        answers: dict[Params, tuple[str, object]] = {}
+        for label, params in group.arms_at(point):
+            entry = entries.get(group.scenario_id(point, label))
+            if entry is None:
+                continue
+            workload = tuple(item for item in params if item[0] != "engine")
+            first_label, first = answers.setdefault(workload, (label, entry["checksum"]))
+            if entry["checksum"] != first:
+                problems.append(
+                    f"{group.id} at {_point_text(point)}: engines disagree: "
+                    f"{first_label} answered {first}, {label} answered {entry['checksum']}"
+                )
+    return problems
+
+
+def _figure_cell(column: str, ran: list[tuple[str, Mapping[str, Any]]]) -> object:
+    if column == "matches":
+        return int(str(ran[0][1]["checksum"]).partition(":")[0])
+    if column == "fastest":
+        return min(ran, key=lambda arm: float(arm[1]["median_s"]))[0]
+    for _, entry in ran:
+        detail = entry.get("detail")
+        if isinstance(detail, Mapping) and column in detail:
+            return detail[column]
+    return "-"
+
+
+def figure_rows(group: FigureGroup, document: Mapping[str, Any]) -> list[dict[str, object]]:
+    """Pivot a run document into the figure's table: one row per point with
+    its x columns, ``group.columns`` and a median/p95 pair per arm.
+
+    Raises :class:`ScenarioError` when two arms of a row that differ only
+    in engine returned different checksums.
+    """
+    entries = {entry["id"]: entry for entry in document.get("scenarios", [])}
+    problems = figure_disagreements(group, entries)
+    if problems:
+        raise ScenarioError("; ".join(problems))
+    x_columns = list(dict.fromkeys(key for point in group.points for key, _ in point))
+    rows = []
+    for point in group.points:
+        ran = [
+            (label, entries[scenario_id])
+            for label, _ in group.arms_at(point)
+            if (scenario_id := group.scenario_id(point, label)) in entries
+        ]
+        row: dict[str, object] = {key: dict(point).get(key, "-") for key in x_columns}
+        for column in group.columns:
+            row[column] = _figure_cell(column, ran)
+        for label, entry in ran:
+            row[f"{label}_ms"] = 1000 * float(entry["median_s"])
+            row[f"{label}_p95_ms"] = _p95_ms(entry)
+        rows.append(row)
+    return rows
+
+
+def render_figure(group: FigureGroup, document: Mapping[str, Any]) -> str:
+    """The figure's title, the paper's expected shape and its table."""
+    return "\n".join(
+        [
+            f"== {group.id}: {group.title} ==",
+            f"expected shape (paper): {group.expected}",
+            format_table(figure_rows(group, document)),
+        ]
+    )
+
+
+def _format_value(value: object) -> str:
+    if isinstance(value, float):
+        if value != 0 and abs(value) < 0.001:
+            return f"{value * 1e6:.1f}u"
+        return f"{value:.4f}"
+    return str(value)
+
+
+def format_table(
+    rows: Sequence[Mapping[str, object]], columns: Iterable[str] | None = None
+) -> str:
+    """Render a list of dictionaries as an aligned text table (``-`` where a
+    row lacks a column)."""
+    if not rows:
+        return "(no rows)"
+    if columns is None:
+        columns = []
+        for row in rows:
+            for key in row:
+                if key not in columns:
+                    columns.append(key)
+    columns = list(columns)
+    table = [[_format_value(row.get(column, "-")) for column in columns] for row in rows]
+    widths = [
+        max(len(str(column)), *(len(line[i]) for line in table))
+        for i, column in enumerate(columns)
+    ]
+    header = "  ".join(str(column).ljust(width) for column, width in zip(columns, widths))
+    separator = "  ".join("-" * width for width in widths)
+    body = [
+        "  ".join(cell.ljust(width) for cell, width in zip(line, widths)) for line in table
+    ]
+    return "\n".join([header, separator, *body])

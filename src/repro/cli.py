@@ -980,9 +980,10 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Everything after 'bench' is forwarded to the benchmark front-end: "
             "'run' executes catalog scenarios, 'gate' compares a run against "
-            "the stored trajectory, 'check' validates the catalog, 'list' "
-            "prints it, 'figures' (or a bare figure name like fig13a) runs "
-            "the legacy paper experiments."
+            "the stored trajectory, 'check' validates the catalog and "
+            "smoke-runs every entry, 'list' prints it, 'figures' runs the "
+            "paper's figure groups (fig13a ... fig15b, ablation-*) and prints "
+            "their tables."
         ),
     )
     bench_parser.add_argument("args", nargs=argparse.REMAINDER)
@@ -992,8 +993,8 @@ def build_parser() -> argparse.ArgumentParser:
         "lint",
         help="run the project's static-analysis rules (repro.analysis)",
         description=(
-            "Run the project-specific AST rules (lock discipline, process-pool "
-            "picklability, planner determinism, exception discipline, "
+            "Run the project-specific AST rules (lock discipline, lock order, "
+            "planner determinism, exception discipline, "
             "streaming discipline, operator protocol, typed defs) over the "
             "given paths. Findings already recorded in the baseline file pass; "
             "new findings exit 1."

@@ -4,8 +4,8 @@ The paper evaluates on two recursive scientific workflows collected from
 myExperiment (BioAID and QBLast) plus synthetic workflows, with runs simulated
 by firing random production sequences.  myExperiment data is not bundled
 here, so :mod:`repro.datasets.myexperiment` *simulates* the two workflows
-with exactly the statistics reported in Section V-A (see DESIGN.md,
-"Substitutions").  The remaining modules provide the synthetic specification
+with exactly the statistics reported in Section V-A (see the README's
+*Paper figures*, "Substitutions").  The remaining modules provide the synthetic specification
 generator, run-generation policies, query generators (IFQs, Kleene stars,
 random combinations) and the edge-tag inverted index used by baseline G3.
 """

@@ -60,7 +60,8 @@ def node_lists(
 
     The paper uses *all* run nodes for both lists; ``limit`` optionally
     samples a deterministic subset so pure-Python all-pairs benchmarks stay
-    tractable at large run sizes (see DESIGN.md, "Substitutions").
+    tractable at large run sizes (see the README's *Paper figures*,
+    "Substitutions").
     """
     nodes = list(run.node_ids())
     if limit is None or len(nodes) <= limit:

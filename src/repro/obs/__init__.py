@@ -35,7 +35,6 @@ from repro.obs.tracer import (
     Tracer,
     get_tracer,
     set_tracer,
-    timed_call,
     use_tracer,
 )
 
@@ -57,6 +56,5 @@ __all__ = [
     "get_tracer",
     "prometheus_text",
     "set_tracer",
-    "timed_call",
     "use_tracer",
 ]

@@ -23,7 +23,7 @@ import threading
 from contextlib import AbstractContextManager
 from dataclasses import dataclass
 from types import TracebackType
-from typing import Callable, Iterator, TypeVar
+from typing import Iterator, TypeVar
 
 from repro.obs import clock
 from repro.obs.metrics import Counter, MetricsRegistry, get_registry
@@ -36,7 +36,6 @@ __all__ = [
     "Tracer",
     "get_tracer",
     "set_tracer",
-    "timed_call",
     "use_tracer",
 ]
 
@@ -350,18 +349,3 @@ class _UseTracer(AbstractContextManager[Tracer]):
 def use_tracer(tracer: Tracer) -> AbstractContextManager[Tracer]:
     """Scope a tracer installation to a ``with`` block."""
     return _UseTracer(tracer)
-
-
-def timed_call(
-    name: str, function: Callable[[], _T], **attrs: object
-) -> tuple[float, _T]:
-    """Run a callable once under a span, returning ``(elapsed s, result)``.
-
-    The one code path behind every hand-rolled ``perf_counter`` timing site:
-    elapsed comes from :mod:`repro.obs.clock` whether or not a recording
-    tracer is installed, and when one is, the call shows up as a span.
-    """
-    started = clock.now()
-    with get_tracer().span(name, **attrs):
-        result = function()
-    return clock.now() - started, result

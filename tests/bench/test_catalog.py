@@ -1,12 +1,28 @@
 """The scenario catalog: unique ids, resolvable factors, sound invariants."""
 
 import dataclasses
+import json
+from pathlib import Path
 
 import pytest
 
 from repro.bench import catalog as catalog_module
-from repro.bench.catalog import CATALOG, INVARIANTS, check_catalog, get_scenario, select
-from repro.bench.scenarios import ExecutorFactors, ScenarioError, resolve_grammar
+from repro.bench.catalog import (
+    CATALOG,
+    FIGURES,
+    INVARIANTS,
+    check_catalog,
+    get_scenario,
+    select,
+)
+from repro.bench.scenarios import (
+    ExecutorFactors,
+    ScenarioError,
+    ScenarioResult,
+    resolve_grammar,
+)
+
+TRAJECTORY = Path(__file__).resolve().parents[2] / "benchmarks" / "trajectory" / "trajectory.json"
 
 
 class TestCatalogShape:
@@ -89,3 +105,68 @@ class TestSelection:
 
     def test_select_all_suite_returns_everything(self):
         assert len(select(suite="all")) == len(CATALOG)
+
+
+class TestFigureGroups:
+    def test_every_figure_and_ablation_is_one_group(self):
+        assert sorted(group.id for group in FIGURES) == sorted(
+            [
+                *(f"fig13{letter}" for letter in "abcdefgh"),
+                "fig15a",
+                "fig15b",
+                "ablation-s1-vs-s2",
+                "ablation-dfa-minimization",
+                "ablation-optimizer",
+            ]
+        )
+
+    def test_group_scenarios_are_in_the_figures_suite_only(self):
+        expanded = {scenario.id for group in FIGURES for scenario in group.expand()}
+        in_figures = {scenario.id for scenario in select(suite="figures")}
+        assert expanded == in_figures
+        for scenario in CATALOG:
+            assert (scenario.id in expanded) == (scenario.suites == ("figures",))
+
+    def test_ci_suite_is_the_stored_trajectory(self):
+        stored = json.loads(TRAJECTORY.read_text())["scenarios"]
+        assert [scenario.id for scenario in select(suite="ci")] == [
+            entry["id"] for entry in stored
+        ]
+        for scenario, entry in zip(select(suite="ci"), stored):
+            factors = json.loads(json.dumps(scenario.factors()))
+            # Entries recorded before the strategy knob went still carry it.
+            entry["factors"]["executor"].pop("strategy", None)
+            assert factors == entry["factors"], scenario.id
+
+    def test_one_scenario_per_point_and_arm(self):
+        group = next(group for group in FIGURES if group.id == "fig13c")
+        scenarios = group.expand()
+        assert len(scenarios) == len(group.points) * len(group.arms) == 12
+        engines = {scenario.param("engine") for scenario in scenarios}
+        assert engines == {None, "g3", "g2"}
+        assert {scenario.run_edges for scenario in scenarios} == {250, 500, 1000, 2000}
+
+    def test_g3_is_left_out_where_the_query_is_not_an_ifq(self):
+        group = next(group for group in FIGURES if group.id == "ablation-optimizer")
+        arms = [
+            (scenario.param("query"), scenario.param("engine")) for scenario in group.expand()
+        ]
+        assert arms.count((None, "g3")) == 2  # the two generated IFQs
+        assert ("f1_fork*", "g3") not in arms
+        assert ("f1_fork*", None) in arms
+
+    def test_check_reports_engines_that_disagree(self, monkeypatch):
+        group = next(group for group in FIGURES if group.id == "ablation-dfa-minimization")
+        scenarios = group.expand()
+
+        def fake_run(scenario, scale, repetitions):
+            checksum = "1:bbb" if scenario.param("engine") == "raw-dfa" else "1:aaa"
+            return ScenarioResult(scenario.id, {}, 1, [0.001], checksum, {})
+
+        monkeypatch.setattr(catalog_module, "CATALOG", scenarios)
+        monkeypatch.setattr(catalog_module, "INVARIANTS", ())
+        monkeypatch.setattr(catalog_module, "FIGURES", (group,))
+        monkeypatch.setattr(catalog_module, "run_scenario", fake_run)
+        problems = check_catalog(runnable=True)
+        assert len(problems) == len(group.points)
+        assert all("engines disagree" in problem for problem in problems)

@@ -4,10 +4,13 @@ import pytest
 
 from repro.bench.catalog import get_scenario
 from repro.bench.scenarios import (
+    MIN_P95_REPETITIONS,
     SCHEMA,
     ExecutorFactors,
+    FigureGroup,
     Scenario,
     ScenarioError,
+    figure_rows,
     resolve_grammar,
     resolve_scale,
     result_checksum,
@@ -114,3 +117,74 @@ class TestRunSuite:
         assert [row["exec"] for row in run_table(document)] == [
             "backward+store", "auto", "-"
         ]
+
+    def test_p95_is_printed_only_when_the_sample_supports_it(self):
+        def entry(repetitions):
+            return {
+                "id": f"r{repetitions}", "repetitions": repetitions,
+                "median_s": 0.010, "p95_s": 0.020,
+            }
+
+        short, long = run_table(
+            {"scenarios": [entry(3), entry(MIN_P95_REPETITIONS)]}
+        )
+        assert short["p95_ms"] == "-"
+        assert long["p95_ms"] == pytest.approx(20.0)
+
+
+#: A two-point group comparing the production decode with the G3 baseline.
+GROUP = FigureGroup(
+    id="figx",
+    title="test figure",
+    expected="g3 loses",
+    grammar="bioaid",
+    query_class="safe-allpairs",
+    run_edges=100,
+    points=((("k", 1),), (("k", 2),)),
+    arms=(("optrpl", ()), ("g3", (("engine", "g3"),))),
+    columns=("matches", "fastest", "query"),
+)
+
+
+def _document(checksums):
+    """A hand-built run document: one row per (point, arm) with a checksum."""
+    rows = []
+    for (point, label), checksum in zip(
+        [(point, label) for point in GROUP.points for label, _ in GROUP.arms], checksums
+    ):
+        rows.append(
+            {
+                "id": GROUP.scenario_id(point, label),
+                "repetitions": 3,
+                "median_s": 0.001 if label == "optrpl" else 0.004,
+                "p95_s": 0.005,
+                "checksum": checksum,
+                "detail": {"query": f"q{dict(point)['k']}"},
+            }
+        )
+    return {"scenarios": rows}
+
+
+class TestFigureRendering:
+    def test_rows_pivot_one_median_column_per_engine(self):
+        rows = figure_rows(GROUP, _document(["7:a", "7:a", "0:b", "0:b"]))
+        assert rows == [
+            {
+                "k": 1, "matches": 7, "fastest": "optrpl", "query": "q1",
+                "optrpl_ms": 1.0, "optrpl_p95_ms": "-", "g3_ms": 4.0, "g3_p95_ms": "-",
+            },
+            {
+                "k": 2, "matches": 0, "fastest": "optrpl", "query": "q2",
+                "optrpl_ms": 1.0, "optrpl_p95_ms": "-", "g3_ms": 4.0, "g3_p95_ms": "-",
+            },
+        ]
+
+    def test_engines_that_disagree_raise(self):
+        with pytest.raises(ScenarioError, match=r"figx at k=2: engines disagree"):
+            figure_rows(GROUP, _document(["7:a", "7:a", "0:b", "1:c"]))
+
+    def test_expansion_ids_match_the_renderer(self):
+        assert [scenario.id for scenario in GROUP.expand()] == [
+            "figx-1-optrpl", "figx-1-g3", "figx-2-optrpl", "figx-2-g3"
+        ]
+        assert {scenario.suites for scenario in GROUP.expand()} == {("figures",)}

@@ -1,5 +1,6 @@
 """Tests for the safe-query property (Section III-C)."""
 
+from repro.automata.dfa import dfa_from_regex
 from repro.core.safety import analyze_safety, is_safe_query, query_dfa
 from repro.datasets.myexperiment import (
     BIOAID_KLEENE_TAG,
@@ -8,6 +9,7 @@ from repro.datasets.myexperiment import (
     qblast_specification,
 )
 from repro.datasets.paper_example import paper_specification
+from repro.datasets.queries import generate_ifq
 from repro.datasets.synthetic import generate_synthetic_specification
 from repro.workflow.simple import chain
 from repro.workflow.spec import Production, Specification
@@ -113,3 +115,28 @@ class TestSafetyOnGeneratedSpecs:
         report = analyze_safety(spec, query_dfa(spec, "_*"))
         assert report.is_safe
         assert set(report.lambdas) == set(spec.modules)
+
+
+class TestLemma32:
+    """Safety is a property of the query, read off its *minimal* DFA: a safe
+    DFA of the query proves the minimal one safe, not the other way round."""
+
+    def test_a_safe_raw_dfa_implies_a_safe_minimal_dfa(self):
+        spec = bioaid_specification()
+        raw_safe = []
+        for k in (1, 3, 5, 8):
+            query = generate_ifq(spec, k, seed=k)
+            raw = analyze_safety(spec, dfa_from_regex(query, spec.tags, minimal=False))
+            minimal = analyze_safety(spec, dfa_from_regex(query, spec.tags, minimal=True))
+            assert minimal.is_safe or not raw.is_safe, (k, query)
+            if raw.is_safe:
+                raw_safe.append(k)
+        assert raw_safe  # the implication is exercised, not vacuous
+
+    def test_an_unminimized_dfa_can_look_unsafe_for_a_safe_query(self):
+        spec = bioaid_specification()
+        query = generate_ifq(spec, 3, seed=3)
+        assert analyze_safety(spec, query_dfa(spec, query)).is_safe
+        assert not analyze_safety(
+            spec, dfa_from_regex(query, spec.tags, minimal=False)
+        ).is_safe

@@ -8,7 +8,6 @@ from repro.obs import (
     Tracer,
     get_tracer,
     set_tracer,
-    timed_call,
     use_tracer,
 )
 from repro.obs.metrics import MetricsRegistry
@@ -172,18 +171,3 @@ class TestAmbientTracer:
             set_tracer(None)
         assert isinstance(get_tracer(), NullTracer)
         set_tracer(previous)
-
-    def test_timed_call_times_and_records(self):
-        tracer = _tracer()
-        with use_tracer(tracer):
-            elapsed, result = timed_call("compute", lambda: 41 + 1, flavor="test")
-        assert result == 42
-        assert elapsed >= 0.0
-        (span,) = tracer.spans()
-        assert span.name == "compute"
-        assert span.attrs == {"flavor": "test"}
-
-    def test_timed_call_works_without_a_recording_tracer(self):
-        elapsed, result = timed_call("compute", lambda: "ok")
-        assert result == "ok"
-        assert elapsed >= 0.0

@@ -108,12 +108,39 @@ class TestDeriveAndQuery:
 
 
 class TestBenchCommand:
-    def test_single_experiment_runs(self, capsys):
-        """The pre-catalog invocation style still reaches the legacy figures."""
-        assert main(["bench", "fig13a", "--scale", "small"]) == 0
-        out = capsys.readouterr().out
-        assert 'fig13a' in out
-        assert 'grammar_size' in out
+    def test_figures_prints_the_paper_table(self, capsys):
+        assert main(["bench", "figures", "fig13c", "--scale", "smoke"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("== fig13c:")
+        header = lines[2].split()
+        assert header[0] == "run_edges"
+        assert {"rpl_ms", "g3_ms", "g2_ms"} <= set(header)
+        assert [line.split()[0] for line in lines[4:8]] == ["250", "500", "1000", "2000"]
+
+    def test_figures_exit_nonzero_when_engines_disagree(self, monkeypatch, capsys):
+        from repro.bench import scenarios
+
+        def disagreeing_run(scenarios_to_run, scale, **_):
+            return {
+                "scenarios": [
+                    {
+                        "id": scenario.id, "repetitions": 1, "median_s": 0.001,
+                        "p95_s": 0.001, "detail": {},
+                        "checksum": "2:g3" if scenario.param("engine") == "g3" else "1:a",
+                    }
+                    for scenario in scenarios_to_run
+                ]
+            }
+
+        monkeypatch.setattr(scenarios, "run_suite", disagreeing_run)
+        assert main(["bench", "figures", "fig13c", "--scale", "smoke"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro bench: error: fig13c at run_edges=250: engines disagree")
+
+    def test_a_bare_figure_name_is_not_a_subcommand(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["bench", "fig13a"])
+        assert "invalid choice: 'fig13a'" in capsys.readouterr().err
 
     def test_bench_list_prints_the_catalog(self, capsys):
         assert main(["bench", "list"]) == 0
