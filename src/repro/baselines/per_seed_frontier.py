@@ -13,6 +13,7 @@ differential tests.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.automata.dfa import DFA
@@ -98,22 +99,35 @@ def per_seed_frontier_search(
 
 
 def per_seed_execute(physical: PhysicalPlan) -> NodePairs:
-    """Answer a frontier plan's operator with one search per seed."""
+    """Answer a frontier plan's operator with one search per seed.
+
+    The operator's positions and flag arrays are turned back into node ids
+    once per call, so the string search below stays independent of the
+    sweep's integer view."""
     op = physical.root
     if not isinstance(op, FrontierSearchOp):
         raise TypeError(f"expected a frontier plan, got {op!r}")
     run = physical.run
+    interner = run.packed.interner
+    ids, index = interner.ids, interner.index
     forward = op.direction == "forward"
+
+    def id_set(flags: bytes | None) -> frozenset[str] | None:
+        return None if flags is None else frozenset(compress(ids, flags))
+
+    def by_id(expand: Callable[[int], Iterable[int]]) -> Callable[[str], list[str]]:
+        return lambda node: [ids[position] for position in expand(index[node])]
+
     macro_successors = {
-        tag: relation.expander(op.direction) for tag, relation in op.macros.items()
+        tag: by_id(relation.expander(op.direction)) for tag, relation in op.macros.items()
     }
     return set(
         per_seed_frontier_search(
             run.successors if forward else run.predecessors,
             op.dfa,
-            op.seeds,
-            allowed=op.allowed,
-            emit_filter=op.emit_filter,
+            [ids[seed] for seed in op.seeds],
+            allowed=id_set(op.allowed),
+            emit_filter=id_set(op.emit_filter),
             macro_successors=macro_successors or None,
             forward=forward,
         )

@@ -640,6 +640,20 @@ def _baseline_all_pairs(
     raise _unknown_engine(scenario)
 
 
+def _ancestor_counts(run: "Run") -> dict[str, int]:
+    """Each node's backward-closure size (itself plus every node that
+    reaches it), from one pass in topological order: a node's ancestor set
+    is its own bit ORed with its predecessors' finished sets."""
+    view = run.packed
+    ancestors: list[int] = []
+    for position, predecessors in enumerate(view.predecessors):
+        mask = 1 << position
+        for predecessor, _ in predecessors:
+            mask |= ancestors[predecessor]
+        ancestors.append(mask)
+    return {node: mask.bit_count() for node, mask in zip(view.interner.ids, ancestors)}
+
+
 def _build_allpairs(scenario: Scenario, scale: ScenarioScale) -> _Prepared:
     """Safe/unsafe all-pairs evaluation with the scenario's executor factors.
 
@@ -659,7 +673,6 @@ def _build_allpairs(scenario: Scenario, scale: ScenarioScale) -> _Prepared:
         plan_decomposition,
     )
     from repro.core.optimizer import CostModel
-    from repro.core.relations import backward_closure_nodes
     from repro.datasets.index import EdgeTagIndex
 
     spec = resolve_grammar(scenario.grammar)
@@ -675,9 +688,8 @@ def _build_allpairs(scenario: Scenario, scale: ScenarioScale) -> _Prepared:
     shape = str(scenario.param("lists", "all"))
     if shape == "few-targets":
         l1 = list(run.node_ids())
-        l2 = sorted(
-            l1, key=lambda node: len(backward_closure_nodes(run, [node])), reverse=True
-        )[:3]
+        closure_sizes = _ancestor_counts(run)
+        l2 = sorted(l1, key=closure_sizes.__getitem__, reverse=True)[:3]
     elif shape == "restricted":
         sampled1, sampled2 = _lists(run, scenario, scale)
         l1, l2 = sampled1[:5], sampled2[-5:]

@@ -1,40 +1,42 @@
-"""Dense node interning and the uint64-packed bitset compute kernel.
+"""Dense node interning, the run's integer adjacency and the packed bitset kernel.
 
 The set-based machinery in :mod:`repro.core.relations` represents run-scale
 state as ``set[str]`` / ``set[tuple[str, str]]`` and pays a hash lookup per
-element.  This module re-platforms that data path on *dense interned ids*
-(each run node gets an index ``0 .. n-1`` in the run's topological order,
-assigned once per :class:`~repro.workflow.run.Run` and memoized on it) and
-*packed bitsets*:
+element.  This module re-platforms that data path on *dense interned ids*:
+each run node gets a position ``0 .. n-1`` in the run's topological order,
+assigned once per :class:`~repro.workflow.run.Run` and memoized on it, and
+each edge tag gets a small tag id.  Every edge points to a higher position,
+which is what the one-pass algorithms here and in
+:mod:`repro.core.relations` rely on.
 
-* a node set is one unbounded Python integer whose bit ``i`` is node ``i``
-  (CPython stores it as an array of native words, so ``&``/``|``/``~`` run
-  word-parallel at C speed — 64 nodes per machine operation);
-* a relation or adjacency structure is one such row per source node, with
-  bit ``j`` of row ``i`` meaning ``i → j``.
+Two representations share that numbering:
 
-Runs are DAGs, so under topological numbering every relation over run paths
-is upper-triangular plus the diagonal: ``i → j`` implies ``i <= j``.  That
-is what lets :meth:`PackedRelation.transitive_closure` finish in one pass.
-
-This is the kernel of the joins and closures that answer an unsafe query
-without node lists (:class:`PackedRelation`, driven by
-:func:`~repro.core.relations.evaluate_regex_relation_packed`) and of the
-reachability closures behind restriction pushdown (:func:`closure_mask`).
-The frontier sweep (:func:`~repro.core.relations.frontier_search`) keeps
-string-keyed node maps and uses packed integers only for its seed sets: it
-follows the run's real out-degree, where a packed wave pays the full row
-width.
+* :class:`PackedRunView` lists, per position, its ``(successor position,
+  tag id)`` and ``(predecessor position, tag id)`` pairs.  The frontier
+  sweep (:func:`~repro.core.relations.frontier_search`) walks them with DFA
+  rows indexed by tag id, and the restriction universe
+  (:func:`~repro.core.relations.restriction_universe`) is two ``bytearray``
+  flag passes over them;
+* a *packed bitset* is one unbounded Python integer whose bit ``i`` is node
+  ``i`` (CPython stores it as an array of native words, so ``&``/``|``/``~``
+  run word-parallel at C speed); a relation is one such row per source
+  node, with bit ``j`` of row ``i`` meaning ``i → j``.  Under topological
+  numbering every relation over run paths is upper-triangular plus the
+  diagonal, so :meth:`PackedRelation.transitive_closure` finishes in one
+  pass.  This is the kernel of the join that answers an unsafe query
+  without node lists (:class:`PackedRelation`, driven by
+  :func:`~repro.core.relations.evaluate_regex_relation_packed`).
 """
 
 from __future__ import annotations
 
 from itertools import compress
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from repro.errors import RelationOrderError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.automata.dfa import DFA
     from repro.workflow.run import Run
 
 __all__ = [
@@ -43,7 +45,6 @@ __all__ = [
     "PackedAdjacency",
     "PackedRunView",
     "build_run_view",
-    "closure_mask",
     "PackedRelation",
 ]
 
@@ -65,44 +66,34 @@ def bit_indices(mask: int) -> list[int]:
 
 
 class NodeInterner:
-    """Dense ``node id -> bit index`` table for one run, built once.
+    """Dense ``node id -> position`` table for one run, built once.
 
     ``ids`` keeps the order it is given; :func:`build_run_view` passes the
-    run's topological order, so bit ``i`` precedes bit ``j`` in that order
-    exactly when ``i < j``, and every packed row is deterministic for a
-    given run.
+    run's topological order, so position ``i`` precedes position ``j`` in
+    that order exactly when ``i < j``, and every packed row and flag array
+    is deterministic for a given run.
     """
 
-    __slots__ = ("ids", "index", "full_mask")
+    __slots__ = ("ids", "index")
 
     def __init__(self, ids: Iterable[str]) -> None:
         self.ids: tuple[str, ...] = tuple(ids)
         self.index: dict[str, int] = {
             node_id: position for position, node_id in enumerate(self.ids)
         }
-        self.full_mask: int = (1 << len(self.ids)) - 1
 
     def __len__(self) -> int:
         return len(self.ids)
 
-    def mask_of(self, node_ids: Iterable[str]) -> int:
-        """Pack a node-id collection into a bitset (unknown ids dropped)."""
+    def positions(self, node_ids: Iterable[str]) -> list[int]:
+        """The distinct positions of the known ids, in first-seen order
+        (unknown ids dropped)."""
         index = self.index
-        mask = 0
-        for node_id in node_ids:
-            position = index.get(node_id)
-            if position is not None:
-                mask |= 1 << position
-        return mask
-
-    def nodes_of(self, mask: int) -> list[str]:
-        """Unpack a bitset back into node ids, in bit (= topological) order."""
-        ids = self.ids
-        return [ids[position] for position in bit_indices(mask)]
+        return list(map(index.__getitem__, filter(index.__contains__, dict.fromkeys(node_ids))))
 
 
 class PackedAdjacency:
-    """One packed row per source node; ``propagate`` is the kernel hot loop."""
+    """One packed row per source node (bit ``j`` of row ``i`` = edge ``i → j``)."""
 
     __slots__ = ("node_count", "rows")
 
@@ -112,83 +103,136 @@ class PackedAdjacency:
         self.node_count = node_count
         self.rows: list[int] = list(rows)
 
-    def propagate(self, mask: int) -> int:
-        """Union of the successor rows of every set bit of ``mask``."""
-        rows = self.rows
-        out = 0
-        while mask:
-            low = mask & -mask
-            out |= rows[low.bit_length() - 1]
-            mask ^= low
-        return out
+
+#: Per position, its ``(neighbour position, tag id)`` pairs.
+IntAdjacency = tuple[tuple[tuple[int, int], ...], ...]
+
+#: A DFA over one run's symbol numbering: per state, the next state by
+#: symbol id (``None`` where the transition dies), and per state whether it
+#: accepts.
+DenseDFA = tuple[list[list[int | None]], list[bool]]
+
+#: How many dense DFAs one run view keeps before it starts over.
+_DENSE_DFA_MEMO = 64
 
 
 class PackedRunView:
-    """The memoized packed form of a run.
+    """The memoized integer form of a run.
 
-    ``by_tag`` and ``any_tag`` are the forward per-tag and wildcard
-    adjacency the join reads; ``any_tag`` and ``backward_any_tag`` are the
-    wildcard adjacency behind the forward and backward reachability
-    closures.  Built once per run (see ``Run.packed``) and reused by every
-    query.
+    ``successors[p]`` and ``predecessors[p]`` list the ``(neighbour position,
+    tag id)`` pairs of the node at position ``p``; ``tags[t]`` is the tag
+    with id ``t``.  ``by_tag`` and ``any_tag`` are the forward per-tag and
+    wildcard packed rows the join reads, packed from ``successors`` on first
+    use: only a request without node lists needs them.  Built once per run
+    (see ``Run.packed``) and reused by every query.
     """
 
-    __slots__ = ("interner", "by_tag", "any_tag", "backward_any_tag")
+    __slots__ = (
+        "interner",
+        "tags",
+        "successors",
+        "predecessors",
+        "_packed",
+        "_dense_dfas",
+    )
 
     def __init__(
         self,
         interner: NodeInterner,
-        by_tag: Mapping[str, PackedAdjacency],
-        any_tag: PackedAdjacency,
-        backward_any_tag: PackedAdjacency,
+        tags: Sequence[str],
+        successors: IntAdjacency,
+        predecessors: IntAdjacency,
     ) -> None:
         self.interner = interner
-        self.by_tag: dict[str, PackedAdjacency] = dict(by_tag)
-        self.any_tag = any_tag
-        self.backward_any_tag = backward_any_tag
+        self.tags: tuple[str, ...] = tuple(tags)
+        self.successors = successors
+        self.predecessors = predecessors
+        self._packed: tuple[dict[str, PackedAdjacency], PackedAdjacency] | None = None
+        self._dense_dfas: dict[
+            tuple[int, tuple[str, ...]], tuple["DFA", DenseDFA]
+        ] = {}
+
+    def _pack(self) -> tuple[dict[str, PackedAdjacency], PackedAdjacency]:
+        """The packed forward rows, by tag and as the wildcard union (two
+        threads may pack at once; both results are equal)."""
+        packed = self._packed
+        if packed is None:
+            node_count = len(self.successors)
+            by_tag = [[0] * node_count for _ in self.tags]
+            any_tag = [0] * node_count
+            for source, pairs in enumerate(self.successors):
+                for target, tag in pairs:
+                    bit = 1 << target
+                    by_tag[tag][source] |= bit
+                    any_tag[source] |= bit
+            packed = self._packed = (
+                {
+                    tag: PackedAdjacency(node_count, rows)
+                    for tag, rows in zip(self.tags, by_tag)
+                },
+                PackedAdjacency(node_count, any_tag),
+            )
+        return packed
+
+    @property
+    def by_tag(self) -> dict[str, PackedAdjacency]:
+        return self._pack()[0]
+
+    @property
+    def any_tag(self) -> PackedAdjacency:
+        return self._pack()[1]
+
+    def dense_dfa(self, dfa: "DFA", macro_tags: tuple[str, ...] = ()) -> DenseDFA:
+        """``dfa`` over this run's tag ids, with ``macro_tags`` numbered after
+        the run's tags: the rows the sweep indexes by symbol id.
+
+        Memoized per (DFA, macro symbols), so a repeated query pays no table
+        build; the memo holds the DFA itself, so an id is never reused while
+        its entry lives.  Two threads may build one entry twice; both results
+        are equal.
+        """
+        key = (id(dfa), macro_tags)
+        cached = self._dense_dfas.get(key)
+        if cached is not None and cached[0] is dfa:
+            return cached[1]
+        dead = dfa.dead_state()
+        symbols = (*self.tags, *macro_tags)
+        rows: list[list[int | None]] = []
+        for row in dfa.transitions:
+            dense: list[int | None] = []
+            for symbol in symbols:
+                state = row.get(symbol)
+                dense.append(None if state == dead else state)
+            rows.append(dense)
+        dense = (rows, [state in dfa.accepting for state in range(dfa.state_count)])
+        if len(self._dense_dfas) >= _DENSE_DFA_MEMO:
+            self._dense_dfas.clear()
+        self._dense_dfas[key] = (dfa, dense)
+        return dense
 
 
 def build_run_view(run: "Run") -> PackedRunView:
-    """Intern a run's nodes in topological order and pack its adjacency:
-    forward by tag, plus the wildcard union in both directions."""
+    """Intern a run's nodes in topological order and its tags in order of
+    first use, and list each position's tagged neighbours both ways."""
     interner = NodeInterner(run.topological_order)
     index = interner.index
     node_count = len(interner)
-    by_tag: dict[str, list[int]] = {}
-    forward_any = [0] * node_count
-    backward_any = [0] * node_count
-    for edge in run.edges:
-        source = index[edge.source]
-        target = index[edge.target]
-        target_bit = 1 << target
-        tag_rows = by_tag.get(edge.tag)
-        if tag_rows is None:
-            tag_rows = [0] * node_count
-            by_tag[edge.tag] = tag_rows
-        tag_rows[source] |= target_bit
-        forward_any[source] |= target_bit
-        backward_any[target] |= 1 << source
+    edges = run.edges
+    tag_ids: dict[str, int] = {}
+    sources = [index[edge.source] for edge in edges]
+    targets = [index[edge.target] for edge in edges]
+    tags = [tag_ids.setdefault(edge.tag, len(tag_ids)) for edge in edges]
+    successors: list[list[tuple[int, int]]] = [[] for _ in range(node_count)]
+    predecessors: list[list[tuple[int, int]]] = [[] for _ in range(node_count)]
+    for source, target, tag in zip(sources, targets, tags):
+        successors[source].append((target, tag))
+        predecessors[target].append((source, tag))
     return PackedRunView(
         interner,
-        {tag: PackedAdjacency(node_count, rows) for tag, rows in by_tag.items()},
-        PackedAdjacency(node_count, forward_any),
-        PackedAdjacency(node_count, backward_any),
+        tuple(tag_ids),
+        tuple(map(tuple, successors)),
+        tuple(map(tuple, predecessors)),
     )
-
-
-def closure_mask(adjacency: PackedAdjacency, seeds: int) -> int:
-    """Reachability closure of a seed mask (seeds included), by wavefront.
-
-    Each round propagates the whole frontier in one word-parallel union, so
-    the loop runs once per BFS level instead of once per node.
-    """
-    reach = seeds
-    frontier = seeds
-    while frontier:
-        fresh = adjacency.propagate(frontier) & ~reach
-        reach |= fresh
-        frontier = fresh
-    return reach
 
 
 def _support(rows: Sequence[int]) -> int:

@@ -8,8 +8,8 @@ bottom-up relational evaluation on the packed bitset kernel
 relation is unpacked whole or streamed row by row; and a
 :class:`FrontierSearchOp` is one multi-source sweep
 (:func:`~repro.core.relations.frontier_search`) that answers every seed in a
-single pass over the run in topological order, with macro relations decoded
-lazily on first use.
+single pass over the run's topologically numbered positions, with macro
+relations decoded lazily on first use.
 """
 
 from __future__ import annotations
@@ -48,8 +48,8 @@ def execute(plan: PhysicalPlan) -> NodePairs:
             span.set("pairs", len(result))
             return result
     if isinstance(root, FrontierSearchOp):
-        with _frontier_span(root) as span:
-            result = set(_sweep(plan, root, frontier_search))
+        with _frontier_span(plan, root) as span:
+            result = set(_sweep(plan, root, frontier_search, span))
             span.set("pairs", len(result))
             return result
     if isinstance(root, JoinOp):
@@ -102,31 +102,37 @@ def _iter_join(plan: PhysicalPlan, op: JoinOp) -> Iterator[tuple[str, str]]:
         yield from _join(plan, op).iter_pairs(plan.run.packed.interner)
 
 
-def _frontier_span(op: FrontierSearchOp) -> AbstractContextManager[Span]:
+def _frontier_span(plan: PhysicalPlan, op: FrontierSearchOp) -> AbstractContextManager[Span]:
+    """The sweep's span: its direction, seed count and pruned universe (the
+    allowed node count, or the run size when unpruned); the sweep adds how
+    many nodes it visited."""
+    universe = op.allowed.count(1) if op.allowed is not None else plan.run.node_count
     return get_tracer().span(
-        "exec.frontier_search", direction=op.direction, seeds=len(op.seeds)
+        "exec.frontier_search",
+        direction=op.direction,
+        seeds=len(op.seeds),
+        universe=universe,
     )
 
 
-def _sweep(plan: PhysicalPlan, op: FrontierSearchOp, search: Callable[..., _T]) -> _T:
-    """Hand one operator to a sweep entry point: forward follows successors
-    in topological order, backward follows predecessors in reverse order."""
-    run = plan.run
-    forward = op.direction == "forward"
+def _sweep(
+    plan: PhysicalPlan, op: FrontierSearchOp, search: Callable[..., _T], span: Span
+) -> _T:
+    """Hand one operator to a sweep entry point over the run's integer view:
+    forward follows successors in topological order, backward follows
+    predecessors in reverse order."""
     return search(
-        run.successors if forward else run.predecessors,
+        plan.run.packed,
         op.dfa,
         op.seeds,
-        order=run.topological_order if forward else reversed(run.topological_order),
         allowed=op.allowed,
         emit_filter=op.emit_filter,
-        macro_successors={
-            tag: relation.expander(op.direction) for tag, relation in op.macros.items()
-        },
-        forward=forward,
+        macros={tag: relation.expander(op.direction) for tag, relation in op.macros.items()},
+        forward=op.direction == "forward",
+        span=span,
     )
 
 
 def _iter_frontier(plan: PhysicalPlan, op: FrontierSearchOp) -> Iterator[tuple[str, str]]:
-    with _frontier_span(op):
-        yield from _sweep(plan, op, iter_frontier_search)
+    with _frontier_span(plan, op) as span:
+        yield from _sweep(plan, op, iter_frontier_search, span)

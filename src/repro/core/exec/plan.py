@@ -20,7 +20,7 @@ target list with fewer seeds inside the pruned universe than the sources
 have, so a query with a handful of targets and thousands of sources flips
 to backward.
 
-The decision itself is an O(1) comparison and is computed fresh on every
+The decision is a seed count over the node lists, computed fresh on every
 plan.  What the :class:`DecompositionPlan` memoizes (and the store persists)
 is the forward and the reversed macro DFA, so a restarted service pays
 neither the determinization nor the reversal.
@@ -29,6 +29,7 @@ neither the determinization nor the reversal.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable, Iterable, Sequence
 
 from repro.automata.regex import RegexNode
@@ -91,23 +92,21 @@ class PhysicalPlan:
         return f"PhysicalPlan({choice}) over run of {self.run.node_count} nodes"
 
 
-def _seed_count(
-    run: Run, side: Sequence[str] | None, allowed: frozenset[str] | None
-) -> int:
-    """How many seeds one frontier direction would start from."""
+def _seed_count(run: Run, side: Sequence[int] | None, allowed: bytes | None) -> int:
+    """How many seeds one frontier direction would start from: the side's
+    run positions inside ``allowed``, or every allowed node without a list."""
     if side is None:
-        return len(allowed) if allowed is not None else run.node_count
-    seeds = set(side)
-    if allowed is not None:
-        seeds &= allowed
-    return len(seeds)
+        return allowed.count(1) if allowed is not None else run.node_count
+    if allowed is None:
+        return len(side)
+    return sum(allowed[position] for position in side)
 
 
 def _resolve_direction(
     run: Run,
-    l1: Sequence[str] | None,
-    l2: Sequence[str] | None,
-    allowed: frozenset[str] | None,
+    sources: Sequence[int] | None,
+    targets: Sequence[int] | None,
+    allowed: bytes | None,
     requested: str,
 ) -> str:
     """The frontier direction for this workload.
@@ -115,27 +114,47 @@ def _resolve_direction(
     Both directions sweep the same pruned universe once, so ``auto`` only
     compares seed counts: backward iff there is a target list and it has
     fewer seeds inside ``allowed`` than the sources do (ties go forward).
+    Only ids present in the run count as seeds.
     """
     if requested != "auto":
         return requested
-    if l2 is not None and _seed_count(run, l2, allowed) < _seed_count(run, l1, allowed):
+    if targets is not None and _seed_count(run, targets, allowed) < _seed_count(
+        run, sources, allowed
+    ):
         return "backward"
     return "forward"
+
+
+def _flags(node_count: int, positions: Sequence[int] | None) -> bytes | None:
+    """One flag byte per run position, set on the distinct ``positions``;
+    ``None`` (every node) when there is no list or it names every node."""
+    if positions is None or len(positions) == node_count:
+        return None
+    flags = bytearray(node_count)
+    for position in positions:
+        flags[position] = 1
+    return bytes(flags)
 
 
 def _macro_decoder(
     run: Run,
     subtree: RegexNode,
     indexes: IndexProvider,
-    allowed: frozenset[str] | None,
-) -> Callable[[], Iterable[tuple[str, str]]]:
-    """The lazy label decode of one routed safe subquery's relation,
-    restricted to the ``allowed`` universe (runs once per MacroRelation)."""
+    allowed: bytes | None,
+) -> Callable[[], Iterable[tuple[int, int]]]:
+    """The lazy label decode of one routed safe subquery's relation over the
+    ``allowed`` universe, as run positions (runs once per MacroRelation)."""
 
-    def decode() -> Iterable[tuple[str, str]]:
-        index = indexes(subtree)
-        universe = list(allowed) if allowed is not None else list(run.node_ids())
-        return all_pairs_iter(run, universe, universe, index)
+    def decode() -> Iterable[tuple[int, int]]:
+        interner = run.packed.interner
+        index = interner.index
+        universe = (
+            list(compress(interner.ids, allowed)) if allowed is not None else list(interner.ids)
+        )
+        return (
+            (index[source], index[target])
+            for source, target in all_pairs_iter(run, universe, universe, indexes(subtree))
+        )
 
     return decode
 
@@ -144,9 +163,9 @@ def _frontier_op(
     run: Run,
     plan: DecompositionPlan,
     routed: list[RegexNode],
-    l1: Sequence[str] | None,
-    l2: Sequence[str] | None,
-    allowed: frozenset[str] | None,
+    sources: Sequence[int] | None,
+    targets: Sequence[int] | None,
+    allowed: bytes | None,
     direction: str,
     indexes: IndexProvider,
 ) -> FrontierSearchOp:
@@ -156,12 +175,10 @@ def _frontier_op(
     macro_tags = set(macro_map)
     if direction == "backward":
         dfa = _reversed_macro_dfa(plan, rewritten, macro_tags)
-        seeds = tuple(dict.fromkeys(l2)) if l2 is not None else run.node_ids()
-        emit_filter = frozenset(l1) if l1 is not None else None
+        seeds, emitted = targets, sources
     else:
         dfa = _macro_dfa(plan, rewritten, macro_tags)
-        seeds = tuple(dict.fromkeys(l1)) if l1 is not None else run.node_ids()
-        emit_filter = frozenset(l2) if l2 is not None else None
+        seeds, emitted = sources, targets
     macros = {
         tag: MacroRelation(_macro_decoder(run, subtree, indexes, allowed))
         for tag, subtree in macro_map.items()
@@ -169,8 +186,8 @@ def _frontier_op(
     return FrontierSearchOp(
         direction=direction,
         dfa=dfa,
-        seeds=seeds,
-        emit_filter=emit_filter,
+        seeds=tuple(seeds) if seeds is not None else tuple(range(run.node_count)),
+        emit_filter=_flags(run.node_count, emitted),
         allowed=allowed,
         macros=macros,
     )
@@ -187,9 +204,12 @@ def build_physical_plan(
 ) -> PhysicalPlan:
     """Resolve a logical decomposition plan into one physical operator.
 
-    Pure and cheap: no relation is materialized, no search runs, and the
-    only side effects are memoizations on the logical plan (the forward and
-    reversed macro DFAs) — exactly the artifacts the cache layer persists.
+    Pure: no relation is materialized, no search runs, and the only side
+    effects are memoizations on the logical plan (the forward and reversed
+    macro DFAs) — exactly the artifacts the cache layer persists.  A
+    frontier plan costs two O(V+E) flag passes over the run (the restriction
+    universe) plus one flag array over the emitting side's list; the other
+    operators cost O(1) beyond their node lists.
     """
     check_direction(direction)
     with get_tracer().span("exec.plan") as span:
@@ -206,13 +226,16 @@ def build_physical_plan(
             span.set("operator", "join")
         else:
             allowed = restriction_universe(run, l1, l2)
-            resolved = _resolve_direction(run, l1, l2, allowed, direction)
+            interner = run.packed.interner
+            sources = interner.positions(l1) if l1 is not None else None
+            targets = interner.positions(l2) if l2 is not None else None
+            resolved = _resolve_direction(run, sources, targets, allowed, direction)
             op = _frontier_op(
                 run,
                 plan,
                 label_routed_subtrees(plan, run),
-                l1,
-                l2,
+                sources,
+                targets,
                 allowed,
                 resolved,
                 indexes,

@@ -27,22 +27,21 @@ request's shape:
   topological order with one seed bitmask per (node, DFA state), inside the
   restriction universe below.
 
-Two restriction-pushdown primitives keep the frontier's live state
-proportional to the *requested* node lists instead of the whole run:
+Both primitives of that second path run on the integer form of the run
+(``run.packed``: node positions in topological order, tag ids, per-position
+neighbour tuples), so they hash no node-id string:
 
-* ``restriction_universe`` computes the set of nodes that can lie on any
+* ``restriction_universe`` flags the nodes that can lie on any
   source-to-target path (forward-reachable from ``l1`` intersected with
-  backward-reachable from ``l2``, closed on the packed adjacency of the
-  memoized ``run.packed`` view) — sound as a pruning filter because every
-  node of a matching path is both reachable from its source and
-  co-reachable from its target;
+  backward-reachable from ``l2``, each one flag pass over the positions) —
+  sound as a pruning filter because every node of a matching path is both
+  reachable from its source and co-reachable from its target;
 * ``frontier_search`` searches the product of the run graph with a query
   DFA from every seed at once (the production generalization of
-  :mod:`repro.baselines.product_bfs`), pruned by that ``allowed`` set
-  and extended with *macro transitions*: synthetic DFA symbols whose
-  successors come from an already-materialized relation (the decomposition
-  engine feeds the label-decoded relations of maximal safe subqueries
-  through this hook).
+  :mod:`repro.baselines.product_bfs`), pruned by those flags and extended
+  with *macro transitions*: synthetic DFA symbols whose successors come from
+  an already-materialized relation (the decomposition engine feeds the
+  label-decoded relations of maximal safe subqueries through this hook).
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.automata.dfa import DFA
-from repro.core.bitset import PackedRelation, bit_indices, closure_mask
+from repro.core.bitset import IntAdjacency, PackedRelation, PackedRunView, bit_indices
 from repro.automata.regex import (
     AnySymbol,
     Concat,
@@ -61,6 +60,7 @@ from repro.automata.regex import (
     Symbol,
     Union,
 )
+from repro.obs import Span
 from repro.workflow.run import Run
 
 __all__ = [
@@ -72,8 +72,6 @@ __all__ = [
     "transitive_closure",
     "reflexive_transitive_closure",
     "restrict",
-    "forward_closure_nodes",
-    "backward_closure_nodes",
     "restriction_universe",
     "iter_frontier_search",
     "frontier_search",
@@ -162,194 +160,246 @@ def restrict(
     }
 
 
-def forward_closure_nodes(run: Run, seeds: Iterable[str]) -> frozenset[str]:
-    """All nodes reachable from any seed, including the seeds themselves
-    (seed ids not present in the run are silently dropped).
+def _reach_flags(adjacency: IntAdjacency, seeds: Sequence[int], forward: bool) -> bytearray:
+    """The flags of every node reachable from ``seeds``, seeds included.
 
-    Runs on the memoized packed view: one word-parallel wavefront per BFS
-    level over the run's any-tag rows instead of a per-edge set walk.
+    One pass over the flagged positions: ascending from the lowest seed
+    along successors, or descending from the highest seed along
+    predecessors.  Every edge points to a higher position, so a node's flag
+    is final before the pass reaches it; ``find``/``rfind`` skip unflagged
+    stretches at C speed.
     """
-    view = run.packed
-    reach = closure_mask(view.any_tag, view.interner.mask_of(seeds))
-    return frozenset(view.interner.nodes_of(reach))
-
-
-def backward_closure_nodes(run: Run, seeds: Iterable[str]) -> frozenset[str]:
-    """All nodes that reach any seed, including the seeds themselves
-    (seed ids not present in the run are silently dropped)."""
-    view = run.packed
-    reach = closure_mask(view.backward_any_tag, view.interner.mask_of(seeds))
-    return frozenset(view.interner.nodes_of(reach))
+    flags = bytearray(len(adjacency))
+    for seed in seeds:
+        flags[seed] = 1
+    if 0 not in flags:
+        return flags
+    if forward:
+        position = flags.find(1)
+        while position >= 0:
+            for successor, _ in adjacency[position]:
+                flags[successor] = 1
+            position = flags.find(1, position + 1)
+    else:
+        position = flags.rfind(1)
+        while position >= 0:
+            for predecessor, _ in adjacency[position]:
+                flags[predecessor] = 1
+            position = flags.rfind(1, 0, position)
+    return flags
 
 
 def restriction_universe(
     run: Run, l1: Sequence[str] | None, l2: Sequence[str] | None
-) -> frozenset[str] | None:
-    """The nodes that can lie on any path from ``l1`` to ``l2``.
+) -> bytes | None:
+    """The nodes that can lie on any path from ``l1`` to ``l2``, as one flag
+    byte per position of ``run.packed.interner``.
 
     Every node of a path from a source in ``l1`` to a target in ``l2`` is
     reachable from that source and reaches that target, so the forward
     closure of ``l1`` intersected with the backward closure of ``l2`` is a
     sound universe for *every* intermediate relation of the query — the
-    restriction-pushdown filter.  ``None`` (either side, or the result when
-    both sides are ``None``) means unconstrained.
+    restriction-pushdown filter.  A missing side is unconstrained, and ids
+    absent from the run are dropped.  Each closure is one flag pass over the
+    topologically numbered run; the two sides meet in one integer ``&``.
+    ``None`` means every node is allowed: both sides are ``None``, or the
+    closures cover the whole run.
     """
     if l1 is None and l2 is None:
         return None
-    forward = forward_closure_nodes(run, l1) if l1 is not None else None
-    backward = backward_closure_nodes(run, l2) if l2 is not None else None
-    if forward is None:
-        return backward
-    if backward is None:
-        return forward
-    return forward & backward
+    view = run.packed
+    sides = [
+        _reach_flags(adjacency, view.interner.positions(side), forward)
+        for side, adjacency, forward in (
+            (l1, view.successors, True),
+            (l2, view.predecessors, False),
+        )
+        if side is not None
+    ]
+    if len(sides) == 1:
+        flags = bytes(sides[0])
+    else:
+        forward_flags, backward_flags = sides
+        both = int.from_bytes(forward_flags, "little") & int.from_bytes(
+            backward_flags, "little"
+        )
+        flags = both.to_bytes(len(forward_flags), "little")
+    return None if 0 not in flags else flags
 
 
 def iter_frontier_search(
-    adjacency: Mapping[str, Sequence[tuple[str, str]]],
+    view: PackedRunView,
     dfa: DFA,
-    seeds: Iterable[str],
+    seeds: Iterable[int],
     *,
-    order: Iterable[str],
-    allowed: frozenset[str] | set[str] | None = None,
-    emit_filter: frozenset[str] | set[str] | None = None,
-    macro_successors: Mapping[str, Callable[[str], Iterable[str]]] | None = None,
+    allowed: bytes | None = None,
+    emit_filter: bytes | None = None,
+    macros: Mapping[str, Callable[[int], Sequence[int]]] | None = None,
     forward: bool = True,
+    span: Span | None = None,
 ) -> Iterator[tuple[str, str]]:
     """One multi-source product search from every seed at once.
 
-    ``adjacency[node]`` lists ``(neighbor, tag)`` pairs and ``order`` lists
-    the run's nodes so that every edge points forward in it: forward searches
-    pass ``run.successors`` with ``run.topological_order``, backward searches
-    pass ``run.predecessors``, the reversed order and a reversed DFA.  Runs
-    are DAGs, so one pass in that order settles every product state: each
-    node carries ``{DFA state: bitmask of the seeds that reach it}``, ORs
-    those masks into its neighbors under the DFA transitions and drops them
-    once passed (the bit-parallel multi-source BFS of Then et al., PVLDB
-    2014).  A node reached in an accepting state by seed ``i`` yields the
-    pair ``(seed, node)`` forward or ``(node, seed)`` backward, if the node
-    passes ``emit_filter``; pairs stream per node as the sweep passes it,
-    each exactly once.
+    ``seeds`` are positions of ``view.interner``.  A forward search follows
+    ``view.successors`` in ascending positions; a backward search follows
+    ``view.predecessors`` in descending positions and takes a reversed DFA.
+    Runs are DAGs numbered in topological order, so one pass settles every
+    product state: each node carries ``{DFA state: bitmask of the seeds that
+    reach it}``, ORs those masks into its neighbours under the DFA
+    transitions and drops them once passed (the bit-parallel multi-source BFS
+    of Then et al., PVLDB 2014).  A node reached in an accepting state by
+    seed ``i`` yields the pair ``(seed, node)`` forward or ``(node, seed)``
+    backward as node ids, if the node's ``emit_filter`` flag is set; pairs
+    stream per node as the sweep passes it, each exactly once.
 
-    ``macro_successors[tag](node)`` supplies the neighbors of ``node`` under
-    a synthetic macro symbol — a label-decoded safe subquery's relation —
-    expanded only when some live state has a transition on it.  Those
-    relations follow run paths, so they point forward in ``order`` too,
+    ``macros[tag](position)`` supplies the neighbour positions of a node
+    under a synthetic macro symbol — a label-decoded safe subquery's
+    relation — expanded only when some live state has a transition on it.
+    Those relations follow run paths, so they point the sweep's way too,
     except for the diagonal pairs of a subquery that accepts the empty path;
     those are closed over the node's DFA states before it propagates.
-    States at nodes outside ``allowed`` are pruned.  A duplicate seed counts
-    once; seeds absent from ``adjacency`` or outside ``allowed`` contribute
-    nothing.
+    States at nodes whose ``allowed`` flag is clear are pruned.  A duplicate
+    seed counts once; a disallowed seed contributes nothing.  When the sweep
+    ends, ``span`` (if given) gets ``visited``: how many nodes it reached.
     """
     sources = [
-        seed
-        for seed in dict.fromkeys(seeds)
-        if seed in adjacency and (allowed is None or seed in allowed)
+        seed for seed in dict.fromkeys(seeds) if allowed is None or allowed[seed]
     ]
-    if not sources:
-        return
-    # A seed's bit enters the sweep when the sweep reaches the seed, so no
-    # mask exists before its node is due.
-    bit_of = {seed: bit for bit, seed in enumerate(sources)}
-    unstarted = len(sources)
-    # Transitions into the dead state are dropped once, up front: a missing
-    # row entry is then the only way a product state dies.
-    dead = dfa.dead_state()
-    rows = [
-        {tag: state for tag, state in row.items() if state != dead}
-        for row in dfa.transitions
-    ]
-    start = dfa.start
-    accepting = dfa.accepting
-    macros = macro_successors or {}
-    live: dict[str, dict[int, int]] = {}
-    for node in order:
-        states = live.pop(node, None)
-        bit = bit_of.get(node)
-        if bit is not None:
-            unstarted -= 1
-            if states is None:
-                states = {}
-            states[start] = states.get(start, 0) | 1 << bit
-        elif states is None:
-            continue
-        edges: Sequence[tuple[str, str]] = adjacency[node]
-        if macros:
-            expanded: dict[str, tuple[str, ...]] = {}
-            pending = list(states)
-            while pending:
-                state = pending.pop()
-                row = rows[state]
-                for tag, expand in macros.items():
-                    target_state = row.get(tag)
-                    if target_state is None:
-                        continue
-                    if tag not in expanded:
-                        expanded[tag] = tuple(expand(node))
-                    if node not in expanded[tag]:
-                        continue
-                    # A diagonal macro pair: the subquery matches the empty
-                    # path here, so the state's seeds reach (node,
-                    # target_state) without leaving the node.
-                    before = states.get(target_state, 0)
-                    after = before | states[state]
-                    if after != before:
-                        states[target_state] = after
-                        pending.append(target_state)
-            if expanded:
-                edges = [
-                    *edges,
-                    *(
-                        (target, tag)
-                        for tag, targets in expanded.items()
-                        for target in targets
-                        if target != node
-                    ),
-                ]
-        hits = 0
-        for state, mask in states.items():
-            if state in accepting:
-                hits |= mask
-        if hits and (emit_filter is None or node in emit_filter):
-            for bit in bit_indices(hits):
-                yield (sources[bit], node) if forward else (node, sources[bit])
-        for state, mask in states.items():
-            row = rows[state]
-            for target, tag in edges:
-                target_state = row.get(tag)
-                if target_state is None or (allowed is not None and target not in allowed):
-                    continue
-                bucket = live.get(target)
-                if bucket is None:
-                    live[target] = {target_state: mask}
-                else:
-                    bucket[target_state] = bucket.get(target_state, 0) | mask
-        if not unstarted and not live:
+    visited = 0
+    try:
+        if not sources:
             return
+        ids = view.interner.ids
+        node_count = len(ids)
+        adjacency = view.successors if forward else view.predecessors
+        macro_tags = tuple(macros) if macros else ()
+        rows, accepting = view.dense_dfa(dfa, macro_tags)
+        # Macro symbols are numbered after the run's tags.
+        expanders = [
+            (len(view.tags) + offset, expand)
+            for offset, expand in enumerate((macros or {}).values())
+        ]
+        start = dfa.start
+        live: list[dict[int, int] | None] = [None] * node_count
+        for bit, seed in enumerate(sources):
+            live[seed] = {start: 1 << bit}
+        pending = len(sources)
+        # The emitted seed ids of each distinct hit mask.
+        hit_ids: dict[int, list[str]] = {}
+        if forward:
+            order = range(min(sources), node_count)
+        else:
+            order = range(max(sources), -1, -1)
+        for node in order:
+            states = live[node]
+            if states is None:
+                continue
+            live[node] = None
+            pending -= 1
+            visited += 1
+            edges: Sequence[tuple[int, int]] = adjacency[node]
+            if expanders:
+                edges = _expand_macros(node, states, rows, expanders, edges)
+            hits = 0
+            for state, mask in states.items():
+                if accepting[state]:
+                    hits |= mask
+                row = rows[state]
+                for target, symbol in edges:
+                    target_state = row[symbol]
+                    if target_state is None or (allowed is not None and not allowed[target]):
+                        continue
+                    bucket = live[target]
+                    if bucket is None:
+                        live[target] = {target_state: mask}
+                        pending += 1
+                    else:
+                        bucket[target_state] = bucket.get(target_state, 0) | mask
+            if hits and (emit_filter is None or emit_filter[node]):
+                names = hit_ids.get(hits)
+                if names is None:
+                    names = hit_ids[hits] = [ids[sources[bit]] for bit in bit_indices(hits)]
+                node_id = ids[node]
+                if forward:
+                    for name in names:
+                        yield name, node_id
+                else:
+                    for name in names:
+                        yield node_id, name
+            if not pending:
+                return
+    finally:
+        if span is not None:
+            span.set("visited", visited)
+
+
+def _expand_macros(
+    node: int,
+    states: dict[int, int],
+    rows: list[list[int | None]],
+    expanders: list[tuple[int, Callable[[int], Sequence[int]]]],
+    edges: Sequence[tuple[int, int]],
+) -> Sequence[tuple[int, int]]:
+    """``node``'s run edges plus the macro edges a live state can take.
+
+    A diagonal macro pair — the subquery matched the empty path here — lets
+    the state's seeds reach (node, target state) without leaving the node,
+    so ``states`` is closed over those transitions in place first.
+    """
+    expanded: dict[int, Sequence[int]] = {}
+    pending = list(states)
+    while pending:
+        state = pending.pop()
+        row = rows[state]
+        for symbol, expand in expanders:
+            target_state = row[symbol]
+            if target_state is None:
+                continue
+            targets = expanded.get(symbol)
+            if targets is None:
+                targets = expanded[symbol] = expand(node)
+            if node not in targets:
+                continue
+            before = states.get(target_state, 0)
+            after = before | states[state]
+            if after != before:
+                states[target_state] = after
+                pending.append(target_state)
+    if not expanded:
+        return edges
+    return [
+        *edges,
+        *(
+            (target, symbol)
+            for symbol, targets in expanded.items()
+            for target in targets
+            if target != node
+        ),
+    ]
 
 
 def frontier_search(
-    adjacency: Mapping[str, Sequence[tuple[str, str]]],
+    view: PackedRunView,
     dfa: DFA,
-    seeds: Iterable[str],
+    seeds: Iterable[int],
     *,
-    order: Iterable[str],
-    allowed: frozenset[str] | set[str] | None = None,
-    emit_filter: frozenset[str] | set[str] | None = None,
-    macro_successors: Mapping[str, Callable[[str], Iterable[str]]] | None = None,
+    allowed: bytes | None = None,
+    emit_filter: bytes | None = None,
+    macros: Mapping[str, Callable[[int], Sequence[int]]] | None = None,
     forward: bool = True,
+    span: Span | None = None,
 ) -> list[tuple[str, str]]:
     """The pairs of :func:`iter_frontier_search`, materialized by one call."""
     return list(
         iter_frontier_search(
-            adjacency,
+            view,
             dfa,
             seeds,
-            order=order,
             allowed=allowed,
             emit_filter=emit_filter,
-            macro_successors=macro_successors,
+            macros=macros,
             forward=forward,
+            span=span,
         )
     )
 

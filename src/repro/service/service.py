@@ -180,8 +180,8 @@ class QueryService:
                     run.spec, cache=self._cache
                 )
             self._runs[run_id] = run
-        # Build the packed interning table once at registration, outside the
-        # lock: every packed-kernel join/closure and restriction closure
+        # Build the run's integer view once at registration, outside the
+        # lock: every frontier sweep, restriction universe and packed join
         # reuses this memo, so the first query never pays the interning cost.
         _ = run.packed
         if persist and self._store is not None:

@@ -141,13 +141,14 @@ class Run:
 
     @cached_property
     def packed(self) -> "PackedRunView":
-        """The run's dense-interned, uint64-packed adjacency view.
+        """The run's integer view: nodes numbered in topological order.
 
         Built once (the service warms it at registration) and reused by every
-        query: forward tag rows, wildcard rows for both directions and the
-        node interner, so joins and closures never rebuild adjacency per
-        call.  The import
-        is deferred because :mod:`repro.core` imports this module.
+        query: the node interner, tag ids, per-position ``(neighbour, tag
+        id)`` tuples in both directions for the frontier sweep and the
+        restriction universe, and (packed on first use) the forward tag rows
+        of the join, so no query rebuilds adjacency.  The import is deferred because
+        :mod:`repro.core` imports this module.
         """
         from repro.core.bitset import build_run_view
 

@@ -37,6 +37,22 @@ class TestChecksum:
         assert result_checksum({("a", "b")}) != result_checksum({("a", "c")})
 
 
+class TestFewTargetsShape:
+    def test_ancestor_counts_are_backward_closure_sizes(self):
+        """The one-pass ancestor count that ranks ``few-targets`` targets
+        equals each node's set-based backward closure, itself included."""
+        from repro.bench.scenarios import _ancestor_counts
+        from repro.datasets.myexperiment import qblast_specification
+        from repro.workflow.derivation import derive_run
+
+        run = derive_run(qblast_specification(), seed=2, target_edges=120)
+        nodes = run.node_ids()
+        reaches = {node: run.reachable_from(node) for node in nodes}
+        assert _ancestor_counts(run) == {
+            node: 1 + sum(node in reaches[other] for other in nodes) for node in nodes
+        }
+
+
 class TestResolvers:
     def test_unknown_scale_raises(self):
         with pytest.raises(ScenarioError, match="unknown scale"):

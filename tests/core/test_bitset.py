@@ -2,11 +2,12 @@
 
 Every word-parallel operation the packed join performs — tag/all-edge
 relations, join composition, the semi-naive closure and whole-query regex
-evaluation — and the reachability closures behind restriction universes
-must return exactly what the per-element set machinery (the G1 baseline)
-returns, on Hypothesis-generated runs, queries, masks and node lists
-(including empty and disjoint ones).  End-to-end tests additionally hold
-the executor's frontier and join plans to the set reference.
+evaluation — must return exactly what the per-element set machinery (the G1
+baseline) returns, on Hypothesis-generated runs, queries, masks and node
+lists (including empty and disjoint ones).  The run view's integer
+adjacency must list exactly the run's edges, both ways.  End-to-end tests
+additionally hold the executor's frontier and join plans to the set
+reference.
 """
 
 import os
@@ -26,7 +27,6 @@ from repro.core.bitset import (
     PackedAdjacency,
     PackedRelation,
     bit_indices,
-    closure_mask,
 )
 from repro.core.exec import JoinOp, build_physical_plan, execute
 from repro.core.query_index import build_query_index
@@ -36,9 +36,7 @@ from repro.core.relations import (
     compose,
     evaluate_regex_relation,
     evaluate_regex_relation_packed,
-    forward_closure_nodes,
     restrict,
-    restriction_universe,
     tag_relation,
     transitive_closure,
 )
@@ -128,57 +126,19 @@ def _inside(relation, nodes):
     return {(source, target) for source, target in relation if source in kept and target in kept}
 
 
-def _brute_closure(seeds, adjacency):
-    """Per-edge depth-first reachability over ``(neighbour, tag)`` lists."""
-    reached = {seed for seed in seeds if seed in adjacency}
-    stack = list(reached)
-    while stack:
-        node = stack.pop()
-        for target, _ in adjacency[node]:
-            if target not in reached:
-                reached.add(target)
-                stack.append(target)
-    return reached
-
-
-@st.composite
-def adjacency_and_mask(draw):
-    """Random packed rows plus a source mask, wide enough (up to 130 nodes,
-    masks up to every bit) to reach the vectorized propagation path."""
-    size = draw(st.integers(1, 130))
-    rows = draw(
-        st.lists(
-            st.integers(0, (1 << size) - 1), min_size=size, max_size=size
-        )
-    )
-    mask = draw(st.integers(0, (1 << size) - 1))
-    return size, rows, mask
-
-
 # ---------------------------------------------------------------------------
 # Interning and the memoized run view
 # ---------------------------------------------------------------------------
 
 
 class TestNodeInterner:
-    @given(run_and_lists())
-    @settings(**_SETTINGS)
-    def test_mask_round_trip_keeps_topological_order_and_drops_unknown_ids(
-        self, data
-    ):
-        run, l1, _ = data
-        interner = run.packed.interner
-        ids = [] if l1 is None else l1
-        known = {node for node in ids if node in interner.index}
-        expected = [node for node in run.topological_order if node in known]
-        assert interner.nodes_of(interner.mask_of(ids)) == expected
-
-    def test_full_mask_covers_every_run_node_in_topological_order(self):
+    def test_ids_are_the_topological_order(self):
         run = _RUNS["paper"][0]
         interner = run.packed.interner
+        assert interner.ids == run.topological_order
         assert len(interner) == len(run.node_ids())
-        assert interner.nodes_of(interner.full_mask) == list(run.topological_order)
-        assert NodeInterner([]).full_mask == 0
+        assert all(interner.index[node] == position for position, node in enumerate(interner.ids))
+        assert len(NodeInterner([])) == 0
 
     @given(run_and_lists())
     @settings(**_SETTINGS)
@@ -190,6 +150,20 @@ class TestNodeInterner:
         for adjacency in (*view.by_tag.values(), view.any_tag):
             for position, row in enumerate(adjacency.rows):
                 assert not row & ((1 << (position + 1)) - 1)
+        for position in range(len(view.interner)):
+            assert all(target > position for target, _ in view.successors[position])
+            assert all(source < position for source, _ in view.predecessors[position])
+
+    @given(run_and_lists())
+    @settings(**_SETTINGS)
+    def test_positions_dedupe_in_order_and_drop_unknown_ids(self, data):
+        run, l1, _ = data
+        interner = run.packed.interner
+        names = l1 or []
+        positions = interner.positions([*names, *names, "ghost"])
+        assert [interner.ids[position] for position in positions] == list(
+            dict.fromkeys(node for node in names if node in run)
+        )
 
 
 class TestPackedRunView:
@@ -210,57 +184,29 @@ class TestPackedRunView:
 
     @given(run_and_lists())
     @settings(**_SETTINGS)
-    def test_backward_any_tag_is_the_transposed_forward_adjacency(self, data):
+    def test_integer_adjacency_lists_every_edge_both_ways(self, data):
+        """``successors``/``predecessors`` hold each run edge once per
+        direction, as positions and tag ids."""
         run, _, _ = data
         view = run.packed
-        forward = {
-            (source, target)
-            for source, row in enumerate(view.any_tag.rows)
-            for target in bit_indices(row)
-        }
-        backward = {
-            (source, target)
-            for target, row in enumerate(view.backward_any_tag.rows)
-            for source in bit_indices(row)
-        }
-        assert backward == forward
-
-    @given(run_and_lists())
-    @settings(**_SETTINGS)
-    def test_backward_closure_mask_matches_per_edge_search(self, data):
-        run, _, l2 = data
-        seeds = list(run.node_ids())[-3:] if l2 is None else l2
-        view = run.packed
-        mask = closure_mask(view.backward_any_tag, view.interner.mask_of(seeds))
-        assert set(view.interner.nodes_of(mask)) == _brute_closure(
-            seeds, run.predecessors
+        ids = view.interner.ids
+        edges = sorted((edge.source, edge.target, edge.tag) for edge in run.edges)
+        forward = sorted(
+            (ids[source], ids[target], view.tags[tag])
+            for source, pairs in enumerate(view.successors)
+            for target, tag in pairs
         )
+        backward = sorted(
+            (ids[source], ids[target], view.tags[tag])
+            for target, pairs in enumerate(view.predecessors)
+            for source, tag in pairs
+        )
+        assert forward == edges
+        assert backward == edges
+        assert sorted(view.tags) == sorted(run.tags())
 
 
 class TestPackedAdjacency:
-    @given(adjacency_and_mask())
-    @settings(**_SETTINGS)
-    def test_propagate_is_the_union_of_selected_rows(self, data):
-        size, rows, mask = data
-        expected = 0
-        for position in bit_indices(mask):
-            expected |= rows[position]
-        assert PackedAdjacency(size, rows).propagate(mask) == expected
-
-    @given(adjacency_and_mask())
-    @settings(**_SETTINGS)
-    def test_closure_mask_matches_per_edge_search_on_any_rows(self, data):
-        """Arbitrary rows (cycles and self-loops included): the wavefront
-        closure is the seeds plus everything a depth-first search reaches."""
-        size, rows, mask = data
-        adjacency = {
-            position: [(target, None) for target in bit_indices(rows[position])]
-            for position in range(size)
-        }
-        expected = _brute_closure(bit_indices(mask), adjacency)
-        closure = closure_mask(PackedAdjacency(size, rows), mask)
-        assert bit_indices(closure) == sorted(expected)
-
     def test_row_count_must_match_node_count(self):
         with pytest.raises(ValueError, match="expected 3 rows, got 2"):
             PackedAdjacency(3, [0, 0])
@@ -394,10 +340,8 @@ class TestRelationAlgebra:
         run, l1, _ = data
         view = run.packed
         interner = view.interner
-        universe = interner.full_mask if l1 is None else interner.mask_of(l1)
-        relation = all_edge_relation(run) | {
-            (node, node) for node in interner.nodes_of(universe)
-        }
+        universe = run.node_ids() if l1 is None else l1
+        relation = all_edge_relation(run) | {(node, node) for node in universe if node in run}
         packed = PackedRelation.from_pairs(interner, relation).transitive_closure()
         assert packed.to_pairs(interner) == transitive_closure(relation)
 
@@ -423,36 +367,6 @@ class TestRelationAlgebra:
         packed = PackedRelation.from_pairs(interner, {("a", "b"), ("c", "b")})
         with pytest.raises(RelationOrderError, match="row 2"):
             packed.transitive_closure()
-
-    @given(run_and_lists())
-    @settings(**_SETTINGS)
-    def test_restriction_universe_matches_explicit_closures(self, data):
-        """The packed wavefront closure behind ``restriction_universe``
-        agrees with a per-edge breadth-first reference."""
-        run, l1, l2 = data
-        universe = restriction_universe(run, l1, l2)
-        if l1 is None and l2 is None:
-            assert universe is None
-            return
-        expected = None
-        if l1 is not None:
-            expected = _brute_closure(l1, run.successors)
-        if l2 is not None:
-            backward = _brute_closure(l2, run.predecessors)
-            expected = backward if expected is None else expected & backward
-        assert universe == frozenset(expected)
-
-    @given(run_and_lists())
-    @settings(**_SETTINGS)
-    def test_closure_mask_matches_forward_closure_nodes(self, data):
-        run, l1, _ = data
-        seeds = list(run.node_ids())[:3] if l1 is None else l1
-        view = run.packed
-        mask = closure_mask(view.any_tag, view.interner.mask_of(seeds))
-        in_run = [seed for seed in seeds if seed in view.interner.index]
-        assert frozenset(view.interner.nodes_of(mask)) == forward_closure_nodes(
-            run, in_run
-        )
 
     @given(run_and_lists())
     @settings(**_SETTINGS)

@@ -33,7 +33,7 @@ from repro.core.exec import (
 )
 from repro.core.exec import executor as executor_module
 from repro.core.query_index import build_query_index
-from repro.core.relations import backward_closure_nodes, evaluate_regex_relation, restrict
+from repro.core.relations import evaluate_regex_relation, restrict
 from repro.datasets.paper_example import paper_specification
 from repro.datasets.synthetic import generate_synthetic_specification
 from repro.obs import Tracer, use_tracer
@@ -266,7 +266,41 @@ class TestFrontierExecution:
         with use_tracer(tracer):
             result = execute(physical)
         [search] = [span for span in tracer.spans() if span.name == "exec.frontier_search"]
-        assert search.attrs == {"direction": "backward", "seeds": 2, "pairs": len(result)}
+        assert {key: search.attrs[key] for key in ("direction", "seeds", "pairs")} == {
+            "direction": "backward", "seeds": 2, "pairs": len(result)
+        }
+
+    @pytest.mark.parametrize("materialize", [True, False], ids=["execute", "stream"])
+    def test_search_span_reports_universe_and_visited(self, materialize):
+        """``universe`` is the pruned node count (the run size when nothing
+        is pruned) and ``visited`` counts the nodes the sweep reached; both
+        explain a slow sweep without a profiler."""
+        run = _RUNS["paper"][0]
+        nodes = list(run.node_ids())
+        sink = run.topological_order[-1]
+        ancestors = {node for node in nodes if sink in run.reachable_from(node)} | {sink}
+        cases = [
+            # Every node as a source and no target list: nothing is pruned.
+            (nodes, None, "forward", run.node_count),
+            # Only the sink's ancestors can lie on a path into it.
+            (nodes, [sink], "backward", len(ancestors)),
+        ]
+        for l1, l2, direction, universe in cases:
+            physical = _physical(run, "_* a _*", l1, l2, direction=direction)
+            tracer = Tracer(registry=MetricsRegistry())
+            with use_tracer(tracer):
+                if materialize:
+                    execute(physical)
+                else:
+                    list(execute_iter(physical))
+            [search] = [s for s in tracer.spans() if s.name == "exec.frontier_search"]
+            assert search.attrs["universe"] == universe
+            if direction == "forward":
+                reached = set(l1).union(*(run.reachable_from(seed) for seed in l1))
+            else:
+                reached = ancestors
+            # "_* a _*" dies on no tag, so every reachable node is visited.
+            assert search.attrs["visited"] == len(reached)
 
     def test_execute_iter_searches_on_first_draw(self, monkeypatch):
         """Building the stream runs nothing; the sweep starts when the first
@@ -354,7 +388,7 @@ class TestPlannerResolution:
         plan = plan_decomposition(run.spec, "_* a _*")
         nodes = list(run.node_ids())
         sink = run.topological_order[-1]
-        feeders = sorted(backward_closure_nodes(run, [sink]) - {sink})[:2]
+        feeders = sorted(node for node in nodes if sink in run.reachable_from(node))[:2]
         assert len(feeders) == 2
         shapes = [
             # no target list
@@ -376,6 +410,19 @@ class TestPlannerResolution:
             assert isinstance(physical.root, FrontierSearchOp)
             assert physical.root.direction == expected, (l1, l2)
 
+    def test_ids_absent_from_the_run_are_not_seeds(self):
+        """When the universe covers the whole run (every node a source, every
+        sink a target), only the targets present in the run are counted:
+        padding the list with unknown ids does not flip the direction."""
+        run = _RUNS["paper"][0]
+        nodes = list(run.node_ids())
+        sinks = [node for node in nodes if not run.successors[node]]
+        ghosts = [f"ghost:{index}" for index in range(len(nodes))]
+        physical = _physical(run, "_* a _*", nodes, sinks + ghosts)
+        assert physical.root.allowed is None
+        assert physical.root.direction == "backward"
+        assert len(physical.root.seeds) == len(sinks)
+
     @pytest.mark.parametrize(
         ("forced", "seeds_side", "filter_side"),
         [("forward", 0, 1), ("backward", 1, 0)],
@@ -390,8 +437,13 @@ class TestPlannerResolution:
         for lists in ((nodes, nodes[:2]), (nodes[:2], nodes)):
             physical = _physical(run, "_* a _*", *lists, direction=forced)
             assert physical.root.direction == forced
-            assert physical.root.seeds == tuple(lists[seeds_side])
-            assert physical.root.emit_filter == frozenset(lists[filter_side])
+            ids = run.packed.interner.ids
+            assert [ids[seed] for seed in physical.root.seeds] == lists[seeds_side]
+            # A filter naming every node is no filter.
+            emit_filter = physical.root.emit_filter or b"\x01" * len(ids)
+            assert {node for node, flag in zip(ids, emit_filter) if flag} == set(
+                lists[filter_side]
+            )
 
     def test_bad_direction_raises(self):
         run = _RUNS["paper"][0]
@@ -462,7 +514,7 @@ class TestMacroRelationThreadSafety:
 
         from repro.core.exec.ops import MacroRelation
 
-        pairs = [(f"s{i}", f"t{i % 3}") for i in range(30)]
+        pairs = [(i, 100 + i % 3) for i in range(30)]
         decodes = []
 
         def decode():
@@ -477,9 +529,9 @@ class TestMacroRelationThreadSafety:
         def read(worker: int) -> None:
             barrier.wait()
             if worker % 2:
-                seen.append(("succ", relation.successors("s1")))
+                seen.append(("succ", relation.successors(1)))
             else:
-                seen.append(("pred", relation.predecessors("t1")))
+                seen.append(("pred", relation.predecessors(101)))
 
         workers = [
             threading.Thread(target=read, args=(worker,)) for worker in range(threads)
@@ -491,6 +543,6 @@ class TestMacroRelationThreadSafety:
         assert len(decodes) == 1  # one shared materialization
         for kind, result in seen:
             if kind == "succ":
-                assert result == ("t1",)
+                assert result == (101,)
             else:
-                assert set(result) == {f"s{i}" for i in range(30) if i % 3 == 1}
+                assert set(result) == {i for i in range(30) if i % 3 == 1}
