@@ -210,10 +210,7 @@ def _evaluate_query(
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
     if args.requests:
-        service = QueryService(
-            cache=IndexCache(max_entries=args.cache_entries, store=None),
-            store_dir=args.store,
-        )
+        service = QueryService(max_entries=args.cache_entries, store_dir=args.store)
         _register_cli_runs(service, args.run)
         if not service.run_ids():
             raise SystemExit(
@@ -259,7 +256,7 @@ def _register_cli_runs(service: QueryService, entries: list[str]) -> None:
 
 def _cmd_batch(args: argparse.Namespace) -> int:
     service = QueryService(
-        cache=IndexCache(max_entries=args.cache_entries, store=None),
+        max_entries=args.cache_entries,
         max_workers=args.workers,
         store_dir=args.store,
     )

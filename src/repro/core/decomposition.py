@@ -132,8 +132,7 @@ class DecompositionPlan:
     def mutations(self) -> int:
         """How many macro DFAs this plan instance has built.  The cache layer
         compares this against the count it last persisted to decide whether
-        the store copy is stale — cost alone cannot tell, because the memo
-        resets at 16 entries and a rebuilt set can sum to the same cost."""
+        the store copy is stale."""
         with self._memo_lock:
             return self._mutations
 
@@ -151,14 +150,6 @@ class DecompositionPlan:
         return estimate_join_cost(run, node) > estimate_label_all_pairs_cost(
             run.node_count
         )
-
-    def cost(self) -> int:
-        """The boolean-matrix cost this plan pins beyond its entry's base DFA:
-        the summed ``state_count²`` of the memoized macro DFAs.  Grows as the
-        frontier sweep memoizes routing variants, so cache cost accounting
-        must be refreshed after evaluations (see ``IndexCache.sync``)."""
-        with self._memo_lock:
-            return sum(dfa.state_count**2 for dfa in self._dfa_memo.values())
 
     def memoized_dfa(self, key: str, build: Callable[[], DFA]) -> DFA:
         """The macro DFA for ``key``, building (under the memo lock) and

@@ -22,12 +22,9 @@ Unsafe verdicts are cached too: re-asking about an unsafe query is a hit.
 Planning probes subtree safety through the cache itself, so the safe
 subqueries' reports and indexes land in the cache as a side effect.
 
-The cache is bounded by entry count and, optionally, by total "cost" (the
-sum of ``|Q|²`` over cached DFAs plus the memoized macro DFAs of attached
-plans — a proxy for the boolean-matrix memory an entry pins).  Eviction is
-least-recently-used.  Builds for distinct keys run concurrently; concurrent
-requests for the *same* key are deduplicated with a per-key build lock so the
-work happens once.
+The cache is bounded by entry count; eviction is least-recently-used.
+Builds for distinct keys run concurrently; concurrent requests for the *same*
+key are deduplicated with a per-key build lock so the work happens once.
 
 A persistent second tier can sit underneath: with ``store=``
 (:class:`~repro.store.IndexStore`) a memory miss first consults the disk
@@ -41,7 +38,6 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from pathlib import Path
 from typing import TYPE_CHECKING
 
 from repro.automata.regex import (
@@ -76,7 +72,6 @@ class CacheStats:
     safety_checks: int = 0
     plan_builds: int = 0
     entries: int = 0
-    total_cost: int = 0
     # Disk-tier counters; all zero when no store is attached.
     store_hits: int = 0
     store_misses: int = 0
@@ -113,13 +108,11 @@ class CacheStats:
 class _Entry:
     """One cached query: its safety report, (when safe) its index, and (once
     requested) its decomposition plan.  ``plan_mutations`` is the plan's
-    mutation count at the last persist, so macro-DFA memo growth that leaves
-    the cost unchanged (a 16-entry memo reset refilled to the same total)
-    still triggers a re-persist."""
+    mutation count at the last persist, so a macro DFA memoized since then
+    triggers a re-persist."""
 
     report: SafetyReport
     index: QueryIndex | None
-    cost: int
     plan: DecompositionPlan | None = None
     plan_mutations: int = -1
 
@@ -132,11 +125,6 @@ class IndexCache:
     max_entries:
         Upper bound on cached queries; the least recently used entry is
         evicted first.  Must be at least 1.
-    max_cost:
-        Optional bound on the summed ``state_count²`` of cached DFAs (plus
-        attached plans' macro DFAs).  The most recently inserted entry is
-        never evicted, so a single oversized query still gets cached (and
-        evicts everything older).
     store:
         Optional persistent second tier (:class:`~repro.store.IndexStore`).
         Lookups fall back to it before building, and builds are written back,
@@ -146,19 +134,14 @@ class IndexCache:
     def __init__(
         self,
         max_entries: int = 256,
-        max_cost: int | None = None,
         store: "IndexStore | None" = None,
     ) -> None:
         if max_entries < 1:
             raise ValueError("max_entries must be at least 1")
-        if max_cost is not None and max_cost < 1:
-            raise ValueError("max_cost must be positive (or None for unbounded)")
         self.max_entries = max_entries
-        self.max_cost = max_cost
+        self._store = store
         self._lock = threading.Lock()
-        self._store = store  # guarded-by: _lock
         self._entries: OrderedDict[CacheKey, _Entry] = OrderedDict()  # guarded-by: _lock
-        self._total_cost = 0  # guarded-by: _lock
         self._build_locks: dict[CacheKey, threading.Lock] = {}  # guarded-by: _lock
         self._hits = 0  # guarded-by: _lock
         self._misses = 0  # guarded-by: _lock
@@ -228,9 +211,8 @@ class IndexCache:
         re-planning.  Subtree safety is probed through this cache, so planning
         also warms the safe subqueries' reports and indexes.
 
-        Every call re-accounts the entry's cost: the plan (and any macro DFAs
-        memoized since the last call) now counts against ``max_cost``, and a
-        changed entry is re-persisted to the store.
+        A plan that memoized macro DFAs since its last persist is
+        re-persisted, so the store copy carries them too.
         """
         node = parse_regex(query)
         key = self.key_for(spec, node)
@@ -252,35 +234,24 @@ class IndexCache:
                 # and the last one wins.
                 entry.plan = plan
             self._plan_counter.inc()
-            self._reaccount(key, entry)
             self._persist(key, entry)
-        elif self._reaccount(key, entry) or self._plan_stale(entry):
-            # Macro DFAs memoized since the last call grew the plan;
-            # re-persist so the store copy carries them too.
+        elif self._plan_stale(entry):
             self._persist(key, entry)
         return plan
 
     def sync(self, spec: Specification, query: str | RegexNode) -> None:
-        """Re-account a cached entry's cost and, if it changed, re-persist it.
+        """Re-persist a cached entry whose plan memoized macro DFAs since its
+        last persist.
 
         Evaluators memoize macro DFAs on a plan *after* the entry was
-        inserted; warm-up paths call this so both the ``max_cost`` budget and
-        the store copy reflect the plan's real footprint.  Unknown or evicted
-        keys are a no-op.
+        inserted; warm-up paths call this so the store copy carries them.
+        Unknown or evicted keys are a no-op.
         """
         key = self.key_for(spec, query)
         with self._lock:
             entry = self._entries.get(key)
-        if entry is None:
-            return
-        changed = self._reaccount(key, entry)
-        if changed or self._plan_stale(entry):
+        if entry is not None and self._plan_stale(entry):
             self._persist(key, entry)
-
-    def prepare(self, spec: Specification, query: str | RegexNode) -> None:
-        """Ensure the query's entry (safety report plus, when safe, its
-        index) is cached, without raising for unsafe queries."""
-        self._lookup(spec, query)
 
     def contains(self, spec: Specification, query: str | RegexNode) -> bool:
         """Is the query cached (without touching recency or statistics)?"""
@@ -351,7 +322,7 @@ class IndexCache:
         restores it instead of rebuilding.  An unacquirable lock (timeout,
         read-only volume) degrades to a plain duplicated build.
         """
-        store = self.store
+        store = self._store
         if store is None:
             return self._build(spec, node, key)
         with store.entry_lock(key[0], key[1]) as acquired:
@@ -383,22 +354,15 @@ class IndexCache:
                 self._build_counter.inc()
             span.set("safe", report.is_safe)
             span.set("states", report.dfa.state_count)
-            return _Entry(report=report, index=index, cost=report.dfa.state_count**2)
-
-    @staticmethod
-    def _entry_cost(entry: _Entry) -> int:
-        cost = entry.report.dfa.state_count**2
-        if entry.plan is not None:
-            cost += entry.plan.cost()
-        return cost
+            return _Entry(report=report, index=index)
 
     def _restore(self, spec: Specification, key: CacheKey) -> _Entry | None:
         """Second-tier lookup: reconstruct an entry from the store, if any.
 
         A restored entry increments no build counters — that is the point of
-        the store — but its cost is re-derived so the budget stays honest.
+        the store.
         """
-        store = self.store
+        store = self._store
         if store is None:
             return None
         with get_tracer().span("cache.restore") as span:
@@ -406,8 +370,7 @@ class IndexCache:
             span.set("hit", stored is not None)
         if stored is None:
             return None
-        entry = _Entry(report=stored.report, index=stored.index, cost=0, plan=stored.plan)
-        entry.cost = self._entry_cost(entry)
+        entry = _Entry(report=stored.report, index=stored.index, plan=stored.plan)
         if entry.plan is not None:
             # The restored plan *is* the store copy: mark it persisted as-is,
             # or the first plan()/sync() after every warm restart would
@@ -424,7 +387,7 @@ class IndexCache:
     def _persist(self, key: CacheKey, entry: _Entry) -> None:
         """Write an entry through to the store (no-op without one; the store
         swallows and counts its own failures)."""
-        store = self.store
+        store = self._store
         if store is not None:
             if entry.plan is not None:
                 entry.plan_mutations = entry.plan.mutations
@@ -432,37 +395,13 @@ class IndexCache:
                 key[0], key[1], report=entry.report, index=entry.index, plan=entry.plan
             )
 
-    def _reaccount(self, key: CacheKey, entry: _Entry) -> bool:
-        """Recompute an entry's cost (e.g. after a plan attach or new macro
-        DFA memoization) and re-run eviction; returns whether it changed."""
-        cost = self._entry_cost(entry)
-        with self._lock:
-            if cost == entry.cost:
-                return False
-            if self._entries.get(key) is entry:
-                self._total_cost += cost - entry.cost
-                entry.cost = cost
-                self._evict_over_budget()
-            else:
-                entry.cost = cost
-            return True
-
     def _insert(self, key: CacheKey, entry: _Entry) -> None:  # holds-lock: _lock
-        previous = self._entries.pop(key, None)
-        if previous is not None:
-            self._total_cost -= previous.cost
+        """Insert as most recently used, then LRU-evict down to
+        ``max_entries`` (cache lock held)."""
+        self._entries.pop(key, None)
         self._entries[key] = entry
-        self._total_cost += entry.cost
-        self._evict_over_budget()
-
-    def _evict_over_budget(self) -> None:  # holds-lock: _lock
-        """LRU-evict down to the configured bounds (cache lock held)."""
-        while len(self._entries) > 1 and (
-            len(self._entries) > self.max_entries
-            or (self.max_cost is not None and self._total_cost > self.max_cost)
-        ):
-            _, evicted = self._entries.popitem(last=False)
-            self._total_cost -= evicted.cost
+        while len(self._entries) > self.max_entries:
+            self._entries.popitem(last=False)
             self._evictions += 1
             self._eviction_counter.inc()
 
@@ -470,23 +409,8 @@ class IndexCache:
 
     @property
     def store(self) -> "IndexStore | None":
-        """The persistent second tier, when one is attached."""
-        with self._lock:
-            return self._store
-
-    def attach_store(self, store: "IndexStore") -> None:
-        """Attach a persistent tier after construction (used by
-        :class:`~repro.service.service.QueryService` when it is handed an
-        explicit cache plus a ``store_dir``).  A second store for the *same*
-        directory keeps the already-attached instance (and its counters); a
-        store for a different directory is refused, because splitting entries
-        across stores would silently break warm restarts."""
-        with self._lock:
-            if self._store is not None and self._store is not store:
-                if Path(self._store.root).resolve() != Path(store.root).resolve():
-                    raise ValueError("cache already has a different store attached")
-                return
-            self._store = store
+        """The persistent second tier, when one is configured."""
+        return self._store
 
     def __len__(self) -> int:
         with self._lock:
@@ -496,11 +420,10 @@ class IndexCache:
         """Drop all entries (statistics are kept)."""
         with self._lock:
             self._entries.clear()
-            self._total_cost = 0
 
     @property
     def stats(self) -> CacheStats:
-        attached = self.store
+        attached = self._store
         store = attached.counters if attached is not None else None
         with self._lock:
             return CacheStats(
@@ -511,7 +434,6 @@ class IndexCache:
                 safety_checks=self._safety_checks,
                 plan_builds=self._plan_builds,
                 entries=len(self._entries),
-                total_cost=self._total_cost,
                 store_hits=store.hits if store else 0,
                 store_misses=store.misses if store else 0,
                 store_writes=store.writes if store else 0,
@@ -521,8 +443,4 @@ class IndexCache:
             )
 
     def describe(self) -> str:
-        stats = self.stats
-        bounds = f"max_entries={self.max_entries}"
-        if self.max_cost is not None:
-            bounds += f", max_cost={self.max_cost}"
-        return f"IndexCache({bounds}) {stats.describe()}"
+        return f"IndexCache(max_entries={self.max_entries}) {self.stats.describe()}"

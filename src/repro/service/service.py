@@ -72,47 +72,31 @@ class QueryService:
 
     Parameters
     ----------
-    cache:
-        The shared index cache; a bounded default is created when omitted.
-        Passing an explicit cache lets several services (or services plus
-        standalone engines) pool their per-query work.
+    max_entries:
+        Entry bound of the service's shared index cache (least recently used
+        entries are evicted first).  Engines built for the service's grammars
+        share that cache (see :attr:`cache` and :meth:`engine_for`).
     max_workers:
         Thread-pool width for batch evaluation and index pre-building.
-    store_dir / store:
-        A persistent tier (:class:`~repro.store.IndexStore`, or a directory
-        to create one in).  The store backs the index cache (memory → disk →
-        build) *and* persists the run registry: previously registered runs —
-        labels included, so no re-labeling — are re-registered on
-        construction, which is what lets a restarted service answer its first
+    store_dir:
+        A directory for the persistent tier (:class:`~repro.store.IndexStore`).
+        The store backs the index cache (memory → disk → build) *and*
+        persists the run registry: previously registered runs — labels
+        included, so no re-labeling — are re-registered on construction,
+        which is what lets a restarted service answer its first
         previously-seen query with zero index or plan rebuilds.
     """
 
     def __init__(
         self,
         *,
-        cache: IndexCache | None = None,
+        max_entries: int = _DEFAULT_CACHE_ENTRIES,
         max_workers: int | None = None,
         store_dir: str | Path | None = None,
-        store: IndexStore | None = None,
     ) -> None:
-        if store is None and store_dir is not None:
-            store = IndexStore(store_dir)
-        if cache is None:
-            cache = IndexCache(_DEFAULT_CACHE_ENTRIES, store=store)
-        elif store is not None:
-            # Raises if the cache already persists in a *different* directory:
-            # splitting the run registry and the index entries across two
-            # stores would silently break the warm-restart contract.  For the
-            # same directory the cache keeps its original instance — adopt it
-            # so the registry and the entries share one set of counters.
-            cache.attach_store(store)
-            store = cache.store
-        elif cache.store is not None:
-            # No explicit store, but the cache has one: keep the registry and
-            # the entries together in that store.
-            store = cache.store
+        store = IndexStore(store_dir) if store_dir is not None else None
         self._store = store
-        self._cache = cache
+        self._cache = IndexCache(max_entries, store=store)
         self._max_workers = max_workers if max_workers is not None else _default_workers()
         if self._max_workers < 1:
             raise ValueError("max_workers must be at least 1")
@@ -138,11 +122,7 @@ class QueryService:
 
     def _collect_metrics(self) -> dict[str, float]:
         """The polled gauges of this service's live state."""
-        stats = self._cache.stats
-        return {
-            "repro_cache_entries": float(stats.entries),
-            "repro_cache_total_cost": float(stats.total_cost),
-        }
+        return {"repro_cache_entries": float(len(self._cache))}
 
     # -- registration ------------------------------------------------------------
 
@@ -347,7 +327,9 @@ class QueryService:
                     for future in futures:
                         yield future.result()
                 finally:
-                    pool.shutdown(wait=True)
+                    # A consumer that stops early (an exception, a closed
+                    # pipe) drops the queued requests instead of running them.
+                    pool.shutdown(wait=True, cancel_futures=True)
 
         return generate()
 

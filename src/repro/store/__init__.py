@@ -10,13 +10,15 @@ the disk tier underneath it:
   macro DFAs;
 * :mod:`repro.store.store` — :class:`IndexStore`, a versioned, checksummed,
   atomically-written directory of those artifacts plus the service's labeled
-  run registry, with size-budgeted LRU garbage collection.
+  run registry, with LRU garbage collection down to an explicit size budget
+  (``repro store gc --max-bytes``).
 
-Wire-up: ``IndexCache(store=IndexStore(path))`` checks memory → disk → build
-and writes built entries back; ``QueryService(store_dir=path)`` additionally
-persists registered runs, so a restarted service answers previously-seen
-queries with zero index/plan rebuilds (see ``repro store`` and the
-``store-restart-warm`` catalog scenario).
+Wire-up: ``QueryService(store_dir=path)`` builds its cache as
+``IndexCache(max_entries, store=IndexStore(path))``, which checks memory →
+disk → build and writes built entries back, and persists registered runs in
+the same store, so a restarted service answers previously-seen queries with
+zero index/plan rebuilds (see ``repro store`` and the ``store-restart-warm``
+catalog scenario).
 """
 
 from repro.store.store import (

@@ -195,18 +195,11 @@ class IndexStore:
     ----------
     root:
         The store directory; created (with its subdirectories) on first use.
-    max_bytes:
-        Optional size budget.  When set, every write is followed by an LRU
-        sweep (:meth:`gc`) that deletes the least recently *used* entry files
-        until the entry tier fits the budget.  Runs are never auto-evicted:
-        they are the service's registry, not a cache.
+        The entry tier grows until :meth:`gc` trims it to a size budget.
     """
 
-    def __init__(self, root: str | Path, *, max_bytes: int | None = None) -> None:
-        if max_bytes is not None and max_bytes < 1:
-            raise ValueError("max_bytes must be positive (or None for unbounded)")
+    def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
-        self.max_bytes = max_bytes
         # Directories are created lazily by the first write (_atomic_write
         # mkdirs parents), so read-only users — `repro store ls` on a
         # mistyped path, say — never litter the filesystem with empty stores.
@@ -236,9 +229,6 @@ class IndexStore:
         return self._runs_dir / f"{urllib.parse.quote(run_id, safe='')}.json"
 
     # -- entries -----------------------------------------------------------------
-
-    def contains(self, fingerprint: str, query_text: str) -> bool:
-        return self.entry_path(fingerprint, query_text).exists()
 
     def load(self, spec: Specification, query_text: str) -> StoredEntry | None:
         """Load one entry, or ``None`` on a miss *or* any corruption."""
@@ -315,8 +305,6 @@ class IndexStore:
                 self._count("_errors")
                 return False
             self._count("_writes")
-            if self.max_bytes is not None:
-                self.gc()
             return True
 
     def _existing_checksum(self, path: Path) -> str | None:
@@ -426,14 +414,14 @@ class IndexStore:
 
     # -- garbage collection --------------------------------------------------------
 
-    def gc(self, max_bytes: int | None = None) -> GcResult:
+    def gc(self, max_bytes: int) -> GcResult:
         """Delete least-recently-used entry files until the entry tier fits
-        ``max_bytes`` (default: the store's configured budget).
+        ``max_bytes``.
 
         Recency is file mtime, which loads refresh; corrupt entry files sort
-        oldest so they are reclaimed first.  Runs are left alone.
+        oldest so they are reclaimed first.  Runs are left alone: they are the
+        service's registry, not a cache.
         """
-        budget = max_bytes if max_bytes is not None else self.max_bytes
         files: list[tuple[float, int, Path]] = []
         for path in self._entries_dir.glob("*/*.json"):
             try:
@@ -444,16 +432,15 @@ class IndexStore:
         total = sum(size for _, size, _ in files)
         removed = 0
         freed = 0
-        if budget is not None:
-            for _, size, path in sorted(files):
-                if total - freed <= budget:
-                    break
-                try:
-                    path.unlink()
-                except OSError:
-                    continue
-                removed += 1
-                freed += size
+        for _, size, path in sorted(files):
+            if total - freed <= max_bytes:
+                break
+            try:
+                path.unlink()
+            except OSError:
+                continue
+            removed += 1
+            freed += size
         with self._lock:
             self._evictions += removed
         return GcResult(removed=removed, freed_bytes=freed, remaining_bytes=total - freed)
@@ -568,17 +555,6 @@ class IndexStore:
             self._count("_errors")
             return None
 
-    def load_runs(self) -> dict[str, Run]:
-        """All readable persisted runs by id; corrupt files are skipped (and
-        counted).  Prefer :meth:`run_ids` + :meth:`load_run` when you do not
-        need every run's content."""
-        runs: dict[str, Run] = {}
-        for run_id in self.run_ids():
-            run = self.load_run(run_id)
-            if run is not None:
-                runs[run_id] = run
-        return runs
-
     def run_ids(self) -> list[str]:
         """Ids of the persisted runs, from the file names alone — no run is
         parsed, so listing stays cheap however large the runs are."""
@@ -652,9 +628,8 @@ class IndexStore:
         entries = list(self._entries_dir.glob("*/*.json"))
         runs = list(self._runs_dir.glob("*.json"))
         counters = self.counters
-        bounds = "" if self.max_bytes is None else f", max_bytes={self.max_bytes}"
         return (
-            f"IndexStore({str(self.root)!r}{bounds}) "
+            f"IndexStore({str(self.root)!r}) "
             f"{len(entries)} entries ({self.total_bytes()} bytes), {len(runs)} runs, "
             f"hits={counters.hits}, misses={counters.misses}, "
             f"writes={counters.writes} (+{counters.skipped_writes} skipped), "

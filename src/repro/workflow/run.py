@@ -17,8 +17,6 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    import networkx
-
     from repro.core.bitset import PackedRunView
     from repro.labeling.labels import Label
     from repro.workflow.spec import Specification
@@ -179,17 +177,6 @@ class Run:
             seen.add(current)
             stack.extend(target for target, _ in self.successors[current])
         return frozenset(seen)
-
-    def to_networkx(self) -> "networkx.MultiDiGraph":
-        """Export as a networkx multigraph (tags on the ``tag`` edge attribute)."""
-        import networkx
-
-        graph = networkx.MultiDiGraph()
-        for node_id, node in self.nodes.items():
-            graph.add_node(node_id, name=node.name, label=node.label)
-        for edge in self.edges:
-            graph.add_edge(edge.source, edge.target, tag=edge.tag)
-        return graph
 
     # -- construction helper -------------------------------------------------------
 

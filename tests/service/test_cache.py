@@ -4,12 +4,10 @@ import threading
 
 import pytest
 
-from repro.core.decomposition import warm_frontier_dfa
 from repro.datasets.paper_example import paper_specification
 from repro.errors import UnsafeQueryError
 from repro.service import IndexCache
 from repro.store import IndexStore
-from repro.workflow.derivation import derive_run
 from repro.workflow.serialization import specification_from_dict, specification_to_dict
 
 SAFE_QUERIES = ["_* e _*", "_*", "A+", "_* b _*", "_* c _*"]
@@ -129,31 +127,19 @@ class TestBounds:
         assert cache.stats.index_builds == 3
         assert cache.stats.misses == 3
 
-    def test_cost_bound(self, spec):
-        unbounded = IndexCache()
-        for query in SAFE_QUERIES:
-            unbounded.index(spec, query)
-        total = unbounded.stats.total_cost
-        bounded = IndexCache(max_entries=100, max_cost=total // 2)
-        for query in SAFE_QUERIES:
-            bounded.index(spec, query)
-        stats = bounded.stats
-        assert stats.total_cost <= total // 2
-        assert stats.evictions > 0
-        assert len(bounded) >= 1
-
-    def test_oversized_single_entry_is_still_cached(self, spec):
-        cache = IndexCache(max_entries=4, max_cost=1)
-        cache.index(spec, SAFE_QUERIES[0])
-        assert len(cache) == 1
-        cache.index(spec, SAFE_QUERIES[0])
-        assert cache.stats.hits == 1
-
     def test_invalid_bounds_are_rejected(self):
         with pytest.raises(ValueError, match="max_entries must be at least 1"):
             IndexCache(max_entries=0)
-        with pytest.raises(ValueError, match="max_cost must be positive"):
-            IndexCache(max_cost=0)
+
+    def test_store_is_fixed_at_construction(self, tmp_path):
+        store = IndexStore(tmp_path)
+        assert IndexCache(store=store).store is store
+        assert IndexCache().store is None
+
+    def test_describe_names_the_entry_bound(self, spec):
+        cache = IndexCache(max_entries=7)
+        cache.index(spec, "_*")
+        assert cache.describe().startswith("IndexCache(max_entries=7) ")
 
     def test_clear_keeps_statistics(self, spec):
         cache = IndexCache()
@@ -161,50 +147,27 @@ class TestBounds:
         cache.clear()
         assert len(cache) == 0
         assert cache.stats.misses == 1
-        assert cache.stats.total_cost == 0
+        assert cache.stats.entries == 0
 
 
-class TestPlanCostAccounting:
-    """A plan (and its memoized macro DFAs) attached after insertion must
-    count against the ``max_cost`` budget, not ride along for free."""
-
-    def test_plan_attach_grows_entry_cost(self, spec):
-        cache = IndexCache()
-        cache.safety(spec, "_* a _*")
-        base = cache.stats.total_cost
-        cache.plan(spec, "_* a _*")
-        run = derive_run(spec, seed=0, target_edges=40)
-        plan = cache.plan(spec, "_* a _*")
-        warm_frontier_dfa(plan, run)
-        cache.sync(spec, "_* a _*")
-        assert plan.cost() > 0
-        assert cache.stats.total_cost >= base + plan.cost()
-
-    def test_plan_attach_triggers_eviction_over_budget(self, spec):
-        probe = IndexCache()
-        probe.safety(spec, "_* a _*")
-        plan = probe.plan(spec, "_* a _*")
-        run = derive_run(spec, seed=0, target_edges=40)
-        warm_frontier_dfa(plan, run)
-        probe.sync(spec, "_* a _*")
-        budget = probe.stats.total_cost  # fits the planned entry, barely
-
-        cache = IndexCache(max_entries=100, max_cost=budget)
-        for query in SAFE_QUERIES:
-            cache.index(spec, query)
-        cache.safety(spec, "_* a _*")
-        evictions_before = cache.stats.evictions
-        plan = cache.plan(spec, "_* a _*")
-        warm_frontier_dfa(plan, run)
-        cache.sync(spec, "_* a _*")
-        stats = cache.stats
-        assert stats.evictions > evictions_before
-        assert stats.total_cost <= budget
+class TestPlanSync:
+    """``sync`` re-persists plans whose macro-DFA memo grew; it never looks
+    anything up."""
 
     def test_sync_on_unknown_key_is_a_noop(self, spec):
         cache = IndexCache()
         cache.sync(spec, "_* a _*")
         assert cache.stats.lookups == 0
+
+    def test_sync_on_evicted_key_writes_nothing(self, spec, tmp_path):
+        cache = IndexCache(max_entries=1, store=IndexStore(tmp_path))
+        plan = cache.plan(spec, "_* a _*")
+        cache.index(spec, SAFE_QUERIES[1])  # evicts the planned entry
+        assert not cache.contains(spec, "_* a _*")
+        plan.memoized_dfa("late", lambda: cache.safety(spec, "_*").dfa)
+        writes = cache.stats.store_writes
+        cache.sync(spec, "_* a _*")
+        assert cache.stats.store_writes == writes
 
 
 class TestStoreTier:
@@ -228,14 +191,28 @@ class TestStoreTier:
         assert stats.index_builds == 2  # second request for [0] was a store hit
         assert stats.store_hits == 1
 
-    def test_attach_store_after_construction(self, spec, tmp_path):
-        store = IndexStore(tmp_path)
-        cache = IndexCache()
-        cache.attach_store(store)
-        cache.index(spec, "_*")
-        assert cache.stats.store_writes == 1
-        with pytest.raises(ValueError, match="different store attached"):
-            cache.attach_store(IndexStore(tmp_path / "other"))
+
+    def test_repeated_plan_without_new_memo_writes_nothing(self, spec, tmp_path):
+        cache = IndexCache(store=IndexStore(tmp_path))
+        cache.plan(spec, "_* a _*")  # first attach persists the plan
+        stats = cache.stats
+        assert stats.store_writes > 0
+        cache.plan(spec, "_* a _*")
+        again = cache.stats
+        assert (again.store_writes, again.store_skipped_writes) == (
+            stats.store_writes,
+            stats.store_skipped_writes,
+        )
+
+    def test_restored_plan_is_not_rewritten(self, spec, tmp_path):
+        IndexCache(store=IndexStore(tmp_path)).plan(spec, "_* a _*")
+        restarted = IndexCache(store=IndexStore(tmp_path))
+        restarted.plan(spec, "_* a _*")
+        restarted.sync(spec, "_* a _*")
+        stats = restarted.stats
+        assert stats.store_hits > 0
+        assert stats.plan_builds == 0
+        assert (stats.store_writes, stats.store_skipped_writes) == (0, 0)
 
 
 class TestStats:

@@ -1,6 +1,7 @@
 """Tests for the batched multi-run query service."""
 
 import json
+import time
 
 import pytest
 
@@ -8,7 +9,6 @@ from repro.core.engine import ProvenanceQueryEngine
 from repro.datasets.paper_example import paper_specification
 from repro.service import (
     BatchFormatError,
-    IndexCache,
     QueryRequest,
     QueryService,
     read_requests_jsonl,
@@ -97,6 +97,14 @@ class TestRegistration:
         assert result.ok
         assert result.answer is True
 
+    def test_engines_share_the_service_cache(self, run):
+        service = QueryService(max_entries=8)
+        service.register_run(run, "r1")
+        engine = service.engine_for("r1")
+        assert engine.cache is service.cache
+        engine.cache.index(run.spec, "_* e _*")
+        assert service.cache.contains(run.spec, "_* e _*")
+
 
 class TestBatchEvaluation:
     def test_results_match_direct_engine(self, spec, run, service):
@@ -155,6 +163,27 @@ class TestBatchEvaluation:
         assert "unknown run id" in results[0].error
         assert "broken" in results[1].error
         assert results[3].answer is True
+
+    def test_closing_iter_batch_early_drops_queued_requests(self, run, monkeypatch):
+        """A consumer that stops after the first result (an exception, a
+        closed pipe) must not wait for the rest of the batch to run."""
+        service = QueryService(max_workers=1)
+        service.register_run(run, "r1")
+        executed = []
+        execute = service._execute
+
+        def slow_execute(*args, **kwargs):
+            executed.append(args[1])
+            time.sleep(0.01)
+            return execute(*args, **kwargs)
+
+        monkeypatch.setattr(service, "_execute", slow_execute)
+        source = run.node_ids()[0]
+        request = {"op": "reachability", "run": "r1", "source": source, "target": source}
+        results = service.iter_batch([request] * 50)
+        assert next(results).ok
+        results.close()
+        assert len(executed) < 10
 
     def test_empty_batch(self, service):
         assert service.run_batch([]) == []
@@ -246,7 +275,7 @@ class TestCacheEffectiveness:
             bare_builds += engine.cache.stats.index_builds
         assert bare_builds == 30
 
-        service = QueryService(cache=IndexCache(max_entries=64), max_workers=4)
+        service = QueryService(max_entries=64, max_workers=4)
         service.register_run(run, "r1")
         service.run_batch(requests)  # cold pass warms the cache
         warm_start = service.cache_stats.index_builds
@@ -310,40 +339,27 @@ class TestWarmRestart:
 
         assert stable(results) == stable(reference)
 
-    def test_explicit_cache_gets_the_store_attached(self, run, tmp_path):
-        cache = IndexCache(max_entries=32)
-        service = QueryService(cache=cache, store_dir=tmp_path)
-        assert cache.store is service.store is not None
+    def test_cache_and_registry_share_one_store(self, run, tmp_path):
+        service = QueryService(max_entries=32, store_dir=tmp_path)
+        assert service.cache.store is service.store is not None
+        assert service.cache.max_entries == 32
         service.register_run(run, "r1")
         service.warm("r1", ["_* e _*"])
         assert service.cache_stats.store_writes > 0
-
-    def test_conflicting_cache_and_service_stores_rejected(self, tmp_path):
-        # Splitting the run registry and the index entries across two stores
-        # would silently break the warm-restart contract.
-        from repro.store import IndexStore
-
-        cache = IndexCache(store=IndexStore(tmp_path / "a"))
-        with pytest.raises(ValueError, match="different store attached"):
-            QueryService(cache=cache, store_dir=tmp_path / "b")
-
-    def test_same_directory_store_is_accepted(self, tmp_path):
-        # A second IndexStore instance for the same directory is consistent
-        # configuration; the cache's original instance stays canonical.
-        from repro.store import IndexStore
-
-        cache = IndexCache(store=IndexStore(tmp_path))
-        service = QueryService(cache=cache, store_dir=tmp_path)
-        assert service.store is cache.store
-
-    def test_service_adopts_the_caches_store(self, run, tmp_path):
-        from repro.store import IndexStore
-
-        cache = IndexCache(store=IndexStore(tmp_path))
-        service = QueryService(cache=cache)  # no store_dir
-        assert service.store is cache.store
-        service.register_run(run, "r1")  # registry lands in the same store
         assert QueryService(store_dir=tmp_path).run_ids() == ("r1",)
+
+    def test_service_without_store_dir_has_no_store(self, run):
+        service = QueryService()
+        assert service.store is None
+        assert service.cache.store is None
+        service.register_run(run, "r1")
+        service.warm("r1", ["_* e _*"])
+        stats = service.cache_stats
+        assert (stats.store_hits, stats.store_misses, stats.store_writes) == (0, 0, 0)
+
+    def test_invalid_entry_bound_rejected(self):
+        with pytest.raises(ValueError, match="max_entries must be at least 1"):
+            QueryService(max_entries=0)
 
     def test_store_runs_register_before_new_ones(self, spec, run, tmp_path):
         QueryService(store_dir=tmp_path).register_run(run, "persisted")

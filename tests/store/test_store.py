@@ -76,15 +76,22 @@ class TestEntryRoundTrip:
         warm_frontier_dfa(plan, run)
         assert plan.macro_dfas()
         cache.sync(spec, UNSAFE_QUERY)
+        # A second sync with no new macro DFA neither writes nor re-serializes.
+        counters = store.counters
+        cache.sync(spec, UNSAFE_QUERY)
+        assert (store.counters.writes, store.counters.skipped_writes) == (
+            counters.writes,
+            counters.skipped_writes,
+        )
         restored = IndexCache(store=IndexStore(store.root)).plan(spec, UNSAFE_QUERY)
         assert restored.macro_dfas().keys() == plan.macro_dfas().keys()
         for key, dfa in plan.macro_dfas().items():
             assert restored.macro_dfas()[key].transitions == dfa.transitions
 
-    def test_memo_rebuilt_at_equal_cost_is_persisted(self, tmp_path, spec, run):
+    def test_memo_rebuilt_after_reset_is_persisted(self, tmp_path, spec, run):
         """The macro-DFA memo resets at 16 entries, so it can be rebuilt to
-        the same summed cost with different keys; ``sync`` must still
-        rewrite the store copy (the plan's build count differs)."""
+        the same size with different keys; ``sync`` must still rewrite the
+        store copy (the plan's build count differs)."""
         store = IndexStore(tmp_path / "store")
         cache = IndexCache(store=store)
         plan = cache.plan(spec, UNSAFE_QUERY)
@@ -92,10 +99,10 @@ class TestEntryRoundTrip:
         for index in range(1, 16):
             plan.memoized_dfa(f"first-{index}", lambda: dfa)
         cache.sync(spec, UNSAFE_QUERY)
-        persisted_cost = plan.cost()
+        persisted = plan.macro_dfas()
         for index in range(16):
             plan.memoized_dfa(f"second-{index}", lambda: dfa)
-        assert plan.cost() == persisted_cost
+        assert len(plan.macro_dfas()) == len(persisted)
         cache.sync(spec, UNSAFE_QUERY)
         restored = IndexCache(store=IndexStore(store.root)).plan(spec, UNSAFE_QUERY)
         assert set(restored.macro_dfas()) == {f"second-{index}" for index in range(16)}
@@ -192,7 +199,7 @@ class TestCorruption:
         store.save_run("good", run)
         store.run_path("bad").parent.mkdir(parents=True, exist_ok=True)
         store.run_path("bad").write_text("garbage")
-        service = QueryService(store=IndexStore(store.root))
+        service = QueryService(store_dir=store.root)
         assert service.get_run("good").edges == run.edges
         with pytest.raises(KeyError):
             service.get_run("bad")  # corruption surfaces as unknown-run
@@ -218,15 +225,19 @@ class TestGc:
         assert "_* . e . _*" in surviving  # the freshly touched entry survived
         assert store.counters.evictions == result.removed
 
-    def test_auto_gc_on_write(self, tmp_path, spec):
-        probe = _warmed_store(tmp_path, spec, queries=(SAFE_QUERY,))
-        budget = probe.total_bytes() + 10
-        store = IndexStore(tmp_path / "bounded", max_bytes=budget)
-        cache = IndexCache(store=store)
-        for query in (SAFE_QUERY, "_*", "A+"):
-            cache.index(spec, query)
-        assert store.total_bytes() <= budget
-        assert store.counters.evictions > 0
+    def test_saves_never_evict(self, tmp_path, spec):
+        queries = (SAFE_QUERY, "_*", "A+", "_* b _*", "_* c _*")
+        store = _warmed_store(tmp_path, spec, queries=queries)
+        assert len(store) == len(queries)
+        assert store.counters.evictions == 0
+
+    def test_budget_that_fits_removes_nothing(self, tmp_path, spec):
+        store = _warmed_store(tmp_path, spec)
+        total, count = store.total_bytes(), len(store)
+        result = store.gc(total)
+        assert (result.removed, result.freed_bytes, result.remaining_bytes) == (0, 0, total)
+        assert len(store) == count
+        assert store.counters.evictions == 0
 
     def test_runs_are_never_evicted(self, tmp_path, spec, run):
         store = _warmed_store(tmp_path, spec)
@@ -235,16 +246,12 @@ class TestGc:
         assert store.run_ids() == ["r"]
         assert len(store) == 0
 
-    def test_invalid_budget_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="max_bytes must be positive"):
-            IndexStore(tmp_path / "s", max_bytes=0)
-
 
 class TestRunRegistry:
     def test_run_round_trip_preserves_labels(self, tmp_path, spec, run):
         store = IndexStore(tmp_path / "store")
         store.save_run("r1", run)
-        loaded = store.load_runs()["r1"]
+        loaded = store.load_run("r1")
         assert loaded.spec.fingerprint == run.spec.fingerprint
         assert loaded.nodes == run.nodes  # labels included: no re-labeling
         assert loaded.edges == run.edges

@@ -281,6 +281,24 @@ class TestBatchCommand:
         assert summary["hits"] >= 1
         assert 0.0 <= summary["hit_rate"] <= 1.0
 
+    def test_batch_cache_entries_bounds_the_cache(self, tmp_path, run_path, capsys):
+        queries = ["A+", "_* e _*", "_*"]
+        requests = self._write_requests(
+            tmp_path, [{"op": "allpairs", "run": "r1", "query": q} for q in queries]
+        )
+        summaries = {}
+        for bound in ("1", "512"):
+            stats_path = tmp_path / f"stats-{bound}.json"
+            assert main(["batch", str(requests), "--run", str(run_path),
+                         "--cache-entries", bound, "--workers", "1",
+                         "--stats-json", str(stats_path)]) == 0
+            summaries[bound] = json.loads(stats_path.read_text())
+        capsys.readouterr()
+        assert summaries["1"]["entries"] == 1
+        assert summaries["1"]["evictions"] >= len(queries) - 1
+        assert summaries["512"]["entries"] == len(queries)
+        assert summaries["512"]["evictions"] == 0
+
     def test_batch_stats_json_metrics_schema(self, tmp_path, run_path, capsys):
         """The summary's 'metrics' block carries the registry snapshot —
         cache/store counters, spans recorded, service latency — without
