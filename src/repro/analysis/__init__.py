@@ -1,26 +1,24 @@
 """Project-specific static analysis (``repro lint``).
 
-The PR 1-6 arc grew this reproduction into a concurrent system whose
-correctness rests on invariants that ordinary linters cannot see: cache
-counters guarded by one lock, plain-data process-pool submissions, planner
-purity (plans are cached by canonical key), boundary-only broad exception
-handling, genuinely streaming ``*_iter`` paths, and an executor operator
-protocol that every physical operator must implement.  This package encodes
-those invariants as AST rules and checks them in CI, so the next concurrency
-surface (a multi-process serving tier, a shared-memory kernel) lands on
-machine-checked ground instead of convention.
+The serving stack's correctness rests on invariants that ordinary linters
+cannot see: cache and store state guarded by one lock and acquired in one
+global order (the batch thread pool and the cache's per-key build locks run
+concurrently), planner purity (plans are cached by canonical key),
+boundary-only broad exception handling, genuinely streaming ``*_iter``
+paths, and full annotations.  This package encodes those invariants as AST
+rules over one module at a time plus whole-program rules over a call graph
+(:mod:`repro.analysis.semantic`); :mod:`repro.analysis.runtime` checks the
+lock discipline again at run time under ``pytest --repro-sanitize``.
 
 Entry points
 ------------
 
-* :func:`repro.analysis.engine.run_analysis` — analyze paths with the
-  registered rules, returning :class:`~repro.analysis.findings.Finding`
-  objects.
-* :mod:`repro.analysis.baseline` — the committed-findings ratchet: accepted
-  pre-existing findings live in ``lint-baseline.json`` and do not block;
-  anything new fails.
-* ``repro lint`` (:mod:`repro.cli`) — the command-line front-end with
-  ``--json`` output for CI and scripts.
+* :func:`repro.analysis.engine.analyze_paths` — analyze paths with the
+  registered rules, returning sorted
+  :class:`~repro.analysis.findings.Finding` objects, the semantic model and
+  coverage statistics.
+* ``repro lint`` (:mod:`repro.cli`) — the command-line front-end; it exits 1
+  on any finding and has ``--json`` output for scripts.
 
 See the README section "Static analysis & typing" for the ``# guarded-by:``
 convention and the rule catalog.
@@ -28,13 +26,11 @@ convention and the rule catalog.
 
 from __future__ import annotations
 
-from repro.analysis.baseline import Baseline
 from repro.analysis.engine import (
     AnalysisConfig,
     AnalysisResult,
     AnalysisStatistics,
     analyze_paths,
-    run_analysis,
 )
 from repro.analysis.findings import Finding
 from repro.analysis.rules import Rule, all_rules, rule_ids
@@ -43,11 +39,9 @@ __all__ = [
     "AnalysisConfig",
     "AnalysisResult",
     "AnalysisStatistics",
-    "Baseline",
     "Finding",
     "Rule",
     "all_rules",
     "analyze_paths",
     "rule_ids",
-    "run_analysis",
 ]

@@ -1,19 +1,16 @@
 """Driving the rules over a project.
 
-:func:`run_analysis` is the findings-only entry point: load the files, run
-every selected rule over every module, and return the findings sorted by
-``(path, line, rule)`` so output (and ``--json``) is stable across runs and
-platforms.  :func:`analyze_paths` is the richer front-end used by the CLI:
-it additionally builds (or loads from the digest-keyed disk cache) the
-whole-program :class:`~repro.analysis.semantic.model.SemanticModel` when an
-active rule declares ``requires_model``, runs the project-level
-``check_project`` passes, and reports :class:`AnalysisStatistics` — per-rule
-finding counts plus the call-graph and lock-graph totals CI logs surface.
+:func:`analyze_paths` loads the files, builds the whole-program
+:class:`~repro.analysis.semantic.model.SemanticModel` when an active rule
+declares ``requires_model`` (or the caller asks for it), runs every selected
+rule's per-module ``check`` and project-level ``check_project`` pass, and
+returns the findings sorted by ``(path, line, rule, message)`` together with
+the model and :class:`AnalysisStatistics` — per-rule finding counts plus the
+call-graph and lock-graph totals ``repro lint --statistics`` reports.
 
 :class:`AnalysisConfig` carries the project-shape knowledge the rules need —
-which modules are planners, which are boundaries, where the operator catalog
-and the executor live — with defaults matching this repository, overridable
-for tests and fixtures.
+which modules are planners, which are boundaries, which functions stream —
+with defaults matching this repository, overridable for tests and fixtures.
 """
 
 from __future__ import annotations
@@ -24,20 +21,13 @@ from pathlib import Path
 from repro.analysis.findings import Finding
 from repro.analysis.project import Project, load_project
 from repro.analysis.rules import Rule, all_rules
-from repro.analysis.semantic.model import (
-    SemanticModel,
-    build_semantic_model,
-    load_cached_model,
-    save_model,
-)
+from repro.analysis.semantic.model import SemanticModel, build_semantic_model
 
 __all__ = [
     "AnalysisConfig",
     "AnalysisResult",
     "AnalysisStatistics",
     "analyze_paths",
-    "analyze_project",
-    "run_analysis",
 ]
 
 
@@ -73,10 +63,6 @@ class AnalysisConfig:
     streaming_functions: frozenset[str] = field(
         default_factory=_default_streaming_functions
     )
-    #: module holding the physical operator catalog (REP106).
-    ops_module: str = "repro.core.exec.ops"
-    #: module whose ``execute()`` must dispatch every operator (REP106).
-    executor_module: str = "repro.core.exec.executor"
     #: logical-name prefix under which full annotations are required (REP107).
     typed_prefix: str = "repro."
 
@@ -117,34 +103,6 @@ class AnalysisResult:
     findings: list[Finding]
     model: SemanticModel | None
     statistics: AnalysisStatistics
-    cache_hit: bool = False
-
-
-def analyze_project(
-    project: Project,
-    *,
-    config: AnalysisConfig | None = None,
-    rules: list[Rule] | None = None,
-    model: SemanticModel | None = None,
-) -> list[Finding]:
-    """Run rules over an already-loaded project (the test-fixture path).
-
-    The semantic model is built on demand when an active rule needs it and
-    none was passed in; callers holding a cached model pass it to skip the
-    build.
-    """
-    active_config = config if config is not None else AnalysisConfig()
-    active_rules = rules if rules is not None else all_rules()
-    if model is None and any(rule.requires_model for rule in active_rules):
-        model = build_semantic_model(project)
-    findings: list[Finding] = []
-    for module in project:
-        for rule in active_rules:
-            findings.extend(rule.check(module, project, active_config))
-    if model is not None:
-        for rule in active_rules:
-            findings.extend(rule.check_project(project, active_config, model))
-    return sorted(findings)
 
 
 def _statistics(
@@ -187,48 +145,31 @@ def analyze_paths(
     root: Path | None = None,
     config: AnalysisConfig | None = None,
     rules: list[Rule] | None = None,
-    semantic_cache: Path | None = None,
     want_model: bool = False,
 ) -> AnalysisResult:
     """Load ``paths``, run the (selected) rules, and return findings with
     the semantic model and statistics.
 
-    ``semantic_cache`` names the digest-keyed model cache shared between
-    ``repro lint`` and ``repro analyze``; a stale or corrupt cache file is
-    simply rebuilt.  ``want_model`` forces the model even when no selected
-    rule needs it (``repro analyze`` with no rules at all).
+    A path that does not exist raises :class:`FileNotFoundError`, so a typo
+    cannot pass vacuously.  ``want_model`` forces the model even when no
+    selected rule needs it (``repro analyze`` runs no rules at all).
     """
     project = load_project(paths, root=root)
+    active_config = config if config is not None else AnalysisConfig()
     active_rules = rules if rules is not None else all_rules()
-    need_model = want_model or any(rule.requires_model for rule in active_rules)
     model: SemanticModel | None = None
-    cache_hit = False
-    if need_model:
-        if semantic_cache is not None:
-            model = load_cached_model(semantic_cache, project)
-            cache_hit = model is not None
-        if model is None:
-            model = build_semantic_model(project)
-            if semantic_cache is not None:
-                save_model(model, semantic_cache)
-    findings = analyze_project(
-        project, config=config, rules=active_rules, model=model
-    )
+    if want_model or any(rule.requires_model for rule in active_rules):
+        model = build_semantic_model(project)
+    findings: list[Finding] = []
+    for module in project:
+        for rule in active_rules:
+            findings.extend(rule.check(module, active_config))
+    if model is not None:
+        for rule in active_rules:
+            findings.extend(rule.check_project(active_config, model))
+    findings.sort()
     return AnalysisResult(
         findings=findings,
         model=model,
         statistics=_statistics(project, model, active_rules, findings),
-        cache_hit=cache_hit,
     )
-
-
-def run_analysis(
-    paths: list[Path],
-    *,
-    root: Path | None = None,
-    config: AnalysisConfig | None = None,
-    rules: list[Rule] | None = None,
-) -> list[Finding]:
-    """Load ``paths`` and run the (selected) rules; findings come back
-    sorted by ``(path, line, rule, message)``."""
-    return analyze_paths(paths, root=root, config=config, rules=rules).findings

@@ -1,17 +1,12 @@
-"""Findings: what a rule reports, and how findings are identified.
+"""Findings: what a rule reports.
 
-A :class:`Finding` pins a rule violation to ``file:line`` for humans, but its
-*identity* — used by the baseline mechanism — deliberately excludes the line
-number: baselined findings must survive unrelated edits that shift code
-around, and a finding that moves is still the same accepted debt.  Identity
-is the ``(rule, path, message)`` triple, condensed to a short stable
-fingerprint; two identical violations in one file share a fingerprint and
-are tracked by count.
+A :class:`Finding` pins a rule violation to ``file:line``.  Findings order
+by ``(path, line, rule, message)``, so output (and ``repro lint --json``) is
+stable across runs and platforms.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Any
 
@@ -27,12 +22,6 @@ class Finding:
     rule: str
     message: str
 
-    @property
-    def fingerprint(self) -> str:
-        """Stable identity for baselining: rule + path + message, no line."""
-        raw = f"{self.rule}\x00{self.path}\x00{self.message}"
-        return hashlib.sha256(raw.encode("utf-8")).hexdigest()[:16]
-
     def describe(self) -> str:
         return f"{self.path}:{self.line}: {self.rule}: {self.message}"
 
@@ -44,5 +33,4 @@ class Finding:
             "line": self.line,
             "rule": self.rule,
             "message": self.message,
-            "fingerprint": self.fingerprint,
         }

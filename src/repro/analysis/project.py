@@ -13,9 +13,8 @@ under a ``src`` layout, and can be overridden by a first-lines directive::
 which is how test fixtures exercise module-scoped rules from arbitrary
 paths.
 
-A :class:`Project` is the set of modules under analysis plus an index by
-logical name, so cross-module rules (operator-protocol completeness checks
-``ops.py`` against ``executor.py``) can look their counterparts up.
+A :class:`Project` is the set of modules under analysis; the whole-program
+semantic model (:mod:`repro.analysis.semantic`) is built from it.
 """
 
 from __future__ import annotations
@@ -51,17 +50,9 @@ class Module:
 
 @dataclass
 class Project:
-    """All modules of one analysis run, indexed by logical name."""
+    """All modules of one analysis run."""
 
     modules: list[Module]
-    by_name: dict[str, Module] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        for module in self.modules:
-            self.by_name.setdefault(module.logical_name, module)
-
-    def module(self, logical_name: str) -> Module | None:
-        return self.by_name.get(logical_name)
 
     def __iter__(self) -> Iterator[Module]:
         return iter(self.modules)
@@ -123,9 +114,12 @@ def load_module(path: Path, *, root: Path | None = None) -> Module | None:
 
 def iter_source_files(paths: list[Path]) -> Iterator[Path]:
     """Expand files and directories into ``.py`` files, sorted for stable
-    finding order (cache directories are never interesting)."""
+    finding order (cache directories are never interesting).  A path that
+    does not exist raises :class:`FileNotFoundError`."""
     seen: set[Path] = set()
     for path in paths:
+        if not path.exists():
+            raise FileNotFoundError(f"no such file or directory: '{path}'")
         if path.is_dir():
             candidates = sorted(
                 candidate

@@ -1,6 +1,6 @@
 """The project rule catalog.
 
-Each rule encodes one invariant the PR 1-6 architecture depends on:
+Each rule guards one invariant the running system has:
 
 ========  ====================================================================
 REP101    lock discipline — attributes declared ``# guarded-by: <lock>`` may
@@ -12,9 +12,6 @@ REP104    exception discipline — ``except Exception`` (and broader) only in
 REP105    streaming discipline — streaming functions (``*_iter``,
           ``stream_pairs``, ...) must not materialize ``*_iter`` results with
           ``list``/``sorted``/``set``/``tuple``/``frozenset``
-REP106    operator protocol — every physical operator class in the ops module
-          is part of the ``PhysicalOp`` union, exported, and dispatched by the
-          executor's ``execute``
 REP107    typed defs — every function in the package is fully annotated
           (parameters and return), keeping the ``mypy --strict`` gate honest
           even where mypy is not installed
@@ -30,11 +27,9 @@ REP109    planner purity — no impure effect (clock, randomness, env, file
 
 REP108 and REP109 (and the caller-aware arm of REP101) are *project* rules:
 they run once over the whole-program :class:`~repro.analysis.semantic.model.
-SemanticModel` via :meth:`Rule.check_project` instead of per module.
-
-Rules are small AST walks over :class:`~repro.analysis.project.Module`
-objects; cross-module rules (REP106) look peers up through the
-:class:`~repro.analysis.project.Project`.  Register new rules with
+SemanticModel` via :meth:`Rule.check_project` instead of per module.  The
+other rules are small AST walks over one
+:class:`~repro.analysis.project.Module` at a time.  Register new rules with
 :func:`register`; ``repro lint --rules`` lists the catalog.
 """
 
@@ -44,7 +39,7 @@ import ast
 from typing import TYPE_CHECKING, Iterator
 
 from repro.analysis.findings import Finding
-from repro.analysis.project import Module, Project
+from repro.analysis.project import Module
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.engine import AnalysisConfig
@@ -63,19 +58,15 @@ class Rule:
     name: str = ""
     description: str = ""
     #: True when :meth:`check_project` needs the semantic model; the engine
-    #: builds (or loads from cache) the model only if an active rule asks.
+    #: builds the model only if an active rule asks.
     requires_model: bool = False
 
-    def check(
-        self, module: Module, project: Project, config: "AnalysisConfig"
-    ) -> Iterator[Finding]:
-        raise NotImplementedError
+    def check(self, module: Module, config: "AnalysisConfig") -> Iterator[Finding]:
+        """Per-module pass."""
+        return iter(())
 
     def check_project(
-        self,
-        project: Project,
-        config: "AnalysisConfig",
-        model: "SemanticModel",
+        self, config: "AnalysisConfig", model: "SemanticModel"
     ) -> Iterator[Finding]:
         """Whole-program pass, run once after the per-module loop."""
         return iter(())
@@ -142,9 +133,7 @@ class LockDisciplineRule(Rule):
     )
     requires_model = True
 
-    def check(
-        self, module: Module, project: Project, config: "AnalysisConfig"
-    ) -> Iterator[Finding]:
+    def check(self, module: Module, config: "AnalysisConfig") -> Iterator[Finding]:
         guarded = self._guarded_attributes(module)
         if not guarded:
             return
@@ -153,10 +142,7 @@ class LockDisciplineRule(Rule):
                 yield from self._check_function(module, node, guarded)
 
     def check_project(
-        self,
-        project: Project,
-        config: "AnalysisConfig",
-        model: "SemanticModel",
+        self, config: "AnalysisConfig", model: "SemanticModel"
     ) -> Iterator[Finding]:
         """Verify ``# holds-lock:`` against every resolved call site: the
         annotation is a promise about callers, so the per-module check
@@ -318,9 +304,7 @@ class BroadExceptRule(Rule):
 
     _BROAD = frozenset({"Exception", "BaseException"})
 
-    def check(
-        self, module: Module, project: Project, config: "AnalysisConfig"
-    ) -> Iterator[Finding]:
+    def check(self, module: Module, config: "AnalysisConfig") -> Iterator[Finding]:
         if module.logical_name in config.boundary_modules:
             return
         for node in ast.walk(module.tree):
@@ -380,9 +364,7 @@ class StreamingDisciplineRule(Rule):
         "constant-memory path into a result-sized one"
     )
 
-    def check(
-        self, module: Module, project: Project, config: "AnalysisConfig"
-    ) -> Iterator[Finding]:
+    def check(self, module: Module, config: "AnalysisConfig") -> Iterator[Finding]:
         for node in ast.walk(module.tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
@@ -429,125 +411,6 @@ class StreamingDisciplineRule(Rule):
 
 
 # ---------------------------------------------------------------------------
-# REP106 — operator protocol completeness
-# ---------------------------------------------------------------------------
-
-
-@register
-class OperatorProtocolRule(Rule):
-    """Every physical operator is unioned, exported and executable."""
-
-    id = "REP106"
-    name = "operator-protocol"
-    description = (
-        "every '*Op' class in the ops module must be a member of the "
-        "PhysicalOp union, listed in __all__, and dispatched by the "
-        "executor's execute() — adding an operator without executor support "
-        "must fail lint, not raise at query time"
-    )
-
-    def check(
-        self, module: Module, project: Project, config: "AnalysisConfig"
-    ) -> Iterator[Finding]:
-        if module.logical_name != config.ops_module:
-            return
-        operators = {
-            node.name: node.lineno
-            for node in module.tree.body
-            if isinstance(node, ast.ClassDef) and node.name.endswith("Op")
-        }
-        if not operators:
-            return
-        union_members = self._union_members(module.tree, "PhysicalOp")
-        exported = self._dunder_all(module.tree)
-        for name, line in sorted(operators.items()):
-            if union_members is not None and name not in union_members:
-                yield self.finding(
-                    module, line,
-                    f"operator '{name}' is missing from the PhysicalOp union",
-                )
-            if exported is not None and name not in exported:
-                yield self.finding(
-                    module, line, f"operator '{name}' is missing from __all__"
-                )
-        if union_members is None:
-            first = min(operators.values())
-            yield self.finding(
-                module, first,
-                "ops module defines operators but no 'PhysicalOp = ... | ...' union",
-            )
-        executor = project.module(config.executor_module)
-        if executor is None:
-            return
-        dispatched = self._names_in_function(executor.tree, "execute")
-        if dispatched is None:
-            yield self.finding(
-                module, 1,
-                f"executor module '{config.executor_module}' has no execute() "
-                "to dispatch the operators",
-            )
-            return
-        for name, line in sorted(operators.items()):
-            if name not in dispatched:
-                yield self.finding(
-                    module, line,
-                    f"operator '{name}' is not dispatched by "
-                    f"{config.executor_module}.execute() — executing a plan "
-                    "with it would raise at query time",
-                )
-
-    @staticmethod
-    def _union_members(tree: ast.Module, union_name: str) -> set[str] | None:
-        for statement in tree.body:
-            targets: list[ast.expr] = []
-            value: ast.expr | None = None
-            if isinstance(statement, ast.Assign):
-                targets, value = statement.targets, statement.value
-            elif isinstance(statement, ast.AnnAssign) and statement.value is not None:
-                targets, value = [statement.target], statement.value
-            if not any(
-                isinstance(target, ast.Name) and target.id == union_name
-                for target in targets
-            ):
-                continue
-            members = set()
-            assert value is not None
-            for node in ast.walk(value):
-                if isinstance(node, ast.Name):
-                    members.add(node.id)
-            return members
-        return None
-
-    @staticmethod
-    def _dunder_all(tree: ast.Module) -> set[str] | None:
-        for statement in tree.body:
-            if isinstance(statement, ast.Assign) and any(
-                isinstance(target, ast.Name) and target.id == "__all__"
-                for target in statement.targets
-            ):
-                return {
-                    node.value
-                    for node in ast.walk(statement.value)
-                    if isinstance(node, ast.Constant) and isinstance(node.value, str)
-                }
-        return None
-
-    @staticmethod
-    def _names_in_function(tree: ast.Module, function_name: str) -> set[str] | None:
-        for statement in tree.body:
-            if (
-                isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and statement.name == function_name
-            ):
-                return {
-                    node.id
-                    for node in ast.walk(statement)
-                    if isinstance(node, ast.Name)
-                }
-        return None
-
-
-# ---------------------------------------------------------------------------
 # REP107 — typed defs
 # ---------------------------------------------------------------------------
 
@@ -564,9 +427,7 @@ class TypedDefRule(Rule):
         "'mypy --strict' CI gate"
     )
 
-    def check(
-        self, module: Module, project: Project, config: "AnalysisConfig"
-    ) -> Iterator[Finding]:
+    def check(self, module: Module, config: "AnalysisConfig") -> Iterator[Finding]:
         if not module.logical_name.startswith(config.typed_prefix):
             return
         for node in ast.walk(module.tree):
@@ -622,16 +483,8 @@ class LockOrderRule(Rule):
     )
     requires_model = True
 
-    def check(
-        self, module: Module, project: Project, config: "AnalysisConfig"
-    ) -> Iterator[Finding]:
-        return iter(())
-
     def check_project(
-        self,
-        project: Project,
-        config: "AnalysisConfig",
-        model: "SemanticModel",
+        self, config: "AnalysisConfig", model: "SemanticModel"
     ) -> Iterator[Finding]:
         graph = model.lock_graph
         for cycle in graph.cycles:
@@ -676,16 +529,8 @@ class PlannerPurityRule(Rule):
     )
     requires_model = True
 
-    def check(
-        self, module: Module, project: Project, config: "AnalysisConfig"
-    ) -> Iterator[Finding]:
-        return iter(())
-
     def check_project(
-        self,
-        project: Project,
-        config: "AnalysisConfig",
-        model: "SemanticModel",
+        self, config: "AnalysisConfig", model: "SemanticModel"
     ) -> Iterator[Finding]:
         for qualified in sorted(model.graph.functions):
             info = model.graph.functions[qualified]

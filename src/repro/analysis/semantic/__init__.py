@@ -10,8 +10,7 @@ to interprocedural reasoning:
 * :mod:`~repro.analysis.semantic.locks` — the lock-order graph and its
   deadlock cycles;
 * :mod:`~repro.analysis.semantic.model` — the bundled
-  :class:`~repro.analysis.semantic.model.SemanticModel` plus the
-  digest-keyed disk cache shared by ``repro lint`` and ``repro analyze``.
+  :class:`~repro.analysis.semantic.model.SemanticModel`.
 
 The model powers rules REP108 (lock-order cycles), REP109 (planner purity
 by reachability) and the caller-aware arm of REP101, as well as the
@@ -30,13 +29,7 @@ from repro.analysis.semantic.callgraph import (
     build_call_graph,
 )
 from repro.analysis.semantic.locks import LockEdge, LockGraph, build_lock_graph
-from repro.analysis.semantic.model import (
-    SemanticModel,
-    build_semantic_model,
-    load_cached_model,
-    project_digest,
-    save_model,
-)
+from repro.analysis.semantic.model import SemanticModel, build_semantic_model
 
 __all__ = [
     "Acquisition",
@@ -50,7 +43,4 @@ __all__ = [
     "build_call_graph",
     "build_lock_graph",
     "build_semantic_model",
-    "load_cached_model",
-    "project_digest",
-    "save_model",
 ]

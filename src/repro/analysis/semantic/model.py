@@ -1,37 +1,19 @@
-"""The assembled semantic model, its serialization, and the disk cache.
+"""The assembled semantic model.
 
 :func:`build_semantic_model` runs the three analyses over a loaded
 :class:`~repro.analysis.project.Project` — call graph, effect inference,
-lock-order graph — and bundles them with a content digest of the analyzed
-sources.  The digest keys the disk cache (``--semantic-cache``): ``repro
-lint`` and ``repro analyze`` running back-to-back in CI build the model
-once and share it, and any source change invalidates the cache by
-construction.
-
-The serialized payload stores only the *extracted facts* (functions, call
-sites, acquisitions, lock kinds, guarded classes, direct effects); the
-derived data — transitive effects and the lock-order graph — is recomputed
-on load through the exact same code path as a fresh build, so a cache hit
-cannot diverge from a cache miss.
+lock-order graph — and bundles them for the project-level rules and the
+``repro analyze`` views.  The model is rebuilt on every run; over this
+repository that takes a few seconds.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any
 
 from repro.analysis.project import Project
-from repro.analysis.semantic.callgraph import (
-    Acquisition,
-    CallGraph,
-    CallSite,
-    FunctionInfo,
-    GuardedClass,
-    build_call_graph,
-)
+from repro.analysis.semantic.callgraph import CallGraph, build_call_graph
 from repro.analysis.semantic.effects import (
     direct_effects as _compute_direct_effects,
 )
@@ -41,25 +23,13 @@ from repro.analysis.semantic.effects import (
 )
 from repro.analysis.semantic.locks import LockGraph, build_lock_graph
 
-__all__ = [
-    "SemanticModel",
-    "build_semantic_model",
-    "load_cached_model",
-    "project_digest",
-    "save_model",
-]
-
-# Bumped whenever extraction semantics change (v2: the effect scanner
-# honors per-line ``# effect-exempt:`` directives), so stale cached effect
-# sets cannot survive an analyzer upgrade.
-_PAYLOAD_VERSION = 2
+__all__ = ["SemanticModel", "build_semantic_model"]
 
 
 @dataclass
 class SemanticModel:
     """Everything the project-level rules and ``repro analyze`` consume."""
 
-    digest: str
     graph: CallGraph
     direct_effects: dict[str, frozenset[str]]
     effects: dict[str, frozenset[str]]
@@ -68,27 +38,6 @@ class SemanticModel:
     def witness(self, start: str, effect: str) -> list[str]:
         """Shortest call path from ``start`` to the effect's direct source."""
         return effect_witness(self.graph, self.direct_effects, start, effect)
-
-
-def project_digest(project: Project) -> str:
-    """Content hash of the analyzed sources; any edit changes it."""
-    digest = hashlib.sha256()
-    for module in sorted(project, key=lambda m: m.display_path):
-        digest.update(module.display_path.encode("utf-8"))
-        digest.update(b"\x00")
-        digest.update(module.source.encode("utf-8"))
-        digest.update(b"\x00")
-    return digest.hexdigest()
-
-
-def _derive(digest: str, graph: CallGraph, direct: dict[str, frozenset[str]]) -> SemanticModel:
-    return SemanticModel(
-        digest=digest,
-        graph=graph,
-        direct_effects=direct,
-        effects=transitive_effects(graph, direct),
-        lock_graph=build_lock_graph(graph),
-    )
 
 
 def build_semantic_model(project: Project) -> SemanticModel:
@@ -104,7 +53,12 @@ def build_semantic_model(project: Project) -> SemanticModel:
         {name: info.module for name, info in graph.functions.items()},
         method_names,
     )
-    return _derive(project_digest(project), graph, direct)
+    return SemanticModel(
+        graph=graph,
+        direct_effects=direct,
+        effects=transitive_effects(graph, direct),
+        lock_graph=build_lock_graph(graph),
+    )
 
 
 def _function_nodes(project: Project, graph: CallGraph) -> dict[str, Any]:
@@ -127,125 +81,3 @@ def _function_nodes(project: Project, graph: CallGraph) -> dict[str, Any]:
                 if name is not None and name not in nodes:
                     nodes[name] = node
     return nodes
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-
-def model_payload(model: SemanticModel) -> dict[str, Any]:
-    """The JSON-serializable cache payload (extracted facts only)."""
-    return {
-        "version": _PAYLOAD_VERSION,
-        "digest": model.digest,
-        "modules": model.graph.modules,
-        "total_calls": model.graph.total_calls,
-        "unresolved_calls": model.graph.unresolved_calls,
-        "functions": [
-            {
-                "qualified": info.qualified,
-                "module": info.module,
-                "qualname": info.qualname,
-                "name": info.name,
-                "class": info.class_name,
-                "line": info.lineno,
-                "path": info.display_path,
-                "contextmanager": info.is_contextmanager,
-                "holds_locks": list(info.holds_locks),
-                "acquires_locks": list(info.acquires_locks),
-                "direct_effects": sorted(
-                    model.direct_effects.get(info.qualified, frozenset())
-                ),
-            }
-            for info in model.graph.functions.values()
-        ],
-        "calls": [
-            [site.caller, site.callee, site.line,
-             list(site.held), list(site.bare_held)]
-            for site in model.graph.calls
-        ],
-        "acquisitions": [
-            [acq.function, acq.lock, acq.line, list(acq.held)]
-            for acq in model.graph.acquisitions
-        ],
-        "lock_kinds": dict(sorted(model.graph.lock_kinds.items())),
-        "guarded_classes": {
-            key: {"name": gc.name, "module": gc.module, "guards": gc.guards}
-            for key, gc in sorted(model.graph.guarded_classes.items())
-        },
-    }
-
-
-def _model_from_payload(payload: dict[str, Any]) -> SemanticModel:
-    functions: dict[str, FunctionInfo] = {}
-    direct: dict[str, frozenset[str]] = {}
-    for entry in payload["functions"]:
-        info = FunctionInfo(
-            qualified=entry["qualified"],
-            module=entry["module"],
-            qualname=entry["qualname"],
-            name=entry["name"],
-            class_name=entry["class"],
-            lineno=entry["line"],
-            display_path=entry["path"],
-            is_contextmanager=entry["contextmanager"],
-            holds_locks=tuple(entry["holds_locks"]),
-            acquires_locks=tuple(entry["acquires_locks"]),
-        )
-        functions[info.qualified] = info
-        direct[info.qualified] = frozenset(entry["direct_effects"])
-    graph = CallGraph(
-        functions=functions,
-        calls=[
-            CallSite(
-                caller=caller,
-                callee=callee,
-                line=line,
-                held=tuple(held),
-                bare_held=tuple(bare),
-            )
-            for caller, callee, line, held, bare in payload["calls"]
-        ],
-        acquisitions=[
-            Acquisition(function=func, lock=lock, line=line, held=tuple(held))
-            for func, lock, line, held in payload["acquisitions"]
-        ],
-        lock_kinds=dict(payload["lock_kinds"]),
-        guarded_classes={
-            key: GuardedClass(
-                name=entry["name"],
-                module=entry["module"],
-                guards=dict(entry["guards"]),
-            )
-            for key, entry in payload["guarded_classes"].items()
-        },
-        modules=payload["modules"],
-        total_calls=payload["total_calls"],
-        unresolved_calls=payload["unresolved_calls"],
-    )
-    return _derive(payload["digest"], graph, direct)
-
-
-def save_model(model: SemanticModel, path: Path) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(model_payload(model), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-
-
-def load_cached_model(path: Path, project: Project) -> SemanticModel | None:
-    """The cached model, if it exists and matches the project's digest."""
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        return None
-    if not isinstance(payload, dict) or payload.get("version") != _PAYLOAD_VERSION:
-        return None
-    if payload.get("digest") != project_digest(project):
-        return None
-    try:
-        return _model_from_payload(payload)
-    except (KeyError, TypeError, ValueError):
-        return None

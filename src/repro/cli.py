@@ -16,7 +16,7 @@ Subcommands cover the typical workflow of the library:
 * ``repro bench``     — benchmark scenarios and trajectory gating (``run`` /
   ``gate`` / ``check`` / ``list`` / ``figures``; same as ``python -m repro.bench``),
 * ``repro lint``      — the project's own static-analysis rules
-  (:mod:`repro.analysis`), with ``--json`` output and a committed baseline,
+  (:mod:`repro.analysis`), exiting 1 on any finding, with ``--json`` output,
 * ``repro analyze``   — the whole-program semantic model behind the lint
   rules (``call-graph`` / ``lock-graph`` / ``effects``), with ``--json``
   and Graphviz ``--dot`` output.
@@ -450,7 +450,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 def _cmd_lint(args: argparse.Namespace) -> int:
     from repro.analysis import all_rules, analyze_paths
-    from repro.analysis.baseline import Baseline
 
     rules = all_rules()
     if args.list_rules:
@@ -467,49 +466,21 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             )
         rules = [rule for rule in rules if rule.id in wanted]
     paths = [Path(p) for p in args.paths] if args.paths else [Path("src/repro")]
-    cache = Path(args.semantic_cache) if args.semantic_cache else None
-    result = analyze_paths(
-        paths, root=Path.cwd(), rules=rules, semantic_cache=cache
-    )
+    result = analyze_paths(paths, root=Path.cwd(), rules=rules)
     findings = result.findings
-    baseline_path = Path(args.baseline)
-    if args.update_baseline:
-        Baseline.from_findings(findings).dump(baseline_path)
-        print(f"wrote baseline with {len(findings)} finding(s) to {baseline_path}")
-        return 0
-    delta = Baseline.load(baseline_path).apply(findings)
     if args.json:
-        status = {id(f): "new" for f in delta.new}
-        payload = {
-            "version": 1,
+        payload: dict[str, object] = {
+            "version": 2,
             "rules": [rule.id for rule in rules],
-            "summary": {
-                "total": len(findings),
-                "new": len(delta.new),
-                "suppressed": len(delta.suppressed),
-                "stale": len(delta.stale),
-            },
-            "findings": [
-                {**f.to_dict(), "status": status.get(id(f), "baselined")}
-                for f in findings
-            ],
-            "stale": sorted(delta.stale),
+            "findings": [finding.to_dict() for finding in findings],
         }
         if args.statistics:
             payload["statistics"] = result.statistics.to_payload()
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        for finding in delta.new:
+        for finding in findings:
             print(finding.describe())
-        parts = [f"{len(findings)} finding(s)", f"{len(delta.new)} new"]
-        if delta.suppressed:
-            parts.append(f"{len(delta.suppressed)} baselined")
-        if delta.stale:
-            parts.append(
-                f"{len(delta.stale)} stale baseline entr(y/ies) — "
-                "run 'repro lint --update-baseline' to tighten"
-            )
-        print("; ".join(parts))
+        print(f"{len(findings)} finding(s)")
         if args.statistics:
             stats = result.statistics
             print(
@@ -526,7 +497,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
                 for rule_id, count in sorted(stats.rule_findings.items())
             )
             print(f"findings by rule: {per_rule}")
-    return 1 if delta.new else 0
+    return 1 if findings else 0
 
 
 def _analyze_call_graph(args: argparse.Namespace, model: object) -> int:
@@ -685,14 +656,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     from repro.analysis import analyze_paths
 
     paths = [Path(p) for p in args.paths] if args.paths else [Path("src/repro")]
-    cache = Path(args.semantic_cache) if args.semantic_cache else None
-    result = analyze_paths(
-        paths,
-        root=Path.cwd(),
-        rules=[],
-        semantic_cache=cache,
-        want_model=True,
-    )
+    result = analyze_paths(paths, root=Path.cwd(), rules=[], want_model=True)
     handlers = {
         "call-graph": _analyze_call_graph,
         "lock-graph": _analyze_lock_graph,
@@ -990,27 +954,16 @@ def build_parser() -> argparse.ArgumentParser:
         "lint",
         help="run the project's static-analysis rules (repro.analysis)",
         description=(
-            "Run the project-specific AST rules (lock discipline, lock order, "
-            "planner determinism, exception discipline, "
-            "streaming discipline, operator protocol, typed defs) over the "
-            "given paths. Findings already recorded in the baseline file pass; "
-            "new findings exit 1."
+            "Run the project-specific rules (lock discipline, lock order, "
+            "planner purity, exception discipline, streaming discipline, "
+            "typed defs) over the given paths. Any finding exits 1; a path "
+            "that does not exist exits 2."
         ),
     )
     lint_parser.add_argument(
         "paths",
         nargs="*",
         help="files or directories to analyze (default: src/repro)",
-    )
-    lint_parser.add_argument(
-        "--baseline",
-        default="lint-baseline.json",
-        help="baseline file of accepted findings (default: lint-baseline.json)",
-    )
-    lint_parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline to accept all current findings",
     )
     lint_parser.add_argument(
         "--json", action="store_true", help="emit machine-readable JSON output"
@@ -1031,24 +984,16 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="report per-rule finding counts and call/lock-graph totals",
     )
-    lint_parser.add_argument(
-        "--semantic-cache",
-        metavar="PATH",
-        help=(
-            "digest-keyed semantic-model cache file shared with "
-            "'repro analyze' (rebuilt automatically when sources change)"
-        ),
-    )
     lint_parser.set_defaults(handler=_cmd_lint)
 
     analyze_parser = sub.add_parser(
         "analyze",
         help="inspect the whole-program semantic model (repro.analysis.semantic)",
         description=(
-            "Build (or load from --semantic-cache) the whole-program semantic "
-            "model behind REP108/REP109 and print one of its views: the "
-            "cross-module call graph, the lock-order graph (exit 1 on a "
-            "deadlock cycle), or per-function transitive effects."
+            "Build the whole-program semantic model behind REP108/REP109 "
+            "and print one of its views: the cross-module call graph, the "
+            "lock-order graph (exit 1 on a deadlock cycle), or per-function "
+            "transitive effects. A path that does not exist exits 2."
         ),
     )
     analyze_parser.add_argument(
@@ -1068,11 +1013,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--dot",
         action="store_true",
         help="emit a Graphviz digraph (call-graph and lock-graph views)",
-    )
-    analyze_parser.add_argument(
-        "--semantic-cache",
-        metavar="PATH",
-        help="digest-keyed semantic-model cache file shared with 'repro lint'",
     )
     analyze_parser.set_defaults(handler=_cmd_analyze)
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
+from repro.automata.boolean_matrix import BooleanMatrix
 from repro.automata.regex import RegexNode, parse_regex
 from repro.core.allpairs import all_pairs_iter, all_pairs_reachability
 from repro.core.decomposition import (
@@ -44,7 +45,6 @@ from repro.workflow.run import Run
 from repro.workflow.spec import Specification
 
 if TYPE_CHECKING:
-    from repro.automata.boolean_matrix import BooleanMatrix
     from repro.service.cache import IndexCache
 
 __all__ = ["ProvenanceQueryEngine", "DEFAULT_CACHE_ENTRIES"]
@@ -131,8 +131,13 @@ class ProvenanceQueryEngine:
     # -- pairwise queries ---------------------------------------------------------------
 
     def reachable(self, run: Run, source: str, target: str) -> bool:
-        """Plain reachability ``u ⤳ v`` decoded from labels (prior work [4])."""
+        """Plain reachability ``u ⤳ v`` decoded from labels (prior work [4]).
+
+        An id absent from the run matches nothing, so it reaches nothing.
+        """
         self._check_run(run)
+        if source not in run or target not in run:
+            return False
         return is_reachable(run.label_of(source), run.label_of(target), self._spec)
 
     def pairwise(self, run: Run, source: str, target: str, query: str | RegexNode) -> bool:
@@ -140,18 +145,24 @@ class ProvenanceQueryEngine:
 
         Requires the query to be safe; unsafe queries raise
         :class:`~repro.errors.UnsafeQueryError` (evaluate them with
-        :meth:`evaluate` instead).
+        :meth:`evaluate` instead).  An endpoint absent from the run answers
+        ``False``.
         """
         self._check_run(run)
         index = self.query_index(query)
+        if source not in run or target not in run:
+            return False
         return answer_pairwise_query(index, run.label_of(source), run.label_of(target))
 
     def pairwise_states(
         self, run: Run, source: str, target: str, query: str | RegexNode
-    ) -> "BooleanMatrix":
-        """The full DFA-state relation realized by paths from source to target."""
+    ) -> BooleanMatrix:
+        """The full DFA-state relation realized by paths from source to target
+        (empty when an endpoint is absent from the run)."""
         self._check_run(run)
         index = self.query_index(query)
+        if source not in run or target not in run:
+            return BooleanMatrix.zero(index.identity.size)
         return pairwise_reach_matrix(index, run.label_of(source), run.label_of(target))
 
     # -- all-pairs queries ----------------------------------------------------------------
@@ -161,9 +172,7 @@ class ProvenanceQueryEngine:
     ) -> set[tuple[str, str]]:
         """All reachable pairs of ``l1 × l2`` in input+output-linear time."""
         self._check_run(run)
-        universe1 = list(l1) if l1 is not None else list(run.node_ids())
-        universe2 = list(l2) if l2 is not None else list(run.node_ids())
-        return all_pairs_reachability(run, universe1, universe2)
+        return all_pairs_reachability(run, run.known_ids(l1), run.known_ids(l2))
 
     def all_pairs(
         self,
@@ -187,15 +196,13 @@ class ProvenanceQueryEngine:
         Pairs are yielded as they are found (each exactly once, in no
         particular order) without ever materializing the result set, so a
         consumer can stop early or process millions of pairs in constant
-        memory.  Unsafe queries raise
+        memory.  Ids absent from the run are dropped.  Unsafe queries raise
         :class:`~repro.errors.UnsafeQueryError`; use :meth:`evaluate_iter`
         for those.
         """
         self._check_run(run)
         index = self.query_index(query)
-        universe1 = list(l1) if l1 is not None else list(run.node_ids())
-        universe2 = list(l2) if l2 is not None else list(run.node_ids())
-        return all_pairs_iter(run, universe1, universe2, index)
+        return all_pairs_iter(run, run.known_ids(l1), run.known_ids(l2), index)
 
     def evaluate(
         self,

@@ -217,8 +217,8 @@ def build_physical_plan(
         if plan.is_fully_safe:
             op = LabelDecodeOp(
                 node=plan.root,
-                l1=tuple(l1) if l1 is not None else run.node_ids(),
-                l2=tuple(l2) if l2 is not None else run.node_ids(),
+                l1=run.known_ids(l1),
+                l2=run.known_ids(l2),
             )
             span.set("operator", "label_decode")
         elif l1 is None and l2 is None:

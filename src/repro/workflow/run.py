@@ -101,6 +101,13 @@ class Run:
     def node_ids(self) -> tuple[str, ...]:
         return tuple(self.nodes)
 
+    def known_ids(self, node_ids: Iterable[str] | None) -> tuple[str, ...]:
+        """Every node id without a list, else the listed ids this run has, in
+        order: an id absent from the run matches nothing."""
+        if node_ids is None:
+            return self.node_ids()
+        return tuple(node_id for node_id in node_ids if node_id in self.nodes)
+
     @cached_property
     def successors(self) -> Mapping[str, tuple[tuple[str, str], ...]]:
         """``successors[u]`` is a tuple of ``(target, tag)`` pairs."""

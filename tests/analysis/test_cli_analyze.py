@@ -1,5 +1,5 @@
 """The `repro analyze` subcommand and `repro lint --statistics`: views,
-exit codes, JSON shapes, and the semantic cache shared between the two."""
+exit codes and JSON shapes."""
 
 import json
 from pathlib import Path
@@ -86,48 +86,13 @@ class TestEffectsView:
         assert "fixtures.rep109_planner:plan_order: clock" in out
 
 
-class TestSemanticCache:
-    def test_analyze_writes_and_lint_reuses_the_cache(self, tmp_path, capsys):
-        cache = tmp_path / "semantic.json"
-        assert main(
-            ["analyze", "lock-graph", ORDERED, "--semantic-cache", str(cache)]
-        ) == 0
-        assert cache.exists()
-        first = json.loads(cache.read_text())
-        assert main(
-            [
-                "lint",
-                ORDERED,
-                "--baseline",
-                str(tmp_path / "b.json"),
-                "--semantic-cache",
-                str(cache),
-            ]
-        ) == 0
-        # lint reused the model instead of rebuilding: the file is untouched
-        assert json.loads(cache.read_text()) == first
-
-    def test_stale_cache_is_rebuilt(self, tmp_path, capsys):
-        cache = tmp_path / "semantic.json"
-        assert main(
-            ["analyze", "lock-graph", ORDERED, "--semantic-cache", str(cache)]
-        ) == 0
-        stale = json.loads(cache.read_text())
-        assert main(
-            ["analyze", "lock-graph", CYCLIC, "--semantic-cache", str(cache)]
-        ) == 1
-        rebuilt = json.loads(cache.read_text())
-        assert rebuilt["digest"] != stale["digest"]
-
-
 class TestLintStatistics:
-    def test_statistics_key_appears_only_when_requested(self, tmp_path, capsys):
-        baseline = str(tmp_path / "b.json")
-        main(["lint", ORDERED, "--baseline", baseline, "--json"])
+    def test_statistics_key_appears_only_when_requested(self, capsys):
+        main(["lint", ORDERED, "--json"])
         plain = json.loads(capsys.readouterr().out)
         assert "statistics" not in plain
 
-        main(["lint", ORDERED, "--baseline", baseline, "--json", "--statistics"])
+        main(["lint", ORDERED, "--json", "--statistics"])
         payload = json.loads(capsys.readouterr().out)
         stats = payload["statistics"]
         assert stats["modules"] == 1
@@ -135,8 +100,8 @@ class TestLintStatistics:
         assert stats["lock_cycles"] == 0
         assert stats["rule_findings"]["REP108"] == 0
 
-    def test_human_statistics_summarize_the_graphs(self, tmp_path, capsys):
-        main(["lint", CYCLIC, "--baseline", str(tmp_path / "b.json"), "--statistics"])
+    def test_human_statistics_summarize_the_graphs(self, capsys):
+        main(["lint", CYCLIC, "--statistics"])
         out = capsys.readouterr().out
         assert "analyzed 1 module(s)" in out
         assert "cycles: 1" in out

@@ -6,7 +6,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import AnalysisConfig, all_rules, rule_ids, run_analysis
+from repro.analysis import (
+    AnalysisConfig,
+    Finding,
+    all_rules,
+    analyze_paths,
+    rule_ids,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -14,17 +20,22 @@ FIXTURES = Path(__file__).parent / "fixtures"
 def lint(rule_id: str, *names: str, config: AnalysisConfig | None = None):
     rules = [rule for rule in all_rules() if rule.id == rule_id]
     assert rules, f"unknown rule {rule_id}"
-    return run_analysis(
+    return analyze_paths(
         [FIXTURES / name for name in names],
         root=FIXTURES,
         config=config,
         rules=rules,
-    )
+    ).findings
 
 
 class TestCatalog:
     def test_at_least_six_project_rules(self):
         assert len(rule_ids()) >= 6
+
+    def test_catalog_is_the_six_live_rules(self):
+        assert rule_ids() == [
+            "REP101", "REP104", "REP105", "REP107", "REP108", "REP109",
+        ]
 
     def test_rule_metadata_is_complete(self):
         for rule in all_rules():
@@ -39,6 +50,13 @@ class TestCatalog:
             assert finding.path == "rep101_bad.py"
             assert finding.line > 0
             assert finding.rule == "REP101"
+
+    def test_finding_renders_its_four_fields(self):
+        finding = Finding(path="a.py", line=3, rule="REP104", message="broad")
+        assert finding.describe() == "a.py:3: REP104: broad"
+        assert finding.to_dict() == {
+            "path": "a.py", "line": 3, "rule": "REP104", "message": "broad",
+        }
 
 
 class TestLockDiscipline:
@@ -63,7 +81,7 @@ class TestPlannerDeterminism:
     chain needed): every impurity is flagged on the function holding it."""
 
     def test_bad_fixture_flags_each_impurity(self):
-        findings = lint("REP109", "rep103_bad.py")
+        findings = lint("REP109", "rep109_direct_bad.py")
         flagged = {
             (finding.message.split("'")[1], finding.message.split("'")[3])
             for finding in findings
@@ -78,12 +96,12 @@ class TestPlannerDeterminism:
         }
 
     def test_good_fixture_is_clean(self):
-        assert lint("REP109", "rep103_good.py") == []
+        assert lint("REP109", "rep109_direct_good.py") == []
 
     def test_rule_only_applies_to_planner_modules(self):
         # Same broken source, but without the planner logical name.
         config = AnalysisConfig(determinism_modules=frozenset({"somewhere.else"}))
-        assert lint("REP109", "rep103_bad.py", config=config) == []
+        assert lint("REP109", "rep109_direct_bad.py", config=config) == []
 
 
 class TestBroadExcept:
@@ -114,20 +132,6 @@ class TestStreamingDiscipline:
 
     def test_good_fixture_is_clean(self):
         assert lint("REP105", "rep105_good.py") == []
-
-
-class TestOperatorProtocol:
-    def test_ghost_operator_flagged_three_ways(self):
-        findings = lint("REP106", "rep106_ops_bad.py", "rep106_executor.py")
-        messages = [finding.message for finding in findings]
-        assert len(findings) == 3
-        assert any("missing from the PhysicalOp union" in m for m in messages)
-        assert any("missing from __all__" in m for m in messages)
-        assert any("not dispatched" in m for m in messages)
-        assert all("GhostOp" in m for m in messages)
-
-    def test_complete_catalog_is_clean(self):
-        assert lint("REP106", "rep106_ops_good.py", "rep106_executor.py") == []
 
 
 class TestTypedDefs:
@@ -239,7 +243,6 @@ class TestRepositoryIsClean:
             "REP101",
             "REP104",
             "REP105",
-            "REP106",
             "REP107",
             "REP108",
             "REP109",
@@ -248,4 +251,5 @@ class TestRepositoryIsClean:
     def test_src_repro_has_no_findings(self, rule_id):
         src = Path(__file__).resolve().parents[2] / "src" / "repro"
         rules = [rule for rule in all_rules() if rule.id == rule_id]
-        assert run_analysis([src], root=src.parent.parent, rules=rules) == []
+        result = analyze_paths([src], root=src.parent.parent, rules=rules)
+        assert result.findings == []

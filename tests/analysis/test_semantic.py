@@ -1,5 +1,5 @@
 """The whole-program semantic layer: call graph, lock-order graph, effect
-inference, and the digest-keyed model cache — on fixtures with known shapes
+inference — on fixtures with known shapes
 and on the real tree (which must stay deadlock-free and planner-pure)."""
 
 from pathlib import Path
@@ -10,9 +10,6 @@ from repro.analysis.project import load_project
 from repro.analysis.semantic import (
     build_call_graph,
     build_semantic_model,
-    load_cached_model,
-    project_digest,
-    save_model,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -108,33 +105,6 @@ class TestEffects:
     def test_pure_chain_has_no_effects(self):
         model = build_semantic_model(project("rep109_good.py", "rep109_helpers.py"))
         assert model.effects["fixtures.rep109_planner:plan_order"] == frozenset()
-
-
-class TestModelCache:
-    def test_roundtrip_preserves_graphs_and_effects(self, tmp_path):
-        loaded_project = project("rep108_bad.py", "rep109_helpers.py")
-        model = build_semantic_model(loaded_project)
-        cache = tmp_path / "model.json"
-        save_model(model, cache)
-        reloaded = load_cached_model(cache, loaded_project)
-        assert reloaded is not None
-        assert reloaded.digest == model.digest
-        assert reloaded.effects == model.effects
-        assert reloaded.lock_graph == model.lock_graph
-        assert set(reloaded.graph.functions) == set(model.graph.functions)
-
-    def test_source_change_invalidates_the_cache(self, tmp_path):
-        loaded_project = project("rep108_bad.py")
-        save_model(build_semantic_model(loaded_project), tmp_path / "model.json")
-        other = project("rep108_good.py")
-        assert project_digest(other) != project_digest(loaded_project)
-        assert load_cached_model(tmp_path / "model.json", other) is None
-
-    def test_corrupt_cache_is_ignored(self, tmp_path):
-        loaded_project = project("rep108_bad.py")
-        cache = tmp_path / "model.json"
-        cache.write_text("{not json")
-        assert load_cached_model(cache, loaded_project) is None
 
 
 class TestRealTree:

@@ -67,6 +67,23 @@ class TestEngineQueries:
         index = engine.query_index("_* e _*")
         assert index.accepts(matrix)
 
+    def test_ids_absent_from_the_run_match_nothing(self, engine, run):
+        assert not engine.reachable(run, "ghost", "b:1")
+        assert not engine.pairwise(run, "c:1", "ghost", "_* e _*")
+        assert engine.pairwise_states(run, "ghost", "b:1", "_* e _*").is_zero()
+        assert engine.all_pairs_reachability(run, ["c:1", "ghost"], ["ghost"]) == set()
+        assert engine.all_pairs_reachability(
+            run, ["c:1", "ghost"], ["b:1"]
+        ) == engine.all_pairs_reachability(run, ["c:1"], ["b:1"])
+        with pytest.raises(UnsafeQueryError):
+            engine.pairwise(run, "ghost", "b:1", "e")
+
+    def test_streamed_all_pairs_drop_ids_absent_from_the_run(self, engine, run):
+        with_ghost = list(engine.all_pairs_iter(run, "_* e _*", ["ghost", "c:1"], None))
+        assert with_ghost
+        assert set(with_ghost) == set(engine.all_pairs_iter(run, "_* e _*", ["c:1"], None))
+        assert list(engine.all_pairs_iter(run, "_* e _*", ["ghost"], None)) == []
+
     def test_pairwise_unsafe_query_raises(self, engine, run):
         with pytest.raises(UnsafeQueryError):
             engine.pairwise(run, "c:1", "b:1", "e")

@@ -11,6 +11,7 @@ label routing forced so macro edges (diagonal ones included) occur.
 """
 
 import contextlib
+import typing
 from unittest import mock
 
 import pytest
@@ -26,12 +27,14 @@ from repro.core.exec import (
     FrontierSearchOp,
     JoinOp,
     LabelDecodeOp,
+    PhysicalOp,
     build_physical_plan,
     check_direction,
     execute,
     execute_iter,
 )
 from repro.core.exec import executor as executor_module
+from repro.core.exec import ops
 from repro.core.query_index import build_query_index
 from repro.core.relations import evaluate_regex_relation, restrict
 from repro.datasets.paper_example import paper_specification
@@ -122,18 +125,6 @@ def spec_run_query_lists(draw):
     return run, query, l1, l2
 
 
-def _runnable(run, query, l1, l2):
-    """The node lists with :data:`_GHOST` kept only for unsafe queries: the
-    label decode of a fully safe query takes run nodes only."""
-    if not plan_decomposition(run.spec, query).is_fully_safe:
-        return l1, l2
-
-    def known(side):
-        return None if side is None else [node for node in side if node in run]
-
-    return known(l1), known(l2)
-
-
 def _oracle(run, query, l1, l2):
     """The product-automaton answer; ids absent from the run are ignored."""
     def known(side):
@@ -152,7 +143,6 @@ class TestExecutorEquivalence:
         lists) all return the set-based join reference's pair set, and their
         streams yield each pair once."""
         run, query, l1, l2 = data
-        l1, l2 = _runnable(run, query, l1, l2)
         reference = restrict(evaluate_regex_relation(run, parse_regex(query)), l1, l2)
         for label, kwargs in (
             ("forward", {"direction": "forward"}),
@@ -181,7 +171,6 @@ class TestExecutorEquivalence:
         every worthwhile safe subtree into a macro edge; a starred one
         matches the empty path, so its macro relation has diagonal pairs."""
         run, query, l1, l2 = data
-        l1, l2 = _runnable(run, query, l1, l2)
         plan = plan_decomposition(run.spec, query)
         routing = (
             mock.patch.object(plan, "estimate_prefers_labels", lambda run, node: True)
@@ -460,6 +449,42 @@ class TestPlannerResolution:
             check_direction("")
         with pytest.raises(ValueError, match="unknown direction 'Forward'"):
             check_direction("Forward")
+
+
+class TestOperatorCatalog:
+    """Every physical operator is a member of the ``PhysicalOp`` union,
+    exported, built by the planner for one request shape, and run alike by
+    both executors."""
+
+    #: One request shape per operator: (query, l1 size, l2 size).
+    SHAPES = {
+        LabelDecodeOp: ("_* e _*", None, None),
+        JoinOp: ("_* a _*", None, None),
+        FrontierSearchOp: ("_* a _*", 5, None),
+    }
+
+    def test_union_is_the_exported_operators(self):
+        exported = {
+            getattr(ops, name)
+            for name in ops.__all__
+            if name.endswith("Op") and isinstance(getattr(ops, name), type)
+        }
+        assert set(typing.get_args(PhysicalOp)) == exported
+        assert set(self.SHAPES) == exported
+
+    @pytest.mark.parametrize("operator", list(SHAPES), ids=lambda op: op.__name__)
+    def test_each_operator_is_planned_and_executed_alike(self, operator):
+        run = _RUNS["paper"][0]
+        nodes = list(run.node_ids())
+        query, *sides = self.SHAPES[operator]
+        l1, l2 = (None if side is None else nodes[:side] for side in sides)
+        physical = _physical(run, query, l1, l2)
+        assert type(physical.root) is operator
+        materialized = execute(physical)
+        streamed = list(execute_iter(physical))
+        assert materialized
+        assert len(streamed) == len(set(streamed))
+        assert set(streamed) == materialized
 
 
 class TestPhysicalPlanReporting:

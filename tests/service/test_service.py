@@ -154,15 +154,36 @@ class TestBatchEvaluation:
              "source": source, "target": source},
             {"op": "pairwise", "run": "r1", "query": "((broken",
              "source": source, "target": source},
-            {"op": "reachability", "run": "r1", "source": "no-such-node",
-             "target": source},
             {"op": "reachability", "run": "r1", "source": source, "target": source},
         ]
         results = service.run_batch(requests)
-        assert [result.ok for result in results] == [False, False, False, True]
+        assert [result.ok for result in results] == [False, False, True]
         assert "unknown run id" in results[0].error
         assert "broken" in results[1].error
-        assert results[3].answer is True
+        assert results[2].answer is True
+
+    def test_ids_absent_from_the_run_match_nothing(self, run, service):
+        """One rule on every path: a pairwise or reachability request with an
+        absent endpoint answers false, and an all-pairs list drops the id."""
+        source = run.nodes_named("c")[0]
+        target = run.nodes_named("b")[0]
+        ghost = "ghost:0"
+        requests = [
+            {"op": "pairwise", "run": "r1", "query": "_* e _*",
+             "source": source, "target": ghost},
+            {"op": "pairwise", "run": "r1", "query": "e",
+             "source": ghost, "target": target},
+            {"op": "reachability", "run": "r1", "source": ghost, "target": target},
+            {"op": "allpairs", "run": "r1", "query": "_* e _*",
+             "sources": [source, ghost]},
+            {"op": "allpairs", "run": "r1", "query": "_* e _*", "sources": [source]},
+        ]
+        results = service.run_batch(requests)
+        assert [result.error for result in results] == [None] * 5
+        assert all(result.ok for result in results)
+        assert [result.answer for result in results[:3]] == [False, False, False]
+        assert results[4].pairs
+        assert results[3].pairs == results[4].pairs
 
     def test_closing_iter_batch_early_drops_queued_requests(self, run, monkeypatch):
         """A consumer that stops after the first result (an exception, a

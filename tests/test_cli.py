@@ -58,6 +58,24 @@ class TestDeriveAndQuery:
         assert main(["query", str(run_path), "_* e _*", "--source", "c:1", "--target", "b:1"]) == 0
         assert "True" in capsys.readouterr().out
 
+    def test_ids_absent_from_the_run_match_nothing(self, tmp_path, capsys):
+        run_path = tmp_path / "run.json"
+        main(["derive", "paper-example", "--edges", "40", "--seed", "3", "--output", str(run_path)])
+        capsys.readouterr()
+        assert main(["query", str(run_path), "_* e _*", "--sources", "c:1", "--json"]) == 0
+        expected = json.loads(capsys.readouterr().out)
+        assert expected
+        assert main(
+            ["query", str(run_path), "_* e _*", "--sources", "c:1,ghost", "--json"]
+        ) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out) == expected
+        assert "Traceback" not in captured.err
+        assert main(
+            ["query", str(run_path), "_* e _*", "--source", "ghost", "--target", "b:1"]
+        ) == 0
+        assert "ghost -[_* e _*]-> b:1 : False" in capsys.readouterr().out
+
     def test_all_pairs_with_limit(self, tmp_path, capsys):
         run_path = tmp_path / "run.json"
         main(["derive", "paper-example", "--edges", "60", "--seed", "1", "--output", str(run_path)])

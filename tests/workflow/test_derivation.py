@@ -55,6 +55,12 @@ class TestPaperRun:
         run = paper_run()
         assert "10 nodes" in run.describe()
 
+    def test_known_ids_keep_listed_run_nodes_in_order(self):
+        run = paper_run()
+        assert run.known_ids(None) == run.node_ids()
+        assert run.known_ids(["b:1", "ghost", "c:1"]) == ("b:1", "c:1")
+        assert run.known_ids(["ghost"]) == ()
+
 
 class TestDerivationStepping:
     def test_initial_state(self):
