@@ -709,10 +709,12 @@ def _build_allpairs(scenario: Scenario, scale: ScenarioScale) -> _Prepared:
     if scenario.param("engine") is not None:
         return _Prepared(_baseline_all_pairs(scenario, run, query, l1, l2), **detail)
 
-    def action() -> "NodePairs":
+    def action() -> "Iterable[tuple[str, str]]":
         if scenario.query_class == "per-seed-frontier":
             return per_seed_all_pairs(run, l1, l2, query, plan=plan, direction=direction)
-        return evaluate_general_query(run, query, l1, l2, plan=plan, direction=direction)
+        return evaluate_general_query(
+            run, query, l1, l2, plan=plan, direction=direction
+        ).to_pairs(run.packed.interner)
 
     # Warm the plan's memoized (possibly reversed) macro DFAs so repetitions
     # time execution, not one-off planning.
@@ -738,8 +740,8 @@ def _build_kleene(scenario: Scenario, scale: ScenarioScale) -> _Prepared:
     if scenario.param("engine") is not None:
         return _Prepared(_baseline_all_pairs(scenario, run, query, l1, l2), **detail)
 
-    def action() -> "NodePairs":
-        return evaluate_general_query(run, query, l1, l2)
+    def action() -> "Iterable[tuple[str, str]]":
+        return evaluate_general_query(run, query, l1, l2).to_pairs(run.packed.interner)
 
     return _Prepared(action, **detail)
 
@@ -897,12 +899,14 @@ def _build_obs_overhead(scenario: Scenario, scale: ScenarioScale) -> _Prepared:
     traced = bool(scenario.param("traced", False))
     recorder = Tracer() if traced else None
 
-    def action() -> "NodePairs":
+    def action() -> "Iterable[tuple[str, str]]":
         tracer: Any = recorder if recorder is not None else NULL_TRACER
         if recorder is not None:
             recorder.clear()  # bound memory across repetitions
         with use_tracer(tracer):
-            return evaluate_general_query(run, query, l1, l2, plan=plan)
+            return evaluate_general_query(run, query, l1, l2, plan=plan).to_pairs(
+                run.packed.interner
+            )
 
     evaluate_general_query(run, query, l1[:1], l2[:1], plan=plan)  # warm the plan
     return _Prepared(action, query=query, traced=traced, l1=len(l1))

@@ -174,9 +174,9 @@ def _evaluate_query(
         answer = (
             engine.pairwise(run, args.source, args.target, args.query)
             if engine.is_safe(args.query)
-            else (args.source, args.target) in engine.evaluate(
+            else not engine.evaluate_packed(
                 run, args.query, [args.source], [args.target]
-            )
+            ).is_empty()
         )
         print(f"{args.source} -[{args.query}]-> {args.target} : {answer}")
         return 0
@@ -196,15 +196,18 @@ def _evaluate_query(
             count += 1
         print(f"{count} matching pairs", file=sys.stderr)
         return 0
-    matches = engine.evaluate(run, args.query, l1, l2, direction=args.direction)
+    # The same ordered unpack as the service's answers.
+    pairs = engine.evaluate_packed(run, args.query, l1, l2, direction=args.direction).to_pairs(
+        run.packed.interner
+    )
     if args.json:
-        print(json.dumps(sorted(matches)))
+        print(json.dumps(pairs))
     else:
-        print(f"{len(matches)} matching pairs")
-        for source, target in sorted(matches)[: args.limit]:
+        print(f"{len(pairs)} matching pairs")
+        for source, target in pairs[: args.limit]:
             print(f"  {source} -> {target}")
-        if len(matches) > args.limit:
-            print(f"  ... ({len(matches) - args.limit} more; use --json for all)")
+        if len(pairs) > args.limit:
+            print(f"  ... ({len(pairs) - args.limit} more; use --json for all)")
     return 0
 
 

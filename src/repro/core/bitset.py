@@ -26,6 +26,11 @@ Two representations share that numbering:
   pass.  This is the kernel of the join that answers an unsafe query
   without node lists (:class:`PackedRelation`, driven by
   :func:`~repro.core.relations.evaluate_regex_relation_packed`).
+
+A :class:`PackedRelation` is also every executor operator's answer: the
+sweep and the label decode pack their hits into one, and the service unpacks
+it once, in sorted order, through the interner's lexicographic rank table
+(:meth:`PackedRelation.to_pairs`).
 """
 
 from __future__ import annotations
@@ -57,10 +62,19 @@ _BIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 def bit_indices(mask: int) -> list[int]:
     """Indices of the set bits of a non-negative ``mask``, ascending.
 
-    Scans the binary text at C speed.  Peeling off the lowest bit instead
-    copies the whole integer once per set bit, which goes quadratic on
-    wide dense masks (a sweep's seed sets, dense packed rows).
+    A dense mask is scanned as binary text at C speed; peeling off the
+    lowest bit instead copies the whole integer once per set bit, which goes
+    quadratic on wide dense masks (a sweep's seed sets, dense packed rows).
+    A sparse mask is peeled all the same: the scan costs a Python step per
+    bit of width, which dominates on a wide row with a few bits set.
     """
+    if mask.bit_count() * 32 < mask.bit_length():
+        indices: list[int] = []
+        while mask:
+            low = mask & -mask
+            indices.append(low.bit_length() - 1)
+            mask ^= low
+        return indices
     flags = bin(mask)[:1:-1].encode().translate(_BIT_FLAGS)
     return list(compress(range(len(flags)), flags))
 
@@ -74,13 +88,14 @@ class NodeInterner:
     is deterministic for a given run.
     """
 
-    __slots__ = ("ids", "index")
+    __slots__ = ("ids", "index", "_rank_table")
 
     def __init__(self, ids: Iterable[str]) -> None:
         self.ids: tuple[str, ...] = tuple(ids)
         self.index: dict[str, int] = {
             node_id: position for position, node_id in enumerate(self.ids)
         }
+        self._rank_table: tuple[list[int], list[int]] | None = None
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -90,6 +105,25 @@ class NodeInterner:
         (unknown ids dropped)."""
         index = self.index
         return list(map(index.__getitem__, filter(index.__contains__, dict.fromkeys(node_ids))))
+
+    @property
+    def rank_table(self) -> tuple[list[int], list[int]]:
+        """``(order, ranks)``: ``order`` lists the positions by sorted id and
+        ``ranks[p]`` is the place of position ``p`` in it — the lexicographic
+        rank table :meth:`PackedRelation.to_pairs` walks.
+
+        Built on first use and kept (two threads may build it at once; both
+        results are equal).
+        """
+        table = self._rank_table
+        if table is None:
+            ids = self.ids
+            order = sorted(range(len(ids)), key=ids.__getitem__)
+            ranks = [0] * len(ids)
+            for rank, position in enumerate(order):
+                ranks[position] = rank
+            table = self._rank_table = (order, ranks)
+        return table
 
 
 class PackedAdjacency:
@@ -281,8 +315,13 @@ class PackedRelation:
     def is_empty(self) -> bool:
         return not any(self.rows)
 
+    def __len__(self) -> int:
+        """The number of pairs (the rows' popcounts)."""
+        return sum(map(int.bit_count, self.rows))
+
     def iter_pairs(self, interner: NodeInterner) -> Iterator[tuple[str, str]]:
-        """Unpack row by row, holding one row's targets at a time."""
+        """Unpack row by row, in no particular order, holding one row's
+        targets at a time."""
         ids = interner.ids
         for position, row in enumerate(self.rows):
             if row:
@@ -290,9 +329,35 @@ class PackedRelation:
                 for target in bit_indices(row):
                     yield source, ids[target]
 
-    def to_pairs(self, interner: NodeInterner) -> set[tuple[str, str]]:
-        """Unpack into the set-based :data:`~repro.core.relations.NodePairs`."""
-        return set(self.iter_pairs(interner))
+    def to_pairs(self, interner: NodeInterner) -> tuple[tuple[str, str], ...]:
+        """Unpack into ``(source id, target id)`` pairs in sorted order.
+
+        The result equals ``tuple(sorted(self.iter_pairs(interner)))``, but
+        no pair is ever compared: the non-empty rows are walked in
+        ``interner.rank_table`` order and each row's targets are sorted by
+        rank, once per distinct row value (looked up by object first, since
+        hashing a wide row costs as much as its width).
+        """
+        ids = interner.ids
+        order, ranks = interner.rank_table
+        rows = self.rows
+        names_by_value: dict[int, list[str]] = {}
+        names_by_object: dict[int, list[str]] = {}
+        pairs: list[tuple[str, str]] = []
+        for position in compress(order, map(rows.__getitem__, order)):
+            row = rows[position]
+            names = names_by_object.get(id(row))
+            if names is None:
+                names = names_by_value.get(row)
+                if names is None:
+                    targets = bit_indices(row)
+                    targets.sort(key=ranks.__getitem__)
+                    names = names_by_value[row] = [ids[target] for target in targets]
+                # ``rows`` keeps every row alive, so no id is reused here.
+                names_by_object[id(row)] = names
+            source = ids[position]
+            pairs.extend([(source, name) for name in names])
+        return tuple(pairs)
 
     # -- algebra -----------------------------------------------------------------
 

@@ -76,7 +76,7 @@ from repro.core.optimizer import (
     estimate_label_all_pairs_cost,
 )
 from repro.core.query_index import QueryIndex, build_query_index
-from repro.core.relations import NodePairs
+from repro.core.bitset import PackedRelation
 from repro.core.safety import is_safe_query
 from repro.obs import get_tracer
 from repro.workflow.run import Run
@@ -389,8 +389,11 @@ def evaluate_general_query(
     plan: DecompositionPlan | None = None,
     index_provider: IndexProvider | None = None,
     direction: str = "auto",
-) -> NodePairs:
-    """Answer a general all-pairs query, safe or not.
+) -> PackedRelation:
+    """Answer a general all-pairs query, safe or not, as its interned answer:
+    a :class:`~repro.core.bitset.PackedRelation` over
+    ``run.packed.interner`` (``to_pairs`` unpacks it in sorted order,
+    ``iter_pairs`` unordered).
 
     ``l1`` and ``l2`` default to all run nodes and are pushed down into the
     evaluation (see the module notes); ids absent from the run are ignored,

@@ -28,6 +28,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 from repro.automata.boolean_matrix import BooleanMatrix
 from repro.automata.regex import RegexNode, parse_regex
 from repro.core.allpairs import all_pairs_iter, all_pairs_reachability
+from repro.core.bitset import PackedRelation
 from repro.core.decomposition import (
     DecompositionPlan,
     evaluate_general_query,
@@ -213,16 +214,32 @@ class ProvenanceQueryEngine:
         *,
         direction: str = "auto",
     ) -> set[tuple[str, str]]:
-        """Answer any all-pairs query, safe or not.
+        """Answer any all-pairs query, safe or not, as a set of pairs
+        (the unordered unpack of :meth:`evaluate_packed`)."""
+        relation = self.evaluate_packed(run, query, l1, l2, direction=direction)
+        return set(relation.iter_pairs(run.packed.interner))
 
-        Safe queries go straight to Algorithm 2; unsafe queries are
-        decomposed into their maximal safe subqueries plus an unsafe
-        remainder (Section IV-B) evaluated with restriction pushdown: the
-        ``l1``/``l2`` lists bound every intermediate relation instead of
-        being applied to a whole-run result.  ``direction`` orients the
-        remainder's frontier sweep (``"backward"`` searches from the targets
-        over the reversed macro DFA; see
-        :func:`~repro.core.decomposition.evaluate_general_query`).
+    def evaluate_packed(
+        self,
+        run: Run,
+        query: str | RegexNode,
+        l1: Sequence[str] | None = None,
+        l2: Sequence[str] | None = None,
+        *,
+        direction: str = "auto",
+    ) -> PackedRelation:
+        """Answer any all-pairs query, safe or not, as its interned answer:
+        a :class:`~repro.core.bitset.PackedRelation` over
+        ``run.packed.interner``, which ``to_pairs`` unpacks in sorted order.
+
+        Safe queries go straight to Algorithm 2, whose pairs are packed as
+        they stream out; unsafe queries are decomposed into their maximal
+        safe subqueries plus an unsafe remainder (Section IV-B) evaluated
+        with restriction pushdown: the ``l1``/``l2`` lists bound every
+        intermediate relation instead of being applied to a whole-run
+        result.  ``direction`` orients the remainder's frontier sweep
+        (``"backward"`` searches from the targets over the reversed macro
+        DFA; see :func:`~repro.core.decomposition.evaluate_general_query`).
         """
         # Validate up front: safe queries never reach the decomposition
         # engine, so a typo must not pass silently until a query happens to
@@ -252,7 +269,9 @@ class ProvenanceQueryEngine:
                         direction=direction,
                     )
             with tracer.span("query.execute", path="safe-allpairs"):
-                return self.all_pairs(run, node, l1, l2)
+                return PackedRelation.from_pairs(
+                    run.packed.interner, self.all_pairs_iter(run, node, l1, l2)
+                )
 
     def evaluate_iter(
         self,

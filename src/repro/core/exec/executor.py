@@ -1,15 +1,20 @@
 """Physical-plan execution.
 
-``execute`` materializes a plan's result set; ``execute_iter`` streams it.
-Each operator has one compute kernel: a :class:`LabelDecodeOp` is the
-group-at-a-time label decode of Algorithm 2; a :class:`JoinOp` is the
-bottom-up relational evaluation on the packed bitset kernel
+``execute`` materializes a plan's answer; ``execute_iter`` streams it.  The
+materialized answer is *interned*: every operator returns a
+:class:`~repro.core.bitset.PackedRelation` over the run's topologically
+numbered positions (source-major rows), and the caller unpacks it once —
+:meth:`~repro.core.bitset.PackedRelation.to_pairs` in sorted order, as the
+service does, or ``iter_pairs`` unordered.  Each operator has one compute
+kernel: a :class:`LabelDecodeOp` is the group-at-a-time label decode of
+Algorithm 2, whose pairs are packed as they stream out; a :class:`JoinOp`
+is the bottom-up relational evaluation on the packed bitset kernel
 (:func:`~repro.core.relations.evaluate_regex_relation_packed`), whose root
-relation is unpacked whole or streamed row by row; and a
+relation is the answer as is, or is streamed row by row; and a
 :class:`FrontierSearchOp` is one multi-source sweep
 (:func:`~repro.core.relations.frontier_search`) that answers every seed in a
 single pass over the run's topologically numbered positions, with macro
-relations decoded lazily on first use.
+relations decoded lazily on first use, its hits folded into rows.
 """
 
 from __future__ import annotations
@@ -35,29 +40,39 @@ __all__ = ["execute", "execute_iter"]
 _T = TypeVar("_T")
 
 
-def execute(plan: PhysicalPlan) -> NodePairs:
-    """Run a physical plan to a materialized set of ``(source, target)``."""
+def execute(plan: PhysicalPlan) -> PackedRelation:
+    """Run a physical plan to its interned answer: a packed relation over
+    ``plan.run.packed.interner``, which the caller unpacks (``to_pairs``
+    yields the pairs in ``(source id, target id)`` order)."""
     root = plan.root
     if isinstance(root, LabelDecodeOp):
         with get_tracer().span(
             "exec.label_decode", sources=len(root.l1), targets=len(root.l2)
         ) as span:
-            result = all_pairs_safe_query(
-                plan.run, list(root.l1), list(root.l2), plan.indexes(root.node)
+            return _counted(
+                span,
+                PackedRelation.from_pairs(
+                    plan.run.packed.interner,
+                    all_pairs_iter(
+                        plan.run, list(root.l1), list(root.l2), plan.indexes(root.node)
+                    ),
+                ),
             )
-            span.set("pairs", len(result))
-            return result
     if isinstance(root, FrontierSearchOp):
         with _frontier_span(plan, root) as span:
-            result = set(_sweep(plan, root, frontier_search, span))
-            span.set("pairs", len(result))
-            return result
+            return _counted(span, _sweep(plan, root, frontier_search, span))
     if isinstance(root, JoinOp):
         with _join_span(root) as span:
-            result = _join(plan, root).to_pairs(plan.run.packed.interner)
-            span.set("pairs", len(result))
-            return result
+            return _counted(span, _join(plan, root))
     raise TypeError(f"unknown physical operator {root!r}")
+
+
+def _counted(span: Span, relation: PackedRelation) -> PackedRelation:
+    """Set the span's ``pairs`` when tracing is on: the count is a popcount
+    of every row, which an untraced request does not pay."""
+    if get_tracer().enabled:
+        span.set("pairs", len(relation))
+    return relation
 
 
 def execute_iter(plan: PhysicalPlan) -> Iterator[tuple[str, str]]:

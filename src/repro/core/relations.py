@@ -42,6 +42,10 @@ neighbour tuples), so they hash no node-id string:
   with *macro transitions*: synthetic DFA symbols whose successors come from
   an already-materialized relation (the decomposition engine feeds the
   label-decoded relations of maximal safe subqueries through this hook).
+  One sweep core reports each emitting node's hit mask;
+  ``frontier_search`` folds those masks into a packed relation (the
+  interned answer the service unpacks in sorted order) and
+  ``iter_frontier_search`` streams them as node-id pairs.
 """
 
 from __future__ import annotations
@@ -227,50 +231,27 @@ def restriction_universe(
     return None if 0 not in flags else flags
 
 
-def iter_frontier_search(
+def _sweep(
     view: PackedRunView,
     dfa: DFA,
-    seeds: Iterable[int],
-    *,
-    allowed: bytes | None = None,
-    emit_filter: bytes | None = None,
-    macros: Mapping[str, Callable[[int], Sequence[int]]] | None = None,
-    forward: bool = True,
-    span: Span | None = None,
-) -> Iterator[tuple[str, str]]:
-    """One multi-source product search from every seed at once.
+    sources: list[int],
+    allowed: bytes | None,
+    emit_filter: bytes | None,
+    macros: Mapping[str, Callable[[int], Sequence[int]]] | None,
+    forward: bool,
+    span: Span | None,
+) -> Iterator[tuple[int, int]]:
+    """The sweep core: ``(position, hit mask)`` once per emitting node.
 
-    ``seeds`` are positions of ``view.interner``.  A forward search follows
-    ``view.successors`` in ascending positions; a backward search follows
-    ``view.predecessors`` in descending positions and takes a reversed DFA.
-    Runs are DAGs numbered in topological order, so one pass settles every
-    product state: each node carries ``{DFA state: bitmask of the seeds that
-    reach it}``, ORs those masks into its neighbours under the DFA
-    transitions and drops them once passed (the bit-parallel multi-source BFS
-    of Then et al., PVLDB 2014).  A node reached in an accepting state by
-    seed ``i`` yields the pair ``(seed, node)`` forward or ``(node, seed)``
-    backward as node ids, if the node's ``emit_filter`` flag is set; pairs
-    stream per node as the sweep passes it, each exactly once.
-
-    ``macros[tag](position)`` supplies the neighbour positions of a node
-    under a synthetic macro symbol — a label-decoded safe subquery's
-    relation — expanded only when some live state has a transition on it.
-    Those relations follow run paths, so they point the sweep's way too,
-    except for the diagonal pairs of a subquery that accepts the empty path;
-    those are closed over the node's DFA states before it propagates.
-    States at nodes whose ``allowed`` flag is clear are pruned.  A duplicate
-    seed counts once; a disallowed seed contributes nothing.  When the sweep
-    ends, ``span`` (if given) gets ``visited``: how many nodes it reached.
+    Bit ``i`` of a hit mask stands for ``sources[i]``, which must be
+    distinct allowed positions.  See :func:`iter_frontier_search` for the
+    search itself.
     """
-    sources = [
-        seed for seed in dict.fromkeys(seeds) if allowed is None or allowed[seed]
-    ]
     visited = 0
     try:
         if not sources:
             return
-        ids = view.interner.ids
-        node_count = len(ids)
+        node_count = len(view.interner)
         adjacency = view.successors if forward else view.predecessors
         macro_tags = tuple(macros) if macros else ()
         rows, accepting = view.dense_dfa(dfa, macro_tags)
@@ -284,8 +265,6 @@ def iter_frontier_search(
         for bit, seed in enumerate(sources):
             live[seed] = {start: 1 << bit}
         pending = len(sources)
-        # The emitted seed ids of each distinct hit mask.
-        hit_ids: dict[int, list[str]] = {}
         if forward:
             order = range(min(sources), node_count)
         else:
@@ -316,21 +295,74 @@ def iter_frontier_search(
                     else:
                         bucket[target_state] = bucket.get(target_state, 0) | mask
             if hits and (emit_filter is None or emit_filter[node]):
-                names = hit_ids.get(hits)
-                if names is None:
-                    names = hit_ids[hits] = [ids[sources[bit]] for bit in bit_indices(hits)]
-                node_id = ids[node]
-                if forward:
-                    for name in names:
-                        yield name, node_id
-                else:
-                    for name in names:
-                        yield node_id, name
+                yield node, hits
             if not pending:
                 return
     finally:
         if span is not None:
             span.set("visited", visited)
+
+
+def _sources(seeds: Iterable[int], allowed: bytes | None) -> list[int]:
+    """The distinct allowed seeds, in first-seen order: bit ``i`` of every
+    sweep mask stands for entry ``i``."""
+    return [seed for seed in dict.fromkeys(seeds) if allowed is None or allowed[seed]]
+
+
+def iter_frontier_search(
+    view: PackedRunView,
+    dfa: DFA,
+    seeds: Iterable[int],
+    *,
+    allowed: bytes | None = None,
+    emit_filter: bytes | None = None,
+    macros: Mapping[str, Callable[[int], Sequence[int]]] | None = None,
+    forward: bool = True,
+    span: Span | None = None,
+) -> Iterator[tuple[str, str]]:
+    """One multi-source product search from every seed at once, streamed.
+
+    ``seeds`` are positions of ``view.interner``.  A forward search follows
+    ``view.successors`` in ascending positions; a backward search follows
+    ``view.predecessors`` in descending positions and takes a reversed DFA.
+    Runs are DAGs numbered in topological order, so one pass settles every
+    product state: each node carries ``{DFA state: bitmask of the seeds that
+    reach it}``, ORs those masks into its neighbours under the DFA
+    transitions and drops them once passed (the bit-parallel multi-source BFS
+    of Then et al., PVLDB 2014).  A node reached in an accepting state by
+    seed ``i`` matches the pair ``(seed, node)`` forward or ``(node, seed)``
+    backward, if the node's ``emit_filter`` flag is set.  Here those pairs
+    stream as node ids per node as the sweep passes it, each exactly once
+    and in no particular order; :func:`frontier_search` folds the same
+    sweep into a :class:`~repro.core.bitset.PackedRelation` instead.
+
+    ``macros[tag](position)`` supplies the neighbour positions of a node
+    under a synthetic macro symbol — a label-decoded safe subquery's
+    relation — expanded only when some live state has a transition on it.
+    Those relations follow run paths, so they point the sweep's way too,
+    except for the diagonal pairs of a subquery that accepts the empty path;
+    those are closed over the node's DFA states before it propagates.
+    States at nodes whose ``allowed`` flag is clear are pruned.  A duplicate
+    seed counts once; a disallowed seed contributes nothing.  When the sweep
+    ends, ``span`` (if given) gets ``visited``: how many nodes it reached.
+    """
+    sources = _sources(seeds, allowed)
+    ids = view.interner.ids
+    # The seed ids of each distinct hit mask.
+    names_of: dict[int, list[str]] = {}
+    for node, hits in _sweep(
+        view, dfa, sources, allowed, emit_filter, macros, forward, span
+    ):
+        names = names_of.get(hits)
+        if names is None:
+            names = names_of[hits] = [ids[sources[bit]] for bit in bit_indices(hits)]
+        node_id = ids[node]
+        if forward:
+            for name in names:
+                yield name, node_id
+        else:
+            for name in names:
+                yield node_id, name
 
 
 def _expand_macros(
@@ -388,20 +420,40 @@ def frontier_search(
     macros: Mapping[str, Callable[[int], Sequence[int]]] | None = None,
     forward: bool = True,
     span: Span | None = None,
-) -> list[tuple[str, str]]:
-    """The pairs of :func:`iter_frontier_search`, materialized by one call."""
-    return list(
-        iter_frontier_search(
-            view,
-            dfa,
-            seeds,
-            allowed=allowed,
-            emit_filter=emit_filter,
-            macros=macros,
-            forward=forward,
-            span=span,
-        )
-    )
+) -> PackedRelation:
+    """The pairs of :func:`iter_frontier_search` as one packed relation over
+    ``view.interner`` (source-major rows), with no node id touched.
+
+    A backward hit mask already lists the seeds a source reaches, so it maps
+    to that source's row once per distinct mask; forward hits are
+    transposed once, each seed's row gathering the nodes it reached.
+    """
+    sources = _sources(seeds, allowed)
+    rows = [0] * len(view.interner)
+    hits_of = _sweep(view, dfa, sources, allowed, emit_filter, macros, forward, span)
+    if forward:
+        reached = [0] * len(sources)
+        bits_of: dict[int, list[int]] = {}
+        for node, hits in hits_of:
+            bits = bits_of.get(hits)
+            if bits is None:
+                bits = bits_of[hits] = bit_indices(hits)
+            node_bit = 1 << node
+            for bit in bits:
+                reached[bit] |= node_bit
+        for source, row in zip(sources, reached):
+            rows[source] = row
+    else:
+        row_of: dict[int, int] = {}
+        for node, hits in hits_of:
+            row = row_of.get(hits)
+            if row is None:
+                row = 0
+                for bit in bit_indices(hits):
+                    row |= 1 << sources[bit]
+                row_of[hits] = row
+            rows[node] = row
+    return PackedRelation(len(rows), rows)
 
 
 def evaluate_regex_relation(

@@ -436,19 +436,20 @@ class QueryService:
                             run, request.source, request.target, request.query
                         )
                     else:
-                        answer = (request.source, request.target) in engine.evaluate(
+                        answer = not engine.evaluate_packed(
                             run, request.query, [request.source], [request.target]
-                        )
+                        ).is_empty()
                 else:  # allpairs — the only remaining validated op
-                    # The answer is sorted below, so materialize it with
-                    # evaluate() instead of draining the streaming path.
-                    matches = engine.evaluate(
+                    # The answer stays interned (packed rows over the run's
+                    # positions) until this one rank-ordered unpack, which
+                    # yields the pairs already sorted.
+                    relation = engine.evaluate_packed(
                         run,
                         request.query,
                         list(request.sources) if request.sources is not None else None,
                         list(request.targets) if request.targets is not None else None,
                     )
-                    pairs = tuple(sorted(matches))
+                    pairs = relation.to_pairs(run.packed.interner)
             except Exception as error:
                 span.set("ok", False)
                 return fail(f"{type(error).__name__}: {error}")

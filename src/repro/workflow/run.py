@@ -89,9 +89,6 @@ class Run:
     def label_of(self, node_id: str) -> "Label":
         return self.nodes[node_id].label
 
-    def labels_of(self, node_ids: Iterable[str]) -> list["Label"]:
-        return [self.nodes[node_id].label for node_id in node_ids]
-
     def nodes_named(self, name: str) -> tuple[str, ...]:
         """Node ids of all executions of the given module, in id order."""
         return tuple(

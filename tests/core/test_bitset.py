@@ -126,6 +126,10 @@ def _inside(relation, nodes):
     return {(source, target) for source, target in relation if source in kept and target in kept}
 
 
+def _sorted(pairs):
+    return tuple(sorted(pairs))
+
+
 # ---------------------------------------------------------------------------
 # Interning and the memoized run view
 # ---------------------------------------------------------------------------
@@ -265,6 +269,13 @@ class TestRowSerialization:
         mask = sum(1 << index for index in indices)
         assert bit_indices(mask) == indices
 
+    @given(st.sets(st.integers(0, 6000), max_size=40))
+    @settings(**_SETTINGS)
+    def test_bit_indices_of_sparse_masks(self, indices):
+        """A few bits spread over a wide mask decode like dense ones."""
+        mask = sum(1 << index for index in indices)
+        assert bit_indices(mask) == sorted(indices)
+
     def test_bit_indices_edge_masks(self):
         assert bit_indices(0) == []
         assert bit_indices(1) == [0]
@@ -306,10 +317,10 @@ class TestRelationAlgebra:
         view = run.packed
         node_count = len(view.interner)
         packed_any = PackedRelation(node_count, view.any_tag.rows)
-        assert packed_any.to_pairs(view.interner) == all_edge_relation(run)
+        assert packed_any.to_pairs(view.interner) == _sorted(all_edge_relation(run))
         for tag, adjacency in view.by_tag.items():
             packed = PackedRelation(node_count, adjacency.rows)
-            assert packed.to_pairs(view.interner) == tag_relation(run, tag)
+            assert packed.to_pairs(view.interner) == _sorted(tag_relation(run, tag))
 
     @given(run_and_lists())
     @settings(**_SETTINGS)
@@ -321,7 +332,7 @@ class TestRelationAlgebra:
         packed = PackedRelation.from_pairs(view.interner, left).compose(
             PackedRelation.from_pairs(view.interner, right)
         )
-        assert packed.to_pairs(view.interner) == compose(left, right)
+        assert packed.to_pairs(view.interner) == _sorted(compose(left, right))
 
     @given(run_and_lists())
     @settings(**_SETTINGS)
@@ -330,7 +341,7 @@ class TestRelationAlgebra:
         relation = _inside(all_edge_relation(run), l1)
         view = run.packed
         packed = PackedRelation.from_pairs(view.interner, relation).transitive_closure()
-        assert packed.to_pairs(view.interner) == transitive_closure(relation)
+        assert packed.to_pairs(view.interner) == _sorted(transitive_closure(relation))
 
     @given(run_and_lists())
     @settings(**_SETTINGS)
@@ -343,7 +354,7 @@ class TestRelationAlgebra:
         universe = run.node_ids() if l1 is None else l1
         relation = all_edge_relation(run) | {(node, node) for node in universe if node in run}
         packed = PackedRelation.from_pairs(interner, relation).transitive_closure()
-        assert packed.to_pairs(interner) == transitive_closure(relation)
+        assert packed.to_pairs(interner) == _sorted(transitive_closure(relation))
 
     @given(st.data())
     @settings(**_SETTINGS)
@@ -360,7 +371,7 @@ class TestRelationAlgebra:
         )
         interner = run.packed.interner
         packed = PackedRelation.from_pairs(interner, relation).transitive_closure()
-        assert packed.to_pairs(interner) == transitive_closure(relation)
+        assert packed.to_pairs(interner) == _sorted(transitive_closure(relation))
 
     def test_backward_pair_raises_typed_error(self):
         interner = NodeInterner(["a", "b", "c"])
@@ -379,7 +390,7 @@ class TestRelationAlgebra:
         packed = PackedRelation.from_pairs(view.interner, left).union(
             PackedRelation.from_pairs(view.interner, right)
         )
-        assert packed.to_pairs(view.interner) == left | right
+        assert packed.to_pairs(view.interner) == _sorted(left | right)
 
     @given(run_and_lists())
     @settings(**_SETTINGS)
@@ -392,8 +403,8 @@ class TestRelationAlgebra:
         relation = PackedRelation(len(interner), view.any_tag.rows)
         identity = PackedRelation.identity(len(interner))
         expected = all_edge_relation(run) | {(node, node) for node in run.node_ids()}
-        assert relation.with_diagonal().to_pairs(interner) == expected
-        assert relation.union(identity).to_pairs(interner) == expected
+        assert relation.with_diagonal().to_pairs(interner) == _sorted(expected)
+        assert relation.union(identity).to_pairs(interner) == _sorted(expected)
 
     @given(run_and_lists())
     @settings(**_SETTINGS)
@@ -403,7 +414,8 @@ class TestRelationAlgebra:
         packed = PackedRelation.from_pairs(view.interner, _inside(all_edge_relation(run), l1))
         pairs = packed.to_pairs(view.interner)
         streamed = list(packed.iter_pairs(view.interner))
-        assert len(streamed) == len(pairs) and set(streamed) == pairs
+        assert _sorted(streamed) == pairs
+        assert len(packed) == len(pairs)
         assert packed.is_empty() == (not pairs)
         assert PackedRelation.empty(len(view.interner)).is_empty()
 
@@ -412,7 +424,7 @@ class TestRelationAlgebra:
         packed = PackedRelation.from_pairs(
             interner, {("a", "b"), ("b", "zz"), ("zz", "c"), ("c", "a")}
         )
-        assert packed.to_pairs(interner) == {("a", "b"), ("c", "a")}
+        assert packed.to_pairs(interner) == _sorted({("a", "b"), ("c", "a")})
         assert packed.rows == [0b010, 0, 0b001]
 
     @given(run_query_lists())
@@ -421,7 +433,56 @@ class TestRelationAlgebra:
         run, query, _, _ = data
         node = parse_regex(query)
         packed = evaluate_regex_relation_packed(run, node)
-        assert packed.to_pairs(run.packed.interner) == evaluate_regex_relation(run, node)
+        assert packed.to_pairs(run.packed.interner) == _sorted(evaluate_regex_relation(run, node))
+
+
+@st.composite
+def interned_relations(draw):
+    """An interner over ``n0 .. n{k-1}`` in a drawn order — so ``n9`` may
+    come before ``n10`` or after it, and id order differs from position
+    order — and a relation over it, dense rows and sparse wide ones mixed,
+    with repeated row values."""
+    size = draw(st.integers(1, 40))
+    ids = draw(st.permutations([f"n{index}" for index in range(size)]))
+    row = st.one_of(
+        st.integers(0, (1 << size) - 1),
+        st.sets(st.integers(0, size - 1), max_size=3).map(
+            lambda bits: sum(1 << bit for bit in bits)
+        ),
+    )
+    values = draw(st.lists(row, min_size=1, max_size=4))
+    rows = draw(st.lists(st.sampled_from(values), min_size=size, max_size=size))
+    return NodeInterner(ids), PackedRelation(size, rows)
+
+
+class TestOrderedUnpack:
+    @given(interned_relations())
+    @settings(**_SETTINGS)
+    def test_to_pairs_is_the_sorted_unordered_unpack(self, data):
+        interner, relation = data
+        pairs = relation.to_pairs(interner)
+        assert pairs == tuple(sorted(relation.iter_pairs(interner)))
+        assert len(pairs) == len(relation)
+
+    def test_ids_sort_as_text_not_by_position(self):
+        interner = NodeInterner(["n9", "n10", "n1"])
+        relation = PackedRelation(3, [0b110, 0b101, 0b011])
+        assert relation.to_pairs(interner) == (
+            ("n1", "n10"), ("n1", "n9"),
+            ("n10", "n1"), ("n10", "n9"),
+            ("n9", "n1"), ("n9", "n10"),
+        )
+
+    def test_rank_table_is_built_once_per_interner(self):
+        interner = NodeInterner(["n9", "n10", "n1"])
+        table = interner.rank_table
+        assert table == ([2, 1, 0], [2, 1, 0])
+        PackedRelation(3, [0b110, 0, 0]).to_pairs(interner)
+        PackedRelation(3, [0, 0b001, 0b010]).to_pairs(interner)
+        assert interner.rank_table is table
+        # A run's interner is memoized with its view, so the table is too.
+        run = _RUNS["paper"][0]
+        assert run.packed.interner.rank_table is run.packed.interner.rank_table
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +508,7 @@ class TestExecutorEquivalence:
             l2,
             indexes=lambda node: build_query_index(run.spec, node),
         )
-        assert set(execute(physical)) == set(reference)
+        assert execute(physical).to_pairs(run.packed.interner) == _sorted(reference)
 
     @pytest.mark.parametrize("spec_name", sorted(_SPECS))
     def test_unrestricted_join_matches_reference(self, spec_name):
@@ -464,4 +525,4 @@ class TestExecutorEquivalence:
             indexes=lambda node: build_query_index(run.spec, node),
         )
         assert isinstance(physical.root, JoinOp)
-        assert set(execute(physical)) == set(reference)
+        assert execute(physical).to_pairs(run.packed.interner) == _sorted(reference)

@@ -29,6 +29,16 @@ UNSAFE_QUERIES = [
 ]
 
 
+def _answer(run, query, *lists, **kwargs):
+    """The general query's answer, unpacked in sorted order."""
+    relation = evaluate_general_query(run, query, *lists, **kwargs)
+    return relation.to_pairs(run.packed.interner)
+
+
+def _sorted(pairs):
+    return tuple(sorted(pairs))
+
+
 def _always_labels(monkeypatch, plan):
     """Route every worthwhile safe subtree of ``plan`` to the labeling engine,
     whatever the cost model says, so macro edges exist on small runs."""
@@ -67,49 +77,49 @@ class TestPlanning:
 class TestEvaluation:
     def test_safe_query_goes_through_safe_engine(self):
         run = paper_run()
-        result = evaluate_general_query(run, "_* e _*")
-        expected = product_bfs_all_pairs(run, None, None, "_* e _*")
+        result = _answer(run, "_* e _*")
+        expected = _sorted(product_bfs_all_pairs(run, None, None, "_* e _*"))
         assert result == expected
 
     @pytest.mark.parametrize("query", UNSAFE_QUERIES)
     def test_unsafe_queries_match_oracle(self, query):
         run = paper_run(recursion_depth=3)
         assert not is_safe_query(run.spec, query)
-        result = evaluate_general_query(run, query)
-        expected = product_bfs_all_pairs(run, None, None, query)
+        result = _answer(run, query)
+        expected = _sorted(product_bfs_all_pairs(run, None, None, query))
         assert result == expected
 
     def test_restriction_to_lists(self):
         run = paper_run()
         l1 = ["c:1", "a:1"]
         l2 = ["b:1", "b:3"]
-        result = evaluate_general_query(run, "_* a _*", l1, l2)
-        expected = product_bfs_all_pairs(run, l1, l2, "_* a _*")
+        result = _answer(run, "_* a _*", l1, l2)
+        expected = _sorted(product_bfs_all_pairs(run, l1, l2, "_* a _*"))
         assert result == expected
 
     def test_cost_based_routing_does_not_change_answers(self, monkeypatch):
         run = paper_run(recursion_depth=3)
         query = "(A)+ . e"
-        expected = product_bfs_all_pairs(run, None, None, query)
-        routed = evaluate_general_query(run, query)
-        always_labels = evaluate_general_query(
+        expected = _sorted(product_bfs_all_pairs(run, None, None, query))
+        routed = _answer(run, query)
+        always_labels = _answer(
             run, query, plan=_always_labels(monkeypatch, plan_decomposition(run.spec, query))
         )
-        paper = paper_decomposition_all_pairs(run, None, None, query)
+        paper = _sorted(paper_decomposition_all_pairs(run, None, None, query))
         assert routed == always_labels == paper == expected
 
     def test_precomputed_plan_reuse(self):
         run = paper_run()
         plan = plan_decomposition(run.spec, "_* a _*")
-        result = evaluate_general_query(run, "_* a _*", plan=plan)
-        assert result == product_bfs_all_pairs(run, None, None, "_* a _*")
+        result = _answer(run, "_* a _*", plan=plan)
+        assert result == _sorted(product_bfs_all_pairs(run, None, None, "_* a _*"))
 
     def test_random_queries_on_synthetic_spec(self):
         spec = generate_synthetic_specification(150, seed=13)
         run = derive_run(spec, seed=13, target_edges=100)
         for query in generate_query_suite(spec, count=6, seed=3, depth=2):
-            result = evaluate_general_query(run, query)
-            expected = product_bfs_all_pairs(run, None, None, query)
+            result = _answer(run, query)
+            expected = _sorted(product_bfs_all_pairs(run, None, None, query))
             assert result == expected, f"mismatch for {query!r}"
 
 
@@ -121,8 +131,8 @@ class TestRestrictionPushdown:
         nodes = list(run.node_ids())
         l1 = nodes[:4]
         l2 = nodes[2:10]
-        expected = product_bfs_all_pairs(run, l1, l2, query)
-        result = evaluate_general_query(run, query, l1, l2, direction=direction)
+        expected = _sorted(product_bfs_all_pairs(run, l1, l2, query))
+        result = _answer(run, query, l1, l2, direction=direction)
         assert result == expected
 
     @pytest.mark.parametrize("query", UNSAFE_QUERIES)
@@ -132,24 +142,23 @@ class TestRestrictionPushdown:
         l1 = nodes[:5]
         streamed = list(evaluate_general_query_iter(run, query, l1, None))
         assert len(streamed) == len(set(streamed))
-        assert set(streamed) == product_bfs_all_pairs(run, l1, None, query)
+        assert _sorted(streamed) == _sorted(product_bfs_all_pairs(run, l1, None, query))
 
     def test_duplicate_ids_do_not_duplicate_pairs(self):
         run = paper_run(recursion_depth=2)
         nodes = list(run.node_ids())
         l1 = [nodes[0], nodes[1], nodes[0], nodes[1]]
         l2 = [nodes[2], nodes[2], nodes[3]]
-        expected = product_bfs_all_pairs(run, l1, l2, "_* a _*")
-        assert evaluate_general_query(run, "_* a _*", l1, l2) == expected
+        expected = _sorted(product_bfs_all_pairs(run, l1, l2, "_* a _*"))
+        assert _answer(run, "_* a _*", l1, l2) == expected
         streamed = list(evaluate_general_query_iter(run, "_* a _*", l1, l2))
-        assert len(streamed) == len(set(streamed))
-        assert set(streamed) == expected
+        assert _sorted(streamed) == expected
 
     def test_empty_lists_give_empty_answers(self):
         run = paper_run()
         some = list(run.node_ids())[:3]
-        assert evaluate_general_query(run, "_* a _*", [], None) == set()
-        assert evaluate_general_query(run, "_* a _*", some, []) == set()
+        assert _answer(run, "_* a _*", [], None) == ()
+        assert _answer(run, "_* a _*", some, []) == ()
         assert list(evaluate_general_query_iter(run, "_* a _*", [], [])) == []
 
     def test_ids_absent_from_run_are_ignored(self):
@@ -159,9 +168,9 @@ class TestRestrictionPushdown:
         run = paper_run()
         ghosts = ["no-such-node", "also-missing"]
         some = list(run.node_ids())[:3]
-        assert evaluate_general_query(run, "_* a _*", ghosts, None) == set()
-        mixed = evaluate_general_query(run, "_* a _*", some + ghosts, None)
-        assert mixed == product_bfs_all_pairs(run, some, None, "_* a _*")
+        assert _answer(run, "_* a _*", ghosts, None) == ()
+        mixed = _answer(run, "_* a _*", some + ghosts, None)
+        assert mixed == _sorted(product_bfs_all_pairs(run, some, None, "_* a _*"))
 
     def test_unknown_direction_rejected(self):
         run = paper_run()
@@ -184,7 +193,7 @@ class TestRestrictionPushdown:
         nodes = list(run.node_ids())
         l1, l2 = nodes[:4], nodes[3:9]
         paper = paper_decomposition_all_pairs(run, l1, l2, "_* a _*")
-        assert paper == evaluate_general_query(run, "_* a _*", l1, l2)
+        assert _sorted(paper) == _answer(run, "_* a _*", l1, l2)
 
     def test_unrestricted_query_joins_without_a_macro_dfa(self, monkeypatch):
         # Without node lists the pruning cannot shrink anything, so the plan

@@ -57,6 +57,15 @@ def _indexes(spec):
     return lambda node: build_query_index(spec, node)
 
 
+def _unpacked(physical):
+    """A plan's materialized answer, unpacked in sorted order."""
+    return execute(physical).to_pairs(physical.run.packed.interner)
+
+
+def _sorted(pairs):
+    return tuple(sorted(pairs))
+
+
 def _physical(run, query, l1, l2, **kwargs):
     plan = plan_decomposition(run.spec, query)
     kwargs.setdefault("indexes", _indexes(run.spec))
@@ -150,7 +159,7 @@ class TestExecutorEquivalence:
             ("auto", {}),
         ):
             physical = _physical(run, query, l1, l2, **kwargs)
-            assert execute(physical) == reference, f"{label} diverged for {query!r}"
+            assert _unpacked(physical) == _sorted(reference), f"{label} diverged for {query!r}"
             streamed = list(execute_iter(physical))
             assert len(streamed) == len(set(streamed)), f"{label} duplicated pairs"
             assert set(streamed) == reference, f"{label} stream diverged for {query!r}"
@@ -186,7 +195,7 @@ class TestExecutorEquivalence:
             streamed = list(execute_iter(physical))
             assert len(streamed) == len(set(streamed)), f"duplicated pairs for {query!r}"
             assert set(streamed) == oracle, f"sweep stream diverged for {query!r}"
-            assert execute(physical) == oracle, f"sweep diverged for {query!r}"
+            assert _unpacked(physical) == _sorted(oracle), f"sweep diverged for {query!r}"
             if isinstance(physical.root, FrontierSearchOp):
                 assert per_seed_execute(physical) == oracle
 
@@ -207,7 +216,7 @@ class TestExecutorEquivalence:
         )
         assert isinstance(physical.root, FrontierSearchOp)
         assert physical.root.macros, "expected a macro-routed safe subtree"
-        assert execute(physical) == reference
+        assert _unpacked(physical) == _sorted(reference)
 
     @pytest.mark.parametrize("direction", ["forward", "backward"])
     def test_starred_macro_matches_the_empty_path(self, monkeypatch, direction):
@@ -224,9 +233,9 @@ class TestExecutorEquivalence:
         )
         assert physical.root.macros, "expected a macro-routed safe subtree"
         e_only = evaluate_regex_relation(run, parse_regex("(e)+"))
-        result = execute(physical)
-        assert e_only and e_only <= result
-        assert result == evaluate_regex_relation(run, parse_regex(query))
+        result = _unpacked(physical)
+        assert e_only and e_only <= set(result)
+        assert result == _sorted(evaluate_regex_relation(run, parse_regex(query)))
 
 
 class TestFrontierExecution:
@@ -309,7 +318,7 @@ class TestFrontierExecution:
         assert started == []
         pairs = list(stream)
         assert started == [1]
-        assert set(pairs) == execute(physical)
+        assert _sorted(pairs) == _unpacked(physical)
 
 
 class TestPlannerResolution:
@@ -347,15 +356,15 @@ class TestPlannerResolution:
         tracer = Tracer(registry=MetricsRegistry())
         with use_tracer(tracer):
             result = execute(physical)
-        assert result == product_bfs_all_pairs(run, None, None, "_* a _*")
+        pairs = result.to_pairs(run.packed.interner)
+        assert pairs == _sorted(product_bfs_all_pairs(run, None, None, "_* a _*"))
         assert [span.name for span in tracer.spans() if span.name.startswith("exec.")] == [
             "exec.join"
         ]
         [join] = tracer.spans()
         assert join.attrs["pairs"] == len(result)
         streamed = list(execute_iter(physical))
-        assert len(streamed) == len(set(streamed))
-        assert set(streamed) == result
+        assert _sorted(streamed) == pairs
 
     def test_direction_is_resolved_fresh_on_every_plan(self):
         run = _RUNS["paper"][0]
@@ -480,11 +489,10 @@ class TestOperatorCatalog:
         l1, l2 = (None if side is None else nodes[:side] for side in sides)
         physical = _physical(run, query, l1, l2)
         assert type(physical.root) is operator
-        materialized = execute(physical)
+        materialized = _unpacked(physical)
         streamed = list(execute_iter(physical))
         assert materialized
-        assert len(streamed) == len(set(streamed))
-        assert set(streamed) == materialized
+        assert _sorted(streamed) == materialized
 
 
 class TestPhysicalPlanReporting:

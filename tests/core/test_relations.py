@@ -90,12 +90,17 @@ def _reachable(run, seeds, forward=True):
     return reached
 
 
+def _swept(view, *args, **kwargs):
+    """A sweep's packed answer, unpacked in sorted order."""
+    return list(frontier_search(view, *args, **kwargs).to_pairs(view.interner))
+
+
 def _targets(run, dfa, source, allowed=None, **kwargs):
     """The targets of a one-seed forward sweep from ``source``."""
     view = run.packed
     return {
         target
-        for _, target in frontier_search(
+        for _, target in _swept(
             view, dfa, view.interner.positions([source]),
             allowed=_flags(view, allowed), **kwargs,
         )
@@ -229,39 +234,39 @@ class TestFrontierSweep:
     """The sweep on a hand-built view, where every case is visible."""
 
     def test_duplicate_seeds_are_searched_once(self):
-        pairs = frontier_search(_CHAIN, _dfa("a"), [_X, _X, _X])
+        pairs = _swept(_CHAIN, _dfa("a"), [_X, _X, _X])
         assert pairs == [("x", "y")]
 
     def test_disallowed_seeds_contribute_nothing(self):
         dfa = _dfa("a")
-        assert frontier_search(_CHAIN, dfa, [_X], allowed=_chain_flags(_Y, _Z)) == []
+        assert _swept(_CHAIN, dfa, [_X], allowed=_chain_flags(_Y, _Z)) == []
         # A pruned target also stops the search on its far side.
-        assert frontier_search(_CHAIN, _dfa("a", "b"), [_X]) == [("x", "z")]
-        assert frontier_search(
+        assert _swept(_CHAIN, _dfa("a", "b"), [_X]) == [("x", "z")]
+        assert _swept(
             _CHAIN, _dfa("a", "b"), [_X], allowed=_chain_flags(_X, _Z)
         ) == []
 
     def test_no_seeds_yield_nothing(self):
-        assert frontier_search(_CHAIN, _dfa("a"), []) == []
+        assert _swept(_CHAIN, _dfa("a"), []) == []
 
     def test_backward_pairs_put_the_hit_first(self):
         reversed_dfa = _dfa("b", "a")  # "a b" read backward
-        pairs = frontier_search(_CHAIN, reversed_dfa, [_Z], forward=False)
+        pairs = _swept(_CHAIN, reversed_dfa, [_Z], forward=False)
         assert pairs == [("x", "z")]
 
     def test_emit_filter_keeps_only_flagged_hits(self):
-        every = frontier_search(_CHAIN, _star(), [_X, _Y])
-        assert sorted(every) == [
+        every = _swept(_CHAIN, _star(), [_X, _Y])
+        assert every == [
             ("x", "x"), ("x", "y"), ("x", "z"), ("y", "y"), ("y", "z"),
         ]
-        filtered = frontier_search(_CHAIN, _star(), [_X, _Y], emit_filter=_chain_flags(_Z))
-        assert sorted(filtered) == [("x", "z"), ("y", "z")]
+        filtered = _swept(_CHAIN, _star(), [_X, _Y], emit_filter=_chain_flags(_Z))
+        assert filtered == [("x", "z"), ("y", "z")]
 
     def test_diagonal_macro_pairs_close_over_states(self):
         """A macro relation holding (x, x) — its subquery matched the empty
         path at x — lets 'M M a' take both macro steps without leaving x."""
         dfa = _dfa(_MACRO, _MACRO, "a")
-        pairs = frontier_search(
+        pairs = _swept(
             _CHAIN, dfa, [_X], macros={_MACRO: lambda node: (node,) if node == _X else ()}
         )
         assert pairs == [("x", "y")]
@@ -278,7 +283,7 @@ class TestFrontierSweep:
             expanded.append(node)
             return (_Z,) if node == _Y else ()
 
-        pairs = frontier_search(
+        pairs = _swept(
             _CHAIN, _dfa("a", _MACRO), [_X], macros={_MACRO: expand}
         )
         assert pairs == [("x", "z")]
@@ -289,10 +294,10 @@ class TestFrontierSweep:
         visits x and y, never z or w."""
         span = Tracer(registry=MetricsRegistry())
         with span.span("sweep") as open_span:
-            assert frontier_search(_CHAIN, _dfa("a"), [_X], span=open_span) == [("x", "y")]
+            assert _swept(_CHAIN, _dfa("a"), [_X], span=open_span) == [("x", "y")]
         assert open_span.attrs["visited"] == 2
         with span.span("sweep") as open_span:
-            assert frontier_search(_CHAIN, _dfa("a"), [], span=open_span) == []
+            assert _swept(_CHAIN, _dfa("a"), [], span=open_span) == []
         assert open_span.attrs["visited"] == 0
 
     def test_pairs_stream_per_node_in_sweep_order(self):
@@ -317,16 +322,13 @@ class TestFrontierSweep:
         run = paper_run(recursion_depth=3)
         dfa = product_dfa(run, query)
         nodes = list(run.node_ids())
-        swept = frontier_search(run.packed, dfa, run.packed.interner.positions(nodes))
-        assert len(swept) == len(set(swept))
-        assert set(swept) == {
+        swept = _swept(run.packed, dfa, run.packed.interner.positions(nodes))
+        assert swept == sorted(
             (source, target)
             for source in nodes
             for target in _targets(run, dfa, source)
-        }
-        assert set(swept) == set(
-            per_seed_frontier_search(run.successors, dfa, nodes)
         )
+        assert swept == sorted(per_seed_frontier_search(run.successors, dfa, nodes))
 
 
 class TestSharedRunView:
@@ -345,7 +347,7 @@ class TestSharedRunView:
         nodes = list(run.node_ids())
 
         def sweep(view, dfa):
-            return sorted(frontier_search(view, dfa, view.interner.positions(nodes)))
+            return _swept(view, dfa, view.interner.positions(nodes))
 
         dfas = [build_dfa(run, query) for query in queries]
         expected = [sweep(bitset.build_run_view(run), dfa) for dfa in dfas]
@@ -435,11 +437,10 @@ class TestSweepDifferential:
         seed_ids = list(run.node_ids()) if seeds is None else seeds
         allowed = restriction_universe(run, l1, l2)
         emit_filter = _flags(view, emitted)
-        swept = frontier_search(
+        swept = _swept(
             view, dfa, view.interner.positions(seed_ids),
             allowed=allowed, emit_filter=emit_filter, macros=macros, forward=forward,
         )
-        assert len(swept) == len(set(swept))
         per_seed = per_seed_frontier_search(
             run.successors if forward else run.predecessors,
             dfa,
@@ -449,12 +450,40 @@ class TestSweepDifferential:
             macro_successors=by_id,
             forward=forward,
         )
-        assert set(swept) == set(per_seed)
+        assert swept == sorted(per_seed)
 
         def known(side):
             return None if side is None else [node for node in side if node in run]
 
-        assert set(swept) == product_bfs_all_pairs(run, known(l1), known(l2), query)
+        assert swept == sorted(product_bfs_all_pairs(run, known(l1), known(l2), query))
+
+    @given(run_and_lists(), st.sampled_from(["_* {a} _*", "_ _*", "(_ _)* _", "_* {b}"]))
+    @settings(**_DIFF_SETTINGS)
+    def test_forward_and_backward_sweeps_return_equal_relations(self, data, pattern):
+        """Seeding the sources forward and the targets backward (over the
+        reversed DFA) packs the same rows: the forward sweep's transposed
+        hits and the backward sweep's per-mask rows agree bit for bit."""
+        run, l1, l2 = data
+        view = run.packed
+        tags = sorted(run.tags())
+        query = pattern.format(a=tags[0], b=tags[-1])
+        dfa = product_dfa(run, query)
+        allowed = restriction_universe(run, l1, l2)
+        every = list(run.node_ids())
+        sources = every if l1 is None else l1
+        targets = every if l2 is None else l2
+        forward = frontier_search(
+            view, dfa, view.interner.positions(sources),
+            allowed=allowed, emit_filter=_flags(view, l2),
+        )
+        backward = frontier_search(
+            view, dfa.reversed(), view.interner.positions(targets),
+            allowed=allowed, emit_filter=_flags(view, l1), forward=False,
+        )
+        assert forward.rows == backward.rows
+        assert forward.to_pairs(view.interner) == tuple(
+            sorted(product_bfs_all_pairs(run, run.known_ids(l1), run.known_ids(l2), query))
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,11 @@ import time
 
 import pytest
 
+from repro.baselines.product_bfs import product_bfs_all_pairs
+from repro.core.decomposition import plan_decomposition
 from repro.core.engine import ProvenanceQueryEngine
+from repro.core.exec import FrontierSearchOp, JoinOp, LabelDecodeOp, build_physical_plan
+from repro.core.query_index import build_query_index
 from repro.datasets.paper_example import paper_specification
 from repro.service import (
     BatchFormatError,
@@ -184,6 +188,64 @@ class TestBatchEvaluation:
         assert [result.answer for result in results[:3]] == [False, False, False]
         assert results[4].pairs
         assert results[3].pairs == results[4].pairs
+
+    @pytest.mark.parametrize(
+        ("query", "sides", "operator", "direction"),
+        [
+            ("_* e _*", (3, None), LabelDecodeOp, None),
+            ("_* a _*", (None, None), JoinOp, None),
+            ("_* a _*", (3, None), FrontierSearchOp, "forward"),
+            ("_* a _*", (None, 3), FrontierSearchOp, "backward"),
+        ],
+        ids=["label-decode", "join", "forward-sweep", "backward-sweep"],
+    )
+    def test_all_pairs_answers_are_the_oracle_in_sorted_order(
+        self, spec, query, sides, operator, direction
+    ):
+        """Whichever operator answers, ``pairs`` is the product-automaton
+        answer sorted by ``(source id, target id)``.  The run's ids do not
+        sort in topological order (``a:10`` sorts before ``a:2``), and the
+        lists carry duplicates and an id absent from the run."""
+        run = derive_run(spec, seed=1, target_edges=150)
+        nodes = list(run.node_ids())
+        interner = run.packed.interner
+        assert list(interner.ids) != sorted(interner.ids)
+        first, last = sides
+        l1 = None if first is None else [*nodes[:first], nodes[0], "ghost:0"]
+        l2 = None if last is None else [*nodes[-last:], nodes[-1], "ghost:0"]
+        physical = build_physical_plan(
+            run, plan_decomposition(spec, query), l1, l2,
+            indexes=lambda node: build_query_index(spec, node),
+        )
+        assert type(physical.root) is operator
+        assert getattr(physical.root, "direction", None) == direction
+        service = QueryService(max_workers=1)
+        service.register_run(run, "r")
+        result = service.execute(
+            {"op": "allpairs", "run": "r", "query": query, "sources": l1, "targets": l2}
+        )
+        assert result.ok, result.error
+        expected = product_bfs_all_pairs(run, run.known_ids(l1), run.known_ids(l2), query)
+        assert expected
+        assert result.pairs == tuple(sorted(expected))
+
+    def test_unsafe_pairwise_reads_emptiness(self, spec, run, service):
+        """An unsafe pairwise request answers whether its one-pair relation
+        is non-empty: true exactly for the oracle's pairs."""
+        edges = [edge for edge in run.edges if edge.tag == "e"][:2]
+        nodes = list(dict.fromkeys(
+            [*(edge.source for edge in edges), *(edge.target for edge in edges),
+             *run.node_ids()[:3]]
+        ))
+        expected = product_bfs_all_pairs(run, nodes, nodes, "e")
+        requests = [
+            {"op": "pairwise", "run": "r1", "query": "e", "source": source, "target": target}
+            for source in nodes
+            for target in nodes
+        ]
+        answers = [result.answer for result in service.run_batch(requests)]
+        assert answers == [(source, target) in expected for source in nodes for target in nodes]
+        assert any(answers)
 
     def test_closing_iter_batch_early_drops_queued_requests(self, run, monkeypatch):
         """A consumer that stops after the first result (an exception, a
