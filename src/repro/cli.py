@@ -183,8 +183,8 @@ def _evaluate_query(
     l1 = args.sources.split(",") if args.sources else None
     l2 = args.targets.split(",") if args.targets else None
     if args.stream:
-        # Pairs go to stdout as the evaluator finds them (unsorted); the
-        # count goes to stderr so piped output stays pure.
+        # Pairs go to stdout unsorted as they are unpacked; the count goes
+        # to stderr so piped output stays pure.
         count = 0
         for source, target in engine.evaluate_iter(
             run, args.query, l1, l2, direction=args.direction
@@ -708,10 +708,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--stream",
         action="store_true",
         help=(
-            "all-pairs only: print pairs as they are found (one per line, "
-            "unsorted, no limit) instead of materializing the result set; "
-            "unsafe queries stream too, with memory bounded by the region "
-            "reachable from --sources rather than by the run"
+            "all-pairs only: print pairs one per line, unsorted, no limit; "
+            "safe queries stream as they are decoded, in constant memory; "
+            "unsafe queries are computed whole (one bit per node pair at "
+            "most), then printed unordered"
         ),
     )
     query_parser.add_argument(

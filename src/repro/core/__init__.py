@@ -22,7 +22,10 @@ This package contains the query-time machinery of the paper:
   decomposition, label routing, macro DFAs and their reversals).
 * :mod:`repro.core.exec` — the *executor* side: physical plans (one
   label-decode, join or frontier-sweep operator, picked by the request's
-  shape), direction resolution, and materialized or streamed execution.
+  shape), direction resolution, and one ``execute`` entry returning the
+  interned answer.  Safe answers also stream lazily in constant memory;
+  unsafe answers are computed whole, then unpacked unordered, in memory of
+  at most one bit per (source, target) position pair of the run.
 * :mod:`repro.core.optimizer` — a simple cost model choosing between the
   labeling-based engine and the baselines (the paper's future-work item).
 * :mod:`repro.core.engine` — the :class:`ProvenanceQueryEngine` facade tying
@@ -34,10 +37,7 @@ from repro.core.allpairs import (
     all_pairs_reachability,
     all_pairs_safe_query,
 )
-from repro.core.decomposition import (
-    evaluate_general_query,
-    evaluate_general_query_iter,
-)
+from repro.core.decomposition import evaluate_general_query
 from repro.core.engine import ProvenanceQueryEngine
 from repro.core.exec import PhysicalPlan, build_physical_plan
 from repro.core.intersection import intersect_specification
@@ -58,7 +58,6 @@ __all__ = [
     "build_physical_plan",
     "build_query_index",
     "evaluate_general_query",
-    "evaluate_general_query_iter",
     "intersect_specification",
     "is_safe_query",
     "pairwise_reach_matrix",

@@ -45,16 +45,19 @@ safe-subtree search, label routing, macro rewriting, (reversed) macro
 DFAs — is pure, run-graph-independent where possible, cacheable in the
 shared :class:`~repro.service.cache.IndexCache` and serializable by
 :mod:`repro.store`.  The *physical* side — direction resolution into one
-operator and its execution — lives in :mod:`repro.core.exec`; the
-``evaluate_general_query*`` entry points below plan with
-``build_physical_plan`` and run the plan with ``execute``/``execute_iter``.
+operator and its execution — lives in :mod:`repro.core.exec`;
+:func:`evaluate_general_query` plans with ``build_physical_plan`` and runs
+the plan with ``execute``, the executor's one entry.  Its answer is whole:
+a packed relation of at most one bit per (source, target) position pair of
+the run, which the engine's stream unpacks unordered.  Only safe answers
+stream lazily, in constant memory, out of the label decode.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from repro.automata.dfa import DFA, determinize
 from repro.automata.nfa import nfa_from_regex
@@ -86,7 +89,6 @@ __all__ = [
     "DecompositionPlan",
     "plan_decomposition",
     "evaluate_general_query",
-    "evaluate_general_query_iter",
     "label_routed_subtrees",
     "warm_frontier_dfa",
     "worth_label_evaluation",
@@ -418,35 +420,3 @@ def evaluate_general_query(
     )
     return execute(physical)
 
-
-def evaluate_general_query_iter(
-    run: Run,
-    query: str | RegexNode,
-    l1: Sequence[str] | None = None,
-    l2: Sequence[str] | None = None,
-    *,
-    plan: DecompositionPlan | None = None,
-    index_provider: IndexProvider | None = None,
-    direction: str = "auto",
-) -> Iterator[tuple[str, str]]:
-    """Stream the answers of a general all-pairs query, safe or not.
-
-    Safe queries stream straight out of the group-at-a-time evaluator.
-    Unsafe queries with node lists stream through the frontier sweep: one
-    pruned product-DFA sweep from every seed — the sources forward, the
-    targets backward — so memory stays bounded by one seed bitmask per live
-    (node, DFA state) of the nodes reachable from ``l1`` (and co-reachable
-    from ``l2``) plus the label-decoded relations of the routed safe
-    subqueries — never by the result set.  Unsafe queries without node
-    lists stream the joined root relation row by row out of its packed
-    form.  Each matching pair is yielded exactly once.
-    Planning and safety analysis run eagerly, before the iterator is
-    returned.
-    """
-    from repro.core.exec import build_physical_plan, execute_iter
-
-    plan, indexes = _prepare(run, query, plan, index_provider)
-    physical = build_physical_plan(
-        run, plan, l1, l2, indexes=indexes, direction=direction
-    )
-    return execute_iter(physical)

@@ -29,11 +29,7 @@ from repro.automata.boolean_matrix import BooleanMatrix
 from repro.automata.regex import RegexNode, parse_regex
 from repro.core.allpairs import all_pairs_iter, all_pairs_reachability
 from repro.core.bitset import PackedRelation
-from repro.core.decomposition import (
-    DecompositionPlan,
-    evaluate_general_query,
-    evaluate_general_query_iter,
-)
+from repro.core.decomposition import DecompositionPlan, evaluate_general_query
 from repro.core.exec.plan import check_direction
 from repro.core.pairwise import answer_pairwise_query, pairwise_reach_matrix
 from repro.core.query_index import QueryIndex
@@ -282,17 +278,14 @@ class ProvenanceQueryEngine:
         *,
         direction: str = "auto",
     ) -> Iterator[tuple[str, str]]:
-        """Stream the answers of any all-pairs query, safe or not.
+        """Stream the answers of any all-pairs query, safe or not, each
+        pair exactly once and in no particular order.
 
-        Safe queries stream straight out of the group-at-a-time evaluator
-        (constant memory).  Unsafe queries stream through the executor
-        layer's frontier sweep — forward from the sources, or backward from
-        the targets over the reversed macro DFA (``direction``), pairs
-        streaming per node as the sweep passes it: memory is bounded
-        by one seed bitmask per live (node, DFA state) of the region
-        reachable from ``l1`` (and co-reachable from ``l2``) plus the routed
-        safe subqueries' relations — never by the result set, and never by
-        materializing a whole-run relation.
+        Safe queries stream lazily straight out of the group-at-a-time
+        evaluator, in constant memory.  Unsafe queries are computed whole
+        on the first draw — the interned answer of :meth:`evaluate_packed`,
+        at most one bit per (source, target) position pair of the run — and
+        then unpacked unordered, one row's targets at a time.
         Validation (direction, run/spec match, parsing, safety, planning)
         runs eagerly, before the iterator is returned.
         """
@@ -308,19 +301,21 @@ class ProvenanceQueryEngine:
         except UnsafeQueryError:
             safe = False
         if not safe:
-            return tracer.wrap_iter(
-                "query.stream",
-                evaluate_general_query_iter(
+            plan = self.plan(node)
+
+            def unpacked() -> Iterator[tuple[str, str]]:
+                relation = evaluate_general_query(
                     run,
                     node,
                     l1,
                     l2,
-                    plan=self.plan(node),
+                    plan=plan,
                     index_provider=self._subtree_index_provider(),
                     direction=direction,
-                ),
-                path="decomposition",
-            )
+                )
+                yield from relation.iter_pairs(run.packed.interner)
+
+            return tracer.wrap_iter("query.stream", unpacked(), path="decomposition")
         return tracer.wrap_iter(
             "query.stream", self.all_pairs_iter(run, node, l1, l2), path="safe-allpairs"
         )

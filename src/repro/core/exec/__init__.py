@@ -10,13 +10,14 @@ The evaluation stack splits in two at this package's boundary:
   resolves a workload into one operator by its shape alone — a
   :class:`LabelDecodeOp` for a fully safe query, a :class:`JoinOp` for an
   unsafe query without node lists, a :class:`FrontierSearchOp` for an
-  unsafe query with them — and ``execute``/``execute_iter`` run it.  Each
-  operator has one compute kernel: the group-at-a-time label decode, the
-  packed bitset joins and closures, or one topological multi-source sweep
-  over the macro DFA, forward or backward.
+  unsafe query with them — and ``execute``, its one entry, runs it to the
+  interned answer.  Each operator has one compute kernel: the
+  group-at-a-time label decode, the packed bitset joins and closures, or
+  one topological multi-source sweep over the macro DFA, forward or
+  backward.
 """
 
-from repro.core.exec.executor import execute, execute_iter
+from repro.core.exec.executor import execute
 from repro.core.exec.ops import (
     FrontierSearchOp,
     JoinOp,
@@ -42,5 +43,4 @@ __all__ = [
     "build_physical_plan",
     "check_direction",
     "execute",
-    "execute_iter",
 ]

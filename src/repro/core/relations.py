@@ -42,10 +42,14 @@ neighbour tuples), so they hash no node-id string:
   with *macro transitions*: synthetic DFA symbols whose successors come from
   an already-materialized relation (the decomposition engine feeds the
   label-decoded relations of maximal safe subqueries through this hook).
-  One sweep core reports each emitting node's hit mask;
-  ``frontier_search`` folds those masks into a packed relation (the
-  interned answer the service unpacks in sorted order) and
-  ``iter_frontier_search`` streams them as node-id pairs.
+  Its sweep core reports each emitting node's hit mask, and
+  ``frontier_search`` folds those masks into a packed relation.
+
+Both paths return the unsafe answer whole, as that packed relation: at most
+one bit per (source, target) position pair of the run rather than one tuple
+per answer pair.  The service unpacks it in sorted order; the engine's
+stream unpacks it unordered.  Only safe answers stream lazily, in constant
+memory, out of the label decode.
 """
 
 from __future__ import annotations
@@ -77,7 +81,6 @@ __all__ = [
     "reflexive_transitive_closure",
     "restrict",
     "restriction_universe",
-    "iter_frontier_search",
     "frontier_search",
     "evaluate_regex_relation",
     "evaluate_regex_relation_packed",
@@ -244,8 +247,8 @@ def _sweep(
     """The sweep core: ``(position, hit mask)`` once per emitting node.
 
     Bit ``i`` of a hit mask stands for ``sources[i]``, which must be
-    distinct allowed positions.  See :func:`iter_frontier_search` for the
-    search itself.
+    distinct allowed positions.  See :func:`frontier_search` for the search
+    itself.
     """
     visited = 0
     try:
@@ -309,62 +312,6 @@ def _sources(seeds: Iterable[int], allowed: bytes | None) -> list[int]:
     return [seed for seed in dict.fromkeys(seeds) if allowed is None or allowed[seed]]
 
 
-def iter_frontier_search(
-    view: PackedRunView,
-    dfa: DFA,
-    seeds: Iterable[int],
-    *,
-    allowed: bytes | None = None,
-    emit_filter: bytes | None = None,
-    macros: Mapping[str, Callable[[int], Sequence[int]]] | None = None,
-    forward: bool = True,
-    span: Span | None = None,
-) -> Iterator[tuple[str, str]]:
-    """One multi-source product search from every seed at once, streamed.
-
-    ``seeds`` are positions of ``view.interner``.  A forward search follows
-    ``view.successors`` in ascending positions; a backward search follows
-    ``view.predecessors`` in descending positions and takes a reversed DFA.
-    Runs are DAGs numbered in topological order, so one pass settles every
-    product state: each node carries ``{DFA state: bitmask of the seeds that
-    reach it}``, ORs those masks into its neighbours under the DFA
-    transitions and drops them once passed (the bit-parallel multi-source BFS
-    of Then et al., PVLDB 2014).  A node reached in an accepting state by
-    seed ``i`` matches the pair ``(seed, node)`` forward or ``(node, seed)``
-    backward, if the node's ``emit_filter`` flag is set.  Here those pairs
-    stream as node ids per node as the sweep passes it, each exactly once
-    and in no particular order; :func:`frontier_search` folds the same
-    sweep into a :class:`~repro.core.bitset.PackedRelation` instead.
-
-    ``macros[tag](position)`` supplies the neighbour positions of a node
-    under a synthetic macro symbol — a label-decoded safe subquery's
-    relation — expanded only when some live state has a transition on it.
-    Those relations follow run paths, so they point the sweep's way too,
-    except for the diagonal pairs of a subquery that accepts the empty path;
-    those are closed over the node's DFA states before it propagates.
-    States at nodes whose ``allowed`` flag is clear are pruned.  A duplicate
-    seed counts once; a disallowed seed contributes nothing.  When the sweep
-    ends, ``span`` (if given) gets ``visited``: how many nodes it reached.
-    """
-    sources = _sources(seeds, allowed)
-    ids = view.interner.ids
-    # The seed ids of each distinct hit mask.
-    names_of: dict[int, list[str]] = {}
-    for node, hits in _sweep(
-        view, dfa, sources, allowed, emit_filter, macros, forward, span
-    ):
-        names = names_of.get(hits)
-        if names is None:
-            names = names_of[hits] = [ids[sources[bit]] for bit in bit_indices(hits)]
-        node_id = ids[node]
-        if forward:
-            for name in names:
-                yield name, node_id
-        else:
-            for name in names:
-                yield node_id, name
-
-
 def _expand_macros(
     node: int,
     states: dict[int, int],
@@ -421,12 +368,33 @@ def frontier_search(
     forward: bool = True,
     span: Span | None = None,
 ) -> PackedRelation:
-    """The pairs of :func:`iter_frontier_search` as one packed relation over
-    ``view.interner`` (source-major rows), with no node id touched.
+    """One multi-source product search from every seed at once, as one
+    packed relation over ``view.interner`` (source-major rows), with no node
+    id touched.
 
-    A backward hit mask already lists the seeds a source reaches, so it maps
-    to that source's row once per distinct mask; forward hits are
-    transposed once, each seed's row gathering the nodes it reached.
+    ``seeds`` are positions of ``view.interner``.  A forward search follows
+    ``view.successors`` in ascending positions; a backward search follows
+    ``view.predecessors`` in descending positions and takes a reversed DFA.
+    Runs are DAGs numbered in topological order, so one pass settles every
+    product state: each node carries ``{DFA state: bitmask of the seeds that
+    reach it}``, ORs those masks into its neighbours under the DFA
+    transitions and drops them once passed (the bit-parallel multi-source BFS
+    of Then et al., PVLDB 2014).  A node reached in an accepting state by
+    seed ``i`` matches the pair ``(seed, node)`` forward or ``(node, seed)``
+    backward, if the node's ``emit_filter`` flag is set.  A backward hit
+    mask already lists the seeds a source reaches, so it maps to that
+    source's row once per distinct mask; forward hits are transposed once,
+    each seed's row gathering the nodes it reached.
+
+    ``macros[tag](position)`` supplies the neighbour positions of a node
+    under a synthetic macro symbol — a label-decoded safe subquery's
+    relation — expanded only when some live state has a transition on it.
+    Those relations follow run paths, so they point the sweep's way too,
+    except for the diagonal pairs of a subquery that accepts the empty path;
+    those are closed over the node's DFA states before it propagates.
+    States at nodes whose ``allowed`` flag is clear are pruned.  A duplicate
+    seed counts once; a disallowed seed contributes nothing.  When the sweep
+    ends, ``span`` (if given) gets ``visited``: how many nodes it reached.
     """
     sources = _sources(seeds, allowed)
     rows = [0] * len(view.interner)

@@ -339,12 +339,13 @@ class QueryService:
     ) -> Iterator[tuple[str, str]]:
         """Stream the matching pairs of one ``allpairs`` request.
 
-        Unlike :meth:`execute`, the pairs are yielded as the evaluator finds
-        them (unsorted, each exactly once) without materializing the result
-        set, so callers can cap, paginate or pipe arbitrarily large answers.
-        Unsafe queries stream too, through the executor layer's frontier
-        sweep (direction-aware — memory bounded by the reachable region, not
-        the result; see :meth:`ProvenanceQueryEngine.evaluate_iter`).
+        Unlike :meth:`execute`, the pairs are yielded unsorted, each exactly
+        once, without building a tuple of the result set, so callers can
+        cap, paginate or pipe large answers.  Safe queries stream lazily out
+        of the label decode, in constant memory; unsafe queries are computed
+        whole on the first draw, as the interned relation of at most one bit
+        per (source, target) position pair, and then unpacked unordered (see
+        :meth:`ProvenanceQueryEngine.evaluate_iter`).
         Failures raise instead of becoming error results, since there is no
         result record to carry them; request validation, run lookup, query
         parsing and the safety check all happen eagerly, before the first

@@ -1,6 +1,7 @@
 """The whole-program semantic layer: call graph, lock-order graph, effect
-inference — on fixtures with known shapes
-and on the real tree (which must stay deadlock-free and planner-pure)."""
+inference — on fixtures with known shapes and on the real tree.  That the
+real tree stays deadlock-free and planner-pure is asserted once, through
+the REP108/REP109 rules (``test_rules.py::TestRepositoryIsClean``)."""
 
 from pathlib import Path
 
@@ -108,33 +109,17 @@ class TestEffects:
 
 
 class TestRealTree:
-    """The acceptance bar: the repository's own lock graph stays acyclic and
-    its planners stay pure."""
+    """The model of the repository itself is built whole: its known lock
+    hierarchy and every graph dimension are present."""
 
     @pytest.fixture(scope="class")
     def model(self):
         return build_semantic_model(load_project([SRC], root=SRC.parent.parent))
 
-    def test_lock_graph_is_acyclic(self, model):
-        assert model.lock_graph.acyclic, model.lock_graph.cycles
-
     def test_known_lock_hierarchy_is_present(self, model):
         edges = {(edge.source, edge.target) for edge in model.lock_graph.edges}
         assert ("IndexCache._build_locks", "IndexCache._lock") in edges
         assert ("IndexStore.entry_lock", "IndexStore._lock") in edges
-
-    def test_planner_modules_reach_no_impure_effect(self, model):
-        planners = {
-            "repro.core.decomposition",
-            "repro.core.optimizer",
-            "repro.core.exec.plan",
-        }
-        impure = {
-            qualified: effects
-            for qualified, effects in model.effects.items()
-            if effects and model.graph.functions[qualified].module in planners
-        }
-        assert impure == {}
 
     def test_every_graph_dimension_is_populated(self, model):
         assert model.graph.modules > 50

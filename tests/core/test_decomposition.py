@@ -9,10 +9,10 @@ from repro.baselines.paper_decomposition import paper_decomposition_all_pairs
 from repro.baselines.product_bfs import product_bfs_all_pairs
 from repro.core.decomposition import (
     evaluate_general_query,
-    evaluate_general_query_iter,
     label_routed_subtrees,
     plan_decomposition,
 )
+from repro.core.engine import ProvenanceQueryEngine
 from repro.core.safety import is_safe_query
 from repro.datasets.paper_example import paper_run, paper_specification
 from repro.datasets.queries import generate_query_suite
@@ -37,6 +37,11 @@ def _answer(run, query, *lists, **kwargs):
 
 def _sorted(pairs):
     return tuple(sorted(pairs))
+
+
+def _stream(run, query, *lists):
+    """The engine's stream of the query's answer, drawn to the end."""
+    return list(ProvenanceQueryEngine(run.spec).evaluate_iter(run, query, *lists))
 
 
 def _always_labels(monkeypatch, plan):
@@ -140,7 +145,7 @@ class TestRestrictionPushdown:
         run = paper_run(recursion_depth=3)
         nodes = list(run.node_ids())
         l1 = nodes[:5]
-        streamed = list(evaluate_general_query_iter(run, query, l1, None))
+        streamed = _stream(run, query, l1, None)
         assert len(streamed) == len(set(streamed))
         assert _sorted(streamed) == _sorted(product_bfs_all_pairs(run, l1, None, query))
 
@@ -151,7 +156,7 @@ class TestRestrictionPushdown:
         l2 = [nodes[2], nodes[2], nodes[3]]
         expected = _sorted(product_bfs_all_pairs(run, l1, l2, "_* a _*"))
         assert _answer(run, "_* a _*", l1, l2) == expected
-        streamed = list(evaluate_general_query_iter(run, "_* a _*", l1, l2))
+        streamed = _stream(run, "_* a _*", l1, l2)
         assert _sorted(streamed) == expected
 
     def test_empty_lists_give_empty_answers(self):
@@ -159,7 +164,7 @@ class TestRestrictionPushdown:
         some = list(run.node_ids())[:3]
         assert _answer(run, "_* a _*", [], None) == ()
         assert _answer(run, "_* a _*", some, []) == ()
-        assert list(evaluate_general_query_iter(run, "_* a _*", [], [])) == []
+        assert _stream(run, "_* a _*", [], []) == []
 
     def test_ids_absent_from_run_are_ignored(self):
         # The paper's evaluate-then-restrict scheme restricts a whole-run
@@ -178,8 +183,6 @@ class TestRestrictionPushdown:
             evaluate_general_query(run, "_* a _*", direction="magic")
 
     def test_engine_rejects_unknown_direction_even_for_safe_queries(self):
-        from repro.core.engine import ProvenanceQueryEngine
-
         run = paper_run()
         engine = ProvenanceQueryEngine(run.spec)
         with pytest.raises(ValueError, match="unknown direction"):

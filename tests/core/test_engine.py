@@ -4,8 +4,15 @@ import pytest
 
 from repro import ProvenanceQueryEngine, paper_specification
 from repro.baselines.product_bfs import product_bfs_all_pairs
+from repro.core import engine as engine_module
+from repro.core.decomposition import plan_decomposition
+from repro.core.exec import FrontierSearchOp, JoinOp, LabelDecodeOp, build_physical_plan
+from repro.core.query_index import build_query_index
 from repro.datasets.paper_example import paper_run
 from repro.errors import UnsafeQueryError
+from repro.obs import Tracer, use_tracer
+from repro.obs.metrics import MetricsRegistry
+from repro.workflow.derivation import derive_run
 
 
 @pytest.fixture
@@ -135,6 +142,37 @@ class TestEngineQueries:
         with pytest.raises(ValueError, match="different specification"):
             engine.evaluate_iter(foreign, "_*")
 
+    def test_unsafe_stream_computes_on_first_draw(self, engine, run, monkeypatch):
+        """An unsafe stream validates eagerly but evaluates nothing until the
+        first draw, and then evaluates the whole relation exactly once."""
+        calls = []
+        evaluate = engine_module.evaluate_general_query
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(engine_module, "evaluate_general_query", counting)
+        iterator = engine.evaluate_iter(run, "_* a _*")
+        assert calls == []
+        first = next(iterator)
+        assert len(calls) == 1
+        assert {first, *iterator} == engine.evaluate(run, "_* a _*")
+        assert len(calls) == 2  # the second call is engine.evaluate's own
+
+    @pytest.mark.parametrize(
+        "query, path",
+        [("_* e _*", "safe-allpairs"), ("_* a _*", "decomposition")],
+        ids=["safe", "unsafe"],
+    )
+    def test_stream_span_names_its_path_and_counts_items(self, engine, run, query, path):
+        tracer = Tracer(registry=MetricsRegistry())
+        with use_tracer(tracer):
+            streamed = list(engine.evaluate_iter(run, query))
+        [span] = [span for span in tracer.spans() if span.name == "query.stream"]
+        assert span.attrs["path"] == path
+        assert span.attrs["items"] == len(streamed)
+
     def test_run_from_other_spec_rejected(self, engine):
         from repro.datasets.myexperiment import bioaid_specification
         from repro.workflow.derivation import derive_run
@@ -142,3 +180,40 @@ class TestEngineQueries:
         foreign = derive_run(bioaid_specification(), seed=0, target_edges=50)
         with pytest.raises(ValueError, match="different specification"):
             engine.reachable(foreign, foreign.node_ids()[0], foreign.node_ids()[1])
+
+
+class TestEvaluateIterOperators:
+    @pytest.mark.parametrize(
+        "query, sides, operator",
+        [
+            ("_* e _*", (3, None), LabelDecodeOp),
+            ("_* a _*", (None, None), JoinOp),
+            ("_* a _*", (3, None), FrontierSearchOp),
+            ("_* a _*", (None, 3), FrontierSearchOp),
+        ],
+        ids=["label-decode", "join", "forward-sweep", "backward-sweep"],
+    )
+    def test_stream_yields_the_packed_answer_each_pair_once(self, query, sides, operator):
+        """Whichever operator the planner picks, ``evaluate_iter`` yields
+        exactly the pairs of ``evaluate_packed(...).to_pairs``, each once,
+        and they are the product-automaton answer.  The lists carry a
+        duplicate and an id absent from the run."""
+        spec = paper_specification()
+        engine = ProvenanceQueryEngine(spec)
+        run = derive_run(spec, seed=1, target_edges=150)
+        nodes = list(run.node_ids())
+        first, last = sides
+        l1 = None if first is None else [*nodes[:first], nodes[0], "ghost:0"]
+        l2 = None if last is None else [*nodes[-last:], nodes[-1], "ghost:0"]
+        physical = build_physical_plan(
+            run, plan_decomposition(spec, query), l1, l2,
+            indexes=lambda node: build_query_index(spec, node),
+        )
+        assert type(physical.root) is operator
+        streamed = list(engine.evaluate_iter(run, query, l1, l2))
+        assert len(streamed) == len(set(streamed))
+        packed = engine.evaluate_packed(run, query, l1, l2)
+        assert tuple(sorted(streamed)) == packed.to_pairs(run.packed.interner)
+        expected = product_bfs_all_pairs(run, run.known_ids(l1), run.known_ids(l2), query)
+        assert expected
+        assert set(streamed) == expected

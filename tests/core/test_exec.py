@@ -31,7 +31,6 @@ from repro.core.exec import (
     build_physical_plan,
     check_direction,
     execute,
-    execute_iter,
 )
 from repro.core.exec import executor as executor_module
 from repro.core.exec import ops
@@ -60,6 +59,12 @@ def _indexes(spec):
 def _unpacked(physical):
     """A plan's materialized answer, unpacked in sorted order."""
     return execute(physical).to_pairs(physical.run.packed.interner)
+
+
+def _streamed(physical):
+    """A plan's materialized answer, unpacked unordered as the engine's
+    stream unpacks it."""
+    return list(execute(physical).iter_pairs(physical.run.packed.interner))
 
 
 def _sorted(pairs):
@@ -150,7 +155,7 @@ class TestExecutorEquivalence:
     def test_all_executors_match_the_join_reference(self, data):
         """Forward, backward and auto executions (a join without node
         lists) all return the set-based join reference's pair set, and their
-        streams yield each pair once."""
+        unordered unpacks yield each pair once."""
         run, query, l1, l2 = data
         reference = restrict(evaluate_regex_relation(run, parse_regex(query)), l1, l2)
         for label, kwargs in (
@@ -160,7 +165,7 @@ class TestExecutorEquivalence:
         ):
             physical = _physical(run, query, l1, l2, **kwargs)
             assert _unpacked(physical) == _sorted(reference), f"{label} diverged for {query!r}"
-            streamed = list(execute_iter(physical))
+            streamed = _streamed(physical)
             assert len(streamed) == len(set(streamed)), f"{label} duplicated pairs"
             assert set(streamed) == reference, f"{label} stream diverged for {query!r}"
 
@@ -192,7 +197,7 @@ class TestExecutorEquivalence:
                 direction=direction,
             )
             oracle = _oracle(run, query, l1, l2)
-            streamed = list(execute_iter(physical))
+            streamed = _streamed(physical)
             assert len(streamed) == len(set(streamed)), f"duplicated pairs for {query!r}"
             assert set(streamed) == oracle, f"sweep stream diverged for {query!r}"
             assert _unpacked(physical) == _sorted(oracle), f"sweep diverged for {query!r}"
@@ -268,8 +273,7 @@ class TestFrontierExecution:
             "direction": "backward", "seeds": 2, "pairs": len(result)
         }
 
-    @pytest.mark.parametrize("materialize", [True, False], ids=["execute", "stream"])
-    def test_search_span_reports_universe_and_visited(self, materialize):
+    def test_search_span_reports_universe_and_visited(self):
         """``universe`` is the pruned node count (the run size when nothing
         is pruned) and ``visited`` counts the nodes the sweep reached; both
         explain a slow sweep without a profiler."""
@@ -287,10 +291,7 @@ class TestFrontierExecution:
             physical = _physical(run, "_* a _*", l1, l2, direction=direction)
             tracer = Tracer(registry=MetricsRegistry())
             with use_tracer(tracer):
-                if materialize:
-                    execute(physical)
-                else:
-                    list(execute_iter(physical))
+                execute(physical)
             [search] = [s for s in tracer.spans() if s.name == "exec.frontier_search"]
             assert search.attrs["universe"] == universe
             if direction == "forward":
@@ -299,26 +300,6 @@ class TestFrontierExecution:
                 reached = ancestors
             # "_* a _*" dies on no tag, so every reachable node is visited.
             assert search.attrs["visited"] == len(reached)
-
-    def test_execute_iter_searches_on_first_draw(self, monkeypatch):
-        """Building the stream runs nothing; the sweep starts when the first
-        pair is drawn, and the stream then matches the materialized set."""
-        run = _RUNS["paper"][0]
-        nodes = list(run.node_ids())
-        started = []
-        original = executor_module.iter_frontier_search
-
-        def tracking(*args, **kwargs):
-            started.append(1)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(executor_module, "iter_frontier_search", tracking)
-        physical = _physical(run, "_* a _*", nodes, None)
-        stream = execute_iter(physical)
-        assert started == []
-        pairs = list(stream)
-        assert started == [1]
-        assert _sorted(pairs) == _unpacked(physical)
 
 
 class TestPlannerResolution:
@@ -363,7 +344,7 @@ class TestPlannerResolution:
         ]
         [join] = tracer.spans()
         assert join.attrs["pairs"] == len(result)
-        streamed = list(execute_iter(physical))
+        streamed = list(result.iter_pairs(run.packed.interner))
         assert _sorted(streamed) == pairs
 
     def test_direction_is_resolved_fresh_on_every_plan(self):
@@ -462,8 +443,8 @@ class TestPlannerResolution:
 
 class TestOperatorCatalog:
     """Every physical operator is a member of the ``PhysicalOp`` union,
-    exported, built by the planner for one request shape, and run alike by
-    both executors."""
+    exported, built by the planner for one request shape, and run by
+    ``execute`` to an answer whose sorted and unordered unpacks agree."""
 
     #: One request shape per operator: (query, l1 size, l2 size).
     SHAPES = {
@@ -490,7 +471,7 @@ class TestOperatorCatalog:
         physical = _physical(run, query, l1, l2)
         assert type(physical.root) is operator
         materialized = _unpacked(physical)
-        streamed = list(execute_iter(physical))
+        streamed = _streamed(physical)
         assert materialized
         assert _sorted(streamed) == materialized
 

@@ -26,7 +26,6 @@ from repro.core.relations import (
     evaluate_regex_relation,
     frontier_search,
     identity_relation,
-    iter_frontier_search,
     reflexive_transitive_closure,
     restrict,
     restriction_universe,
@@ -299,11 +298,6 @@ class TestFrontierSweep:
         with span.span("sweep") as open_span:
             assert _swept(_CHAIN, _dfa("a"), [], span=open_span) == []
         assert open_span.attrs["visited"] == 0
-
-    def test_pairs_stream_per_node_in_sweep_order(self):
-        stream = iter_frontier_search(_CHAIN, _star(), [_X, _Y])
-        assert next(stream) == ("x", "x")
-        assert list(stream) == [("x", "y"), ("y", "y"), ("x", "z"), ("y", "z")]
 
     def test_dense_rows_are_built_once_per_dfa(self):
         dfa = _dfa("a", _MACRO)

@@ -13,10 +13,7 @@ from hypothesis import strategies as st
 from repro.baselines.paper_decomposition import paper_decomposition_all_pairs
 from repro.baselines.product_bfs import product_bfs_all_pairs, product_bfs_pairwise
 from repro.baselines.rpl_per_pair import optrpl_all_pairs, rpl_all_pairs
-from repro.core.decomposition import (
-    evaluate_general_query,
-    evaluate_general_query_iter,
-)
+from repro.core.decomposition import evaluate_general_query
 from repro.core.engine import ProvenanceQueryEngine
 from repro.core import exec as exec_package
 from repro.core.exec import JoinOp
@@ -105,14 +102,14 @@ class TestEngineAgainstOracle:
     @given(restricted_spec_run_query())
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.data_too_large])
     def test_restricted_evaluation_matches_oracle(self, data):
-        """The restriction-pushdown evaluator, the streaming iterator and
-        the paper's evaluate-then-restrict scheme must match the
+        """The restriction-pushdown evaluator, the engine's stream and the
+        paper's evaluate-then-restrict scheme must match the
         product-automaton oracle."""
         spec, run, query, l1, l2 = data
         expected = product_bfs_all_pairs(run, l1, l2, query)
         relation = evaluate_general_query(run, query, l1, l2)
         assert relation.to_pairs(run.packed.interner) == tuple(sorted(expected))
-        streamed = list(evaluate_general_query_iter(run, query, l1, l2))
+        streamed = list(ProvenanceQueryEngine(spec).evaluate_iter(run, query, l1, l2))
         assert len(streamed) == len(set(streamed))
         assert set(streamed) == expected
         assert paper_decomposition_all_pairs(run, l1, l2, query) == expected

@@ -203,9 +203,10 @@ class TestBatchEvaluation:
         self, spec, query, sides, operator, direction
     ):
         """Whichever operator answers, ``pairs`` is the product-automaton
-        answer sorted by ``(source id, target id)``.  The run's ids do not
-        sort in topological order (``a:10`` sorts before ``a:2``), and the
-        lists carry duplicates and an id absent from the run."""
+        answer sorted by ``(source id, target id)``, and ``stream_pairs``
+        yields those pairs, each once.  The run's ids do not sort in
+        topological order (``a:10`` sorts before ``a:2``), and the lists
+        carry duplicates and an id absent from the run."""
         run = derive_run(spec, seed=1, target_edges=150)
         nodes = list(run.node_ids())
         interner = run.packed.interner
@@ -221,13 +222,13 @@ class TestBatchEvaluation:
         assert getattr(physical.root, "direction", None) == direction
         service = QueryService(max_workers=1)
         service.register_run(run, "r")
-        result = service.execute(
-            {"op": "allpairs", "run": "r", "query": query, "sources": l1, "targets": l2}
-        )
+        request = {"op": "allpairs", "run": "r", "query": query, "sources": l1, "targets": l2}
+        result = service.execute(request)
         assert result.ok, result.error
         expected = product_bfs_all_pairs(run, run.known_ids(l1), run.known_ids(l2), query)
         assert expected
         assert result.pairs == tuple(sorted(expected))
+        assert tuple(sorted(service.stream_pairs(request))) == result.pairs
 
     def test_unsafe_pairwise_reads_emptiness(self, spec, run, service):
         """An unsafe pairwise request answers whether its one-pair relation

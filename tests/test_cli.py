@@ -526,6 +526,23 @@ class TestDirectionFlag:
         expected = json.loads(capsys.readouterr().out)
         assert sorted(map(tuple, lines)) == sorted(map(tuple, expected))
 
+    @pytest.mark.parametrize("direction", ["forward", "backward", None],
+                             ids=["forward", "backward", "join"])
+    def test_stream_is_the_sorted_json_answer(self, run_path, capsys, direction):
+        """The streamed lines, sorted, are the ``--json`` answer: through the
+        frontier sweep in either direction (lists given) and the join (no lists)."""
+        nodes = [node["id"] for node in json.loads(run_path.read_text())["nodes"]]
+        base = ["query", str(run_path), "_* a _*"]
+        if direction is not None:
+            base += ["--sources", ",".join(nodes[:8]), "--targets", ",".join(nodes[-8:]),
+                     "--direction", direction]
+        assert main(base + ["--json"]) == 0
+        expected = [tuple(pair) for pair in json.loads(capsys.readouterr().out)]
+        assert expected
+        assert main(base + ["--stream", "--json"]) == 0
+        streamed = [tuple(json.loads(line)) for line in capsys.readouterr().out.splitlines()]
+        assert sorted(streamed) == expected
+
     def test_invalid_direction_is_rejected(self, tmp_path, run_path):
         with pytest.raises(SystemExit):
             main(["query", str(run_path), "_* a _*", "--direction", "sideways"])
