@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from repro.core.allpairs import structural_join
+from repro.core.allpairs import pair_blocks, structural_join
 from repro.core.pairwise import answer_pairwise_query
 from repro.core.query_index import QueryIndex
 from repro.core.relations import NodePairs
@@ -64,7 +64,8 @@ def optrpl_all_pairs(
     return {
         (u, v)
         for group in structural_join(trie1, trie2, run.spec)
-        for u in group.source_ids()
-        for v in group.target_ids()
+        for sources, targets in pair_blocks(group)
+        for u in sources
+        for v in targets
         if decode(u, v)
     }

@@ -29,21 +29,12 @@ class TrieNode:
     ``payload`` holds the identifiers of the input-list entries whose label
     ends exactly here (for run nodes there is at most one, since labels are
     unique, but the structure does not rely on that).
-
-    ``memo`` is scratch space for decoders walking the trie: the vectorized
-    all-pairs evaluator stashes per-query state-vector tables here, keyed by
-    an opaque token that identifies the query index, so each table is
-    computed at most once per trie node per query no matter how many groups
-    of the structural join touch the node.  Use
-    :meth:`LabelTrie.clear_memos` to drop the tables when a long-lived trie
-    is reused across many queries.
     """
 
     depth: int
     children: dict[LabelStep, "TrieNode"] = field(default_factory=dict)
     payload: list[str] = field(default_factory=list)
     leaf_count: int = 0
-    memo: dict[object, object] = field(default_factory=dict, repr=False, compare=False)
 
     # -- structure ----------------------------------------------------------------
 
@@ -130,14 +121,6 @@ class LabelTrie:
             best = max(best, depth)
             stack.extend((child, depth + 1) for child in node.children.values())
         return best
-
-    def clear_memos(self) -> None:
-        """Drop every node's decoder scratch space (see :class:`TrieNode`)."""
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            node.memo.clear()
-            stack.extend(node.children.values())
 
     def find(self, label: Label) -> TrieNode | None:
         node = self._root

@@ -4,12 +4,14 @@ from collections import Counter
 
 import pytest
 
+from repro.automata.boolean_matrix import BooleanMatrix
 from repro.baselines.product_bfs import product_bfs_all_pairs
 from repro.baselines.rpl_per_pair import optrpl_all_pairs, rpl_all_pairs
 from repro.core.allpairs import (
     all_pairs_iter,
     all_pairs_reachability,
     all_pairs_safe_query,
+    pair_blocks,
     structural_join,
 )
 from repro.core.pairwise import answer_pairwise_query
@@ -17,18 +19,57 @@ from repro.core.query_index import build_query_index
 from repro.core.safety import is_safe_query
 from repro.datasets.myexperiment import (
     BIOAID_KLEENE_TAG,
+    QBLAST_KLEENE_TAG,
     bioaid_specification,
     fork_production_indices,
+    qblast_specification,
 )
 from repro.datasets.paper_example import paper_run
 from repro.datasets.runs import generate_fork_heavy_run, generate_run
 from repro.datasets.synthetic import generate_synthetic_specification
+from repro.labeling.labels import RecursionStep
 from repro.labeling.parse_tree import LabelTrie
 from repro.workflow.derivation import derive_run
 
 
 def reachability_oracle(run, l1, l2):
     return product_bfs_all_pairs(run, l1, l2, "_*")
+
+
+def paper_lists():
+    run = paper_run(recursion_depth=5)
+    nodes = list(run.node_ids())
+    return run, nodes, nodes
+
+
+def qblast_loop_lists():
+    """A 1,000-edge QBLast run dominated by the ``q1_loop`` self-recursion:
+    long chains whose members land on both lists at different strides."""
+    spec = qblast_specification()
+    run = generate_fork_heavy_run(
+        spec, 1000, fork_production_indices(spec, QBLAST_KLEENE_TAG), seed=0
+    )
+    nodes = list(run.node_ids())
+    return run, nodes[::7], nodes[::5]
+
+
+def qblast_cycle_run():
+    """A QBLast run dominated by the two-production ``qX``/``qY`` cycle."""
+    spec = qblast_specification()
+    (cycle,) = [cycle for cycle in spec.production_graph.cycles if len(cycle) == 2]
+    return generate_fork_heavy_run(spec, 600, tuple(cycle.productions), seed=0)
+
+
+def every_kth_member(run, k, offset):
+    """The nodes under chain members whose ordinal is ``offset`` mod ``k``."""
+    return [
+        node
+        for node in run.node_ids()
+        if any(
+            isinstance(step, RecursionStep) and step.ordinal % k == offset
+            for step in run.label_of(node)
+        )
+    ]
 
 
 class TestAllPairsReachability:
@@ -67,19 +108,22 @@ class TestAllPairsReachability:
         l2 = run.node_ids()[::5]
         assert all_pairs_reachability(run, l1, l2) == reachability_oracle(run, l1, l2)
 
-    def test_groups_only_contain_reachable_pairs(self):
-        run = paper_run(recursion_depth=5)
-        nodes = list(run.node_ids())
-        trie1 = LabelTrie.from_run_nodes(run, nodes)
-        trie2 = LabelTrie.from_run_nodes(run, nodes)
-        oracle = reachability_oracle(run, nodes, nodes)
+    @pytest.mark.parametrize(
+        "make_lists", [paper_lists, qblast_loop_lists], ids=["paper", "qblast-loop"]
+    )
+    def test_groups_only_contain_reachable_pairs(self, make_lists):
+        run, l1, l2 = make_lists()
+        trie1 = LabelTrie.from_run_nodes(run, l1)
+        trie2 = LabelTrie.from_run_nodes(run, l2)
+        oracle = reachability_oracle(run, l1, l2)
         seen = set()
         for group in structural_join(trie1, trie2, run.spec):
-            for u in group.source_ids():
-                for v in group.target_ids():
-                    assert (u, v) in oracle
-                    assert (u, v) not in seen, "pair emitted twice"
-                    seen.add((u, v))
+            for sources, targets in pair_blocks(group):
+                for u in sources:
+                    for v in targets:
+                        assert (u, v) in oracle
+                        assert (u, v) not in seen, "pair emitted twice"
+                        seen.add((u, v))
         assert seen == oracle
 
 
@@ -161,6 +205,39 @@ class TestVectorizedDecoding:
         l2 = run.node_ids()[::2]
         expected = product_bfs_all_pairs(run, l1, l2, query)
         assert all_pairs_safe_query(run, l1, l2, index) == expected
+
+    @pytest.mark.parametrize(
+        "query", ["_*", "q1_loop*", "qx_b _*", "(qY|qx_b)*", "(qY qX)*", "_* qX"]
+    )
+    def test_chain_sweep_on_two_production_cycle(self, query):
+        # Lists take every 5th / 7th member of qX/qY chains, so the sweep's gap
+        # jumps exceed two cycle lengths (the matrix-power path); (l2, l1)
+        # moves the pairs from the red pass to the blue pass.  "q1_loop*" and
+        # "(qY|qx_b)*" kill the state vectors at some members' crossings, and
+        # "(qY qX)*" and "_* qX" depend on the parity of the gap.
+        run = qblast_cycle_run()
+        index = build_query_index(run.spec, query)
+        l1 = every_kth_member(run, 5, 0)
+        l2 = every_kth_member(run, 7, 3)
+        for sources, targets in ((l1, l2), (l2, l1), (l1, l1)):
+            expected = product_bfs_all_pairs(run, sources, targets, query)
+            assert all_pairs_safe_query(run, sources, targets, index) == expected
+            assert rpl_all_pairs(run, sources, targets, index) == expected
+
+    def test_warm_chain_sweep_makes_no_matrix_product(self, monkeypatch):
+        run, l1, l2 = qblast_loop_lists()
+        index = build_query_index(run.spec, f"{QBLAST_KLEENE_TAG}*")
+        expected = all_pairs_safe_query(run, l1, l2, index)
+        products = Counter()
+        multiply = BooleanMatrix.__matmul__
+
+        def counting(left, right):
+            products["matmul"] += 1
+            return multiply(left, right)
+
+        monkeypatch.setattr(BooleanMatrix, "__matmul__", counting)
+        assert all_pairs_safe_query(run, l1, l2, index) == expected
+        assert products["matmul"] == 0
 
     def test_streaming_yields_each_pair_once(self):
         run = paper_run(recursion_depth=5)

@@ -116,20 +116,3 @@ class TestLabelTrie:
         text = trie.render()
         assert '<root>' in text
         assert 'R(0,0)#0' in text
-
-    def test_memo_hooks(self):
-        run = paper_run()
-        trie = LabelTrie.from_run_nodes(run, run.node_ids())
-        r_node = trie.root.child(P(0, 1))
-        trie.root.memo[("token", 1)] = ["scratch"]
-        r_node.memo["other"] = 42
-        trie.clear_memos()
-        assert not trie.root.memo
-        assert not r_node.memo
-
-    def test_memo_does_not_affect_node_equality(self):
-        run = paper_run()
-        trie1 = LabelTrie.from_run_nodes(run, ["d:1"])
-        trie2 = LabelTrie.from_run_nodes(run, ["d:1"])
-        trie1.root.memo["token"] = object()
-        assert trie1.root == trie2.root
