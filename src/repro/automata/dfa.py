@@ -14,6 +14,7 @@ evaluated (wildcard transitions expand over this alphabet).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Iterable, Mapping
 
 from repro.automata.boolean_matrix import BooleanMatrix
@@ -108,15 +109,34 @@ class DFA:
             mask |= 1 << state
         return mask
 
+    @cached_property
+    def tag_classes(self) -> tuple[tuple[str, ...], ...]:
+        """The alphabet grouped by transition column, each class sorted.
+
+        Tags of one class move every state to the same target, so anything
+        that reads the automaton tag by tag — partition refinement, reversal,
+        transition matrices — can read one representative per class instead.
+        A query names a handful of tags against an alphabet of dozens, so
+        most of the alphabet falls into one or two classes.
+        """
+        classes: dict[tuple[int, ...], list[str]] = {}
+        for tag in sorted(self.alphabet):
+            column = tuple(row[tag] for row in self.transitions)
+            classes.setdefault(column, []).append(tag)
+        return tuple(tuple(members) for members in classes.values())
+
     def reversed(self, *, minimal: bool = True) -> "DFA":
         """The (by default minimal) complete DFA of the *reversed* language:
         ``w`` is accepted by the result iff ``reverse(w)`` is accepted here.
 
         Built by flipping every transition into an NFA (a fresh start state
         ε-branches to the old accepting states; the old start becomes the
-        accept) and determinizing over the same alphabet.  The alphabet is
-        carried verbatim — including synthetic macro symbols — and no ``ANY``
-        labels exist in a DFA, so wildcard expansion cannot re-enter.
+        accept) and determinizing it.  The NFA carries one representative tag
+        per :attr:`tag_classes` class — tags with equal columns stay
+        indistinguishable after reversal — and every member of a class then
+        takes its representative's row, so the result is complete over the
+        same alphabet, synthetic macro symbols included.  No ``ANY`` labels
+        exist in a DFA, so wildcard expansion cannot re-enter.
 
         The backward frontier search of the executor layer runs the product
         search from the *targets* over this automaton, following run edges
@@ -126,10 +146,12 @@ class DFA:
         """
         from repro.automata.nfa import EPSILON, NFA
 
+        classes = self.tag_classes
+        representatives = [members[0] for members in classes]
         transitions: dict[int, list[tuple[object, int]]] = {}
         for state, row in enumerate(self.transitions):
-            for tag, target in row.items():
-                transitions.setdefault(target, []).append((tag, state))
+            for tag in representatives:
+                transitions.setdefault(row[tag], []).append((tag, state))
         start = self.state_count
         transitions[start] = [(EPSILON, state) for state in sorted(self.accepting)]
         nfa = NFA(
@@ -138,7 +160,17 @@ class DFA:
             transitions=transitions,
             state_count=self.state_count + 1,
         )
-        reversed_dfa = determinize(nfa, self.alphabet)
+        compact = determinize(nfa, representatives)
+        reversed_dfa = DFA(
+            state_count=compact.state_count,
+            alphabet=self.alphabet,
+            transitions=tuple(
+                {tag: row[members[0]] for members in classes for tag in members}
+                for row in compact.transitions
+            ),
+            start=compact.start,
+            accepting=compact.accepting,
+        )
         if minimal:
             from repro.automata.minimize import minimize_dfa
 
@@ -161,15 +193,18 @@ class DFA:
     def to_dict(self) -> dict[str, Any]:
         """A JSON-ready representation (inverse of :meth:`from_dict`).
 
-        Tags are kept verbatim — including the NUL-prefixed macro symbols of
-        the decomposition engine, which JSON strings carry fine — so stored
-        macro DFAs round-trip exactly.
+        Rows are written per :attr:`tag_classes` class: ``classes`` lists
+        the classes and each row of ``transitions`` holds one target per
+        class.  Tags are kept verbatim — including the NUL-prefixed macro
+        symbols of the decomposition engine, which JSON strings carry fine —
+        so stored macro DFAs round-trip exactly.
         """
+        classes = self.tag_classes
         return {
             "state_count": self.state_count,
-            "alphabet": sorted(self.alphabet),
+            "classes": [list(members) for members in classes],
             "transitions": [
-                {tag: row[tag] for tag in sorted(row)} for row in self.transitions
+                [row[members[0]] for members in classes] for row in self.transitions
             ],
             "start": self.start,
             "accepting": sorted(self.accepting),
@@ -179,19 +214,39 @@ class DFA:
     def from_dict(cls, payload: Mapping[str, Any]) -> "DFA":
         """Rebuild a DFA from :meth:`to_dict` output.
 
-        Completeness is re-validated by ``__post_init__``, so a corrupted
-        payload fails loudly here instead of mis-answering queries later.
+        Strict: a tag listed twice, a row of the wrong width or a target
+        outside the states raises ``ValueError``, and completeness is
+        re-validated by ``__post_init__``, so a corrupted payload fails
+        loudly here instead of mis-answering queries later.
         """
-        return cls(
-            state_count=int(payload["state_count"]),
-            alphabet=frozenset(payload["alphabet"]),
-            transitions=tuple(
-                {str(tag): int(target) for tag, target in row.items()}
-                for row in payload["transitions"]
-            ),
+        state_count = int(payload["state_count"])
+        classes = tuple(tuple(str(tag) for tag in members) for members in payload["classes"])
+        alphabet = frozenset(tag for members in classes for tag in members)
+        if len(alphabet) != sum(map(len, classes)):
+            raise ValueError("a tag appears in two transition classes")
+        rows = payload["transitions"]
+        if len(rows) != state_count:
+            raise ValueError(f"{len(rows)} transition rows for {state_count} states")
+        transitions: list[dict[str, int]] = []
+        for targets in rows:
+            if len(targets) != len(classes):
+                raise ValueError(f"a row of {len(targets)} targets for {len(classes)} classes")
+            row: dict[str, int] = {}
+            for members, target in zip(classes, map(int, targets)):
+                if not 0 <= target < state_count:
+                    raise ValueError(f"transition target {target} outside the states")
+                row.update(dict.fromkeys(members, target))
+            transitions.append(row)
+        dfa = cls(
+            state_count=state_count,
+            alphabet=alphabet,
+            transitions=tuple(transitions),
             start=int(payload["start"]),
             accepting=frozenset(int(state) for state in payload["accepting"]),
         )
+        # Members of one stored class share a column by construction.
+        dfa.__dict__["tag_classes"] = classes
+        return dfa
 
     def with_alphabet(self, alphabet: Iterable[str]) -> "DFA":
         """Return an equivalent DFA completed over a (larger) alphabet.
@@ -237,9 +292,24 @@ def determinize(
     symbols standing for safe subqueries are not matched by ``_``.  The
     result is complete: missing transitions go to a dead state, which is
     always materialized so that downstream code can rely on totality.
+
+    The construction works per *tag class*, not per tag: every tag the NFA
+    names is a class of its own, and the tags it does not name form at most
+    two more — those the wildcard matches and those it does not.  Members of
+    one class move every subset alike, so each (subset, class) pair costs one
+    ``move`` plus closure and its target fills every member's row.
     """
-    tags = frozenset(alphabet) | nfa.alphabet()
+    named = nfa.alphabet()
+    tags = frozenset(alphabet) | named
     wildcard = tags if wildcard_tags is None else frozenset(wildcard_tags)
+    unnamed = tags - named
+    classes = [(tag, tag in wildcard, (tag,)) for tag in sorted(named)]
+    for include_wildcard, members in (
+        (True, sorted(unnamed & wildcard)),
+        (False, sorted(unnamed - wildcard)),
+    ):
+        if members:
+            classes.append((members[0], include_wildcard, tuple(members)))
     start_set = nfa.epsilon_closure({nfa.start})
     subset_index: dict[frozenset[int], int] = {start_set: 0}
     order: list[frozenset[int]] = [start_set]
@@ -247,24 +317,24 @@ def determinize(
     queue = [start_set]
     while queue:
         current = queue.pop()
-        current_id = subset_index[current]
-        for tag in tags:
+        row = transitions[subset_index[current]]
+        for representative, include_wildcard, members in classes:
             target = nfa.epsilon_closure(
-                nfa.move(current, tag, include_wildcard=tag in wildcard)
+                nfa.move(current, representative, include_wildcard=include_wildcard)
             )
             if target not in subset_index:
                 subset_index[target] = len(order)
                 order.append(target)
                 transitions.append({})
                 queue.append(target)
-            transitions[current_id][tag] = subset_index[target]
+            row.update(dict.fromkeys(members, subset_index[target]))
     # The empty subset (if produced) already acts as the dead state; if it was
     # never produced, add one so the automaton is complete even for tags later
     # added via ``with_alphabet``.
     if frozenset() not in subset_index:
         dead = len(order)
         order.append(frozenset())
-        transitions.append({tag: dead for tag in tags})
+        transitions.append(dict.fromkeys(tags, dead))
     accepting = frozenset(
         index for subset, index in subset_index.items() if nfa.accept in subset
     )

@@ -43,7 +43,9 @@ def minimize_dfa(dfa: DFA) -> DFA:
     """
     dfa = _prune_unreachable(dfa)
     states = range(dfa.state_count)
-    alphabet = dfa.alphabet
+    # Tags with equal transition columns split every block alike, so the
+    # refinement reads one representative per column class.
+    splitters = [members[0] for members in dfa.tag_classes]
 
     accepting = set(dfa.accepting)
     non_accepting = set(states) - accepting
@@ -52,15 +54,17 @@ def minimize_dfa(dfa: DFA) -> DFA:
     partition: list[set[int]] = [block for block in (accepting, non_accepting) if block]
     worklist: list[set[int]] = [set(block) for block in partition]
 
-    # Precompute inverse transitions: for each tag, target -> set of sources.
-    inverse: dict[str, dict[int, set[int]]] = {tag: defaultdict(set) for tag in alphabet}
+    # Precompute inverse transitions: for each splitter tag, target -> set of
+    # sources.
+    inverse: dict[str, dict[int, set[int]]] = {tag: defaultdict(set) for tag in splitters}
     for state in states:
-        for tag, target in dfa.transitions[state].items():
-            inverse[tag][target].add(state)
+        row = dfa.transitions[state]
+        for tag in splitters:
+            inverse[tag][row[tag]].add(state)
 
     while worklist:
         splitter = worklist.pop()
-        for tag in alphabet:
+        for tag in splitters:
             predecessors: set[int] = set()
             for target in splitter:
                 predecessors |= inverse[tag].get(target, set())
@@ -101,7 +105,7 @@ def minimize_dfa(dfa: DFA) -> DFA:
         )
     minimal = DFA(
         state_count=len(partition),
-        alphabet=alphabet,
+        alphabet=dfa.alphabet,
         transitions=tuple(transitions),
         start=block_of[dfa.start],
         accepting=frozenset(block_of[state] for state in dfa.accepting),

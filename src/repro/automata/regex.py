@@ -24,6 +24,7 @@ The paper's motivating query ``x.(a1|a2)+.s._*.p`` parses as written.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 from repro.errors import QuerySyntaxError
@@ -478,6 +479,12 @@ def canonicalize_regex(node: RegexNode) -> RegexNode:
     raise TypeError(f"unknown regex node {node!r}")
 
 
+@lru_cache(maxsize=1024)
 def canonical_query_text(query: str | RegexNode) -> str:
-    """Parse, canonicalize and render a query — the cross-query cache key."""
+    """Parse, canonicalize and render a query — the cross-query cache key.
+
+    Memoized (query strings and syntax trees are both hashable): one request
+    keys its query several times (pre-build, safety, index), and each
+    canonicalization parses and rewrites it.
+    """
     return regex_to_string(canonicalize_regex(parse_regex(query)))

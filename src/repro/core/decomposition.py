@@ -77,6 +77,8 @@ from repro.automata.regex import (
 from repro.core.optimizer import (
     estimate_join_cost,
     estimate_label_all_pairs_cost,
+    estimate_relation_size,
+    relation_size_cap,
 )
 from repro.core.query_index import QueryIndex, build_query_index
 from repro.core.bitset import PackedRelation
@@ -261,11 +263,20 @@ def label_routed_subtrees(plan: DecompositionPlan, run: Run) -> list[RegexNode]:
     subquery to an all-pairs label scan would be wasted work.  The paper's
     own always-use-labels scheme is the baseline
     :mod:`repro.baselines.paper_decomposition`.
+
+    A subtree whose estimated size (:func:`estimate_relation_size`) reaches
+    the estimator's cap (:func:`relation_size_cap`) stays in the remainder:
+    the sweep decodes a routed subtree's whole relation on first touch, and
+    near ``|V|^2`` that costs far more time and memory than the remainder's
+    own product search.
     """
+    cap = relation_size_cap(run)
     return [
         node
         for node in plan.safe_subtrees
-        if worth_label_evaluation(node) and plan.estimate_prefers_labels(run, node)
+        if worth_label_evaluation(node)
+        and estimate_relation_size(run, node) < cap
+        and plan.estimate_prefers_labels(run, node)
     ]
 
 

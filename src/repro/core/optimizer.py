@@ -47,6 +47,7 @@ __all__ = [
     "StrategyEstimate",
     "CostModel",
     "ifq_tags",
+    "relation_size_cap",
     "estimate_relation_size",
     "estimate_join_cost",
     "estimate_label_all_pairs_cost",
@@ -108,14 +109,20 @@ def _contains_repetition(node: RegexNode) -> bool:
     return False
 
 
+def relation_size_cap(run: Run) -> float:
+    """The ``|V|^2`` cap of :func:`estimate_relation_size`: an estimate
+    equal to it says only that the subexpression may relate every pair."""
+    return float(max(1, run.node_count)) ** 2
+
+
 def estimate_relation_size(run: Run, node: RegexNode) -> float:
     """Rough estimate of the number of node pairs a subexpression relates.
 
     Uses only the run's per-tag edge counts (the same statistics the inverted
-    index stores); all estimates are capped at ``|V|^2``.
+    index stores); all estimates are capped at :func:`relation_size_cap`.
     """
     node_count = max(1, run.node_count)
-    cap = float(node_count) ** 2
+    cap = relation_size_cap(run)
 
     def visit(current: RegexNode) -> float:
         if isinstance(current, Epsilon):

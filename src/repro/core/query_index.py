@@ -93,25 +93,32 @@ class QueryIndex:
         self._zero = intern(BooleanMatrix.zero(self.state_count))
         self._start_mask = 1 << dfa.start
         self._accepting_mask = dfa.accepting_mask()
-        self._tag_matrices = {
-            tag: intern(dfa.transition_matrix(tag)) for tag in spec.tags
-        }
+        # One matrix per transition column: the tags a query does not name
+        # share a column, and so one matrix.
+        self._tag_matrices: dict[str, BooleanMatrix] = {}
+        for members in dfa.tag_classes:
+            matrix = intern(dfa.transition_matrix(members[0]))
+            self._tag_matrices.update(dict.fromkeys(members, matrix))
         self._cross: list[dict[tuple[int, int], BooleanMatrix]] = []
         self._to_sink: list[list[BooleanMatrix]] = []
         self._from_source: list[list[BooleanMatrix]] = []
         if tables is None:
             self._build_production_tables()
-            tables = self._cross, self._to_sink, self._from_source
-        # Restoring from a persistent store (``tables`` given) skips the
-        # matrix sweep entirely: the production tables were computed and
-        # serialized by a previous process — the main saving of a warm
-        # restart besides the DFA/safety work itself.
-        cross, to_sink, from_source = tables
-        self._cross = [
-            {key: intern(matrix) for key, matrix in table.items()} for table in cross
-        ]
-        self._to_sink = [[intern(matrix) for matrix in row] for row in to_sink]
-        self._from_source = [[intern(matrix) for matrix in row] for row in from_source]
+            self._cross = [
+                {key: intern(matrix) for key, matrix in table.items()}
+                for table in self._cross
+            ]
+            self._to_sink = [[intern(matrix) for matrix in row] for row in self._to_sink]
+            self._from_source = [
+                [intern(matrix) for matrix in row] for row in self._from_source
+            ]
+        else:
+            # Restoring from a persistent store skips the matrix sweep
+            # entirely: the production tables were computed and serialized
+            # by a previous process — the main saving of a warm restart
+            # besides the DFA/safety work itself.  They come out of the
+            # store's matrix pool, which already shares equal matrices.
+            self._cross, self._to_sink, self._from_source = tables
         self._cycles = tuple(
             self._build_cycle_tables(cycle) for cycle in spec.production_graph.cycles
         )

@@ -108,22 +108,35 @@ def format_label(label: Label) -> str:
     return "/".join(parts)
 
 
-def parse_label(text: str) -> Label:
-    """Parse the textual form produced by :func:`format_label`."""
+def _parse_step(part: str) -> LabelStep:
+    try:
+        if part.startswith("r:"):
+            cycle, start, ordinal = (int(x) for x in part[2:].split("."))
+            return RecursionStep(cycle, start, ordinal)
+        production, position = (int(x) for x in part.split("."))
+        return ProductionStep(production, position)
+    except ValueError as exc:
+        raise LabelError(f"malformed label component {part!r}") from exc
+
+
+def parse_label(text: str, steps: dict[str, LabelStep] | None = None) -> Label:
+    """Parse the textual form produced by :func:`format_label`.
+
+    ``steps`` memoizes parsed components across calls: the labels of one run
+    share their prefixes, so a run's loader passes one dict and parses each
+    distinct component once.
+    """
     if not text:
         return ()
-    steps: list[LabelStep] = []
+    if steps is None:
+        steps = {}
+    label: list[LabelStep] = []
     for part in text.split("/"):
-        try:
-            if part.startswith("r:"):
-                cycle, start, ordinal = (int(x) for x in part[2:].split("."))
-                steps.append(RecursionStep(cycle, start, ordinal))
-            else:
-                production, position = (int(x) for x in part.split("."))
-                steps.append(ProductionStep(production, position))
-        except ValueError as exc:
-            raise LabelError(f"malformed label component {part!r}") from exc
-    return tuple(steps)
+        step = steps.get(part)
+        if step is None:
+            step = steps[part] = _parse_step(part)
+        label.append(step)
+    return tuple(label)
 
 
 def ensure_label(value: Iterable[LabelStep]) -> Label:

@@ -214,20 +214,19 @@ class IndexCache:
         A plan that memoized macro DFAs since its last persist is
         re-persisted, so the store copy carries them too.
         """
-        node = parse_regex(query)
-        key = self.key_for(spec, node)
-        entry = self._lookup(spec, node)
+        key = self.key_for(spec, query)
+        entry = self._lookup(spec, query)
         plan = entry.plan
         if plan is None:
             plan = plan_decomposition(
                 spec,
-                canonicalize_regex(node),
+                canonicalize_regex(parse_regex(query)),
                 is_safe=lambda subtree: self.safety(spec, subtree).is_safe,
             )
             # Planning probed subtrees through the cache, which may have
             # evicted the root's entry in a tightly bounded cache — re-fetch
             # so the plan is attached to the entry that is actually cached.
-            entry = self._lookup(spec, node)
+            entry = self._lookup(spec, query)
             with self._lock:
                 self._plan_builds += 1
                 # Benign race: concurrent builders produce equivalent plans
@@ -272,8 +271,7 @@ class IndexCache:
     # -- internals ---------------------------------------------------------------
 
     def _lookup(self, spec: Specification, query: str | RegexNode) -> _Entry:
-        node = parse_regex(query)
-        key = self.key_for(spec, node)
+        key = self.key_for(spec, query)
         with get_tracer().span("cache.lookup") as span:
             with self._lock:
                 entry = self._entries.get(key)
@@ -299,7 +297,7 @@ class IndexCache:
                     entry = self._restore(spec, key)
                     span.set("restored", entry is not None)
                     if entry is None:
-                        entry = self._build_coordinated(spec, node, key)
+                        entry = self._build_coordinated(spec, parse_regex(query), key)
                     with self._lock:
                         self._misses += 1
                         self._miss_counter.inc()

@@ -15,11 +15,14 @@ JSON-ready dictionaries here, and rebuilt from them:
   syntax trees) and the memoized macro DFAs of the frontier sweep
   (forward *and* reversed, under distinct memo keys).
 
-Boolean matrices serialize as ``[size, base64]`` pairs: the row bitmasks
-packed into fixed-width little-endian bytes
-(:meth:`~repro.automata.boolean_matrix.BooleanMatrix.to_packed`), roughly 3x
-smaller than the decimal row lists of format 1 — entry JSON is dominated by
-these tables, so store bytes (and load time) shrink with them.  The
+Each distinct matrix of an entry is stored once, in the payload's
+``matrices`` pool (format 3), and the λ and production tables name pool
+positions: an index repeats a few dozen distinct matrices across hundreds of
+table cells, so a restore decodes each of them once.  A pooled matrix is a
+``[size, base64]`` pair of its row bitmasks packed into fixed-width
+little-endian bytes
+(:meth:`~repro.automata.boolean_matrix.BooleanMatrix.to_packed`), or its
+decimal row list when that renders smaller.  The
 specification itself is *not* stored: the caller always has it (it is half
 of the cache key), so payloads stay small and a stored entry can never
 smuggle in a stale grammar.
@@ -59,7 +62,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Boolean matrices (the packed binary-in-base64 encoding of format 2)
+# Boolean matrices (the packed binary-in-base64 encoding since format 2)
 # ---------------------------------------------------------------------------
 
 
@@ -98,46 +101,89 @@ def matrix_from_json(value: Any) -> BooleanMatrix:
 
 
 # ---------------------------------------------------------------------------
+# The matrix pool
+# ---------------------------------------------------------------------------
+
+
+class _MatrixPool:
+    """The distinct matrices of one entry, each encoded once; the report and
+    index tables refer to them by position.
+
+    An index's tables repeat a handful of matrices (identity, zero, the tag
+    transitions, the λs) hundreds of times, so pooling them makes decoding
+    one matrix per distinct value instead of one per table cell.
+    """
+
+    def __init__(self) -> None:
+        self._refs: dict[BooleanMatrix, int] = {}
+
+    def ref(self, matrix: BooleanMatrix) -> int:
+        return self._refs.setdefault(matrix, len(self._refs))
+
+    def to_json(self) -> list[Any]:
+        return [matrix_to_json(matrix) for matrix in self._refs]
+
+
+def _pool_from_json(values: Any, size: int) -> list[BooleanMatrix]:
+    """Decode a pool, rejecting matrices of another size than the DFA's."""
+    pool = [matrix_from_json(value) for value in values]
+    for matrix in pool:
+        if matrix.size != size:
+            raise StoreError(f"pooled {matrix.size}x{matrix.size} matrix, DFA has {size} states")
+    return pool
+
+
+def _pooled(pool: list[BooleanMatrix], refs: list[Any]) -> list[BooleanMatrix]:
+    """The pool entries a table names (strict: no negative indexing)."""
+    if refs and (min(refs) < 0 or max(refs) >= len(pool)):
+        raise StoreError(f"matrix reference outside a pool of {len(pool)}")
+    return [pool[ref] for ref in refs]
+
+
+# ---------------------------------------------------------------------------
 # Safety reports
 # ---------------------------------------------------------------------------
 
 
-def report_to_dict(report: SafetyReport) -> dict[str, Any]:
-    """A JSON-ready representation of a safety analysis (spec excluded)."""
+def report_to_dict(report: SafetyReport, pool: _MatrixPool) -> dict[str, Any]:
+    """A JSON-ready representation of a safety analysis (spec excluded),
+    its matrices referring into ``pool``."""
     return {
         "dfa": report.dfa.to_dict(),
         "lambdas": {
-            module: matrix_to_json(matrix)
-            for module, matrix in sorted(report.lambdas.items())
+            module: pool.ref(matrix) for module, matrix in sorted(report.lambdas.items())
         },
         "violations": [
             {
                 "module": violation.module,
                 "production": violation.production,
-                "established": matrix_to_json(violation.established),
-                "conflicting": matrix_to_json(violation.conflicting),
+                "established": pool.ref(violation.established),
+                "conflicting": pool.ref(violation.conflicting),
             }
             for violation in report.violations
         ],
     }
 
 
-def report_from_dict(spec: Specification, payload: dict[str, Any]) -> SafetyReport:
+def report_from_dict(
+    spec: Specification, dfa: DFA, payload: dict[str, Any], pool: list[BooleanMatrix]
+) -> SafetyReport:
     """Rebuild a safety report against the caller-supplied specification."""
-    dfa = DFA.from_dict(payload["dfa"])
-    lambdas = {
-        str(module): matrix_from_json(rows)
-        for module, rows in payload["lambdas"].items()
-    }
-    violations = [
-        SafetyViolation(
-            module=str(entry["module"]),
-            production=int(entry["production"]),
-            established=matrix_from_json(entry["established"]),
-            conflicting=matrix_from_json(entry["conflicting"]),
+    modules = [str(module) for module in payload["lambdas"]]
+    lambdas = dict(zip(modules, _pooled(pool, list(payload["lambdas"].values()))))
+    violations: list[SafetyViolation] = []
+    for entry in payload["violations"]:
+        established, conflicting = _pooled(
+            pool, [entry["established"], entry["conflicting"]]
         )
-        for entry in payload["violations"]
-    ]
+        violations.append(
+            SafetyViolation(
+                module=str(entry["module"]),
+                production=int(entry["production"]),
+                established=established,
+                conflicting=conflicting,
+            )
+        )
     return SafetyReport(spec=spec, dfa=dfa, lambdas=lambdas, violations=violations)
 
 
@@ -146,36 +192,42 @@ def report_from_dict(spec: Specification, payload: dict[str, Any]) -> SafetyRepo
 # ---------------------------------------------------------------------------
 
 
-def index_to_dict(index: QueryIndex) -> dict[str, Any]:
-    """The production tables of an index (DFA and λs live in the report)."""
+def index_to_dict(index: QueryIndex, pool: _MatrixPool) -> dict[str, Any]:
+    """The production tables of an index (DFA and λs live in the report),
+    their matrices referring into ``pool``.  Each production's ``cross``
+    table is one flat list of ``source, target, matrix`` triples."""
     cross, to_sink, from_source = index.production_tables()
     return {
         "query_text": index.query_text,
         "cross": [
-            [[source, target, matrix_to_json(matrix)] for (source, target), matrix in sorted(table.items())]
+            [
+                value
+                for (source, target), matrix in sorted(table.items())
+                for value in (source, target, pool.ref(matrix))
+            ]
             for table in cross
         ],
-        "to_sink": [[matrix_to_json(matrix) for matrix in row] for row in to_sink],
-        "from_source": [[matrix_to_json(matrix) for matrix in row] for row in from_source],
+        "to_sink": [[pool.ref(matrix) for matrix in row] for row in to_sink],
+        "from_source": [[pool.ref(matrix) for matrix in row] for row in from_source],
     }
 
 
 def index_from_dict(
-    spec: Specification, report: SafetyReport, payload: dict[str, Any]
+    spec: Specification,
+    report: SafetyReport,
+    payload: dict[str, Any],
+    pool: list[BooleanMatrix],
 ) -> QueryIndex:
     """Rebuild an index sharing the given report's DFA and λ matrices,
     exactly like the cache's build path does."""
-    cross = [
-        {
-            (int(source), int(target)): matrix_from_json(rows)
-            for source, target, rows in table
-        }
-        for table in payload["cross"]
-    ]
-    to_sink = [[matrix_from_json(rows) for rows in row] for row in payload["to_sink"]]
-    from_source = [
-        [matrix_from_json(rows) for rows in row] for row in payload["from_source"]
-    ]
+    cross: list[dict[tuple[int, int], BooleanMatrix]] = []
+    for table in payload["cross"]:
+        if len(table) % 3:
+            raise StoreError("a cross table is not a list of triples")
+        keys = zip(table[0::3], table[1::3])
+        cross.append(dict(zip(keys, _pooled(pool, table[2::3]))))
+    to_sink = [_pooled(pool, row) for row in payload["to_sink"]]
+    from_source = [_pooled(pool, row) for row in payload["from_source"]]
     if not (len(cross) == len(to_sink) == len(from_source) == len(spec.productions)):
         raise StoreError(
             f"index tables cover {len(cross)} productions, "
@@ -255,10 +307,15 @@ def entry_to_payload(
     index: QueryIndex | None,
     plan: DecompositionPlan | None,
 ) -> dict[str, Any]:
-    """Everything one cache entry holds, as one JSON-ready payload."""
+    """Everything one cache entry holds, as one JSON-ready payload; the
+    report's and index's matrices sit once each in its ``matrices`` pool."""
+    pool = _MatrixPool()
+    report_dict = report_to_dict(report, pool)
+    index_dict = index_to_dict(index, pool) if index is not None else None
     return {
-        "report": report_to_dict(report),
-        "index": index_to_dict(index) if index is not None else None,
+        "matrices": pool.to_json(),
+        "report": report_dict,
+        "index": index_dict,
         "plan": plan_to_dict(plan) if plan is not None else None,
     }
 
@@ -267,12 +324,17 @@ def entry_from_payload(
     spec: Specification, payload: dict[str, Any]
 ) -> tuple[SafetyReport, QueryIndex | None, DecompositionPlan | None]:
     """Rebuild a cache entry's artifacts from :func:`entry_to_payload`."""
-    report = report_from_dict(spec, payload["report"])
+    report_payload = payload["report"]
+    dfa = DFA.from_dict(report_payload["dfa"])
+    pool = _pool_from_json(payload["matrices"], dfa.state_count)
+    report = report_from_dict(spec, dfa, report_payload, pool)
     index_payload = payload["index"]
     if report.is_safe != (index_payload is not None):
         raise StoreError("stored entry is inconsistent: safety verdict vs index presence")
     index = (
-        index_from_dict(spec, report, index_payload) if index_payload is not None else None
+        index_from_dict(spec, report, index_payload, pool)
+        if index_payload is not None
+        else None
     )
     plan_payload = payload["plan"]
     plan = plan_from_dict(spec, plan_payload) if plan_payload is not None else None

@@ -21,13 +21,15 @@ writers or a crash mid-write.
 
 .. code-block:: json
 
-    {"format": 2, "kind": "store-entry", "fingerprint": "...",
+    {"format": 3, "kind": "store-entry", "fingerprint": "...",
      "query": "...", "checksum": "sha256 of the canonical payload JSON",
      "payload64": "base64(zlib(canonical payload JSON))"}
 
-Format 2 stores the payload deflated (entry JSON is highly redundant; with
-the packed matrix encoding of :mod:`repro.store.codec` entries shrink
-5-10x), and run envelopes carry their specification fingerprint so
+The payload is stored deflated (entry JSON is highly redundant; with the
+pooled, packed matrix encoding of :mod:`repro.store.codec` entries shrink
+5-10x).  The checksum is taken over the inflated bytes themselves, which
+are the writer's canonical JSON, so a load verifies it without re-encoding
+the payload.  Run envelopes carry their specification fingerprint so
 ``gc_orphans`` never has to reconstruct a run.  Concurrent writers on a
 shared volume are coordinated two ways: ``save`` skips rewriting artifacts
 whose on-disk payload checksum already matches (content-addressed), and
@@ -69,11 +71,12 @@ from repro.workflow.spec import Specification
 
 __all__ = ["FORMAT_VERSION", "EntryInfo", "GcResult", "IndexStore", "StoreCounters", "StoredEntry"]
 
-#: Format 2 packs boolean matrices as base64 row bytes (~3x smaller entries),
-#: adds the reversed macro DFAs to plan payloads, and
-#: stamps run artifacts with their specification fingerprint (orphan gc).
-#: Format-1 artifacts fail the version check and degrade to a clean rebuild.
-FORMAT_VERSION = 2
+#: Format 3 stores each distinct matrix of an entry once (the codec's matrix
+#: pool) and runs with their topological order, with labels that number
+#: cycles independently of the string hash seed.  Artifacts of an older
+#: format fail the version check: an entry degrades to a counted miss and a
+#: clean rebuild, a run to a counted error (it must be registered again).
+FORMAT_VERSION = 3
 
 _ENTRY_KIND = "store-entry"
 _RUN_KIND = "store-run"
@@ -161,10 +164,15 @@ def _encode_payload(payload: Any) -> str:
     ).decode("ascii")
 
 
-def _decode_payload(blob: Any) -> Any:
+def _payload_bytes(blob: Any) -> bytes:
+    """The inflated payload blob: the canonical JSON the writer hashed."""
     if not isinstance(blob, str):
         raise StoreError("artifact payload blob is not a string")
-    return json.loads(zlib.decompress(base64.b64decode(blob.encode("ascii"))))
+    return zlib.decompress(base64.b64decode(blob.encode("ascii")))
+
+
+def _decode_payload(blob: Any) -> Any:
+    return json.loads(_payload_bytes(blob))
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -319,8 +327,8 @@ class IndexStore:
             checksum = envelope.get("checksum")
             if not isinstance(checksum, str):
                 return None
-            payload = _decode_payload(envelope.get("payload64"))
-            return checksum if _checksum(payload) == checksum else None
+            raw = _payload_bytes(envelope.get("payload64"))
+            return checksum if hashlib.sha256(raw).hexdigest() == checksum else None
         except Exception:
             return None
 
@@ -661,9 +669,10 @@ class IndexStore:
             raise StoreError("artifact belongs to a different specification")
         if query is not None and envelope.get("query") != query:
             raise StoreError("artifact belongs to a different query")
-        payload = _decode_payload(envelope.get("payload64"))
-        if _checksum(payload) != envelope.get("checksum"):
+        raw = _payload_bytes(envelope.get("payload64"))
+        if hashlib.sha256(raw).hexdigest() != envelope.get("checksum"):
             raise StoreError("artifact checksum mismatch")
+        payload: dict[str, Any] = json.loads(raw)
         return payload
 
     def _touch(self, path: Path) -> None:

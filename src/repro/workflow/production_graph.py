@@ -68,8 +68,13 @@ class ProductionGraph:
 
     def __init__(self, spec: "Specification") -> None:
         self._spec = spec
-        # edges[module] = list of (target module, production index, position)
-        edges: dict[str, list[tuple[str, int, int]]] = {m: [] for m in spec.modules}
+        # edges[module] = list of (target module, production index, position).
+        # Modules go in sorted order: the SCC walk follows this order, and
+        # labels name cycles by number, so the numbering must not follow the
+        # string hash seed (a run saved by one process is decoded by another).
+        edges: dict[str, list[tuple[str, int, int]]] = {
+            module: [] for module in sorted(spec.modules)
+        }
         for production_index, production in enumerate(spec.productions):
             for position, module in enumerate(production.body.nodes):
                 edges[production.head].append((module, production_index, position))

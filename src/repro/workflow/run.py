@@ -193,14 +193,21 @@ class Run:
         *,
         derivation_steps: int = 0,
         seed: int | None = None,
+        topological_order: Sequence[str] | None = None,
     ) -> "Run":
-        return cls(
+        """Assemble a run; a loader that stored the run's topological order
+        passes it back as ``topological_order`` (trusted, so validate it
+        first) and the run skips recomputing it."""
+        run = cls(
             spec=spec,
             nodes={node.node_id: node for node in nodes},
             edges=tuple(edges),
             derivation_steps=derivation_steps,
             seed=seed,
         )
+        if topological_order is not None:
+            run.__dict__["topological_order"] = tuple(topological_order)
+        return run
 
     def describe(self) -> str:
         """A short human-readable summary (used by the CLI and examples)."""

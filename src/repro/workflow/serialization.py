@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.errors import ReproError
-from repro.labeling.labels import format_label, parse_label
+from repro.labeling.labels import LabelStep, format_label, parse_label
 from repro.workflow.run import Run, RunEdge, RunNode
 from repro.workflow.simple import Edge, SimpleWorkflow
 from repro.workflow.spec import Production, Specification
@@ -30,7 +30,11 @@ __all__ = [
     "load_run",
 ]
 
-_FORMAT_VERSION = 1
+#: Format 2 labels number recursion cycles in sorted-module order, the same
+#: in every process, and runs list their topological order; format-1 runs
+#: numbered cycles in string-hash order, so their labels are refused rather
+#: than decoded against other numbers.
+_FORMAT_VERSION = 2
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +100,11 @@ def load_specification(path: str | Path) -> Specification:
 
 
 def run_to_dict(run: Run) -> dict[str, Any]:
-    """A JSON-ready representation of a labeled run (includes its spec)."""
+    """A JSON-ready representation of a labeled run (includes its spec).
+
+    ``order`` lists the node ids in the run's topological order, so a loader
+    restores it without re-sorting the run.
+    """
     return {
         "format": _FORMAT_VERSION,
         "kind": "run",
@@ -111,29 +119,58 @@ def run_to_dict(run: Run) -> dict[str, Any]:
             {"source": edge.source, "target": edge.target, "tag": edge.tag}
             for edge in run.edges
         ],
+        "order": list(run.topological_order),
     }
 
 
 def run_from_dict(payload: dict[str, Any], spec: Specification | None = None) -> Run:
-    """Rebuild a labeled run; ``spec`` overrides the embedded specification."""
+    """Rebuild a labeled run; ``spec`` overrides the embedded specification.
+
+    Runs of another format are refused: format-1 labels number recursion
+    cycles in string-hash order.  The stored order is checked before the run
+    trusts it: duplicate node ids, an order that is not a permutation of the
+    nodes, or an edge that does not point forward in it (an unknown endpoint
+    included) raise :class:`~repro.errors.ReproError`.
+    """
     if payload.get("kind") != "run":
         raise ReproError("payload does not describe a run")
+    if payload.get("format") != _FORMAT_VERSION:
+        raise ReproError(
+            f"run format {payload.get('format')!r} is not {_FORMAT_VERSION}: runs "
+            "saved before format 2 number recursion cycles in string-hash order, "
+            "so their labels cannot be decoded safely; derive the run again"
+        )
     if spec is None:
         spec = specification_from_dict(payload["specification"])
+    steps: dict[str, LabelStep] = {}
     nodes = [
-        RunNode(node_id=entry["id"], name=entry["name"], label=parse_label(entry["label"]))
+        RunNode(entry["id"], entry["name"], parse_label(entry["label"], steps))
         for entry in payload["nodes"]
     ]
     edges = [
-        RunEdge(source=entry["source"], target=entry["target"], tag=entry["tag"])
+        RunEdge(entry["source"], entry["target"], entry["tag"])
         for entry in payload["edges"]
     ]
+    order = payload.get("order")
+    if not isinstance(order, list):
+        raise ReproError("run payload lists no topological order")
+    rank = {node_id: position for position, node_id in enumerate(order)}
+    ids = {node.node_id for node in nodes}
+    if len(ids) != len(nodes):
+        raise ReproError("run payload lists a node id twice")
+    if len(rank) != len(order) or rank.keys() != ids:
+        raise ReproError("run order is not a permutation of its nodes")
+    if any(
+        rank.get(edge.source, len(rank)) >= rank.get(edge.target, -1) for edge in edges
+    ):
+        raise ReproError("run order is not a topological order of its edges")
     return Run.from_parts(
         spec,
         nodes,
         edges,
         derivation_steps=payload.get("derivation_steps", 0),
         seed=payload.get("seed"),
+        topological_order=order,
     )
 
 

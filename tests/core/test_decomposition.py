@@ -13,6 +13,7 @@ from repro.core.decomposition import (
     plan_decomposition,
 )
 from repro.core.engine import ProvenanceQueryEngine
+from repro.core.optimizer import estimate_relation_size, relation_size_cap
 from repro.core.safety import is_safe_query
 from repro.datasets.paper_example import paper_run, paper_specification
 from repro.datasets.queries import generate_query_suite
@@ -42,6 +43,16 @@ def _sorted(pairs):
 def _stream(run, query, *lists):
     """The engine's stream of the query's answer, drawn to the end."""
     return list(ProvenanceQueryEngine(run.spec).evaluate_iter(run, query, *lists))
+
+
+def _tag_stats(**tags):
+    """The run statistics the router reads: 100 nodes and the given per-tag
+    edge counts."""
+    return SimpleNamespace(
+        node_count=100,
+        edge_count=sum(tags.values()),
+        edges_by_tag={tag: (None,) * count for tag, count in tags.items()},
+    )
 
 
 def _always_labels(monkeypatch, plan):
@@ -210,21 +221,27 @@ class TestRestrictionPushdown:
     def test_label_routing_follows_per_tag_edge_counts(self):
         """The routing decision reads the run's per-tag edge counts on every
         call: two runs with equal node and edge counts but a different tag
-        mix route the same safe subtree differently, in either order."""
-        plan = plan_decomposition(paper_specification(), "(_* a _*) | (A+ . A+)")
-
-        def stats(**tags):
-            return SimpleNamespace(
-                node_count=100,
-                edge_count=sum(tags.values()),
-                edges_by_tag={tag: (None,) * count for tag, count in tags.items()},
-            )
-
-        dense, sparse = stats(A=90, a=10), stats(A=10, a=90)
-        routed = [parse_regex("A+ . A+")]
+        mix route the same safe subtree differently, in either order.  The
+        subtree ends in a rare tag, so its size estimate stays below the
+        ``|V|^2`` cap while its join cost beats the label cost."""
+        plan = plan_decomposition(paper_specification(), "(_* a _*) | (A+ . A+ . c)")
+        dense, sparse = _tag_stats(A=90, a=9, c=1), _tag_stats(A=10, a=89, c=1)
+        routed = [parse_regex("A+ . A+ . c")]
+        assert estimate_relation_size(dense, routed[0]) < relation_size_cap(dense)
         for run in (dense, sparse, dense, sparse):
             expected = routed if run is dense else []
             assert label_routed_subtrees(plan, run) == expected
+
+    def test_capped_size_estimate_is_not_routed(self):
+        """A subtree whose size estimate reaches the ``|V|^2`` cap stays in
+        the remainder even when the cost model alone would route it: its
+        first touch would decode a relation near ``|V|^2``."""
+        plan = plan_decomposition(paper_specification(), "(_* a _*) | (A+ . A+)")
+        run = _tag_stats(A=90, a=10)
+        subtree = parse_regex("A+ . A+")
+        assert estimate_relation_size(run, subtree) == relation_size_cap(run)
+        assert plan.estimate_prefers_labels(run, subtree)
+        assert label_routed_subtrees(plan, run) == []
 
     def test_macro_dfa_memoized_on_plan(self, monkeypatch):
         run = paper_run(recursion_depth=2)

@@ -65,6 +65,34 @@ class TestLookups:
         assert cache.stats.lookups == 1
 
 
+    def test_a_request_canonicalizes_its_query_once(self, spec):
+        """Pre-build, safety probe and index lookup of a pairwise request key
+        the query through one memoized canonicalization: a second service
+        answering the same request canonicalizes nothing again."""
+        from repro.automata.regex import canonical_query_text
+        from repro.datasets.paper_example import paper_run
+        from repro.service import QueryService
+
+        request = {
+            "op": "pairwise", "run": "r", "query": "_* e _*", "source": "c:1", "target": "b:1"
+        }
+
+        def answer():
+            service = QueryService(max_workers=1)
+            service.register_run(paper_run(), "r")
+            results = service.run_batch([request, request])
+            assert all(result.ok for result in results)
+
+        canonical_query_text.cache_clear()
+        answer()
+        first = canonical_query_text.cache_info()
+        answer()
+        second = canonical_query_text.cache_info()
+        assert first.hits > 0
+        assert second.misses == first.misses
+        assert second.hits > first.hits
+
+
 class TestPlans:
     def test_plan_cached_per_canonical_query(self, spec):
         cache = IndexCache()

@@ -137,6 +137,23 @@ class TestEntryRoundTrip:
         for key, dfa in plan.macro_dfas().items():
             assert restored.macro_dfas()[key].transitions == dfa.transitions
 
+    def test_matrix_pool_round_trips(self, tmp_path, spec):
+        """Each distinct matrix is stored once and the tables name it by
+        position; the restored λs and production tables equal the built
+        ones."""
+        store = _warmed_store(tmp_path, spec, queries=(SAFE_QUERY,))
+        built = IndexCache().index(spec, SAFE_QUERY)
+        (path,) = store.root.glob("entries/*/*.json")
+        payload = store_module._decode_payload(json.loads(path.read_text())["payload64"])
+        pool = payload["matrices"]
+        assert len({json.dumps(matrix) for matrix in pool}) == len(pool)
+        cells = sum(len(row) for row in payload["index"]["to_sink"])
+        assert len(pool) < cells + len(payload["report"]["lambdas"])
+        restored = IndexCache(store=IndexStore(store.root)).index(spec, SAFE_QUERY)
+        assert restored.lambdas == built.lambdas
+        assert restored.production_tables() == built.production_tables()
+        assert restored.dfa.transitions == built.dfa.transitions
+
     def test_no_temp_files_left_behind(self, tmp_path, spec):
         store = _warmed_store(tmp_path, spec)
         assert not list(store.root.rglob("*.tmp"))
@@ -186,6 +203,56 @@ class TestCorruption:
         path = self._entry_file(store)
         envelope = json.loads(path.read_text())
         envelope["format"] = FORMAT_VERSION + 1
+        path.write_text(json.dumps(envelope))
+        self._assert_clean_rebuild(store, spec)
+
+    def test_format_two_entry_is_a_counted_miss_and_rebuilt(self, tmp_path, spec):
+        """An entry written by the format-2 codec (one matrix per table cell,
+        no pool) under a valid checksum is refused by version and rebuilt."""
+        store = _warmed_store(tmp_path, spec, queries=(SAFE_QUERY,))
+        path = self._entry_file(store)
+        envelope = json.loads(path.read_text())
+        payload = store_module._decode_payload(envelope["payload64"])
+        pool = payload.pop("matrices")
+        report, index = payload["report"], payload["index"]
+        report["lambdas"] = {module: pool[ref] for module, ref in report["lambdas"].items()}
+        index["cross"] = [
+            [[table[i], table[i + 1], pool[table[i + 2]]] for i in range(0, len(table), 3)]
+            for table in index["cross"]
+        ]
+        for name in ("to_sink", "from_source"):
+            index[name] = [[pool[ref] for ref in row] for row in index[name]]
+        envelope.update(
+            format=2,
+            checksum=store_module._checksum(payload),
+            payload64=store_module._encode_payload(payload),
+        )
+        path.write_text(json.dumps(envelope))
+        self._assert_clean_rebuild(store, spec)
+
+    def test_corrupted_pool_matrix_under_intact_checksum(self, tmp_path, spec):
+        store = _warmed_store(tmp_path, spec, queries=(SAFE_QUERY,))
+        path = self._entry_file(store)
+        envelope = json.loads(path.read_text())
+        payload = store_module._decode_payload(envelope["payload64"])
+        pool = payload["matrices"]
+        assert len(pool) > 1
+        pool[0], pool[-1] = pool[-1], pool[0]
+        envelope["payload64"] = store_module._encode_payload(payload)
+        path.write_text(json.dumps(envelope))
+        self._assert_clean_rebuild(store, spec)
+
+    def test_out_of_range_pool_reference_is_rejected(self, tmp_path, spec):
+        """Strict decoding: a table naming a pool position that does not
+        exist — negative indexing included — fails even under a matching
+        checksum."""
+        store = _warmed_store(tmp_path, spec, queries=(SAFE_QUERY,))
+        path = self._entry_file(store)
+        envelope = json.loads(path.read_text())
+        payload = store_module._decode_payload(envelope["payload64"])
+        payload["index"]["to_sink"][0][0] = -1
+        envelope["checksum"] = store_module._checksum(payload)
+        envelope["payload64"] = store_module._encode_payload(payload)
         path.write_text(json.dumps(envelope))
         self._assert_clean_rebuild(store, spec)
 
@@ -255,6 +322,48 @@ class TestRunRegistry:
         assert loaded.spec.fingerprint == run.spec.fingerprint
         assert loaded.nodes == run.nodes  # labels included: no re-labeling
         assert loaded.edges == run.edges
+
+    def test_run_keeps_its_topological_order(self, tmp_path, spec, run):
+        store = IndexStore(tmp_path / "store")
+        store.save_run("r1", run)
+        loaded = store.load_run("r1")
+        assert loaded.node_ids() == run.node_ids()
+        assert loaded.topological_order == run.topological_order
+        assert loaded.packed.successors == run.packed.successors
+
+    @pytest.mark.parametrize("breakage", ["reversed-order", "duplicate-id"])
+    def test_run_with_a_broken_order_is_a_counted_error(self, tmp_path, spec, run, breakage):
+        """The stored order lets a restore skip the topological sort, so it is
+        checked under a matching checksum: an order that is not topological,
+        or a node listed twice under one id (the later entry, with another
+        node's label, would silently replace the first), is refused."""
+        store = IndexStore(tmp_path / "store")
+        store.save_run("r1", run)
+        path = store.run_path("r1")
+        envelope = json.loads(path.read_text())
+        payload = store_module._decode_payload(envelope["payload64"])
+        if breakage == "reversed-order":
+            payload["order"].reverse()
+        else:
+            first, second = payload["nodes"][:2]
+            payload["nodes"].append(dict(first, label=second["label"]))
+        envelope["checksum"] = store_module._checksum(payload)
+        envelope["payload64"] = store_module._encode_payload(payload)
+        path.write_text(json.dumps(envelope))
+        assert store.load_run("r1") is None
+        assert store.counters.errors == 1
+
+    def test_format_two_run_is_a_counted_error(self, tmp_path, spec, run):
+        """Runs stored before format 3 name cycles in hash-seed order; they
+        are refused, not decoded against another numbering."""
+        store = IndexStore(tmp_path / "store")
+        store.save_run("r1", run)
+        path = store.run_path("r1")
+        envelope = json.loads(path.read_text())
+        envelope["format"] = 2
+        path.write_text(json.dumps(envelope))
+        assert store.load_run("r1") is None
+        assert store.counters.errors == 1
 
     def test_awkward_run_ids_are_quoted(self, tmp_path, spec, run):
         store = IndexStore(tmp_path / "store")
