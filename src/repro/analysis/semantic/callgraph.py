@@ -31,14 +31,9 @@ approximation (RacerD makes the same one) and is sound for ordering as long
 as per-instance locks of one class are never nested with each other — which
 ``repro lint`` would flag as a self-cycle on a non-reentrant lock.
 
-Two comment directives extend what the syntax shows:
-
-* ``# holds-lock: <attr>`` (existing, REP101) — the function runs with the
-  lock held; the walker seeds its held set accordingly.
-* ``# acquires-lock: <name>`` (new) — a context manager acquires a resource
-  that behaves like a lock but is not a ``threading`` primitive (the
-  ``IndexStore.entry_lock`` file lock); the declared name becomes a lock
-  node so cross-process ordering is checked too.
+One comment directive extends what the syntax shows: ``# holds-lock:
+<attr>`` (REP101) — the function runs with the lock held; the walker seeds
+its held set accordingly.  Only ``threading`` primitives are lock nodes.
 """
 
 from __future__ import annotations
@@ -59,7 +54,6 @@ __all__ = [
     "build_call_graph",
 ]
 
-_ACQUIRES_LOCK = "acquires-lock:"
 _HOLDS_LOCK = "holds-lock:"
 #: threading factory name -> lock kind recorded in the graph.
 _LOCK_FACTORIES = {"Lock": "lock", "RLock": "rlock"}
@@ -98,8 +92,6 @@ class FunctionInfo:
     is_contextmanager: bool
     holds_locks: tuple[str, ...]
     """Bare lock attribute names from ``# holds-lock:`` annotations."""
-    acquires_locks: tuple[str, ...]
-    """Canonical lock names from ``# acquires-lock:`` annotations."""
 
 
 @dataclass(frozen=True)
@@ -117,7 +109,8 @@ class CallSite:
 
 @dataclass(frozen=True)
 class Acquisition:
-    """One ``with <lock>:`` (or annotated context manager) acquisition."""
+    """One ``with <lock>:`` acquisition (or a ``with`` on a context manager
+    that holds a lock around its yield)."""
 
     function: str
     lock: str
@@ -767,15 +760,13 @@ class _Walker:
         return self.facts
 
     def _initial_held(self) -> Iterator[str]:
-        """holds-lock annotations (canonicalized when the attribute is a
-        known lock of the enclosing class) and acquires-lock names — the
-        context manager's body runs with its declared resource held."""
+        """holds-lock annotations, canonicalized when the attribute is a
+        known lock of the enclosing class."""
         for bare in self.ctx.info.holds_locks:
             if self.ctx.cls is not None and self.resolver.class_lock_attr(
                 self.ctx.cls, bare
             ):
                 yield self.resolver.lock_name(self.ctx.cls, bare)
-        yield from self.ctx.info.acquires_locks
 
     # -- statements -------------------------------------------------------
 
@@ -938,8 +929,8 @@ def _lock_annotations(
     node: ast.FunctionDef | ast.AsyncFunctionDef,
     tag: str,
 ) -> tuple[str, ...]:
-    """Values of ``# holds-lock:`` / ``# acquires-lock:`` on the def line or
-    the first body line (matching REP101's convention)."""
+    """Values of a ``# holds-lock:`` comment on the def line or the first
+    body line (matching REP101's convention)."""
     values = []
     lines = [node.lineno]
     if node.body:
@@ -949,23 +940,6 @@ def _lock_annotations(
         if value is not None and value not in values:
             values.append(value)
     return tuple(values)
-
-
-def _canonical_acquires(
-    resolver: _Resolver,
-    scope: _ModuleScope,
-    cls: _ClassScope | None,
-    name: str,
-    raw: tuple[str, ...],
-) -> tuple[str, ...]:
-    canonical = []
-    module_tail = scope.module.logical_name.rsplit(".", 1)[-1]
-    for value in raw:
-        if cls is not None:
-            canonical.append(resolver.lock_name(cls, value))
-        else:
-            canonical.append(f"{module_tail}.{name}.{value}")
-    return tuple(canonical)
 
 
 def _collect_contexts(
@@ -1017,7 +991,6 @@ def _collect_one(
     visible = dict(parent_visible)
     for child in nested:
         visible[child.name] = f"{qualified}.{child.name}"
-    raw_acquires = _lock_annotations(module, node, _ACQUIRES_LOCK)
     info = FunctionInfo(
         qualified=qualified,
         module=module.logical_name,
@@ -1028,9 +1001,6 @@ def _collect_one(
         display_path=module.display_path,
         is_contextmanager=bool(_decorator_names(node) & _CM_DECORATORS),
         holds_locks=_lock_annotations(module, node, _HOLDS_LOCK),
-        acquires_locks=_canonical_acquires(
-            resolver, scope, cls, node.name, raw_acquires
-        ),
     )
     ctx = _FunctionContext(
         info=info, node=node, scope=scope, cls=cls, visible=visible
@@ -1085,19 +1055,15 @@ def build_call_graph(project: Project) -> CallGraph:
     # Context managers first: the locks they hold at yield flow into every
     # caller's with-body, and CMs may wrap each other, so iterate to a
     # fixpoint before the final full pass.
-    cm_holds: dict[str, frozenset[str]] = {
-        ctx.info.qualified: frozenset(ctx.info.acquires_locks)
-        for ctx in contexts
-        if ctx.info.is_contextmanager
-    }
     cm_contexts = [ctx for ctx in contexts if ctx.info.is_contextmanager]
+    cm_holds: dict[str, frozenset[str]] = {
+        ctx.info.qualified: frozenset() for ctx in cm_contexts
+    }
     for _ in range(5):
         changed = False
         for ctx in cm_contexts:
             facts = _Walker(ctx, resolver, cm_holds).run()
-            settled = frozenset(facts.yield_holds) | frozenset(
-                ctx.info.acquires_locks
-            )
+            settled = frozenset(facts.yield_holds)
             if settled != cm_holds[ctx.info.qualified]:
                 cm_holds[ctx.info.qualified] = settled
                 changed = True

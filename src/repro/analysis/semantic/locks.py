@@ -49,7 +49,7 @@ class LockGraph:
     """The derived lock-order relation over canonical lock names."""
 
     locks: dict[str, str]
-    """canonical name -> ``lock`` | ``rlock`` | ``context``."""
+    """canonical name -> ``lock`` | ``rlock``."""
     edges: list[LockEdge]
     cycles: list[list[str]]
     transitive: dict[str, frozenset[str]]
@@ -71,8 +71,6 @@ def _transitive_locks(graph: CallGraph) -> dict[str, frozenset[str]]:
     for acquisition in graph.acquisitions:
         if acquisition.function in direct:
             direct[acquisition.function].add(acquisition.lock)
-    for name, info in graph.functions.items():
-        direct[name].update(info.acquires_locks)
     callees: dict[str, set[str]] = {}
     for site in graph.calls:
         if site.caller in direct and site.callee in direct:
@@ -98,9 +96,6 @@ def build_lock_graph(graph: CallGraph) -> LockGraph:
     """Derive the lock-order graph from call-graph facts."""
     transitive = _transitive_locks(graph)
     kinds = dict(graph.lock_kinds)
-    for info in graph.functions.values():
-        for lock in info.acquires_locks:
-            kinds.setdefault(lock, "context")
     edges: dict[tuple[str, str], LockEdge] = {}
 
     def add_edge(source: str, target: str, function: str, line: int, witness: str) -> None:

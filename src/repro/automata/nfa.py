@@ -104,22 +104,6 @@ class NFA:
                 return False
         return self.accept in current
 
-    def reversed(self) -> "NFA":
-        """The NFA of the reversed language: every transition flipped, start
-        and accept swapped.  ``EPSILON``/``ANY`` labels reverse unchanged, so
-        the reversal of a Thompson automaton is again a single-start,
-        single-accept automaton over the same labels."""
-        transitions: dict[int, list[tuple[object, int]]] = {}
-        for source, edges in self.transitions.items():
-            for label, target in edges:
-                transitions.setdefault(target, []).append((label, source))
-        return NFA(
-            start=self.accept,
-            accept=self.start,
-            transitions=transitions,
-            state_count=self.state_count,
-        )
-
 
 class _Builder:
     """Allocates states and assembles fragment automata."""

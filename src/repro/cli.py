@@ -130,7 +130,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
         )
     run = load_run(args.run)
     engine = ProvenanceQueryEngine(run.spec)
-    observing = bool(args.profile or args.trace_json or args.save_profile)
+    observing = bool(args.profile or args.trace_json)
     if not observing:
         return _evaluate_query(args, run, engine)
     tracer = Tracer()
@@ -150,16 +150,8 @@ def _emit_query_observability(
         document = chrome_trace(spans, process_name=f"repro query {run_id}")
         Path(args.trace_json).write_text(json.dumps(document) + "\n")
         print(f"trace: {len(spans)} spans -> {args.trace_json}", file=sys.stderr)
-    if args.profile or args.save_profile:
-        profile = ExecutionProfile.from_spans(
-            spans, query=args.query, run=run_id, meta={"command": "query"}
-        )
-        if args.profile:
-            print(profile.render(), file=sys.stderr)
-        if args.save_profile:
-            store = IndexStore(args.save_profile)
-            store.save_profile(profile)
-            print(f"profile saved to store {args.save_profile}", file=sys.stderr)
+    if args.profile:
+        print(ExecutionProfile.from_spans(spans).render(), file=sys.stderr)
 
 
 def _evaluate_query(
@@ -518,7 +510,6 @@ def _analyze_call_graph(args: argparse.Namespace, model: object) -> int:
                     "line": info.lineno,
                     "contextmanager": info.is_contextmanager,
                     "holds_locks": sorted(info.holds_locks),
-                    "acquires_locks": sorted(info.acquires_locks),
                 }
                 for _, info in sorted(graph.functions.items())
             ],
@@ -555,20 +546,12 @@ def _analyze_call_graph(args: argparse.Namespace, model: object) -> int:
             f"function(s), {len(graph.calls)} call edge(s) "
             f"({graph.unresolved_calls}/{graph.total_calls} calls unresolved)"
         )
-        annotated = [
-            info
-            for _, info in sorted(graph.functions.items())
-            if info.holds_locks or info.acquires_locks
-        ]
-        for info in annotated:
-            notes: list[str] = []
+        for _, info in sorted(graph.functions.items()):
             if info.holds_locks:
-                notes.append(f"holds-lock: {', '.join(sorted(info.holds_locks))}")
-            if info.acquires_locks:
-                notes.append(
-                    f"acquires-lock: {', '.join(sorted(info.acquires_locks))}"
+                print(
+                    f"  {info.qualified}  "
+                    f"(holds-lock: {', '.join(sorted(info.holds_locks))})"
                 )
-            print(f"  {info.qualified}  ({'; '.join(notes)})")
     return 0
 
 
@@ -741,14 +724,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "record the evaluation's spans and write them as Chrome "
             "trace-event JSON (loads in Perfetto / chrome://tracing)"
-        ),
-    )
-    query_parser.add_argument(
-        "--save-profile",
-        metavar="STORE_DIR",
-        help=(
-            "persist the execution profile to this index store directory "
-            "(created if missing; see 'repro store')"
         ),
     )
     query_parser.set_defaults(handler=_cmd_query)

@@ -8,7 +8,8 @@ The package the engine is instrumented against:
 * :mod:`repro.obs.metrics` — the lock-annotated registry of counters,
   gauges and fixed-bucket histograms (:func:`get_registry`);
 * :mod:`repro.obs.profile` — per-query :class:`ExecutionProfile` trees with
-  the coverage metric the acceptance bar reads;
+  the coverage metric the acceptance bar reads (rendered by
+  ``repro query --profile``; profiles are never persisted);
 * :mod:`repro.obs.export` — Chrome trace-event JSON and Prometheus text;
 * :mod:`repro.obs.clock` — the one sanctioned monotonic-clock read
   (the REP109 ``# effect-exempt: clock`` carve-out).

@@ -1,12 +1,10 @@
 """Per-query execution profiles assembled from finished spans.
 
-An :class:`ExecutionProfile` is the queryable record of one evaluation: the
-span tree (operator/phase timings), per-span-name aggregate totals, and the
-observations instrumentation attached along the way (frontier seed counts,
-decode group/pair counts, routing decisions).  Profiles serialize to plain
-JSON so the :class:`~repro.store.IndexStore` can persist them opt-in — the
-raw material the ROADMAP's self-calibrating cost model will fit its
-constants from.
+An :class:`ExecutionProfile` is the in-process record of one evaluation: the
+span tree (operator/phase timings) with the observations instrumentation
+attached along the way (frontier seed counts, decode group/pair counts,
+routing decisions).  ``repro query --profile`` renders it to stderr;
+profiles are not persisted.
 
 ``coverage()`` is the honesty metric for the instrumentation itself: the
 fraction of the root span's wall time covered by its direct children
@@ -17,14 +15,11 @@ rather than silently vanishing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from typing import Sequence
 
 from repro.obs.tracer import Span
 
 __all__ = ["ExecutionProfile", "ProfileNode"]
-
-#: Version tag of the serialized profile payload.
-PROFILE_SCHEMA = "repro-profile/1"
 
 
 @dataclass
@@ -36,39 +31,11 @@ class ProfileNode:
     start: float
     end: float
     attrs: dict[str, object] = field(default_factory=dict)
-    thread: str = ""
     children: list["ProfileNode"] = field(default_factory=list)
 
     @property
     def duration(self) -> float:
         return max(0.0, self.end - self.start)
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "span_id": self.span_id,
-            "start_s": round(self.start, 9),
-            "duration_s": round(self.duration, 9),
-            "attrs": dict(self.attrs),
-            "thread": self.thread,
-            "children": [child.as_dict() for child in self.children],
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "ProfileNode":
-        start = float(payload.get("start_s", 0.0))
-        node = cls(
-            name=str(payload.get("name", "")),
-            span_id=int(payload.get("span_id", 0)),
-            start=start,
-            end=start + float(payload.get("duration_s", 0.0)),
-            attrs=dict(payload.get("attrs", {})),
-            thread=str(payload.get("thread", "")),
-        )
-        node.children = [
-            cls.from_dict(child) for child in payload.get("children", [])
-        ]
-        return node
 
 
 def _merged_duration(intervals: Sequence[tuple[float, float]]) -> float:
@@ -87,21 +54,11 @@ def _merged_duration(intervals: Sequence[tuple[float, float]]) -> float:
 class ExecutionProfile:
     """The observable record of one query evaluation."""
 
-    query: str
-    run: str
     root: ProfileNode | None
     span_count: int
-    meta: dict[str, object] = field(default_factory=dict)
 
     @classmethod
-    def from_spans(
-        cls,
-        spans: Sequence[Span],
-        *,
-        query: str = "",
-        run: str = "",
-        meta: Mapping[str, object] | None = None,
-    ) -> "ExecutionProfile":
+    def from_spans(cls, spans: Sequence[Span]) -> "ExecutionProfile":
         """Assemble the tree from a tracer's finished spans.
 
         The root is the longest parentless span (a CLI evaluation has
@@ -115,7 +72,6 @@ class ExecutionProfile:
                 start=span.start,
                 end=span.end,
                 attrs=dict(span.attrs),
-                thread=span.thread,
             )
             for span in spans
         }
@@ -132,13 +88,7 @@ class ExecutionProfile:
         for node in nodes.values():
             node.children.sort(key=lambda child: (child.start, child.span_id))
         root = max(roots, key=lambda node: node.duration) if roots else None
-        return cls(
-            query=query,
-            run=run,
-            root=root,
-            span_count=len(spans),
-            meta=dict(meta) if meta else {},
-        )
+        return cls(root=root, span_count=len(spans))
 
     def coverage(self) -> float:
         """Fraction of the root's wall time covered by its direct children
@@ -154,44 +104,6 @@ class ExecutionProfile:
         if not intervals:
             return 0.0
         return min(1.0, _merged_duration(intervals) / root.duration)
-
-    def totals(self) -> dict[str, dict[str, float]]:
-        """Per-span-name aggregates: ``{name: {count, total_s}}``."""
-        table: dict[str, dict[str, float]] = {}
-        stack = [self.root] if self.root is not None else []
-        while stack:
-            node = stack.pop()
-            row = table.setdefault(node.name, {"count": 0.0, "total_s": 0.0})
-            row["count"] += 1.0
-            row["total_s"] += node.duration
-            stack.extend(node.children)
-        return {
-            name: {"count": row["count"], "total_s": round(row["total_s"], 9)}
-            for name, row in sorted(table.items())
-        }
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "schema": PROFILE_SCHEMA,
-            "query": self.query,
-            "run": self.run,
-            "span_count": self.span_count,
-            "coverage": round(self.coverage(), 6),
-            "meta": dict(self.meta),
-            "totals": self.totals(),
-            "root": self.root.as_dict() if self.root is not None else None,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "ExecutionProfile":
-        root_payload = payload.get("root")
-        return cls(
-            query=str(payload.get("query", "")),
-            run=str(payload.get("run", "")),
-            root=ProfileNode.from_dict(root_payload) if root_payload else None,
-            span_count=int(payload.get("span_count", 0)),
-            meta=dict(payload.get("meta", {})),
-        )
 
     def render(self, *, max_depth: int = 6) -> str:
         """A readable tree for the CLI: names, attributes, millisecond

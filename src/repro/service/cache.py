@@ -30,7 +30,10 @@ A persistent second tier can sit underneath: with ``store=``
 (:class:`~repro.store.IndexStore`) a memory miss first consults the disk
 store — a hit reconstructs the entry with *zero* safety checks, index builds
 or plan builds — and every build (and plan attach) is written back, so a
-fresh process starts warm from whatever earlier processes computed.
+fresh process starts warm from whatever earlier processes computed.  A miss
+is ``restore → build → persist`` under the per-key build lock; nothing is
+coordinated across processes beyond the store's content-addressed write
+skip, so two processes racing on one key may each build it once.
 """
 
 from __future__ import annotations
@@ -297,7 +300,8 @@ class IndexCache:
                     entry = self._restore(spec, key)
                     span.set("restored", entry is not None)
                     if entry is None:
-                        entry = self._build_coordinated(spec, parse_regex(query), key)
+                        entry = self._build(spec, parse_regex(query), key)
+                        self._persist(key, entry)
                     with self._lock:
                         self._misses += 1
                         self._miss_counter.inc()
@@ -307,31 +311,6 @@ class IndexCache:
                 finally:
                     with self._lock:
                         self._build_locks.pop(key, None)
-
-    def _build_coordinated(
-        self, spec: Specification, node: RegexNode, key: CacheKey
-    ) -> _Entry:
-        """Build an entry, coordinating with other *processes* through the
-        store's per-entry lock file when a store is attached.
-
-        The in-process build lock already deduplicates threads; the store
-        lock extends that across a fleet sharing one volume: the loser waits
-        on the winner's lock, then finds the finished artifact on disk and
-        restores it instead of rebuilding.  An unacquirable lock (timeout,
-        read-only volume) degrades to a plain duplicated build.
-        """
-        store = self._store
-        if store is None:
-            return self._build(spec, node, key)
-        with store.entry_lock(key[0], key[1]) as acquired:
-            if acquired:
-                # Another process may have finished while we waited.
-                entry = self._restore(spec, key)
-                if entry is not None:
-                    return entry
-            entry = self._build(spec, node, key)
-            self._persist(key, entry)
-        return entry
 
     def _build(self, spec: Specification, node: RegexNode, key: CacheKey) -> _Entry:
         with get_tracer().span("cache.build") as span:

@@ -30,11 +30,11 @@ pooled, packed matrix encoding of :mod:`repro.store.codec` entries shrink
 5-10x).  The checksum is taken over the inflated bytes themselves, which
 are the writer's canonical JSON, so a load verifies it without re-encoding
 the payload.  Run envelopes carry their specification fingerprint so
-``gc_orphans`` never has to reconstruct a run.  Concurrent writers on a
-shared volume are coordinated two ways: ``save`` skips rewriting artifacts
-whose on-disk payload checksum already matches (content-addressed), and
-``entry_lock`` lets the cache layer serialize cross-process *builds* of the
-same entry so only one process pays for the safety fixpoint.
+``gc_orphans`` never has to reconstruct a run.  The only coordination
+between writers is content addressing: an entry's content is fixed by its
+key, so ``save`` skips rewriting an artifact whose on-disk payload checksum
+already matches, and two processes that race on one key at worst build it
+twice and write the same bytes.  The store holds no lock files.
 
 The read path *never raises for bad data*: a missing file is a miss, and a
 truncated file, checksum mismatch, format-version bump, foreign fingerprint
@@ -51,10 +51,8 @@ import json
 import os
 import tempfile
 import threading
-import time
 import urllib.parse
 import zlib
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterator
@@ -63,7 +61,7 @@ from repro.core.decomposition import DecompositionPlan
 from repro.core.query_index import QueryIndex
 from repro.core.safety import SafetyReport
 from repro.errors import StoreError
-from repro.obs import ExecutionProfile, get_registry, get_tracer
+from repro.obs import get_registry, get_tracer
 from repro.store.codec import entry_from_payload, entry_to_payload
 from repro.workflow.run import Run
 from repro.workflow.serialization import run_from_dict, run_to_dict
@@ -80,7 +78,6 @@ FORMAT_VERSION = 3
 
 _ENTRY_KIND = "store-entry"
 _RUN_KIND = "store-run"
-_PROFILE_KIND = "store-profile"
 
 #: Registry metrics mirroring the per-instance counters (one process-wide
 #: series per counter, however many store instances exist).
@@ -110,8 +107,8 @@ class StoreCounters:
     """Per-process effectiveness counters of one store instance.
 
     ``skipped_writes`` counts content-addressed saves: the artifact on disk
-    already carried the same payload checksum (or another writer held the
-    entry lock), so the write — and the fsync — was elided.
+    already carried the same payload checksum, so the write — and the
+    fsync — was elided.
     """
 
     hits: int = 0
@@ -332,67 +329,6 @@ class IndexStore:
         except Exception:
             return None
 
-    @contextmanager
-    def entry_lock(  # acquires-lock: entry_lock
-        self, fingerprint: str, query_text: str, *, timeout: float = 10.0,
-        stale_after: float = 60.0,
-    ) -> Iterator[bool]:
-        """Advisory cross-process build lock for one entry (yields whether it
-        was acquired).
-
-        The cache layer wraps an entry *build* in this lock so two processes
-        sharing a store volume do not redo the same safety fixpoint and
-        index sweep in parallel: the loser waits, then re-checks the store
-        and finds the winner's artifact.  Lock files older than
-        ``stale_after`` (a crashed writer) are broken; a lock that cannot be
-        acquired within ``timeout`` — or created at all, e.g. on a read-only
-        volume — degrades to duplicated work, never to a stuck query.
-        """
-        path = self.entry_path(fingerprint, query_text)
-        lock_path = path.with_name(path.name + ".lock")
-        acquired = False
-        deadline = time.monotonic() + timeout
-        while True:
-            try:
-                lock_path.parent.mkdir(parents=True, exist_ok=True)
-                descriptor = os.open(
-                    lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY
-                )
-                os.close(descriptor)
-                acquired = True
-                break
-            except FileExistsError:
-                if time.monotonic() > deadline:
-                    break
-                try:
-                    first = lock_path.stat()
-                except OSError:
-                    continue  # holder just released; retry immediately
-                if time.time() - first.st_mtime > stale_after:
-                    # Break the stale lock of a crashed writer — but only if
-                    # it is still the *same* file we statted (inode check),
-                    # so a waiter that lost the race does not unlink the
-                    # winner's freshly created lock.  The residual stat-to-
-                    # unlink window merely duplicates a build, never breaks
-                    # data (writes stay atomic).
-                    try:
-                        if lock_path.stat().st_ino == first.st_ino:
-                            lock_path.unlink()
-                    except OSError:
-                        pass
-                    continue
-                time.sleep(0.05)
-            except OSError:
-                break  # unwritable volume: proceed without coordination
-        try:
-            yield acquired
-        finally:
-            if acquired:
-                try:
-                    lock_path.unlink()
-                except OSError:
-                    pass
-
     def entries(self) -> list[EntryInfo]:
         """Metadata of every readable entry file (unreadable ones skipped)."""
         infos = []
@@ -569,54 +505,6 @@ class IndexStore:
         return sorted(
             urllib.parse.unquote(path.stem) for path in self._runs_dir.glob("*.json")
         )
-
-    # -- execution profiles -------------------------------------------------------
-
-    def profile_dir(self, run_id: str) -> Path:
-        """Where one run's persisted execution profiles live."""
-        return self.root / "profiles" / urllib.parse.quote(run_id, safe="")
-
-    def save_profile(self, profile: ExecutionProfile) -> bool:
-        """Persist one execution profile (the opt-in observability artifact
-        behind ``repro query --profile --save-profile``); returns success.
-
-        Content-addressed file names (payload checksum prefix), so re-saving
-        an identical profile overwrites its own artifact instead of piling
-        up duplicates.  Failures are counted and swallowed like
-        :meth:`save` — profiling must never fail a query.
-        """
-        try:
-            payload = profile.as_dict()
-            checksum = _checksum(payload)
-            envelope = {
-                "format": FORMAT_VERSION,
-                "kind": _PROFILE_KIND,
-                "run_id": profile.run,
-                "query": profile.query,
-                "checksum": checksum,
-                "payload64": _encode_payload(payload),
-            }
-            path = self.profile_dir(profile.run) / f"{checksum[:32]}.json"
-            _atomic_write(path, json.dumps(envelope))
-        except Exception:
-            self._count("_errors")
-            return False
-        self._count("_writes")
-        return True
-
-    def load_profiles(self, run_id: str) -> list[ExecutionProfile]:
-        """Every readable persisted profile of one run, sorted by query text
-        (corrupt artifacts are counted and skipped, like every other read)."""
-        profiles: list[ExecutionProfile] = []
-        for path in sorted(self.profile_dir(run_id).glob("*.json")):
-            try:
-                envelope = json.loads(path.read_text(encoding="utf-8"))
-                payload = self._open_envelope(envelope, _PROFILE_KIND)
-                profiles.append(ExecutionProfile.from_dict(payload))
-            except Exception:
-                self._count("_errors")
-        profiles.sort(key=lambda profile: profile.query)
-        return profiles
 
     # -- reporting ----------------------------------------------------------------
 

@@ -119,7 +119,13 @@ class TestRealTree:
     def test_known_lock_hierarchy_is_present(self, model):
         edges = {(edge.source, edge.target) for edge in model.lock_graph.edges}
         assert ("IndexCache._build_locks", "IndexCache._lock") in edges
-        assert ("IndexStore.entry_lock", "IndexStore._lock") in edges
+
+    def test_store_lock_is_innermost(self, model):
+        """The store coordinates writers through its content-addressed skip
+        alone: nothing is acquired while a store lock is held."""
+        assert not [
+            edge for edge in model.lock_graph.edges if edge.source.startswith("IndexStore.")
+        ]
 
     def test_every_graph_dimension_is_populated(self, model):
         assert model.graph.modules > 50

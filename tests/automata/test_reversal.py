@@ -1,16 +1,14 @@
-"""Automaton reversal: DFA.reversed() / NFA.reversed().
+"""Automaton reversal: DFA.reversed().
 
 The backward frontier search rests on one identity: ``w ∈ L(A)`` iff
 ``reverse(w) ∈ L(A.reversed())``.  These tests check it (and the double
-reversal) against sampled strings from Hypothesis-generated regexes, and the
-NFA reversal against direct simulation.
+reversal) against sampled strings from Hypothesis-generated regexes.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.automata.dfa import dfa_from_regex
-from repro.automata.nfa import nfa_from_regex
 
 TAGS = ["a", "b", "c"]
 
@@ -84,17 +82,3 @@ class TestDFAReversal:
         assert macro in reversed_dfa.alphabet
         assert not reversed_dfa.accepts([macro])
         assert reversed_dfa.accepts(["a"])
-
-
-class TestNFAReversal:
-    @given(regex_text(), words)
-    @settings(max_examples=150, deadline=None)
-    def test_reversed_nfa_simulation(self, text, word):
-        nfa = nfa_from_regex(text)
-        assert nfa.reversed().accepts(reversed(word)) == nfa.accepts(word)
-
-    @given(regex_text(), words)
-    @settings(max_examples=100, deadline=None)
-    def test_double_reversal(self, text, word):
-        nfa = nfa_from_regex(text)
-        assert nfa.reversed().reversed().accepts(word) == nfa.accepts(word)

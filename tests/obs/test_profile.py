@@ -1,4 +1,4 @@
-"""Execution profiles: assembly, coverage, serialization, rendering."""
+"""Execution profiles: assembly, coverage, rendering."""
 
 from repro.obs import ExecutionProfile, Tracer
 from repro.obs.metrics import MetricsRegistry
@@ -25,7 +25,7 @@ class TestAssembly:
             _span("child.b", 3, 1, 3.0, 4.0),
             _span("root", 1, None, 0.0, 5.0),
         ]
-        profile = ExecutionProfile.from_spans(spans, query="q", run="r")
+        profile = ExecutionProfile.from_spans(spans)
         assert profile.root is not None
         assert profile.root.name == "root"
         assert [child.name for child in profile.root.children] == [
@@ -47,7 +47,7 @@ class TestAssembly:
         with tracer.span("query.evaluate"):
             with tracer.span("exec.plan"):
                 pass
-        profile = ExecutionProfile.from_spans(tracer.spans(), query="_*")
+        profile = ExecutionProfile.from_spans(tracer.spans())
         assert profile.root is not None
         assert profile.root.name == "query.evaluate"
         assert profile.root.children[0].name == "exec.plan"
@@ -82,36 +82,6 @@ class TestCoverage:
             _span("root", 1, None, 0.0, 4.0),
         ]
         assert ExecutionProfile.from_spans(spans).coverage() == 1.0
-
-
-class TestSerialization:
-    def test_round_trip_preserves_tree_and_totals(self):
-        spans = [
-            _span("decode", 2, 1, 1.0, 2.0, pairs=9),
-            _span("root", 1, None, 0.0, 4.0),
-        ]
-        profile = ExecutionProfile.from_spans(
-            spans, query="a b", run="r1", meta={"command": "query"}
-        )
-        restored = ExecutionProfile.from_dict(profile.as_dict())
-        assert restored.query == "a b"
-        assert restored.run == "r1"
-        assert restored.meta == {"command": "query"}
-        assert restored.span_count == 2
-        assert restored.root is not None
-        assert restored.root.children[0].attrs == {"pairs": 9}
-        assert restored.totals() == profile.totals()
-        assert restored.coverage() == profile.coverage()
-
-    def test_totals_aggregate_by_name(self):
-        spans = [
-            _span("decode", 2, 1, 0.0, 1.0),
-            _span("decode", 3, 1, 1.0, 3.0),
-            _span("root", 1, None, 0.0, 4.0),
-        ]
-        totals = ExecutionProfile.from_spans(spans).totals()
-        assert totals["decode"] == {"count": 2.0, "total_s": 3.0}
-        assert totals["root"]["count"] == 1.0
 
 
 class TestRender:

@@ -4,6 +4,7 @@ import threading
 
 import pytest
 
+from repro.datasets import bioaid_specification
 from repro.datasets.paper_example import paper_specification
 from repro.errors import UnsafeQueryError
 from repro.service import IndexCache
@@ -16,6 +17,21 @@ SAFE_QUERIES = ["_* e _*", "_*", "A+", "_* b _*", "_* c _*"]
 @pytest.fixture
 def spec():
     return paper_specification()
+
+
+def _run_concurrently(count, call):
+    """Release ``count`` threads into ``call`` at once and wait for all."""
+    barrier = threading.Barrier(count)
+
+    def worker():
+        barrier.wait()
+        call()
+
+    threads = [threading.Thread(target=worker) for _ in range(count)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
 
 
 class TestLookups:
@@ -208,6 +224,40 @@ class TestStoreTier:
         warm.index(spec, "_* e _*")
         stats = warm.stats
         assert (stats.store_hits, stats.index_builds, stats.safety_checks) == (1, 0, 0)
+
+    @pytest.mark.parametrize("lookup", ["safety", "index"])
+    def test_cold_build_reads_the_store_once(self, tmp_path, lookup):
+        cache = IndexCache(store=IndexStore(tmp_path))
+        getattr(cache, lookup)(bioaid_specification(), "_* f5_join _*")
+        stats = cache.stats
+        assert (stats.store_misses, stats.store_writes) == (1, 1)
+
+    def test_cold_unsafe_verdict_reads_the_store_once(self, spec, tmp_path):
+        cache = IndexCache(store=IndexStore(tmp_path))
+        assert not cache.safety(spec, "_* a _*").is_safe
+        stats = cache.stats
+        assert (stats.safety_checks, stats.store_misses, stats.store_writes) == (1, 1, 1)
+        warm = IndexCache(store=IndexStore(tmp_path))
+        assert not warm.safety(spec, "_* a _*").is_safe
+        stats = warm.stats
+        assert (stats.safety_checks, stats.store_hits, stats.store_misses) == (0, 1, 0)
+
+    @pytest.mark.parametrize("lookup", ["safety", "index"])
+    def test_concurrent_requests_on_a_store_build_and_write_once(
+        self, spec, tmp_path, lookup
+    ):
+        cache = IndexCache(store=IndexStore(tmp_path))
+        _run_concurrently(8, lambda: getattr(cache, lookup)(spec, "_* e _*"))
+        stats = cache.stats
+        assert (stats.safety_checks, stats.store_writes, stats.store_misses) == (1, 1, 1)
+
+    def test_concurrent_requests_on_a_warm_store_restore_once(self, spec, tmp_path):
+        IndexCache(store=IndexStore(tmp_path)).index(spec, "_* e _*")
+        warm = IndexCache(store=IndexStore(tmp_path))
+        _run_concurrently(8, lambda: warm.index(spec, "_* e _*"))
+        stats = warm.stats
+        assert (stats.store_hits, stats.store_misses, stats.store_writes) == (1, 0, 0)
+        assert (stats.safety_checks, stats.index_builds, stats.hits) == (0, 0, 7)
 
     def test_store_survives_memory_eviction(self, spec, tmp_path):
         cache = IndexCache(max_entries=1, store=IndexStore(tmp_path))

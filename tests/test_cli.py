@@ -460,6 +460,19 @@ class TestStoreCommands:
         assert "0 index builds" in captured.err
         assert json.loads(captured.out.strip())["ok"] is True
 
+    def test_warm_and_restart_leave_no_lock_files(self, tmp_path, run_path, capsys):
+        store = tmp_path / "store"
+        assert main(["store", "warm", str(store), "--run", str(run_path),
+                     "_* e _*", "_* a _*"]) == 0
+        assert not list(store.rglob("*.lock"))
+        requests = tmp_path / "requests.jsonl"
+        requests.write_text(
+            json.dumps({"op": "allpairs", "run": "r1", "query": "_* e _*"}) + "\n"
+        )
+        assert main(["batch", str(requests), "--store", str(store)]) == 0
+        capsys.readouterr()
+        assert not list(store.rglob("*.lock"))
+
     def test_warm_without_runs_is_an_error(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["store", "warm", str(tmp_path / "store"), "_*"])
@@ -476,6 +489,78 @@ class TestStoreCommands:
         requests.write_text("\n")
         with pytest.raises(SystemExit):
             main(["batch", str(requests), "--store", str(tmp_path / "store")])
+
+
+class TestOlderStoreLeftovers:
+    """An older store may hold ``profiles/<run>/*.json`` and a
+    ``<entry>.json.lock``: listing, stats, both gc modes and a warm restart
+    pass over them and leave them as they are."""
+
+    QUERIES = ("_* e _*", "_* a _*")
+
+    @pytest.fixture
+    def store(self, tmp_path, run_path, capsys):
+        store = tmp_path / "store"
+        assert main(["store", "warm", str(store), "--run", str(run_path),
+                     *self.QUERIES]) == 0
+        capsys.readouterr()
+        entry = sorted((store / "entries").glob("*/*.json"))[0]
+        entry.with_name(entry.name + ".lock").touch()
+        profile = store / "profiles" / "r1" / f"{'0' * 32}.json"
+        profile.parent.mkdir(parents=True)
+        profile.write_text(json.dumps({
+            "format": 3, "kind": "store-profile", "run_id": "r1",
+            "query": "_* e _*", "checksum": "0" * 64, "payload64": "",
+        }))
+        self.entries = sorted((store / "entries").glob("*/*.json"))
+        self.leftovers = self._leftovers(store)
+        assert len(self.leftovers) == 2
+        return store
+
+    @staticmethod
+    def _leftovers(store):
+        paths = [*store.rglob("*.lock"), *(store / "profiles").rglob("*.json")]
+        return {path: path.read_bytes() for path in paths}
+
+    def test_ls(self, store, capsys):
+        assert main(["store", "ls", str(store)]) == 0
+        assert f"{len(self.entries)} entries, 1 runs" in capsys.readouterr().out
+        assert self._leftovers(store) == self.leftovers
+
+    def test_stats(self, store, capsys):
+        assert main(["store", "stats", str(store)]) == 0
+        out = capsys.readouterr().out
+        assert f"entries       : {len(self.entries)} (" in out
+        assert "runs          : 1" in out
+        assert self._leftovers(store) == self.leftovers
+
+    def test_warm_restart_builds_and_writes_nothing(self, store, tmp_path, capsys):
+        requests = tmp_path / "requests.jsonl"
+        requests.write_text("".join(
+            json.dumps({"op": "allpairs", "run": "r1", "query": query}) + "\n"
+            for query in self.QUERIES
+        ))
+        stats_path = tmp_path / "stats.json"
+        assert main(["batch", str(requests), "--store", str(store),
+                     "--stats-json", str(stats_path)]) == 0
+        capsys.readouterr()
+        stats = json.loads(stats_path.read_text())
+        assert (stats["index_builds"], stats["safety_checks"],
+                stats["plan_builds"], stats["store_writes"]) == (0, 0, 0, 0)
+        assert self._leftovers(store) == self.leftovers
+
+    def test_gc_orphans(self, store, capsys):
+        assert main(["store", "gc", str(store), "--orphans"]) == 0
+        assert "orphans: removed 0 entries" in capsys.readouterr().out
+        assert sorted((store / "entries").glob("*/*.json")) == self.entries
+        assert self._leftovers(store) == self.leftovers
+
+    def test_gc_max_bytes(self, store, capsys):
+        entry_bytes = sum(path.stat().st_size for path in self.entries)
+        assert main(["store", "gc", str(store), "--max-bytes", str(entry_bytes)]) == 0
+        assert (f"lru: removed 0 entries (0 bytes); {entry_bytes} bytes remain"
+                in capsys.readouterr().out)
+        assert self._leftovers(store) == self.leftovers
 
 
 class TestCacheCommand:
@@ -614,18 +699,6 @@ class TestObservabilityCommands:
         assert "query.evaluate" in {event["name"] for event in events}
         complete = [event for event in events if event["ph"] == "X"]
         assert complete and all(event["dur"] >= 0 for event in complete)
-
-    def test_query_save_profile_persists_to_the_store(self, tmp_path, run_path, capsys):
-        from repro.store import IndexStore
-
-        store_dir = tmp_path / "store"
-        assert main(["query", str(run_path), "A+",
-                     "--save-profile", str(store_dir)]) == 0
-        capsys.readouterr()
-        (profile,) = IndexStore(store_dir).load_profiles("r1")
-        assert profile.query == "A+"
-        assert profile.root is not None
-        assert profile.coverage() >= 0.95
 
     def test_metrics_replay_renders_prometheus_text(self, tmp_path, run_path, capsys):
         requests = tmp_path / "requests.jsonl"
