@@ -15,8 +15,7 @@ Entry points
 
 * :func:`repro.analysis.engine.analyze_paths` — analyze paths with the
   registered rules, returning sorted
-  :class:`~repro.analysis.findings.Finding` objects, the semantic model and
-  coverage statistics.
+  :class:`~repro.analysis.findings.Finding` objects and coverage statistics.
 * ``repro lint`` (:mod:`repro.cli`) — the command-line front-end; it exits 1
   on any finding and has ``--json`` output for scripts.
 

@@ -2,11 +2,11 @@
 
 :func:`analyze_paths` loads the files, builds the whole-program
 :class:`~repro.analysis.semantic.model.SemanticModel` when an active rule
-declares ``requires_model`` (or the caller asks for it), runs every selected
-rule's per-module ``check`` and project-level ``check_project`` pass, and
-returns the findings sorted by ``(path, line, rule, message)`` together with
-the model and :class:`AnalysisStatistics` — per-rule finding counts plus the
-call-graph and lock-graph totals ``repro lint --statistics`` reports.
+declares ``requires_model``, runs every selected rule's per-module ``check``
+and project-level ``check_project`` pass, and returns the findings sorted by
+``(path, line, rule, message)`` together with :class:`AnalysisStatistics` —
+per-rule finding counts plus the call-graph and lock-graph totals
+``repro lint --statistics`` reports.
 
 :class:`AnalysisConfig` carries the project-shape knowledge the rules need —
 which modules are planners, which are boundaries, which functions stream —
@@ -98,10 +98,9 @@ class AnalysisStatistics:
 
 @dataclass
 class AnalysisResult:
-    """Findings plus the semantic model and coverage statistics."""
+    """Findings plus coverage statistics."""
 
     findings: list[Finding]
-    model: SemanticModel | None
     statistics: AnalysisStatistics
 
 
@@ -145,20 +144,18 @@ def analyze_paths(
     root: Path | None = None,
     config: AnalysisConfig | None = None,
     rules: list[Rule] | None = None,
-    want_model: bool = False,
 ) -> AnalysisResult:
     """Load ``paths``, run the (selected) rules, and return findings with
-    the semantic model and statistics.
+    coverage statistics.
 
     A path that does not exist raises :class:`FileNotFoundError`, so a typo
-    cannot pass vacuously.  ``want_model`` forces the model even when no
-    selected rule needs it (``repro analyze`` runs no rules at all).
+    cannot pass vacuously.
     """
     project = load_project(paths, root=root)
     active_config = config if config is not None else AnalysisConfig()
     active_rules = rules if rules is not None else all_rules()
     model: SemanticModel | None = None
-    if want_model or any(rule.requires_model for rule in active_rules):
+    if any(rule.requires_model for rule in active_rules):
         model = build_semantic_model(project)
     findings: list[Finding] = []
     for module in project:
@@ -170,6 +167,5 @@ def analyze_paths(
     findings.sort()
     return AnalysisResult(
         findings=findings,
-        model=model,
         statistics=_statistics(project, model, active_rules, findings),
     )

@@ -13,9 +13,9 @@ to interprocedural reasoning:
   :class:`~repro.analysis.semantic.model.SemanticModel`.
 
 The model powers rules REP108 (lock-order cycles), REP109 (planner purity
-by reachability) and the caller-aware arm of REP101, as well as the
-``repro analyze`` CLI and the runtime sanitizer's guarded-class discovery
-(:mod:`repro.analysis.runtime`).
+by reachability) and the caller-aware arm of REP101, the call- and
+lock-graph totals of ``repro lint --statistics``, and the runtime
+sanitizer's guarded-class discovery (:mod:`repro.analysis.runtime`).
 """
 
 from __future__ import annotations

@@ -142,9 +142,6 @@ class CallGraph:
     total_calls: int
     unresolved_calls: int
 
-    def calls_from(self, qualified: str) -> list[CallSite]:
-        return [site for site in self.calls if site.caller == qualified]
-
 
 # ---------------------------------------------------------------------------
 # module indexing

@@ -3,8 +3,8 @@
 :func:`build_semantic_model` runs the three analyses over a loaded
 :class:`~repro.analysis.project.Project` — call graph, effect inference,
 lock-order graph — and bundles them for the project-level rules and the
-``repro analyze`` views.  The model is rebuilt on every run; over this
-repository that takes a few seconds.
+totals of ``repro lint --statistics``.  The model is rebuilt on every run;
+over this repository that takes a few seconds.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ __all__ = ["SemanticModel", "build_semantic_model"]
 
 @dataclass
 class SemanticModel:
-    """Everything the project-level rules and ``repro analyze`` consume."""
+    """Everything the project-level rules consume."""
 
     graph: CallGraph
     direct_effects: dict[str, frozenset[str]]

@@ -12,14 +12,12 @@ Subcommands cover the typical workflow of the library:
 * ``repro metrics``   — print the metrics registry in Prometheus text
   exposition format, optionally after replaying a JSONL batch,
 * ``repro store``     — manage a persistent index store (build/warm/ls/stats/gc),
-* ``repro cache``     — inspect a warmed service's cache/store statistics,
 * ``repro bench``     — benchmark scenarios and trajectory gating (``run`` /
   ``gate`` / ``check`` / ``list`` / ``figures``; same as ``python -m repro.bench``),
 * ``repro lint``      — the project's own static-analysis rules
-  (:mod:`repro.analysis`), exiting 1 on any finding, with ``--json`` output,
-* ``repro analyze``   — the whole-program semantic model behind the lint
-  rules (``call-graph`` / ``lock-graph`` / ``effects``), with ``--json``
-  and Graphviz ``--dot`` output.
+  (:mod:`repro.analysis`), exiting 1 on any finding (a lock-order cycle is
+  a REP108 finding), with ``--json`` output and ``--statistics`` call- and
+  lock-graph totals.
 
 Library errors (unsafe queries, malformed regexes, broken input files) exit
 non-zero with a one-line ``repro: error: ...`` message instead of a
@@ -412,31 +410,6 @@ def _cmd_store_gc(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_cache(args: argparse.Namespace) -> int:
-    service = QueryService(store_dir=args.store)
-    _register_cli_runs(service, args.run)
-    if args.warm:
-        run_ids = service.run_ids()
-        if not run_ids:
-            raise SystemExit("repro cache --warm needs at least one registered run")
-        for run_id in run_ids:
-            try:
-                service.warm(run_id, args.warm)
-            except KeyError:
-                continue  # unreadable persisted run: nothing to warm against
-    stats = service.cache_stats
-    if args.json:
-        record = dataclasses.asdict(stats)
-        record["hit_rate"] = stats.hit_rate
-        print(json.dumps(record, sort_keys=True))
-        return 0
-    print(service.describe())
-    print(service.cache.describe())
-    if service.store is not None:
-        print(service.store.describe())
-    return 0
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.bench.__main__ import main as bench_main
 
@@ -493,162 +466,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             )
             print(f"findings by rule: {per_rule}")
     return 1 if findings else 0
-
-
-def _analyze_call_graph(args: argparse.Namespace, model: object) -> int:
-    from repro.analysis.semantic import SemanticModel
-
-    assert isinstance(model, SemanticModel)
-    graph = model.graph
-    if args.json:
-        payload = {
-            "version": 1,
-            "functions": [
-                {
-                    "qualified": info.qualified,
-                    "module": info.module,
-                    "line": info.lineno,
-                    "contextmanager": info.is_contextmanager,
-                    "holds_locks": sorted(info.holds_locks),
-                }
-                for _, info in sorted(graph.functions.items())
-            ],
-            "calls": [
-                {
-                    "caller": site.caller,
-                    "callee": site.callee,
-                    "line": site.line,
-                    "held": sorted(site.held),
-                }
-                for site in sorted(
-                    graph.calls, key=lambda s: (s.caller, s.callee, s.line)
-                )
-            ],
-            "summary": {
-                "modules": graph.modules,
-                "functions": len(graph.functions),
-                "call_edges": len(graph.calls),
-                "total_calls": graph.total_calls,
-                "unresolved_calls": graph.unresolved_calls,
-            },
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    elif args.dot:
-        print("digraph callgraph {")
-        print("  rankdir=LR;")
-        edges = sorted({(site.caller, site.callee) for site in graph.calls})
-        for caller, callee in edges:
-            print(f'  "{caller}" -> "{callee}";')
-        print("}")
-    else:
-        print(
-            f"{graph.modules} module(s), {len(graph.functions)} "
-            f"function(s), {len(graph.calls)} call edge(s) "
-            f"({graph.unresolved_calls}/{graph.total_calls} calls unresolved)"
-        )
-        for _, info in sorted(graph.functions.items()):
-            if info.holds_locks:
-                print(
-                    f"  {info.qualified}  "
-                    f"(holds-lock: {', '.join(sorted(info.holds_locks))})"
-                )
-    return 0
-
-
-def _analyze_lock_graph(args: argparse.Namespace, model: object) -> int:
-    from repro.analysis.semantic import SemanticModel
-
-    assert isinstance(model, SemanticModel)
-    lock_graph = model.lock_graph
-    if args.json:
-        payload = {
-            "version": 1,
-            "locks": {
-                name: model.graph.lock_kinds.get(name, "lock")
-                for name in sorted(lock_graph.locks)
-            },
-            "edges": [
-                {
-                    "source": edge.source,
-                    "target": edge.target,
-                    "function": edge.function,
-                    "line": edge.line,
-                    "witness": edge.witness,
-                }
-                for edge in lock_graph.edges
-            ],
-            "cycles": [list(cycle) for cycle in lock_graph.cycles],
-            "acyclic": lock_graph.acyclic,
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    elif args.dot:
-        print("digraph lockorder {")
-        print("  rankdir=LR;")
-        cyclic = {name for cycle in lock_graph.cycles for name in cycle}
-        for name in sorted(lock_graph.locks):
-            color = ' color="red"' if name in cyclic else ""
-            kind = model.graph.lock_kinds.get(name, "lock")
-            print(f'  "{name}" [label="{name}\\n({kind})"{color}];')
-        for edge in lock_graph.edges:
-            print(f'  "{edge.source}" -> "{edge.target}";')
-        print("}")
-    else:
-        print(
-            f"{len(lock_graph.locks)} lock(s), {len(lock_graph.edges)} "
-            f"order edge(s), {len(lock_graph.cycles)} cycle(s)"
-        )
-        for edge in lock_graph.edges:
-            print(f"  {edge.source} -> {edge.target}  [{edge.witness}]")
-        for cycle in lock_graph.cycles:
-            print(f"  CYCLE: {' -> '.join(cycle)} -> {cycle[0]}")
-    return 0 if lock_graph.acyclic else 1
-
-
-def _analyze_effects(args: argparse.Namespace, model: object) -> int:
-    from repro.analysis.semantic import SemanticModel
-
-    assert isinstance(model, SemanticModel)
-    impure = {
-        qualified: sorted(effects)
-        for qualified, effects in sorted(model.effects.items())
-        if effects
-    }
-    if args.json:
-        counts: dict[str, int] = {}
-        for effects in impure.values():
-            for effect in effects:
-                counts[effect] = counts.get(effect, 0) + 1
-        payload = {
-            "version": 1,
-            "functions": impure,
-            "summary": {
-                "total_functions": len(model.effects),
-                "impure_functions": len(impure),
-                "by_effect": counts,
-            },
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(
-            f"{len(impure)} of {len(model.effects)} function(s) reach an "
-            "impure effect"
-        )
-        for qualified, effects in impure.items():
-            print(f"  {qualified}: {', '.join(effects)}")
-    return 0
-
-
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    from repro.analysis import analyze_paths
-
-    paths = [Path(p) for p in args.paths] if args.paths else [Path("src/repro")]
-    result = analyze_paths(paths, root=Path.cwd(), rules=[], want_model=True)
-    handlers = {
-        "call-graph": _analyze_call_graph,
-        "lock-graph": _analyze_lock_graph,
-        "effects": _analyze_effects,
-    }
-    return handlers[args.view](args, result.model)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -881,38 +698,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     store_gc.set_defaults(handler=_cmd_store_gc)
 
-    cache_parser = sub.add_parser(
-        "cache",
-        help="inspect cache/store statistics of a (optionally warmed) service",
-        description=(
-            "Build a query service, optionally register runs and warm queries, "
-            "then print IndexCache/CacheStats counters (hit rates, builds, "
-            "store hits) so operators can inspect cache effectiveness without "
-            "writing Python."
-        ),
-    )
-    cache_parser.add_argument(
-        "--run",
-        action="append",
-        default=[],
-        metavar="[ID=]PATH",
-        help="register a run JSON file (repeatable; default ID is the file stem)",
-    )
-    cache_parser.add_argument(
-        "--store", help="persistent store directory backing the service"
-    )
-    cache_parser.add_argument(
-        "--warm",
-        action="append",
-        default=[],
-        metavar="QUERY",
-        help="warm this query on every registered run before reporting (repeatable)",
-    )
-    cache_parser.add_argument(
-        "--json", action="store_true", help="print the statistics as one JSON object"
-    )
-    cache_parser.set_defaults(handler=_cmd_cache)
-
     bench_parser = sub.add_parser(
         "bench",
         help="benchmark scenarios, trajectory gating, and the paper's figures",
@@ -963,36 +748,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="report per-rule finding counts and call/lock-graph totals",
     )
     lint_parser.set_defaults(handler=_cmd_lint)
-
-    analyze_parser = sub.add_parser(
-        "analyze",
-        help="inspect the whole-program semantic model (repro.analysis.semantic)",
-        description=(
-            "Build the whole-program semantic model behind REP108/REP109 "
-            "and print one of its views: the cross-module call graph, the "
-            "lock-order graph (exit 1 on a deadlock cycle), or per-function "
-            "transitive effects. A path that does not exist exits 2."
-        ),
-    )
-    analyze_parser.add_argument(
-        "view",
-        choices=("call-graph", "lock-graph", "effects"),
-        help="which view of the semantic model to print",
-    )
-    analyze_parser.add_argument(
-        "paths",
-        nargs="*",
-        help="files or directories to analyze (default: src/repro)",
-    )
-    analyze_parser.add_argument(
-        "--json", action="store_true", help="emit machine-readable JSON output"
-    )
-    analyze_parser.add_argument(
-        "--dot",
-        action="store_true",
-        help="emit a Graphviz digraph (call-graph and lock-graph views)",
-    )
-    analyze_parser.set_defaults(handler=_cmd_analyze)
 
     return parser
 

@@ -49,6 +49,7 @@ import base64
 import hashlib
 import json
 import os
+import shutil
 import tempfile
 import threading
 import urllib.parse
@@ -415,6 +416,10 @@ class IndexStore:
         through the run registry, so they are reclaimed here.  Entry files
         too corrupt to reveal their fingerprint are reclaimed too — they
         would only ever produce counted misses.  Runs are never touched.
+
+        The sweep also deletes what stores of older builds left behind and
+        nothing reads: ``<entry>.json.lock`` files and the ``profiles/``
+        tree.  Their bytes count as freed; ``removed`` counts entries only.
         """
         registered = self.registered_fingerprints()
         removed = 0
@@ -441,9 +446,25 @@ class IndexStore:
                 continue
             removed += 1
             freed += size
+        freed += self._remove_leftovers()
         with self._lock:
             self._evictions += removed
         return GcResult(removed=removed, freed_bytes=freed, remaining_bytes=remaining)
+
+    def _remove_leftovers(self) -> int:
+        """Delete older builds' lock files and profile tree; the bytes freed."""
+        profiles = self.root / "profiles"
+        freed = 0
+        for path in [*self._entries_dir.glob("*/*.json.lock"), *profiles.rglob("*")]:
+            try:
+                if path.is_file():
+                    size = path.stat().st_size
+                    path.unlink()
+                    freed += size
+            except OSError:
+                continue
+        shutil.rmtree(profiles, ignore_errors=True)
+        return freed
 
     def total_bytes(self) -> int:
         """Bytes used by the entry tier (excludes the run registry)."""

@@ -1,5 +1,5 @@
 """The `repro lint` subcommand: exit codes, the --json schema, rule
-selection, and missing paths as usage errors."""
+selection, --statistics, and missing paths as usage errors."""
 
 import json
 from pathlib import Path
@@ -11,6 +11,11 @@ from repro.cli import main
 FIXTURES = Path(__file__).parent / "fixtures"
 BAD = str(FIXTURES / "rep104_bad.py")
 GOOD = str(FIXTURES / "rep104_good.py")
+CYCLIC = str(FIXTURES / "rep108_bad.py")
+ORDERED = str(FIXTURES / "rep108_good.py")
+PLANNER = str(FIXTURES / "rep109_bad.py")
+HELPERS = str(FIXTURES / "rep109_helpers.py")
+SOURCE_TREE = Path(__file__).resolve().parents[2] / "src" / "repro"
 
 
 def lint_json(capsys, *argv):
@@ -120,19 +125,98 @@ class TestMissingPaths:
         assert main(["lint"]) == 2
         assert "src/repro" in capsys.readouterr().err
 
-    def test_analyze_of_a_missing_path_exits_2(self, tmp_path, capsys):
-        assert main(["analyze", "lock-graph", str(tmp_path / "absent")]) == 2
-        captured = capsys.readouterr()
-        assert captured.err.startswith("repro: error: ")
-        assert "lock(s)" not in captured.out
+    def test_missing_path_prints_no_json_payload(self, tmp_path, capsys):
+        assert main(["lint", str(tmp_path / "absent"), "--json"]) == 2
+        assert capsys.readouterr().out == ""
 
-    @pytest.mark.parametrize("view", ["call-graph", "effects"])
-    def test_every_analyze_view_rejects_a_missing_path(self, view, tmp_path, capsys):
-        assert main(["analyze", view, str(tmp_path / "absent")]) == 2
+    @pytest.mark.parametrize("extra", [[], ["--json"]])
+    def test_statistics_of_a_missing_path_exit_2(self, extra, tmp_path, capsys):
+        argv = ["lint", str(tmp_path / "absent"), "--statistics", *extra]
+        assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("repro: error: ")
         assert captured.out == ""
 
-    def test_missing_path_prints_no_json_payload(self, tmp_path, capsys):
-        assert main(["lint", str(tmp_path / "absent"), "--json"]) == 2
-        assert capsys.readouterr().out == ""
+
+class TestLintStatistics:
+    def test_statistics_key_appears_only_when_requested(self, capsys):
+        main(["lint", ORDERED, "--json"])
+        plain = json.loads(capsys.readouterr().out)
+        assert "statistics" not in plain
+
+        main(["lint", ORDERED, "--json", "--statistics"])
+        payload = json.loads(capsys.readouterr().out)
+        stats = payload["statistics"]
+        assert stats["modules"] == 1
+        assert stats["functions"] == 6
+        assert stats["lock_cycles"] == 0
+        assert stats["rule_findings"]["REP108"] == 0
+
+    def test_human_statistics_summarize_the_graphs(self, capsys):
+        # CI's lock-order acyclicity gate is this exit code.
+        assert main(["lint", CYCLIC, "--statistics"]) == 1
+        out = capsys.readouterr().out
+        assert "analyzed 1 module(s)" in out
+        assert "cycles: 1" in out
+        assert "REP108=1" in out
+
+
+class TestLockOrderGate:
+    """REP108 and ``--statistics`` are the lock-order gate: a cycle is one
+    finding that names both locks and both acquisition paths, and it fails
+    the run."""
+
+    def test_cycle_is_one_finding_with_both_acquisition_paths(self, capsys):
+        code, payload = lint_json(capsys, CYCLIC, "--statistics")
+        assert code == 1
+        (finding,) = payload["findings"]
+        assert finding["rule"] == "REP108"
+        assert finding["line"] == 13
+        message = finding["message"]
+        assert "lock-order cycle among {A._lock_a, B._lock_b}" in message
+        assert "A.one" in message and "B.three" in message
+        assert payload["statistics"]["lock_cycles"] == 1
+
+    def test_consistent_order_passes_and_counts_its_edge(self, capsys):
+        code, payload = lint_json(capsys, ORDERED, "--statistics")
+        assert code == 0
+        assert payload["findings"] == []
+        stats = payload["statistics"]
+        assert stats["locks"] == 2
+        assert stats["lock_order_edges"] == 1
+        assert stats["lock_cycles"] == 0
+
+    def test_human_statistics_name_the_lock_totals(self, capsys):
+        assert main(["lint", CYCLIC, "--statistics"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert "rep108_bad.py:13: REP108: potential deadlock" in lines[0]
+        assert "locks: 2, lock-order edges: 2, cycles: 1" in lines
+
+    def test_source_tree_is_clean_and_acyclic(self, capsys):
+        code, payload = lint_json(capsys, str(SOURCE_TREE), "--statistics")
+        assert code == 0
+        assert payload["findings"] == []
+        stats = payload["statistics"]
+        assert stats["lock_cycles"] == 0
+        assert stats["locks"] > 0
+        assert stats["lock_order_edges"] > 0
+
+
+class TestCallGraphStatistics:
+    """The call-graph totals of ``--statistics``: calls resolve across the
+    modules analyzed together, and stay unresolved otherwise."""
+
+    def test_cross_module_call_resolves(self, capsys):
+        code, payload = lint_json(capsys, PLANNER, HELPERS, "--statistics")
+        assert code == 0
+        stats = payload["statistics"]
+        assert stats["modules"] == 2
+        assert stats["functions"] == 3
+        assert stats["call_edges"] == 1
+        assert stats["unresolved_calls"] == 0
+
+    def test_call_into_an_unanalyzed_module_is_unresolved(self, capsys):
+        assert main(["lint", PLANNER, "--statistics"]) == 0
+        out = capsys.readouterr().out
+        assert "1 function(s), 0 call edge(s) (1/3 calls unresolved)" in out
+        assert "locks: 0, lock-order edges: 0, cycles: 0" in out

@@ -414,6 +414,35 @@ class TestOrphanGc:
         store.save_run("r1", run)
         assert store.registered_fingerprints() == frozenset({spec.fingerprint})
 
+    def test_older_builds_leftovers_are_swept(self, tmp_path, spec, run):
+        """Lock files and the ``profiles/`` tree of older builds go; their
+        bytes count as freed, but ``removed`` counts entries only."""
+        store = _warmed_store(tmp_path, spec)
+        store.save_run("r1", run)
+        entries = sorted(info.path for info in store.entries())
+        lock = entries[0].with_name(entries[0].name + ".lock")
+        lock.write_bytes(b"1234")
+        profile = store.root / "profiles" / "r1" / "stale.json"
+        profile.parent.mkdir(parents=True)
+        profile.write_bytes(b"{}" * 8)
+        result = store.gc_orphans()
+        assert result.removed == 0
+        assert result.freed_bytes == 4 + 16
+        assert not lock.exists()
+        assert not (store.root / "profiles").exists()
+        assert sorted(info.path for info in store.entries()) == entries
+        assert store.counters.evictions == 0
+
+    def test_store_without_leftovers_frees_nothing(self, tmp_path, spec, run):
+        store = _warmed_store(tmp_path, spec)
+        store.save_run("r1", run)
+        count = len(store.entries())
+        result = store.gc_orphans()
+        assert result.removed == 0
+        assert result.freed_bytes == 0
+        assert result.remaining_bytes == store.total_bytes()
+        assert len(store.entries()) == count
+
 
 class TestWriterCoordination:
     def test_identical_save_is_skipped(self, tmp_path, spec):

@@ -477,6 +477,50 @@ class TestStoreCommands:
         with pytest.raises(SystemExit):
             main(["store", "warm", str(tmp_path / "store"), "_*"])
 
+    def test_warm_reports_cache_and_store_statistics(self, tmp_path, run_path, capsys):
+        assert main(["store", "warm", str(tmp_path / "store"), "--run", str(run_path),
+                     "_* e _*", "_* a _*"]) == 0
+        out = capsys.readouterr().out
+        assert "run r1:" in out
+        assert "_* e _* -> safe" in out
+        assert "_* a _* -> unsafe" in out
+        assert "IndexCache" in out
+        assert "IndexStore" in out
+
+    def test_warm_from_the_registry_needs_no_run(self, tmp_path, run_path, capsys):
+        store = tmp_path / "store"
+        assert main(["store", "warm", str(store), "--run", str(run_path),
+                     "_* e _*"]) == 0
+        capsys.readouterr()
+        # A later process finds the run in the store's registry.
+        assert main(["store", "warm", str(store), "_* e _*"]) == 0
+        out = capsys.readouterr().out
+        assert "run r1:" in out
+        assert "index_builds=0" in out
+        assert "store_writes=0" in out
+
+    def test_batch_stats_json_restarts_warm_across_invocations(
+        self, tmp_path, run_path, capsys
+    ):
+        store = tmp_path / "store"
+        requests = tmp_path / "requests.jsonl"
+        requests.write_text(
+            json.dumps({"op": "allpairs", "run": "r1", "query": "_* e _*"}) + "\n"
+        )
+        stats_path = tmp_path / "stats.json"
+        argv = ["batch", str(requests), "--run", str(run_path), "--store", str(store),
+                "--stats-json", str(stats_path)]
+        assert main(argv) == 0
+        record = json.loads(stats_path.read_text())
+        assert record["index_builds"] == 1
+        assert record["store_writes"] >= 1
+        # Second invocation: a fresh service restarts warm from the store.
+        assert main(argv) == 0
+        record = json.loads(stats_path.read_text())
+        assert record["index_builds"] == 0
+        assert record["store_hits"] >= 1
+        assert record["store_writes"] == 0
+
     def test_inspection_of_missing_store_is_an_error(self, tmp_path):
         # A mistyped path must not silently create an empty store.
         for command in (["ls"], ["stats"], ["gc", "--max-bytes", "1"]):
@@ -493,8 +537,9 @@ class TestStoreCommands:
 
 class TestOlderStoreLeftovers:
     """An older store may hold ``profiles/<run>/*.json`` and a
-    ``<entry>.json.lock``: listing, stats, both gc modes and a warm restart
-    pass over them and leave them as they are."""
+    ``<entry>.json.lock``: listing, stats, ``gc --max-bytes`` and a warm
+    restart pass over them and leave them as they are; ``gc --orphans``
+    deletes them."""
 
     QUERIES = ("_* e _*", "_* a _*")
 
@@ -550,10 +595,13 @@ class TestOlderStoreLeftovers:
         assert self._leftovers(store) == self.leftovers
 
     def test_gc_orphans(self, store, capsys):
+        leftover_bytes = sum(len(data) for data in self.leftovers.values())
         assert main(["store", "gc", str(store), "--orphans"]) == 0
-        assert "orphans: removed 0 entries" in capsys.readouterr().out
+        assert (f"orphans: removed 0 entries ({leftover_bytes} bytes)"
+                in capsys.readouterr().out)
         assert sorted((store / "entries").glob("*/*.json")) == self.entries
-        assert self._leftovers(store) == self.leftovers
+        assert self._leftovers(store) == {}
+        assert not (store / "profiles").exists()
 
     def test_gc_max_bytes(self, store, capsys):
         entry_bytes = sum(path.stat().st_size for path in self.entries)
@@ -563,31 +611,20 @@ class TestOlderStoreLeftovers:
         assert self._leftovers(store) == self.leftovers
 
 
-class TestCacheCommand:
-    def test_reports_warmed_service_statistics(self, tmp_path, run_path, capsys):
-        assert main(["cache", "--run", str(run_path), "--warm", "_* e _*",
-                     "--warm", "_* a _*"]) == 0
-        out = capsys.readouterr().out
-        assert 'QueryService' in out
-        assert 'IndexCache' in out
+class TestRemovedSubcommands:
+    """``store warm``, ``batch --stats-json`` and ``lint --statistics``
+    report what ``cache`` and ``analyze`` used to; both are gone."""
 
-    def test_json_output_with_store(self, tmp_path, run_path, capsys):
-        store = tmp_path / "store"
-        assert main(["cache", "--run", str(run_path), "--store", str(store),
-                     "--warm", "_* e _*", "--json"]) == 0
-        record = json.loads(capsys.readouterr().out)
-        assert record["index_builds"] == 1
-        assert record["store_writes"] >= 1
-        # Second invocation: a fresh process restarts warm from the store.
-        assert main(["cache", "--run", str(run_path), "--store", str(store),
-                     "--warm", "_* e _*", "--json"]) == 0
-        record = json.loads(capsys.readouterr().out)
-        assert record["index_builds"] == 0
-        assert record["store_hits"] >= 1
-
-    def test_warm_without_runs_is_an_error(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["cache", "--warm", "_*"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["analyze", "lock-graph", "src/repro"], ["cache", "--warm", "_*"]],
+        ids=["analyze", "cache"],
+    )
+    def test_is_an_unknown_subcommand(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert f"invalid choice: '{argv[0]}'" in capsys.readouterr().err
 
 
 class TestDirectionFlag:
