@@ -8,15 +8,21 @@ representation matters even in pure Python.  Rows are stored as integer
 bitmasks which makes multiplication a handful of integer OR operations.
 
 DFAs for provenance queries are small (a few states), so these matrices are
-typically 2x2 to 10x10.
+typically 2x2 to 10x10.  A first-contact build multiplies only a few distinct
+ones, hundreds of times over, so it runs them through one
+:class:`MatrixAlgebra`: a unique table that keeps one object per distinct
+matrix and computed tables that answer a repeated ``@`` or ``|`` by lookup.
 """
 
 from __future__ import annotations
 
 import base64
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-__all__ = ["BooleanMatrix"]
+if TYPE_CHECKING:
+    from repro.automata.dfa import DFA
+
+__all__ = ["BooleanMatrix", "MatrixAlgebra"]
 
 
 class BooleanMatrix:
@@ -274,3 +280,73 @@ class BooleanMatrix:
     def __repr__(self) -> str:
         body = ", ".join(format(row, f"0{self._size}b")[::-1] for row in self._rows)
         return f"BooleanMatrix({self._size}, [{body}])"
+
+
+class MatrixAlgebra:
+    """Hash-consed matrices of one DFA with memoized ``@`` and ``|``.
+
+    This is the unique-table / computed-table pair of BDD packages (Bryant,
+    *Graph-Based Algorithms for Boolean Function Manipulation*, 1986):
+
+    * the *unique table* maps every matrix to its one canonical object, so
+      equal matrices built anywhere in one build are one object;
+    * the *computed tables* map the identities ``(id(a), id(b))`` of two
+      canonical operands to their canonical product or union.  Keying on
+      identity is sound because the unique table keeps every canonical
+      operand alive, so its ``id`` is never reused while the tables exist;
+      an operand that is not canonical is refused (``ValueError``) before
+      its key is stored.
+
+    ``tag_matrices`` maps every tag of the DFA's alphabet to the canonical
+    transition matrix of its :attr:`~repro.automata.dfa.DFA.tag_classes`
+    class, built once per class.  An algebra lives for one (specification,
+    DFA) build: the safety check and the query index share it, and nothing
+    cached keeps it.
+    """
+
+    __slots__ = ("dfa", "identity", "zero", "tag_matrices", "_unique", "_products", "_unions")
+
+    def __init__(self, dfa: "DFA") -> None:
+        self.dfa = dfa
+        size = dfa.state_count
+        self._unique: dict[BooleanMatrix, BooleanMatrix] = {}
+        self._products: dict[tuple[int, int], BooleanMatrix] = {}
+        self._unions: dict[tuple[int, int], BooleanMatrix] = {}
+        self.identity = self.canonical(BooleanMatrix.identity(size))
+        self.zero = self.canonical(BooleanMatrix.zero(size))
+        self.tag_matrices: dict[str, BooleanMatrix] = {}
+        for members in dfa.tag_classes:
+            matrix = self.canonical(dfa.transition_matrix(members[0]))
+            self.tag_matrices.update(dict.fromkeys(members, matrix))
+
+    def canonical(self, matrix: BooleanMatrix) -> BooleanMatrix:
+        """The one object of the unique table equal to ``matrix``."""
+        return self._unique.setdefault(matrix, matrix)
+
+    def mul(self, left: BooleanMatrix, right: BooleanMatrix) -> BooleanMatrix:
+        """The canonical ``left @ right`` of two canonical operands."""
+        key = (id(left), id(right))
+        product = self._products.get(key)
+        if product is None:
+            self._check_canonical(left, right)
+            product = self._products[key] = self.canonical(left @ right)
+        return product
+
+    def join(self, left: BooleanMatrix, right: BooleanMatrix) -> BooleanMatrix:
+        """The canonical ``left | right`` of two canonical operands."""
+        zero = self.zero
+        if left is right or right is zero:
+            return left
+        if left is zero:
+            return right
+        key = (id(left), id(right))
+        union = self._unions.get(key)
+        if union is None:
+            self._check_canonical(left, right)
+            union = self._unions[key] = self.canonical(left | right)
+        return union
+
+    def _check_canonical(self, *operands: BooleanMatrix) -> None:
+        for operand in operands:
+            if self._unique.get(operand) is not operand:
+                raise ValueError(f"operand is not canonical in this algebra: {operand!r}")

@@ -24,16 +24,25 @@ along paths *inside the specification*, never inside the run:
 The index also keeps the coarse position-to-position reachability of every
 production body, which is what plain reachability decoding and Algorithm 2's
 structural joins use.
+
+The tables are built through the :class:`~repro.automata.boolean_matrix.MatrixAlgebra`
+of the build: they repeat a handful of distinct matrices (identity, zero,
+the tag-class transitions, the λ of each module) many times over, so each
+distinct matrix is one canonical object and each repeated product or union
+a computed-table lookup.  The caller that ran the safety check passes its
+algebra on, and the sweep from each body's source — the one the check made
+to compute the body's λ — is then answered from that check's products.  The
+index does not keep the algebra.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.automata.boolean_matrix import BooleanMatrix
+from repro.automata.boolean_matrix import BooleanMatrix, MatrixAlgebra
 from repro.automata.dfa import DFA
 from repro.automata.regex import RegexNode, parse_regex, regex_to_string
-from repro.core.safety import analyze_safety, query_dfa
+from repro.core.safety import analyze_safety, body_reach, edge_matrices, query_dfa
 from repro.errors import UnsafeQueryError
 from repro.workflow.production_graph import Cycle
 from repro.workflow.spec import Specification
@@ -75,50 +84,30 @@ class QueryIndex:
         query_text: str,
         *,
         tables: "ProductionTables | None" = None,
+        algebra: MatrixAlgebra | None = None,
     ) -> None:
         self.spec = spec
         self.dfa = dfa
         self.lambdas = lambdas
         self.query_text = query_text
         self.state_count = dfa.state_count
-        # Hash-consing: the tables repeat a handful of distinct matrices
-        # (identity, zero, the tag transitions) many times over, so every
-        # table entry is swapped for the first equal matrix seen.
-        interned: dict[BooleanMatrix, BooleanMatrix] = {}
-
-        def intern(matrix: BooleanMatrix) -> BooleanMatrix:
-            return interned.setdefault(matrix, matrix)
-
-        self._identity = intern(BooleanMatrix.identity(self.state_count))
-        self._zero = intern(BooleanMatrix.zero(self.state_count))
+        self._identity = BooleanMatrix.identity(self.state_count)
+        self._zero = BooleanMatrix.zero(self.state_count)
         self._start_mask = 1 << dfa.start
         self._accepting_mask = dfa.accepting_mask()
-        # One matrix per transition column: the tags a query does not name
-        # share a column, and so one matrix.
-        self._tag_matrices: dict[str, BooleanMatrix] = {}
-        for members in dfa.tag_classes:
-            matrix = intern(dfa.transition_matrix(members[0]))
-            self._tag_matrices.update(dict.fromkeys(members, matrix))
-        self._cross: list[dict[tuple[int, int], BooleanMatrix]] = []
-        self._to_sink: list[list[BooleanMatrix]] = []
-        self._from_source: list[list[BooleanMatrix]] = []
         if tables is None:
-            self._build_production_tables()
-            self._cross = [
-                {key: intern(matrix) for key, matrix in table.items()}
-                for table in self._cross
-            ]
-            self._to_sink = [[intern(matrix) for matrix in row] for row in self._to_sink]
-            self._from_source = [
-                [intern(matrix) for matrix in row] for row in self._from_source
-            ]
-        else:
-            # Restoring from a persistent store skips the matrix sweep
-            # entirely: the production tables were computed and serialized
-            # by a previous process — the main saving of a warm restart
-            # besides the DFA/safety work itself.  They come out of the
-            # store's matrix pool, which already shares equal matrices.
-            self._cross, self._to_sink, self._from_source = tables
+            if algebra is None:
+                algebra = MatrixAlgebra(dfa)
+            elif algebra.dfa is not dfa:
+                raise ValueError("the matrix algebra belongs to another DFA")
+            tables = self._build_production_tables(algebra)
+        # Restoring from a persistent store skips the matrix sweep entirely:
+        # the production tables were computed and serialized by a previous
+        # process — the main saving of a warm restart besides the DFA/safety
+        # work itself.  They come out of the store's matrix pool, which
+        # already shares equal matrices, as a built index's tables share the
+        # algebra's canonical objects.
+        self._cross, self._to_sink, self._from_source = tables
         self._cycles = tuple(
             self._build_cycle_tables(cycle) for cycle in spec.production_graph.cycles
         )
@@ -127,55 +116,49 @@ class QueryIndex:
 
     # -- construction ------------------------------------------------------------
 
-    def _node_matrix(self, production_index: int, position: int) -> BooleanMatrix:
-        module = self.spec.production(production_index).body.module_at(position)
-        return self.lambdas[module]
+    def _build_production_tables(self, algebra: MatrixAlgebra) -> "ProductionTables":
+        """Sweep every production body from every start position.
 
-    def _build_production_tables(self) -> None:
-        for index, production in enumerate(self.spec.productions):
+        All matrices are the algebra's canonical objects, so the tables hold
+        each distinct matrix once; a repeated product is a computed-table
+        lookup, and with the algebra of the safety check the sweep from each
+        body's source was already made there.
+        """
+        mul, identity, zero = algebra.mul, algebra.identity, algebra.zero
+        lambdas = {module: algebra.canonical(matrix) for module, matrix in self.lambdas.items()}
+        cross_tables: list[dict[tuple[int, int], BooleanMatrix]] = []
+        to_sink_tables: list[list[BooleanMatrix]] = []
+        from_source_tables: list[list[BooleanMatrix]] = []
+        for production in self.spec.productions:
             body = production.body
+            node_lambdas = [lambdas[module] for module in body.nodes]
+            edges = edge_matrices(algebra, body)
             cross: dict[tuple[int, int], BooleanMatrix] = {}
-            order = body.topological_order
             for start in range(len(body)):
-                # reach[j] = transitions from out(start) to in(j).
-                reach: dict[int, BooleanMatrix] = {}
-                for edge in body.edges:
-                    if edge.source != start:
-                        continue
-                    matrix = self._tag_matrices[edge.tag]
-                    reach[edge.target] = reach.get(edge.target, self._zero) | matrix
-                for position in order:
-                    if position == start or position not in reach:
-                        continue
-                    through = reach[position] @ self._node_matrix(index, position)
-                    for edge in body.edges:
-                        if edge.source != position:
-                            continue
-                        contribution = through @ self._tag_matrices[edge.tag]
-                        reach[edge.target] = (
-                            reach.get(edge.target, self._zero) | contribution
-                        )
-                for target, matrix in reach.items():
-                    if not matrix.is_zero():
+                for target, matrix in body_reach(
+                    algebra, body, edges, node_lambdas, start
+                ).items():
+                    if matrix is not zero:
                         cross[(start, target)] = matrix
-            self._cross.append(cross)
+            cross_tables.append(cross)
             sink, source = body.sink, body.source
-            self._to_sink.append(
+            to_sink_tables.append(
                 [
-                    self._identity
+                    identity
                     if position == sink
-                    else self.cross(index, position, sink) @ self._node_matrix(index, sink)
+                    else mul(cross.get((position, sink), zero), node_lambdas[sink])
                     for position in range(len(body))
                 ]
             )
-            self._from_source.append(
+            from_source_tables.append(
                 [
-                    self._identity
+                    identity
                     if position == source
-                    else self._node_matrix(index, source) @ self.cross(index, source, position)
+                    else mul(node_lambdas[source], cross.get((source, position), zero))
                     for position in range(len(body))
                 ]
             )
+        return cross_tables, to_sink_tables, from_source_tables
 
     def _build_cycle_tables(self, cycle: "Cycle") -> _CycleTables:
         descend = []
@@ -214,13 +197,6 @@ class QueryIndex:
         """Does the relation contain a transition from the DFA start state to
         an accepting state?"""
         return bool(matrix.row_mask(self.dfa.start) & self._accepting_mask)
-
-    def tag_matrix(self, tag: str) -> BooleanMatrix:
-        matrix = self._tag_matrices.get(tag)
-        if matrix is None:
-            matrix = self.dfa.transition_matrix(tag)
-            self._tag_matrices[tag] = matrix
-        return matrix
 
     def cross(self, production_index: int, source: int, target: int) -> BooleanMatrix:
         """Transitions from the output of body position ``source`` to the
@@ -324,14 +300,6 @@ class QueryIndex:
         offset = cycle.chain_offset(start, first_ordinal)
         return self._chain_product(tables.ascend_steps, offset, count, direction=-1)
 
-    # -- reporting -------------------------------------------------------------------
-
-    def describe(self) -> str:
-        return (
-            f"QueryIndex(query={self.query_text!r}, states={self.state_count}, "
-            f"productions={len(self.spec.productions)}, cycles={len(self._cycles)})"
-        )
-
 
 def build_query_index(spec: Specification, query: str | RegexNode) -> QueryIndex:
     """Check safety and build the :class:`QueryIndex` for a safe query.
@@ -342,7 +310,8 @@ def build_query_index(spec: Specification, query: str | RegexNode) -> QueryIndex
     """
     node = parse_regex(query)
     dfa = query_dfa(spec, node)
-    report = analyze_safety(spec, dfa)
+    algebra = MatrixAlgebra(dfa)
+    report = analyze_safety(spec, dfa, algebra=algebra)
     if not report.is_safe:
         raise UnsafeQueryError(
             f"query {regex_to_string(node)!r} is not safe for specification "
@@ -350,5 +319,9 @@ def build_query_index(spec: Specification, query: str | RegexNode) -> QueryIndex
             f"{sorted({violation.module for violation in report.violations})}"
         )
     return QueryIndex(
-        spec=spec, dfa=report.dfa, lambdas=report.lambdas, query_text=regex_to_string(node)
+        spec=spec,
+        dfa=report.dfa,
+        lambdas=report.lambdas,
+        query_text=regex_to_string(node),
+        algebra=algebra,
     )

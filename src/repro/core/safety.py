@@ -15,14 +15,19 @@ topological sweep; the DFA is safe iff λ ends up consistently defined for all
 composite modules.  Visiting each production at most ``|P|`` times gives the
 ``O(|Q|² · |G|)``-style bound of the paper (our implementation is a simple
 worklist fixpoint with the same asymptotics up to a factor of ``|P|``).
+
+The fixpoint runs through a :class:`~repro.automata.boolean_matrix.MatrixAlgebra`
+that the caller may share with the query index built next: every λ is then
+the algebra's canonical object (two derivations agree iff their λ is one
+object), and the body sweep from each production's source is the very sweep,
+with the very products, that the index's tables start from.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
-from repro.automata.boolean_matrix import BooleanMatrix
+from repro.automata.boolean_matrix import BooleanMatrix, MatrixAlgebra
 from repro.automata.dfa import DFA, dfa_from_regex
 from repro.automata.regex import RegexNode, parse_regex
 from repro.workflow.simple import SimpleWorkflow
@@ -31,8 +36,9 @@ from repro.workflow.spec import Specification
 __all__ = [
     "SafetyViolation",
     "SafetyReport",
-    "body_transition_matrix",
     "analyze_safety",
+    "body_reach",
+    "edge_matrices",
     "is_safe_query",
     "query_dfa",
 ]
@@ -86,52 +92,69 @@ def query_dfa(spec: Specification, query: str | RegexNode) -> DFA:
     return dfa_from_regex(parse_regex(query), spec.tags)
 
 
-def body_transition_matrix(
+def edge_matrices(
+    algebra: MatrixAlgebra, body: SimpleWorkflow
+) -> list[list[tuple[int, BooleanMatrix]]]:
+    """Each body position's out-edges as ``(target, transition matrix)``
+    pairs, parallel edges merged into one matrix with ``|``."""
+    tag_matrices, join, zero = algebra.tag_matrices, algebra.join, algebra.zero
+    grouped: list[dict[int, BooleanMatrix]] = [{} for _ in range(len(body))]
+    for edge in body.edges:
+        targets = grouped[edge.source]
+        targets[edge.target] = join(targets.get(edge.target, zero), tag_matrices[edge.tag])
+    return [list(targets.items()) for targets in grouped]
+
+
+def body_reach(
+    algebra: MatrixAlgebra,
     body: SimpleWorkflow,
-    dfa: DFA,
-    node_lambda: Callable[[int], BooleanMatrix],
-) -> BooleanMatrix:
-    """λ of one production body.
+    edges: list[list[tuple[int, BooleanMatrix]]],
+    node_lambdas: list[BooleanMatrix],
+    start: int,
+) -> dict[int, BooleanMatrix]:
+    """Transitions from the output of body position ``start`` to the input of
+    every position it reaches, by a topological sweep through the algebra.
 
-    ``node_lambda(position) -> BooleanMatrix`` supplies the λ matrix of the
-    module at each body position.  The result relates DFA states at the
-    body's input (the source node's input) to DFA states at its output (the
-    sink node's output): entry ``(q1, q2)`` is set iff some source-to-sink
-    path — descending through nested modules according to their λ — drives
-    the DFA from ``q1`` to ``q2``.
+    ``edges`` is :func:`edge_matrices` of the body and ``node_lambdas`` the
+    canonical λ of the module at each position; composite positions are
+    crossed through their λ.  Unreached positions are absent or map to the
+    algebra's zero.
     """
-    size = dfa.state_count
-    # reach_in[p] relates states at the body input to states at node p's input.
-    reach_in: dict[int, BooleanMatrix] = {body.source: BooleanMatrix.identity(size)}
-    tag_matrix = {tag: dfa.transition_matrix(tag) for tag in body.tags()}
+    mul, join, zero = algebra.mul, algebra.join, algebra.zero
+    reach = dict(edges[start])
     for position in body.topological_order:
-        incoming = reach_in.get(position)
-        if incoming is None or incoming.is_zero():
+        incoming = reach.get(position)
+        if incoming is None or incoming is zero:
             continue
-        at_output = incoming @ node_lambda(position)
-        for edge in body.edges:
-            if edge.source != position:
-                continue
-            contribution = at_output @ tag_matrix[edge.tag]
-            existing = reach_in.get(edge.target)
-            reach_in[edge.target] = contribution if existing is None else existing | contribution
-    sink_in = reach_in.get(body.sink, BooleanMatrix.zero(size))
-    return sink_in @ node_lambda(body.sink)
+        through = mul(incoming, node_lambdas[position])
+        for target, matrix in edges[position]:
+            contribution = mul(through, matrix)
+            existing = reach.get(target)
+            reach[target] = contribution if existing is None else join(existing, contribution)
+    return reach
 
 
-def analyze_safety(spec: Specification, dfa: DFA) -> SafetyReport:
+def analyze_safety(
+    spec: Specification, dfa: DFA, *, algebra: MatrixAlgebra | None = None
+) -> SafetyReport:
     """Check whether a DFA is safe with respect to a specification.
 
     Returns a :class:`SafetyReport` carrying the λ matrices (the by-product
     the paper mentions, reused by the query index) and any violations found.
+    The matrices are built through ``algebra`` — a fresh one when none is
+    given; a caller that goes on to build the :class:`QueryIndex` passes the
+    same algebra to both, so the index reuses every product made here.  The
+    algebra must belong to ``dfa`` completed over the specification's tags
+    (what :func:`query_dfa` returns).
     """
     if not (spec.tags <= dfa.alphabet):
         dfa = dfa.with_alphabet(spec.tags)
-    size = dfa.state_count
+    if algebra is None:
+        algebra = MatrixAlgebra(dfa)
+    elif algebra.dfa is not dfa:
+        raise ValueError("the matrix algebra belongs to another DFA")
     report = SafetyReport(spec=spec, dfa=dfa)
-    lambdas: dict[str, BooleanMatrix] = {
-        module: BooleanMatrix.identity(size) for module in spec.atomic_modules
-    }
+    lambdas: dict[str, BooleanMatrix] = dict.fromkeys(spec.atomic_modules, algebra.identity)
 
     pending = set(range(len(spec.productions)))
     progress = True
@@ -144,13 +167,22 @@ def analyze_safety(spec: Specification, dfa: DFA) -> SafetyReport:
                 continue
             pending.discard(index)
             progress = True
-            computed = body_transition_matrix(
-                body, dfa, lambda position, body=body: lambdas[body.module_at(position)]
-            )
+            node_lambdas = [lambdas[module] for module in body.nodes]
+            source, sink = body.source, body.sink
+            if source == sink:
+                computed = node_lambdas[source]
+            else:
+                # λ(source) @ to_sink(source): the same sweep and products
+                # as the query index's ``to_sink`` row of the source.
+                reach = body_reach(
+                    algebra, body, edge_matrices(algebra, body), node_lambdas, source
+                )
+                to_sink = algebra.mul(reach.get(sink, algebra.zero), node_lambdas[sink])
+                computed = algebra.mul(node_lambdas[source], to_sink)
             established = lambdas.get(production.head)
             if established is None:
                 lambdas[production.head] = computed
-            elif established != computed:
+            elif established is not computed:
                 report.violations.append(
                     SafetyViolation(
                         module=production.head,

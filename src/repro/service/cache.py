@@ -43,6 +43,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from repro.automata.boolean_matrix import MatrixAlgebra
 from repro.automata.regex import (
     RegexNode,
     canonical_query_text,
@@ -315,7 +316,10 @@ class IndexCache:
     def _build(self, spec: Specification, node: RegexNode, key: CacheKey) -> _Entry:
         with get_tracer().span("cache.build") as span:
             dfa = query_dfa(spec, node)
-            report = analyze_safety(spec, dfa)
+            # One algebra per build: the index reuses the safety check's
+            # canonical λ and products, and neither keeps the algebra.
+            algebra = MatrixAlgebra(dfa)
+            report = analyze_safety(spec, dfa, algebra=algebra)
             with self._lock:
                 self._safety_checks += 1
             self._safety_counter.inc()
@@ -324,7 +328,11 @@ class IndexCache:
                 # Reuse the safety analysis instead of calling build_query_index,
                 # which would redo the DFA construction and the fixpoint.
                 index = QueryIndex(
-                    spec=spec, dfa=report.dfa, lambdas=report.lambdas, query_text=key[1]
+                    spec=spec,
+                    dfa=report.dfa,
+                    lambdas=report.lambdas,
+                    query_text=key[1],
+                    algebra=algebra,
                 )
                 with self._lock:
                     self._index_builds += 1

@@ -466,15 +466,3 @@ class QueryService:
                 pairs=pairs,
                 elapsed=elapsed,
             )
-
-    # -- reporting ---------------------------------------------------------------
-
-    def describe(self) -> str:
-        with self._lock:
-            runs = len(set(self._runs) | self._pending_run_ids)
-            engines = len(self._engines)
-        return (
-            f"QueryService({runs} runs, {engines} grammars, "
-            f"workers={self._max_workers}) "
-            f"{self._cache.stats.describe()}"
-        )

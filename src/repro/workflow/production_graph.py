@@ -67,7 +67,9 @@ class ProductionGraph:
     """The production multigraph of a specification, with recursion analysis."""
 
     def __init__(self, spec: "Specification") -> None:
-        self._spec = spec
+        # The graph keeps nothing of ``spec``: the specification caches its
+        # graph, so a reference back would make every specification a
+        # reference cycle that only the cycle collector frees.
         # edges[module] = list of (target module, production index, position).
         # Modules go in sorted order: the SCC walk follows this order, and
         # labels name cycles by number, so the numbering must not follow the
@@ -82,10 +84,6 @@ class ProductionGraph:
         self._analyze()
 
     # -- basic structure --------------------------------------------------------
-
-    @property
-    def spec(self) -> "Specification":
-        return self._spec
 
     def out_edges(self, module: str) -> tuple[tuple[str, int, int], ...]:
         """Outgoing edges of a module: ``(target, production index, position)``."""

@@ -1,6 +1,8 @@
 """Tests for the shared LRU index cache (eviction, statistics, sharing)."""
 
+import gc
 import threading
+import weakref
 
 import pytest
 
@@ -8,6 +10,7 @@ from repro.datasets import bioaid_specification
 from repro.datasets.paper_example import paper_specification
 from repro.errors import UnsafeQueryError
 from repro.service import IndexCache
+from repro.service import cache as cache_module
 from repro.store import IndexStore
 from repro.workflow.serialization import specification_from_dict, specification_to_dict
 
@@ -291,6 +294,29 @@ class TestStoreTier:
         assert stats.store_hits > 0
         assert stats.plan_builds == 0
         assert (stats.store_writes, stats.store_skipped_writes) == (0, 0)
+
+
+class TestBuildMemo:
+    def test_a_build_leaves_no_algebra_behind(self, spec, monkeypatch):
+        """The matrix algebra (unique and computed tables) lives for one
+        build: neither the cached report nor the index keeps it."""
+        algebras = []
+
+        class TrackedAlgebra(cache_module.MatrixAlgebra):
+            def __init__(self, dfa):
+                super().__init__(dfa)
+                algebras.append(weakref.ref(self))
+
+        monkeypatch.setattr(cache_module, "MatrixAlgebra", TrackedAlgebra)
+        cache = IndexCache()
+        index = cache.index(spec, "_* e _*")
+        report = cache.safety(spec, "e")
+        assert not report.is_safe
+        assert cache.stats.safety_checks == 2
+        gc.collect()
+        assert len(algebras) == 2
+        assert [ref() for ref in algebras] == [None, None]
+        assert index.lambdas == cache.safety(spec, "_* e _*").lambdas
 
 
 class TestStats:

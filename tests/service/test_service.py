@@ -331,11 +331,6 @@ class TestBatchEvaluation:
         # A typo'd query is reported, not silently ignored.
         assert "(((" in report
 
-    def test_describe(self, service):
-        text = service.describe()
-        assert '1 runs' in text
-        assert 'CacheStats' in text
-
 
 class TestCacheEffectiveness:
     def test_warm_batch_beats_bare_engines_by_5x(self, spec, run):

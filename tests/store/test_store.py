@@ -1,6 +1,10 @@
 """Tests for the persistent index store (round-trips, corruption, gc)."""
 
+import gc
 import json
+import shutil
+import weakref
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +18,11 @@ from repro.workflow.derivation import derive_run
 
 SAFE_QUERY = "_* e _*"
 UNSAFE_QUERY = "_* a _*"
+#: A format-3 store of the paper example, written before the safety check
+#: and the query index shared one matrix algebra: the safe entries of
+#: ``_* e _*``, ``_*`` and ``A+``, and ``_* a _*`` with its plan (which adds
+#: the entry of its safe subquery).
+FORMAT3_STORE = Path(__file__).parent / "fixtures" / "format3-store"
 
 
 @pytest.fixture(scope="module")
@@ -157,6 +166,29 @@ class TestEntryRoundTrip:
     def test_no_temp_files_left_behind(self, tmp_path, spec):
         store = _warmed_store(tmp_path, spec)
         assert not list(store.root.rglob("*.tmp"))
+
+
+class TestFormatCompatibility:
+    def test_store_written_before_the_shared_algebra_restores_without_builds(
+        self, tmp_path, spec
+    ):
+        """The algebra changes how tables are built, not what they hold or
+        how they are stored: an older format-3 store restores every entry
+        with no safety check, index build or plan build, and its tables equal
+        a fresh build's."""
+        root = tmp_path / "store"
+        shutil.copytree(FORMAT3_STORE, root)
+        cache = IndexCache(store=IndexStore(root))
+        fresh = IndexCache()
+        for query in (SAFE_QUERY, "_*", "A+"):
+            restored = cache.index(spec, query)
+            assert restored.production_tables() == fresh.index(spec, query).production_tables()
+            assert restored.lambdas == fresh.safety(spec, query).lambdas
+        assert not cache.safety(spec, UNSAFE_QUERY).is_safe
+        cache.plan(spec, UNSAFE_QUERY)
+        stats = cache.stats
+        assert (stats.safety_checks, stats.index_builds, stats.plan_builds) == (0, 0, 0)
+        assert (stats.store_hits, stats.store_errors) == (4, 0)
 
 
 class TestCorruption:
@@ -364,6 +396,28 @@ class TestRunRegistry:
         path.write_text(json.dumps(envelope))
         assert store.load_run("r1") is None
         assert store.counters.errors == 1
+
+    def test_restore_is_freed_without_the_cycle_collector(self, tmp_path, spec, run):
+        """A restart rebuilds the run, its specification and the index from
+        the store.  Once dropped, reference counting alone must free them:
+        what only the cycle collector frees waits for a full collection,
+        and that stalls whichever request happens to run it."""
+        store = _warmed_store(tmp_path, spec, queries=(SAFE_QUERY,))
+        store.save_run("r1", run)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            restored_store = IndexStore(store.root)
+            loaded = restored_store.load_run("r1")
+            cache = IndexCache(store=restored_store)
+            index = cache.index(loaded.spec, SAFE_QUERY)
+            assert cache.stats.store_hits == 1 and index.spec is loaded.spec
+            grammar = weakref.ref(loaded.spec)
+            del restored_store, loaded, cache, index
+            assert grammar() is None
+        finally:
+            if was_enabled:
+                gc.enable()
 
     def test_awkward_run_ids_are_quoted(self, tmp_path, spec, run):
         store = IndexStore(tmp_path / "store")

@@ -1,5 +1,8 @@
 """Tests for specifications and the production graph."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.datasets.paper_example import paper_specification
@@ -52,6 +55,24 @@ class TestPaperSpecification:
         text = paper_specification().describe()
         assert "start module : S" in text
         assert "productions  : 4" in text
+
+
+class TestLifetime:
+    def test_freed_without_the_cycle_collector(self):
+        # The specification caches its production graph; the graph must not
+        # point back, or every specification a process loads lives on until
+        # a full collection.
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            spec = specification_from_dict(specification_to_dict(paper_specification()))
+            assert spec.recursive_modules == {"A"} and spec.fingerprint
+            freed = weakref.ref(spec)
+            del spec
+            assert freed() is None
+        finally:
+            if was_enabled:
+                gc.enable()
 
 
 class TestValidation:
