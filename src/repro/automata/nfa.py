@@ -57,9 +57,6 @@ class NFA:
     transitions: dict[int, list[tuple[object, int]]] = field(default_factory=dict)
     state_count: int = 0
 
-    def add_transition(self, source: int, label: object, target: int) -> None:
-        self.transitions.setdefault(source, []).append((label, target))
-
     def alphabet(self) -> frozenset[str]:
         """Explicit tags appearing on transitions (excludes ANY/EPSILON)."""
         tags = set()

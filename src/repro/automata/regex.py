@@ -322,28 +322,30 @@ def parse_regex(text: str | RegexNode) -> RegexNode:
 
 def regex_to_string(node: RegexNode) -> str:
     """Render a syntax tree back to the concrete query syntax."""
+    return _render(node, 0)
 
-    def render(current: RegexNode, parent_priority: int) -> str:
-        # priorities: union=0, concat=1, repetition=2, atom=3
-        if isinstance(current, Epsilon):
-            return "~"
-        if isinstance(current, AnySymbol):
-            return "_"
-        if isinstance(current, Symbol):
-            return current.tag
-        if isinstance(current, Union):
-            text = " | ".join(render(part, 0) for part in current.parts)
-            return f"({text})" if parent_priority > 0 else text
-        if isinstance(current, Concat):
-            text = " . ".join(render(part, 1) for part in current.parts)
-            return f"({text})" if parent_priority > 1 else text
-        if isinstance(current, Star):
-            return f"{render(current.child, 3)}*"
-        if isinstance(current, Plus):
-            return f"{render(current.child, 3)}+"
-        raise TypeError(f"unknown regex node {current!r}")
 
-    return render(node, 0)
+def _render(current: RegexNode, parent_priority: int) -> str:
+    # priorities: union=0, concat=1, repetition=2, atom=3.  Module-level, not
+    # nested in regex_to_string: a recursive closure is a reference cycle
+    # that only the cycle collector frees.
+    if isinstance(current, Epsilon):
+        return "~"
+    if isinstance(current, AnySymbol):
+        return "_"
+    if isinstance(current, Symbol):
+        return current.tag
+    if isinstance(current, Union):
+        text = " | ".join(_render(part, 0) for part in current.parts)
+        return f"({text})" if parent_priority > 0 else text
+    if isinstance(current, Concat):
+        text = " . ".join(_render(part, 1) for part in current.parts)
+        return f"({text})" if parent_priority > 1 else text
+    if isinstance(current, Star):
+        return f"{_render(current.child, 3)}*"
+    if isinstance(current, Plus):
+        return f"{_render(current.child, 3)}+"
+    raise TypeError(f"unknown regex node {current!r}")
 
 
 def regex_alphabet(node: RegexNode) -> frozenset[str]:

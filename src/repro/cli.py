@@ -9,8 +9,8 @@ Subcommands cover the typical workflow of the library:
   (``--trace-json`` writes the evaluation's spans as Chrome trace-event JSON,
   which loads in Perfetto / ``chrome://tracing``),
 * ``repro batch``     — stream a JSONL batch of queries through the query service,
-* ``repro metrics``   — print the metrics registry in Prometheus text
-  exposition format, optionally after replaying a JSONL batch,
+* ``repro metrics``   — replay a JSONL batch through a fresh query service and
+  print that service's metrics in Prometheus text exposition format,
 * ``repro store``     — manage a persistent index store (build/warm/ls/stats/gc),
 * ``repro bench``     — benchmark scenarios and trajectory gating (``run`` /
   ``gate`` / ``check`` / ``list`` / ``figures``; same as ``python -m repro.bench``),
@@ -44,11 +44,17 @@ from repro.obs import (
     ExecutionProfile,
     Tracer,
     chrome_trace,
-    get_registry,
+    get_tracer,
     prometheus_text,
     use_tracer,
 )
-from repro.service import IndexCache, QueryService, read_requests_jsonl, result_to_dict
+from repro.service import (
+    IndexCache,
+    QueryService,
+    metrics_samples,
+    read_requests_jsonl,
+    result_to_dict,
+)
 from repro.store import IndexStore
 from repro.workflow.run import Run
 from repro.workflow.serialization import (
@@ -202,28 +208,25 @@ def _evaluate_query(
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    if args.requests:
-        service = QueryService(max_entries=args.cache_entries, store_dir=args.store)
-        _register_cli_runs(service, args.run)
-        if not service.run_ids():
-            raise SystemExit(
-                "repro metrics --requests needs at least one run (--run RUN.json, "
-                "or --store pointing at a store with a persisted run registry)"
-            )
-        request_source = (
-            sys.stdin if args.requests == "-" else Path(args.requests).open()
+    service = QueryService(max_entries=args.cache_entries, store_dir=args.store)
+    _register_cli_runs(service, args.run)
+    if not service.run_ids():
+        raise SystemExit(
+            "repro metrics needs at least one run (--run RUN.json, "
+            "or --store pointing at a store with a persisted run registry)"
         )
-        # --trace swaps in a recording tracer so span counters tick too;
-        # installing the null tracer otherwise is a no-op re-install.
-        tracer = Tracer() if args.trace else NULL_TRACER
-        try:
-            with use_tracer(tracer):
-                for _ in service.iter_batch(read_requests_jsonl(request_source)):
-                    pass
-        finally:
-            if request_source is not sys.stdin:
-                request_source.close()
-    print(prometheus_text(get_registry()), end="")
+    request_source = sys.stdin if args.requests == "-" else Path(args.requests).open()
+    # --trace swaps in a recording tracer so the span count ticks too;
+    # installing the null tracer otherwise is a no-op re-install.
+    tracer = Tracer() if args.trace else NULL_TRACER
+    try:
+        with use_tracer(tracer):
+            for _ in service.iter_batch(read_requests_jsonl(request_source)):
+                pass
+    finally:
+        if request_source is not sys.stdin:
+            request_source.close()
+    print(prometheus_text(metrics_samples(service, tracer), [service.latency]), end="")
     return 0
 
 
@@ -298,11 +301,10 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             failed=failed,
             hit_rate=stats.hit_rate,
         )
-        # The registry snapshot rides along under its own key: process-wide
-        # counters (cache hits/misses, store reads/writes, spans recorded)
-        # plus live collector samples, without disturbing the flat
-        # CacheStats schema scripts already assert on.
-        summary["metrics"] = get_registry().snapshot()
+        # The same samples `repro metrics` prints ride along under their own
+        # key, read from this service's own stats, without disturbing the
+        # flat CacheStats schema scripts already assert on.
+        summary["metrics"] = metrics_samples(service, get_tracer())
         Path(args.stats_json).write_text(json.dumps(summary, sort_keys=True) + "\n")
     return 0 if failed == 0 else 1
 
@@ -547,16 +549,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     metrics_parser = sub.add_parser(
         "metrics",
-        help="print the metrics registry in Prometheus text format",
+        help="replay a batch and print the service's metrics in Prometheus text format",
         description=(
-            "Print every registered counter/gauge/histogram plus live "
-            "collector samples in the Prometheus text exposition format. "
-            "With --requests, a JSONL batch is replayed through the query "
-            "service first so the exposition reflects real traffic."
+            "Replay a JSONL batch through a fresh query service, then print "
+            "that service's cache and store counters, entry count, request "
+            "latency histogram and recorded-span count in the Prometheus "
+            "text exposition format."
         ),
     )
     metrics_parser.add_argument(
         "--requests",
+        required=True,
         metavar="PATH",
         help="JSONL request file (or '-' for stdin) to replay before reporting",
     )
@@ -576,7 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
     metrics_parser.add_argument(
         "--trace",
         action="store_true",
-        help="install a recording tracer during the replay (span counters tick)",
+        help="install a recording tracer during the replay (the span count ticks)",
     )
     metrics_parser.set_defaults(handler=_cmd_metrics)
 

@@ -228,56 +228,59 @@ def structural_join(
     provided the tries hold each leaf identifier once — every reachable pair
     of leaves is covered by exactly one group.
     """
-
-    def visit(node1: TrieNode, node2: TrieNode) -> Iterator[Group]:
-        if node1.payload and node2.payload:
-            # Identical labels: the same node appears in both lists (the empty
-            # path makes it reachable from itself).
-            yield StructuralGroup(node1, node2)
-
-        kind1 = _children_kind(node1)
-        kind2 = _children_kind(node2)
-        if kind1 == "leaf" or kind2 == "leaf":
-            return
-        if kind1 != kind2:
-            raise LabelError("the two label tries disagree on the parse-tree structure")
-
-        if kind1 == "production":
-            # Case 1: children belong to the same simple workflow.
-            for step1, child1 in node1.children.items():
-                for step2, child2 in node2.children.items():
-                    if step1.production != step2.production:
-                        raise LabelError(
-                            "sibling labels use different productions for the same node"
-                        )
-                    if step1.position == step2.position:
-                        yield from visit(child1, child2)
-                    elif spec.production(step1.production).body.reaches(
-                        step1.position, step2.position
-                    ):
-                        yield StructuralGroup(
-                            child1,
-                            child2,
-                            crossing=(step1.production, step1.position, step2.position),
-                        )
-            return
-
-        # Case 2: children are members of the same recursion chain.  The same
-        # member recurses; pairs across members form one chain group.
-        children1 = node1.sorted_children()
-        children2 = node2.sorted_children()
-        by_ordinal2 = {step.ordinal: child for step, child in children2}
-        for step1, child1 in children1:
-            same = by_ordinal2.get(step1.ordinal)
-            if same is not None:
-                yield from visit(child1, same)
-        chain = _chain_group(spec, children1, children2)  # type: ignore[arg-type]
-        if chain is not None:
-            yield chain
-
     if trie1.is_empty() or trie2.is_empty():
         return
-    yield from visit(trie1.root, trie2.root)
+    yield from _join_nodes(trie1.root, trie2.root, spec)
+
+
+def _join_nodes(node1: TrieNode, node2: TrieNode, spec: Specification) -> Iterator[Group]:
+    """The groups below one pair of trie nodes (the recursion of
+    :func:`structural_join`; module-level, since a recursive closure is a
+    reference cycle that only the cycle collector frees)."""
+    if node1.payload and node2.payload:
+        # Identical labels: the same node appears in both lists (the empty
+        # path makes it reachable from itself).
+        yield StructuralGroup(node1, node2)
+
+    kind1 = _children_kind(node1)
+    kind2 = _children_kind(node2)
+    if kind1 == "leaf" or kind2 == "leaf":
+        return
+    if kind1 != kind2:
+        raise LabelError("the two label tries disagree on the parse-tree structure")
+
+    if kind1 == "production":
+        # Case 1: children belong to the same simple workflow.
+        for step1, child1 in node1.children.items():
+            for step2, child2 in node2.children.items():
+                if step1.production != step2.production:
+                    raise LabelError(
+                        "sibling labels use different productions for the same node"
+                    )
+                if step1.position == step2.position:
+                    yield from _join_nodes(child1, child2, spec)
+                elif spec.production(step1.production).body.reaches(
+                    step1.position, step2.position
+                ):
+                    yield StructuralGroup(
+                        child1,
+                        child2,
+                        crossing=(step1.production, step1.position, step2.position),
+                    )
+        return
+
+    # Case 2: children are members of the same recursion chain.  The same
+    # member recurses; pairs across members form one chain group.
+    children1 = node1.sorted_children()
+    children2 = node2.sorted_children()
+    by_ordinal2 = {step.ordinal: child for step, child in children2}
+    for step1, child1 in children1:
+        same = by_ordinal2.get(step1.ordinal)
+        if same is not None:
+            yield from _join_nodes(child1, same, spec)
+    chain = _chain_group(spec, children1, children2)  # type: ignore[arg-type]
+    if chain is not None:
+        yield chain
 
 
 def pair_blocks(group: Group) -> Iterator[tuple[list[str], list[str]]]:

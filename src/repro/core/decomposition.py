@@ -209,22 +209,31 @@ def plan_decomposition(
         probe = (
             is_safe if is_safe is not None else (lambda node: is_safe_query(spec, node))
         )
-        seen: set[RegexNode] = set()
-
-        def visit(node: RegexNode) -> None:
-            if node in seen:
-                return
-            if probe(node):
-                seen.add(node)
-                plan.safe_subtrees.append(node)
-                return
-            for child in node.children():
-                visit(child)
-
-        visit(root)
+        _collect_safe_subtrees(root, probe, set(), plan.safe_subtrees)
         span.set("safe_subtrees", len(plan.safe_subtrees))
         span.set("fully_safe", plan.is_fully_safe)
         return plan
+
+
+def _collect_safe_subtrees(
+    node: RegexNode,
+    probe: Callable[[RegexNode], bool],
+    seen: set[RegexNode],
+    found: list[RegexNode],
+) -> None:
+    """Append the maximal safe subtrees under ``node`` to ``found``, left to
+    right, each once.  Module-level, not a closure in
+    :func:`plan_decomposition`: a recursive closure is a reference cycle, and
+    this one would hold the probe (and a cache's probe holds the cache)
+    until the cycle collector runs."""
+    if node in seen:
+        return
+    if probe(node):
+        seen.add(node)
+        found.append(node)
+        return
+    for child in node.children():
+        _collect_safe_subtrees(child, probe, seen, found)
 
 
 def worth_label_evaluation(node: RegexNode) -> bool:

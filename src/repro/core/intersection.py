@@ -14,9 +14,10 @@ specification obtained by intersecting ``G`` with a DFA for ``R``:
 
 :func:`intersect_specification` materializes this port-level view of every
 production (useful for inspection, documentation and the safety tests), and
-:func:`intersect_run` applies the same construction directly to a run —
-the "simple algorithm" the paper describes as linear in run size, which the
-test-suite uses as ground truth for Lemma 3.1.
+:class:`FineGrainedRun` applies the same construction directly to a run —
+the "simple algorithm" the paper describes as linear in run size.
+``tests/core/test_intersection.py::TestFineGrainedRun`` checks it against
+label decoding on the paper's example (Lemma 3.1).
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ __all__ = [
     "FineGrainedProduction",
     "FineGrainedSpecification",
     "intersect_specification",
-    "intersect_run",
     "FineGrainedRun",
 ]
 
@@ -177,8 +177,3 @@ class FineGrainedRun:
         return frozenset(
             node for node, states in reachable.items() if states & accepting
         )
-
-
-def intersect_run(run: Run, dfa: DFA) -> FineGrainedRun:
-    """Convenience constructor mirroring :func:`intersect_specification`."""
-    return FineGrainedRun(run, dfa)

@@ -209,10 +209,6 @@ class QueryIndex:
     def from_source(self, production_index: int, position: int) -> BooleanMatrix:
         return self._from_source[production_index][position]
 
-    def body_reaches(self, production_index: int, source: int, target: int) -> bool:
-        """Coarse (tag-agnostic) reachability between two body positions."""
-        return self.spec.production(production_index).body.reaches(source, target)
-
     def production_tables(self) -> "ProductionTables":
         """The per-production matrix tables ``(cross, to_sink, from_source)``.
 

@@ -46,10 +46,6 @@ class EdgeTagIndex:
     def tags(self) -> frozenset[str]:
         return frozenset(self._pairs)
 
-    def selectivity(self, tag: str) -> int:
-        """Alias of :meth:`count`; "rare" tags have low selectivity counts."""
-        return self.count(tag)
-
     def rarest_tags(self) -> list[str]:
         """Tags ordered from rarest to most frequent (ties broken by name)."""
         return sorted(self._pairs, key=lambda tag: (len(self._pairs[tag]), tag))

@@ -59,17 +59,6 @@ def _chain(members: list[str], tag_overrides: dict[int, str] | None = None) -> S
     return SimpleWorkflow(members, edges)
 
 
-def _diamond(source: str, branches: list[str], sink: str) -> SimpleWorkflow:
-    """A diamond body: ``source`` fans out to every branch module, all of
-    which join into ``sink``.  Tags follow the head-name convention."""
-    members = [source, *branches, sink]
-    edges = []
-    for index, branch in enumerate(branches, start=1):
-        edges.append(Edge(0, index, branch))
-        edges.append(Edge(index, len(members) - 1, sink))
-    return SimpleWorkflow(members, edges)
-
-
 def _fork_productions(prefix: str, worker: str) -> tuple[Production, Production]:
     """The fork pattern of Fig. 14a for a recursive module ``prefix_F``.
 

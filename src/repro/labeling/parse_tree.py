@@ -38,9 +38,6 @@ class TrieNode:
 
     # -- structure ----------------------------------------------------------------
 
-    def is_leaf(self) -> bool:
-        return not self.children
-
     def is_recursive(self) -> bool:
         """True when this node is an ``R`` node of the compressed parse tree
         (its outgoing edges are recursion steps)."""

@@ -5,8 +5,10 @@ The package the engine is instrumented against:
 * :mod:`repro.obs.tracer` — span-based tracing with an ambient tracer
   (:func:`get_tracer`), a near-zero-overhead null default, per-thread span
   stacks, and context propagation across pool threads;
-* :mod:`repro.obs.metrics` — the lock-annotated registry of counters,
-  gauges and fixed-bucket histograms (:func:`get_registry`);
+* :mod:`repro.obs.metrics` — the lock-annotated fixed-bucket
+  :class:`Histogram`; there is no metrics registry, since every count is
+  read from the component that owns it (the service's ``CacheStats`` and
+  latency histogram, the tracer's :attr:`Tracer.recorded`);
 * :mod:`repro.obs.profile` — per-query :class:`ExecutionProfile` trees with
   the coverage metric the acceptance bar reads (rendered by
   ``repro query --profile``; profiles are never persisted);
@@ -20,13 +22,7 @@ import this package without cycles.
 
 from repro.obs import clock
 from repro.obs.export import chrome_trace, prometheus_text
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    get_registry,
-)
+from repro.obs.metrics import Histogram
 from repro.obs.profile import ExecutionProfile, ProfileNode
 from repro.obs.tracer import (
     NULL_TRACER,
@@ -41,11 +37,8 @@ from repro.obs.tracer import (
 
 __all__ = [
     "NULL_TRACER",
-    "Counter",
     "ExecutionProfile",
-    "Gauge",
     "Histogram",
-    "MetricsRegistry",
     "NullTracer",
     "ProfileNode",
     "Span",
@@ -53,7 +46,6 @@ __all__ = [
     "Tracer",
     "chrome_trace",
     "clock",
-    "get_registry",
     "get_tracer",
     "prometheus_text",
     "set_tracer",

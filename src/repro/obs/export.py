@@ -2,18 +2,18 @@
 
 :func:`chrome_trace` turns a tracer's finished spans into the trace-event
 format (``ph: "X"`` complete events, microsecond timestamps) that loads in
-Perfetto / ``chrome://tracing``; :func:`prometheus_text` renders a
-:class:`~repro.obs.metrics.MetricsRegistry` in the text exposition format
-(``# HELP``/``# TYPE`` plus samples, histograms with cumulative ``le``
-buckets).  Both are pure data transforms — no IO — so the CLI and tests own
-where the bytes go.
+Perfetto / ``chrome://tracing``; :func:`prometheus_text` renders flat
+``{name: value}`` samples plus owned :class:`~repro.obs.metrics.Histogram`
+objects in the text exposition format (``# TYPE`` plus samples, histograms
+with ``# HELP`` and cumulative ``le`` buckets).  Both are pure data
+transforms — no IO — so the CLI and tests own where the bytes go.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Mapping, Sequence
 
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import Histogram
 from repro.obs.tracer import Span
 
 __all__ = ["chrome_trace", "prometheus_text"]
@@ -74,30 +74,32 @@ def _format_value(value: float) -> str:
     return repr(value)
 
 
-def prometheus_text(registry: MetricsRegistry) -> str:
-    """The registry in Prometheus text exposition format.
+def prometheus_text(
+    samples: Mapping[str, float], histograms: Sequence[Histogram] = ()
+) -> str:
+    """Samples and histograms in Prometheus text exposition format.
 
-    Instruments render with their declared kind; collector outputs render as
-    untyped gauges (the collector owns the semantics, the registry only
-    polls), namespaced exactly as the collector reports them.
+    A sample named ``*_total`` renders as a counter, any other as a gauge;
+    a sample that is a listed histogram's ``_count`` or ``_sum`` is left to
+    that histogram, which renders with its cumulative ``le`` buckets.
     """
+    owned = {
+        f"{histogram.name}_{part}" for histogram in histograms for part in ("count", "sum")
+    }
     lines: list[str] = []
-    for metric in registry.metrics():
-        if metric.help:
-            lines.append(f"# HELP {metric.name} {metric.help}")
-        lines.append(f"# TYPE {metric.name} {metric.kind}")
-        if isinstance(metric, (Counter, Gauge)):
-            lines.append(f"{metric.name} {_format_value(metric.value)}")
-        elif isinstance(metric, Histogram):
-            cumulative = metric.bucket_counts()
-            for bound, count in zip(metric.bounds, cumulative):
-                lines.append(f'{metric.name}_bucket{{le="{bound}"}} {count}')
-            lines.append(f'{metric.name}_bucket{{le="+Inf"}} {cumulative[-1]}')
-            lines.append(f"{metric.name}_sum {_format_value(metric.sum)}")
-            lines.append(f"{metric.name}_count {cumulative[-1]}")
-    for name, collect in registry.collectors():
-        lines.append(f"# HELP {name} polled collector")
-        for sample_name, value in sorted(collect().items()):
-            lines.append(f"# TYPE {sample_name} gauge")
-            lines.append(f"{sample_name} {_format_value(float(value))}")
+    for name in sorted(samples):
+        if name in owned:
+            continue
+        lines.append(f"# TYPE {name} {'counter' if name.endswith('_total') else 'gauge'}")
+        lines.append(f"{name} {_format_value(float(samples[name]))}")
+    for histogram in histograms:
+        if histogram.help:
+            lines.append(f"# HELP {histogram.name} {histogram.help}")
+        lines.append(f"# TYPE {histogram.name} histogram")
+        cumulative = histogram.bucket_counts()
+        for bound, count in zip(histogram.bounds, cumulative):
+            lines.append(f'{histogram.name}_bucket{{le="{bound}"}} {count}')
+        lines.append(f'{histogram.name}_bucket{{le="+Inf"}} {cumulative[-1]}')
+        lines.append(f"{histogram.name}_sum {_format_value(histogram.sum)}")
+        lines.append(f"{histogram.name}_count {cumulative[-1]}")
     return "\n".join(lines) + "\n" if lines else ""

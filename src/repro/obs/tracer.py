@@ -26,7 +26,6 @@ from types import TracebackType
 from typing import Iterator, TypeVar
 
 from repro.obs import clock
-from repro.obs.metrics import Counter, MetricsRegistry, get_registry
 
 __all__ = [
     "NULL_TRACER",
@@ -175,17 +174,13 @@ class Tracer:
 
     enabled = True
 
-    def __init__(
-        self, *, trace_id: int = 1, registry: MetricsRegistry | None = None
-    ) -> None:
+    def __init__(self, *, trace_id: int = 1) -> None:
         self._trace_id = trace_id
         self._lock = threading.Lock()
         self._finished: list[Span] = []  # guarded-by: _lock
         self._next_id = 0  # guarded-by: _lock
+        self._recorded = 0  # guarded-by: _lock
         self._local = threading.local()
-        self._span_counter: Counter = (
-            registry if registry is not None else get_registry()
-        ).counter("repro_obs_spans_total", "spans recorded by the tracer")
 
     # -- the per-thread span stack -------------------------------------------------
 
@@ -232,7 +227,7 @@ class Tracer:
         self._drop(span)
         with self._lock:
             self._finished.append(span)
-        self._span_counter.inc()
+            self._recorded += 1
 
     # -- public API ----------------------------------------------------------------
 
@@ -277,6 +272,12 @@ class Tracer:
         """A snapshot of the finished spans, in completion order."""
         with self._lock:
             return tuple(self._finished)
+
+    @property
+    def recorded(self) -> int:
+        """Spans finished over the tracer's life (:meth:`clear` keeps it)."""
+        with self._lock:
+            return self._recorded
 
     def clear(self) -> None:
         with self._lock:

@@ -11,7 +11,8 @@ subsystem:
   JSONL wire format (used by ``repro batch``);
 * :mod:`repro.service.service` — :class:`QueryService`, which registers many
   runs, deduplicates index builds across a batch and evaluates independent
-  requests concurrently.
+  requests concurrently, and :func:`metrics_samples`, the flat metrics view
+  read from what the service, its cache and the tracer own.
 """
 
 from repro.service.cache import CacheStats, IndexCache
@@ -24,7 +25,7 @@ from repro.service.requests import (
     request_to_dict,
     result_to_dict,
 )
-from repro.service.service import QueryService
+from repro.service.service import QueryService, metrics_samples
 
 __all__ = [
     "BatchFormatError",
@@ -36,5 +37,6 @@ __all__ = [
     "read_requests_jsonl",
     "request_from_dict",
     "request_to_dict",
+    "metrics_samples",
     "result_to_dict",
 ]

@@ -54,7 +54,7 @@ from repro.core.decomposition import DecompositionPlan, plan_decomposition
 from repro.core.query_index import QueryIndex
 from repro.core.safety import SafetyReport, analyze_safety, query_dfa
 from repro.errors import UnsafeQueryError
-from repro.obs import get_registry, get_tracer
+from repro.obs import get_tracer
 from repro.workflow.spec import Specification
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -153,28 +153,6 @@ class IndexCache:
         self._index_builds = 0  # guarded-by: _lock
         self._safety_checks = 0  # guarded-by: _lock
         self._plan_builds = 0  # guarded-by: _lock
-        # Process-wide metrics mirror the per-instance counters above (the
-        # instruments are leaf locks, safe to bump under ``_lock``); the
-        # dataclass snapshot stays the per-cache schema-stable surface.
-        registry = get_registry()
-        self._hit_counter = registry.counter(
-            "repro_cache_hits_total", "in-memory index-cache hits"
-        )
-        self._miss_counter = registry.counter(
-            "repro_cache_misses_total", "in-memory index-cache misses"
-        )
-        self._eviction_counter = registry.counter(
-            "repro_cache_evictions_total", "index-cache LRU evictions"
-        )
-        self._build_counter = registry.counter(
-            "repro_cache_index_builds_total", "query index builds"
-        )
-        self._safety_counter = registry.counter(
-            "repro_cache_safety_checks_total", "query safety analyses"
-        )
-        self._plan_counter = registry.counter(
-            "repro_cache_plan_builds_total", "decomposition plan builds"
-        )
 
     # -- keys --------------------------------------------------------------------
 
@@ -236,7 +214,6 @@ class IndexCache:
                 # Benign race: concurrent builders produce equivalent plans
                 # and the last one wins.
                 entry.plan = plan
-            self._plan_counter.inc()
             self._persist(key, entry)
         elif self._plan_stale(entry):
             self._persist(key, entry)
@@ -281,7 +258,6 @@ class IndexCache:
                 entry = self._entries.get(key)
                 if entry is not None:
                     self._hits += 1
-                    self._hit_counter.inc()
                     self._entries.move_to_end(key)
                     span.set("hit", True)
                     return entry
@@ -294,7 +270,6 @@ class IndexCache:
                         entry = self._entries.get(key)
                         if entry is not None:
                             self._hits += 1
-                            self._hit_counter.inc()
                             self._entries.move_to_end(key)
                             span.set("hit", True)
                             return entry
@@ -305,7 +280,6 @@ class IndexCache:
                         self._persist(key, entry)
                     with self._lock:
                         self._misses += 1
-                        self._miss_counter.inc()
                         self._insert(key, entry)
                     span.set("hit", False)
                     return entry
@@ -322,7 +296,6 @@ class IndexCache:
             report = analyze_safety(spec, dfa, algebra=algebra)
             with self._lock:
                 self._safety_checks += 1
-            self._safety_counter.inc()
             index: QueryIndex | None = None
             if report.is_safe:
                 # Reuse the safety analysis instead of calling build_query_index,
@@ -336,7 +309,6 @@ class IndexCache:
                 )
                 with self._lock:
                     self._index_builds += 1
-                self._build_counter.inc()
             span.set("safe", report.is_safe)
             span.set("states", report.dfa.state_count)
             return _Entry(report=report, index=index)
@@ -388,7 +360,6 @@ class IndexCache:
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
             self._evictions += 1
-            self._eviction_counter.inc()
 
     # -- management --------------------------------------------------------------
 

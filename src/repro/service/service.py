@@ -36,7 +36,7 @@ from typing import Any, Iterable, Iterator, Mapping, Sequence
 from repro.core.decomposition import label_routed_subtrees, warm_frontier_dfa
 from repro.core.engine import ProvenanceQueryEngine
 from repro.errors import ReproError
-from repro.obs import SpanContext, clock, get_registry, get_tracer
+from repro.obs import Histogram, SpanContext, Tracer, clock, get_tracer
 from repro.service.cache import CacheStats, IndexCache
 from repro.store import IndexStore
 from repro.service.requests import (
@@ -48,7 +48,7 @@ from repro.service.requests import (
 from repro.workflow.run import Run
 from repro.workflow.serialization import load_run
 
-__all__ = ["QueryService"]
+__all__ = ["QueryService", "metrics_samples"]
 
 _DEFAULT_CACHE_ENTRIES = 512
 
@@ -109,20 +109,9 @@ class QueryService:
         self._pending_run_ids: set[str] = (  # guarded-by: _lock
             set(store.run_ids()) if store is not None else set()
         )
-        # Observability: request latencies go to a histogram; state that
-        # already lives behind the cache's own lock is polled
-        # through a collector instead of being counted twice.  A newer
-        # service instance re-registers the collector name and the snapshot
-        # follows it (exactly the registry's replacement semantics).
-        registry = get_registry()
-        self._latency = registry.histogram(
-            "repro_service_request_seconds", "batch request latency"
-        )
-        registry.register_collector("query_service", self._collect_metrics)
-
-    def _collect_metrics(self) -> dict[str, float]:
-        """The polled gauges of this service's live state."""
-        return {"repro_cache_entries": float(len(self._cache))}
+        # The one count the service owns itself; the cache and the store keep
+        # theirs, and metrics_samples reads all of them.
+        self._latency = Histogram("repro_service_request_seconds", "batch request latency")
 
     # -- registration ------------------------------------------------------------
 
@@ -235,6 +224,11 @@ class QueryService:
     @property
     def cache_stats(self) -> CacheStats:
         return self._cache.stats
+
+    @property
+    def latency(self) -> Histogram:
+        """The latency histogram of every request this service evaluated."""
+        return self._latency
 
     def warm(self, run_id: str, queries: Iterable[str]) -> dict[str, str]:
         """Pre-build the per-query state of the given queries for a run's
@@ -466,3 +460,39 @@ class QueryService:
                 pairs=pairs,
                 elapsed=elapsed,
             )
+
+
+#: The exported counters, each read from the :class:`CacheStats` field that
+#: owns it: ``metric name -> field``.
+_CACHE_STATS_METRICS = {
+    "repro_cache_hits_total": "hits",
+    "repro_cache_misses_total": "misses",
+    "repro_cache_evictions_total": "evictions",
+    "repro_cache_index_builds_total": "index_builds",
+    "repro_cache_safety_checks_total": "safety_checks",
+    "repro_cache_plan_builds_total": "plan_builds",
+    "repro_store_hits_total": "store_hits",
+    "repro_store_misses_total": "store_misses",
+    "repro_store_writes_total": "store_writes",
+    "repro_store_errors_total": "store_errors",
+    "repro_store_skipped_writes_total": "store_skipped_writes",
+    "repro_cache_entries": "entries",
+}
+
+
+def metrics_samples(service: QueryService, tracer: Tracer) -> dict[str, float]:
+    """One service's metrics as flat ``{name: value}`` samples.
+
+    Every value is read from its owner: the cache and store counters from
+    :attr:`QueryService.cache_stats`, the request latency's ``_count`` and
+    ``_sum`` from :attr:`QueryService.latency`, and ``repro_obs_spans_total``
+    from ``tracer`` (:attr:`Tracer.recorded`; the null tracer records none).
+    ``repro metrics`` renders these samples with
+    :func:`~repro.obs.prometheus_text`; ``repro batch --stats-json`` writes
+    them under its ``metrics`` key.
+    """
+    stats = service.cache_stats
+    samples = {name: float(getattr(stats, field)) for name, field in _CACHE_STATS_METRICS.items()}
+    samples.update(service.latency.samples())
+    samples["repro_obs_spans_total"] = float(tracer.recorded)
+    return samples

@@ -62,7 +62,7 @@ from repro.core.decomposition import DecompositionPlan
 from repro.core.query_index import QueryIndex
 from repro.core.safety import SafetyReport
 from repro.errors import StoreError
-from repro.obs import get_registry, get_tracer
+from repro.obs import get_tracer
 from repro.store.codec import entry_from_payload, entry_to_payload
 from repro.workflow.run import Run
 from repro.workflow.serialization import run_from_dict, run_to_dict
@@ -79,20 +79,6 @@ FORMAT_VERSION = 3
 
 _ENTRY_KIND = "store-entry"
 _RUN_KIND = "store-run"
-
-#: Registry metrics mirroring the per-instance counters (one process-wide
-#: series per counter, however many store instances exist).
-_COUNTER_METRICS = {
-    "_hits": ("repro_store_hits_total", "disk-store entry hits"),
-    "_misses": ("repro_store_misses_total", "disk-store entry misses"),
-    "_writes": ("repro_store_writes_total", "disk-store artifact writes"),
-    "_errors": ("repro_store_errors_total", "disk-store swallowed failures"),
-    "_skipped_writes": (
-        "repro_store_skipped_writes_total",
-        "disk-store content-addressed write skips",
-    ),
-}
-
 
 @dataclass(frozen=True)
 class StoredEntry:
@@ -218,11 +204,6 @@ class IndexStore:
         self._errors = 0  # guarded-by: _lock
         self._evictions = 0  # guarded-by: _lock
         self._skipped_writes = 0  # guarded-by: _lock
-        registry = get_registry()
-        self._metric_counters = {
-            field: registry.counter(name, help_text)
-            for field, (name, help_text) in _COUNTER_METRICS.items()
-        }
 
     # -- paths -------------------------------------------------------------------
 
@@ -593,9 +574,6 @@ class IndexStore:
     def _count(self, counter: str) -> None:
         with self._lock:
             setattr(self, counter, getattr(self, counter) + 1)
-        metric = self._metric_counters.get(counter)
-        if metric is not None:
-            metric.inc()
 
     def __iter__(self) -> Iterator[EntryInfo]:
         return iter(self.entries())

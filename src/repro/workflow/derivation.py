@@ -118,9 +118,6 @@ class Derivation:
     def node_name(self, node_id: str) -> str:
         return self._nodes[node_id].name
 
-    def node_label(self, node_id: str) -> Label:
-        return self._nodes[node_id].label
-
     # -- graph surgery --------------------------------------------------------------
 
     def _new_id(self, name: str) -> str:

@@ -85,10 +85,6 @@ class ProductionGraph:
 
     # -- basic structure --------------------------------------------------------
 
-    def out_edges(self, module: str) -> tuple[tuple[str, int, int], ...]:
-        """Outgoing edges of a module: ``(target, production index, position)``."""
-        return self._edges.get(module, ())
-
     def edge_count(self) -> int:
         return sum(len(targets) for targets in self._edges.values())
 
@@ -231,9 +227,6 @@ class ProductionGraph:
     def recursive_productions(self) -> frozenset[int]:
         """Indices of productions that extend a recursion cycle."""
         return frozenset(p for cycle in self._cycles for p in cycle.productions)
-
-    def is_cyclic(self) -> bool:
-        return bool(self._cycles) or bool(self._non_linear)
 
     def cycle_of(self, module: str) -> Cycle | None:
         """The cycle a module lies on, or ``None`` for non-recursive modules."""

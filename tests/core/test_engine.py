@@ -11,7 +11,6 @@ from repro.core.query_index import build_query_index
 from repro.datasets.paper_example import paper_run
 from repro.errors import UnsafeQueryError
 from repro.obs import Tracer, use_tracer
-from repro.obs.metrics import MetricsRegistry
 from repro.workflow.derivation import derive_run
 
 
@@ -166,7 +165,7 @@ class TestEngineQueries:
         ids=["safe", "unsafe"],
     )
     def test_stream_span_names_its_path_and_counts_items(self, engine, run, query, path):
-        tracer = Tracer(registry=MetricsRegistry())
+        tracer = Tracer()
         with use_tracer(tracer):
             streamed = list(engine.evaluate_iter(run, query))
         [span] = [span for span in tracer.spans() if span.name == "query.stream"]

@@ -39,7 +39,6 @@ from repro.core.relations import evaluate_regex_relation, restrict
 from repro.datasets.paper_example import paper_specification
 from repro.datasets.synthetic import generate_synthetic_specification
 from repro.obs import Tracer, use_tracer
-from repro.obs.metrics import MetricsRegistry
 from repro.workflow.derivation import derive_run
 
 _SPECS = {
@@ -265,7 +264,7 @@ class TestFrontierExecution:
         run = _RUNS["paper"][0]
         nodes = list(run.node_ids())
         physical = _physical(run, "_* a _*", nodes, nodes[:2], direction="backward")
-        tracer = Tracer(registry=MetricsRegistry())
+        tracer = Tracer()
         with use_tracer(tracer):
             result = execute(physical)
         [search] = [span for span in tracer.spans() if span.name == "exec.frontier_search"]
@@ -289,7 +288,7 @@ class TestFrontierExecution:
         ]
         for l1, l2, direction, universe in cases:
             physical = _physical(run, "_* a _*", l1, l2, direction=direction)
-            tracer = Tracer(registry=MetricsRegistry())
+            tracer = Tracer()
             with use_tracer(tracer):
                 execute(physical)
             [search] = [s for s in tracer.spans() if s.name == "exec.frontier_search"]
@@ -334,7 +333,7 @@ class TestPlannerResolution:
     def test_join_span_reports_the_pair_count_and_streams_the_same_pairs(self):
         run = _RUNS["paper"][0]
         physical = _physical(run, "_* a _*", None, None)
-        tracer = Tracer(registry=MetricsRegistry())
+        tracer = Tracer()
         with use_tracer(tracer):
             result = execute(physical)
         pairs = result.to_pairs(run.packed.interner)
@@ -510,7 +509,7 @@ class TestPhysicalPlanReporting:
         run = _RUNS["paper"][0]
         nodes = list(run.node_ids())
         l1, l2 = (None if side is None else nodes[:side] for side in sides)
-        tracer = Tracer(registry=MetricsRegistry())
+        tracer = Tracer()
         with use_tracer(tracer):
             _physical(run, query, l1, l2)
         [span] = [span for span in tracer.spans() if span.name == "exec.plan"]

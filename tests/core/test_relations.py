@@ -36,7 +36,6 @@ from repro.datasets.myexperiment import bioaid_specification, qblast_specificati
 from repro.datasets.paper_example import paper_run
 from repro.datasets.synthetic import generate_synthetic_specification
 from repro.obs import Tracer
-from repro.obs.metrics import MetricsRegistry
 from repro.workflow.derivation import derive_run
 
 #: The macro symbol of the hand-built sweeps below.
@@ -291,7 +290,7 @@ class TestFrontierSweep:
     def test_sweep_reports_the_nodes_it_visited(self):
         """The sweep stops after the last live node: from x under 'a' it
         visits x and y, never z or w."""
-        span = Tracer(registry=MetricsRegistry())
+        span = Tracer()
         with span.span("sweep") as open_span:
             assert _swept(_CHAIN, _dfa("a"), [_X], span=open_span) == [("x", "y")]
         assert open_span.attrs["visited"] == 2

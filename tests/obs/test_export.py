@@ -2,12 +2,11 @@
 
 import json
 
-from repro.obs import Tracer, chrome_trace, prometheus_text
-from repro.obs.metrics import MetricsRegistry
+from repro.obs import Histogram, Tracer, chrome_trace, prometheus_text
 
 
 def _spans():
-    tracer = Tracer(registry=MetricsRegistry())
+    tracer = Tracer()
     with tracer.span("query.evaluate", query="a b"):
         with tracer.span("exec.frontier_search", mode="serial"):
             pass
@@ -51,33 +50,24 @@ class TestChromeTrace:
 
 
 class TestPrometheusText:
-    def test_instruments_render_with_kind_and_help(self):
-        registry = MetricsRegistry()
-        registry.counter("repro_hits_total", "cache hits").inc(3)
-        registry.gauge("repro_depth").set(1.5)
-        text = prometheus_text(registry)
-        assert "# HELP repro_hits_total cache hits" in text
-        assert "# TYPE repro_hits_total counter" in text
-        assert "repro_hits_total 3" in text
-        assert "repro_depth 1.5" in text
+    def test_samples_render_typed_by_name(self):
+        text = prometheus_text({"repro_hits_total": 3.0, "repro_depth": 1.5})
+        assert "# TYPE repro_hits_total counter\nrepro_hits_total 3\n" in text
+        assert "# TYPE repro_depth gauge\nrepro_depth 1.5\n" in text
 
     def test_histogram_renders_cumulative_buckets(self):
-        registry = MetricsRegistry()
-        histogram = registry.histogram("repro_latency", buckets=(0.1, 1.0))
+        histogram = Histogram("repro_latency", "request latency", buckets=(0.1, 1.0))
         histogram.observe(0.05)
         histogram.observe(0.5)
-        text = prometheus_text(registry)
+        text = prometheus_text(histogram.samples(), [histogram])
+        assert "# HELP repro_latency request latency" in text
+        assert "# TYPE repro_latency histogram" in text
         assert 'repro_latency_bucket{le="0.1"} 1' in text
         assert 'repro_latency_bucket{le="1.0"} 2' in text
         assert 'repro_latency_bucket{le="+Inf"} 2' in text
-        assert "repro_latency_count 2" in text
+        # the histogram's own _count/_sum samples are not repeated as gauges
+        assert text.count("repro_latency_count") == 1
+        assert "# TYPE repro_latency_sum" not in text
 
-    def test_collectors_render_as_gauges(self):
-        registry = MetricsRegistry()
-        registry.register_collector("svc", lambda: {"repro_live": 4.0})
-        text = prometheus_text(registry)
-        assert "repro_live 4" in text
-        assert "# TYPE repro_live gauge" in text
-
-    def test_empty_registry_renders_empty(self):
-        assert prometheus_text(MetricsRegistry()) == ""
+    def test_nothing_renders_empty(self):
+        assert prometheus_text({}) == ""

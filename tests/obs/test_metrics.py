@@ -1,34 +1,13 @@
-"""The metrics registry: instruments, collectors, snapshots."""
+"""The fixed-bucket histogram, the one metric instrument left in ``repro.obs``."""
 
 import threading
 
 import pytest
 
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    get_registry,
-)
+from repro.obs.metrics import Histogram
 
 
 class TestInstruments:
-    def test_counter_only_goes_up(self):
-        counter = Counter("c", "help")
-        counter.inc()
-        counter.inc(2.5)
-        assert counter.value == 3.5
-        with pytest.raises(ValueError, match="only go up"):
-            counter.inc(-1)
-
-    def test_gauge_moves_both_ways(self):
-        gauge = Gauge("g")
-        gauge.set(10)
-        gauge.dec(3)
-        gauge.inc()
-        assert gauge.value == 8
-
     def test_histogram_buckets_are_cumulative(self):
         histogram = Histogram("h", buckets=(0.01, 0.1, 1.0))
         for value in (0.005, 0.05, 0.5, 5.0):
@@ -43,65 +22,16 @@ class TestInstruments:
             Histogram("h", buckets=())
 
     def test_concurrent_increments_do_not_lose_updates(self):
-        counter = Counter("c")
+        histogram = Histogram("h", buckets=(1.0,))
 
-        def bump() -> None:
+        def observe() -> None:
             for _ in range(1000):
-                counter.inc()
+                histogram.observe(0.5)
 
-        threads = [threading.Thread(target=bump) for _ in range(4)]
+        threads = [threading.Thread(target=observe) for _ in range(4)]
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join()
-        assert counter.value == 4000
-
-
-class TestRegistry:
-    def test_instruments_are_get_or_create(self):
-        registry = MetricsRegistry()
-        first = registry.counter("requests", "total requests")
-        second = registry.counter("requests")
-        assert first is second
-
-    def test_kind_mismatch_raises(self):
-        registry = MetricsRegistry()
-        registry.counter("x")
-        with pytest.raises(TypeError, match="is a counter, not a gauge"):
-            registry.gauge("x")
-        with pytest.raises(TypeError, match="not a histogram"):
-            registry.histogram("x")
-
-    def test_snapshot_merges_instruments_and_collectors(self):
-        registry = MetricsRegistry()
-        registry.counter("hits").inc(3)
-        registry.gauge("live").set(2)
-        registry.register_collector("pool", lambda: {"pool_in_use": 1.0})
-        snapshot = registry.snapshot()
-        assert snapshot["hits"] == 3.0
-        assert snapshot["live"] == 2.0
-        assert snapshot["pool_in_use"] == 1.0
-
-    def test_collectors_win_name_collisions(self):
-        registry = MetricsRegistry()
-        registry.gauge("depth").set(1)
-        registry.register_collector("live", lambda: {"depth": 9.0})
-        assert registry.snapshot()["depth"] == 9.0
-
-    def test_collector_replacement_follows_the_live_instance(self):
-        registry = MetricsRegistry()
-        registry.register_collector("svc", lambda: {"v": 1.0})
-        registry.register_collector("svc", lambda: {"v": 2.0})
-        assert registry.snapshot() == {"v": 2.0}
-        registry.unregister_collector("svc")
-        assert registry.snapshot() == {}
-
-    def test_reset_drops_everything(self):
-        registry = MetricsRegistry()
-        registry.counter("c").inc()
-        registry.register_collector("x", dict)
-        registry.reset()
-        assert registry.snapshot() == {}
-
-    def test_process_wide_registry_is_a_singleton(self):
-        assert get_registry() is get_registry()
+        assert histogram.count == 4000
+        assert histogram.bucket_counts() == (4000, 4000)

@@ -1,7 +1,6 @@
 """Execution profiles: assembly, coverage, rendering."""
 
 from repro.obs import ExecutionProfile, Tracer
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Span
 
 
@@ -43,7 +42,7 @@ class TestAssembly:
         assert profile.root is not None and profile.root.name == "long"
 
     def test_from_a_real_tracer(self):
-        tracer = Tracer(registry=MetricsRegistry())
+        tracer = Tracer()
         with tracer.span("query.evaluate"):
             with tracer.span("exec.plan"):
                 pass

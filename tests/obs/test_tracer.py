@@ -10,17 +10,11 @@ from repro.obs import (
     set_tracer,
     use_tracer,
 )
-from repro.obs.metrics import MetricsRegistry
-
-
-def _tracer() -> Tracer:
-    # A private registry keeps the span counter out of the process-wide one.
-    return Tracer(registry=MetricsRegistry())
 
 
 class TestSpans:
     def test_spans_nest_and_record_in_completion_order(self):
-        tracer = _tracer()
+        tracer = Tracer()
         with tracer.span("outer", kind="test") as outer:
             with tracer.span("inner") as inner:
                 pass
@@ -32,13 +26,13 @@ class TestSpans:
         assert outer.attrs == {"kind": "test"}
 
     def test_set_attaches_attributes_while_open(self):
-        tracer = _tracer()
+        tracer = Tracer()
         with tracer.span("work") as span:
             span.set("pairs", 7)
         assert tracer.spans()[0].attrs["pairs"] == 7
 
     def test_exceptions_mark_the_span_and_propagate(self):
-        tracer = _tracer()
+        tracer = Tracer()
         try:
             with tracer.span("doomed"):
                 raise ValueError("boom")
@@ -49,7 +43,7 @@ class TestSpans:
         assert span.end >= span.start
 
     def test_sibling_threads_get_independent_stacks(self):
-        tracer = _tracer()
+        tracer = Tracer()
         ready = threading.Barrier(2)
 
         def work(name: str) -> None:
@@ -72,7 +66,7 @@ class TestSpans:
         assert by_name["t1"].parent_id is None
 
     def test_span_ids_are_unique_and_deterministic(self):
-        tracer = _tracer()
+        tracer = Tracer()
         for _ in range(5):
             with tracer.span("s"):
                 pass
@@ -81,16 +75,25 @@ class TestSpans:
         assert len(set(ids)) == 5
 
     def test_clear_drops_finished_spans(self):
-        tracer = _tracer()
+        tracer = Tracer()
         with tracer.span("s"):
             pass
         tracer.clear()
         assert tracer.spans() == ()
 
+    def test_recorded_counts_finished_spans_across_clears(self):
+        tracer = Tracer()
+        with tracer.span("outer"), tracer.span("inner"):
+            assert tracer.recorded == 0  # open spans are not recorded yet
+        tracer.clear()
+        with tracer.span("again"):
+            pass
+        assert tracer.recorded == 3
+
 
 class TestContextPropagation:
     def test_current_is_the_innermost_open_span(self):
-        tracer = _tracer()
+        tracer = Tracer()
         assert tracer.current() is None
         with tracer.span("root") as root:
             with tracer.span("inner") as inner:
@@ -99,7 +102,7 @@ class TestContextPropagation:
         assert tracer.current() is None
 
     def test_attach_nests_spans_under_a_foreign_parent(self):
-        tracer = _tracer()
+        tracer = Tracer()
         with tracer.span("root") as root:
             context = tracer.current()
         with tracer.attach(context):
@@ -111,7 +114,7 @@ class TestContextPropagation:
         assert {span.name for span in tracer.spans()} == {"root", "child"}
 
     def test_attach_none_is_a_noop(self):
-        tracer = _tracer()
+        tracer = Tracer()
         with tracer.attach(None):
             with tracer.span("free"):
                 pass
@@ -121,7 +124,7 @@ class TestContextPropagation:
 
 class TestWrapIter:
     def test_wrap_iter_counts_items_and_nests(self):
-        tracer = _tracer()
+        tracer = Tracer()
         with tracer.span("root"):
             assert list(tracer.wrap_iter("stream", iter(range(4)))) == [0, 1, 2, 3]
         stream = next(span for span in tracer.spans() if span.name == "stream")
@@ -129,7 +132,7 @@ class TestWrapIter:
         assert stream.parent_id is not None
 
     def test_wrap_iter_opens_lazily(self):
-        tracer = _tracer()
+        tracer = Tracer()
         wrapped = tracer.wrap_iter("stream", iter(range(2)))
         assert tracer.spans() == ()  # nothing consumed, nothing recorded
         list(wrapped)
@@ -143,6 +146,7 @@ class TestNullTracer:
             span.set("ignored", 1)
         assert span.attrs == {}
         assert NULL_TRACER.spans() == ()
+        assert NULL_TRACER.recorded == 0
         assert NULL_TRACER.current() is None
 
     def test_null_wrap_iter_returns_the_iterator_unchanged(self):
@@ -155,7 +159,7 @@ class TestAmbientTracer:
         assert isinstance(get_tracer(), NullTracer)
 
     def test_use_tracer_scopes_and_restores(self):
-        tracer = _tracer()
+        tracer = Tracer()
         before = get_tracer()
         with use_tracer(tracer) as active:
             assert active is tracer
@@ -163,7 +167,7 @@ class TestAmbientTracer:
         assert get_tracer() is before
 
     def test_set_tracer_none_restores_the_null_tracer(self):
-        tracer = _tracer()
+        tracer = Tracer()
         previous = set_tracer(tracer)
         try:
             assert get_tracer() is tracer

@@ -17,9 +17,11 @@ from repro.service import (
     QueryService,
     read_requests_jsonl,
     request_from_dict,
+    metrics_samples,
     request_to_dict,
     result_to_dict,
 )
+from repro.obs import NULL_TRACER, Tracer, use_tracer
 from repro.workflow.derivation import derive_run
 from repro.workflow.serialization import save_run
 
@@ -380,6 +382,27 @@ class TestCacheEffectiveness:
         results = service.run_batch(requests)
         assert all(result.ok for result in results)
         assert service.cache_stats.index_builds == 1
+
+
+class TestMetrics:
+    def test_samples_are_read_from_one_service_and_tracer(self, run):
+        """Two services in one process report their own counts, not a
+        process-wide total."""
+        busy = QueryService(max_workers=2)
+        busy.register_run(run, "r1")
+        tracer = Tracer()
+        with use_tracer(tracer):
+            busy.run_batch([{"op": "allpairs", "run": "r1", "query": "A+"}] * 3)
+        idle = QueryService(max_workers=2)
+
+        samples = metrics_samples(busy, tracer)
+        stats = busy.cache_stats
+        assert samples["repro_cache_hits_total"] == stats.hits > 0
+        assert samples["repro_cache_index_builds_total"] == stats.index_builds == 1
+        assert samples["repro_cache_entries"] == stats.entries
+        assert samples["repro_service_request_seconds_count"] == 3
+        assert samples["repro_obs_spans_total"] == tracer.recorded > 0
+        assert set(metrics_samples(idle, NULL_TRACER).values()) == {0.0}
 
 
 class TestWarmRestart:

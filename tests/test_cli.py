@@ -318,9 +318,9 @@ class TestBatchCommand:
         assert summaries["512"]["evictions"] == 0
 
     def test_batch_stats_json_metrics_schema(self, tmp_path, run_path, capsys):
-        """The summary's 'metrics' block carries the registry snapshot —
-        cache/store counters, spans recorded, service latency — without
-        disturbing the flat CacheStats schema asserted above."""
+        """The summary's 'metrics' block is read from this batch's own
+        service — cache/store counters, spans recorded, service latency —
+        so it equals the flat CacheStats fields next to it."""
         requests = self._write_requests(
             tmp_path,
             [
@@ -337,23 +337,19 @@ class TestBatchCommand:
         summary = json.loads(stats_path.read_text())
         assert summary["index_builds"] >= 1  # the flat schema is intact
         metrics = summary["metrics"]
-        # Registry counters are process-wide and cumulative, so the schema
-        # test pins key presence (and minimums), never exact values.
-        for key in (
-            "repro_cache_hits_total",
-            "repro_cache_misses_total",
-            "repro_cache_index_builds_total",
-            "repro_store_hits_total",
-            "repro_store_misses_total",
-            "repro_store_writes_total",
-            "repro_obs_spans_total",
-            "repro_service_request_seconds_count",
-            "repro_cache_entries",
+        for metric, field in (
+            ("repro_cache_hits_total", "hits"),
+            ("repro_cache_misses_total", "misses"),
+            ("repro_cache_index_builds_total", "index_builds"),
+            ("repro_store_hits_total", "store_hits"),
+            ("repro_store_misses_total", "store_misses"),
+            ("repro_store_writes_total", "store_writes"),
+            ("repro_cache_entries", "entries"),
         ):
-            assert key in metrics, f"metrics block lost {key}"
+            assert metrics[metric] == summary[field], (metric, metrics, summary)
+        assert metrics["repro_service_request_seconds_count"] == summary["requests"]
+        assert metrics["repro_obs_spans_total"] == 0  # no recording tracer
         assert not [key for key in metrics if key.startswith("repro_worker_budget")]
-        assert metrics["repro_cache_hits_total"] >= 1
-        assert metrics["repro_service_request_seconds_count"] >= 2
 
     def test_batch_malformed_request_is_clean_error(self, tmp_path, run_path, capsys):
         requests = self._write_requests(tmp_path, [{"op": "bogus"}])
@@ -747,8 +743,13 @@ class TestObservabilityCommands:
         out = capsys.readouterr().out
         assert "# TYPE repro_cache_hits_total counter" in out
         assert "# TYPE repro_service_request_seconds histogram" in out
+        # the replaying service's own count, not a process-wide total
+        assert "\nrepro_service_request_seconds_count 1\n" in out
         assert re.search(r"repro_obs_spans_total [1-9]", out)
 
-    def test_metrics_without_replay_prints_the_registry(self, capsys):
-        assert main(["metrics"]) == 0
-        assert "repro_obs_spans_total" in capsys.readouterr().out
+    def test_metrics_requires_a_replay(self, run_path, capsys):
+        # A fresh process has nothing to report before it serves a batch.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["metrics", "--run", str(run_path)])
+        assert excinfo.value.code == 2
+        assert "--requests" in capsys.readouterr().err
