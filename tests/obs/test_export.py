@@ -69,5 +69,12 @@ class TestPrometheusText:
         assert text.count("repro_latency_count") == 1
         assert "# TYPE repro_latency_sum" not in text
 
+    def test_histogram_without_help_has_no_help_line(self):
+        histogram = Histogram("repro_size", buckets=(1.0,))
+        text = prometheus_text({}, [histogram])
+        assert "# HELP" not in text
+        assert text.startswith("# TYPE repro_size histogram\n")
+        assert 'repro_size_bucket{le="+Inf"} 0' in text
+
     def test_nothing_renders_empty(self):
         assert prometheus_text({}) == ""

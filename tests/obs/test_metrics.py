@@ -17,6 +17,18 @@ class TestInstruments:
         assert histogram.sum == pytest.approx(5.555)
         assert histogram.samples() == {"h_count": 4.0, "h_sum": pytest.approx(5.555)}
 
+    def test_value_on_a_bound_counts_in_that_bounds_bucket(self):
+        histogram = Histogram("h", buckets=(0.1, 1.0))
+        histogram.observe(0.1)
+        histogram.observe(1.0)
+        assert histogram.bucket_counts() == (1, 2, 2)
+
+    def test_bounds_are_sorted_at_construction(self):
+        histogram = Histogram("h", buckets=(1.0, 0.01, 0.1))
+        assert histogram.bounds == (0.01, 0.1, 1.0)
+        histogram.observe(0.05)
+        assert histogram.bucket_counts() == (0, 1, 1, 1)
+
     def test_histogram_needs_buckets(self):
         with pytest.raises(ValueError, match="at least one bucket"):
             Histogram("h", buckets=())

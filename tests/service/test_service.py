@@ -404,6 +404,23 @@ class TestMetrics:
         assert samples["repro_obs_spans_total"] == tracer.recorded > 0
         assert set(metrics_samples(idle, NULL_TRACER).values()) == {0.0}
 
+    def test_store_samples_are_the_attached_stores_counts(self, run, tmp_path):
+        writer = QueryService(store_dir=tmp_path, max_workers=2)
+        writer.register_run(run, "r1")
+        writer.warm("r1", ["_* e _*"])
+        samples = metrics_samples(writer, NULL_TRACER)
+        stats = writer.cache_stats
+        assert samples["repro_store_writes_total"] == stats.store_writes > 0
+        assert samples["repro_store_misses_total"] == stats.store_misses
+        assert samples["repro_store_hits_total"] == stats.store_hits == 0
+
+        reader = QueryService(store_dir=tmp_path, max_workers=2)
+        reader.register_run(run, "r1")
+        reader.run_batch([{"op": "allpairs", "run": "r1", "query": "_* e _*"}])
+        samples = metrics_samples(reader, NULL_TRACER)
+        assert samples["repro_store_hits_total"] == reader.cache_stats.store_hits > 0
+        assert samples["repro_store_writes_total"] == reader.cache_stats.store_writes
+
 
 class TestWarmRestart:
     """The acceptance scenario of the persistent store: a restarted service
